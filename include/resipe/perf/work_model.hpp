@@ -102,9 +102,9 @@ WorkCost event_mvm_sparse_cost(std::size_t active, std::size_t cols);
 /// 10 flops per column; bytes the per-column constants + output.
 WorkCost event_idle_cost(std::size_t cols);
 
-/// Skipped-group resolution in accumulate_events: one add per column
-/// from the baked idle-recovery constants; bytes read the constants
-/// and read-modify-write the accumulator.
+/// Skipped-group resolution in ProgrammedMatrix's event strategy: one
+/// add per column from the baked idle-recovery constants; bytes read
+/// the constants and read-modify-write the accumulator.
 WorkCost event_idle_resolve_cost(std::size_t cols);
 
 /// crossbar::drives_with_ir_drop: per cell the wire-divider effective_g

@@ -13,11 +13,11 @@
 
 namespace resipe::resipe_core::events {
 
-/// Master switch for the event-driven executor.  Disabled by default:
-/// the engine then runs the exact legacy dense per-slice path and is
-/// bit-identical to a build without this subsystem.  Enabled, logits
-/// stay bit-identical at any thread count; only the work performed —
-/// and the events/groups_woken perf accounting — changes.
+/// Master switch for the event strategy of ProgrammedMatrix's forward
+/// core.  Disabled by default: every block then runs the dense
+/// strategy.  Enabled, logits stay bit-identical at any thread count;
+/// only the work performed — and the events/groups_woken perf
+/// accounting — changes.
 struct EventConfig {
   bool enabled = false;
 

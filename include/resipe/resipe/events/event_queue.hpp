@@ -9,12 +9,8 @@
 // validity predicate and contributes exactly +0.0 to every current
 // sum, which is what makes skipping it bit-exact.
 //
-// The queue keeps two deterministic views of the same spikes:
-//   * events(): dispatch order, sorted by (time, row) — the tie-break
-//     on the row index makes simultaneous spikes replay identically
-//     on every run and at every thread count;
-//   * active_rows(): row-ascending index used by the sparse kernels,
-//     which must preserve the dense summation order.
+// The queue keeps the spiking rows as one row-ascending index, the
+// order the sparse kernels need to preserve the dense summation order.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +18,6 @@
 #include <vector>
 
 namespace resipe::resipe_core::events {
-
-/// One spike: arrival time (seconds into the slice) + source row.
-struct SpikeEvent {
-  double time = 0.0;
-  std::uint32_t row = 0;
-};
 
 class EventQueue {
  public:
@@ -42,9 +32,6 @@ class EventQueue {
   /// Deterministic: same input, same queue, regardless of thread
   /// count or build flags.
   void build(std::span<const double> t_in, double slice_length);
-
-  /// Spikes in dispatch order: ascending (time, row).
-  std::span<const SpikeEvent> events() const { return events_; }
 
   /// Rows that carry a spike, ascending by row index.
   std::span<const std::uint32_t> active_rows() const { return active_rows_; }
@@ -62,8 +49,8 @@ class EventQueue {
 
   /// Number of queued events (== number of active rows: single-spike
   /// coding carries at most one event per row per slice).
-  std::size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
+  std::size_t size() const { return active_rows_.size(); }
+  bool empty() const { return active_rows_.empty(); }
 
   /// Rows the queue was built over.
   std::size_t total_rows() const { return total_rows_; }
@@ -72,12 +59,11 @@ class EventQueue {
   double activity() const {
     return total_rows_ == 0
                ? 0.0
-               : static_cast<double>(events_.size()) /
+               : static_cast<double>(active_rows_.size()) /
                      static_cast<double>(total_rows_);
   }
 
  private:
-  std::vector<SpikeEvent> events_;          // sorted by (time, row)
   std::vector<std::uint32_t> active_rows_;  // sorted by row
   std::size_t total_rows_ = 0;
 };

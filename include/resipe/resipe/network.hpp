@@ -41,7 +41,6 @@
 #include "resipe/reliability/config.hpp"
 #include "resipe/resipe/events/config.hpp"
 #include "resipe/resipe/events/event_queue.hpp"
-#include "resipe/resipe/events/executor.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/serve/config.hpp"
@@ -102,13 +101,15 @@ struct EngineConfig {
   serve::ServeConfig serve;
 
   /// Event-driven sparse execution (see resipe/events/ and DESIGN.md
-  /// §15).  Disabled by default: the engine runs the exact legacy
-  /// dense per-slice path.  Enabled, inputs become timestamped spike
-  /// events, column groups without events sleep, and silent rows are
-  /// skipped — with logits bit-identical to the dense reference at
-  /// any thread count (pinned by the sparse_dense_identity contract
-  /// and tests/test_events.cpp).  Like `serve`, the flag cannot
-  /// affect logits, so it is excluded from engine_config_hash.
+  /// §15): selects the per-block strategy of ProgrammedMatrix's one
+  /// forward core.  Disabled by default: every block runs the batched
+  /// dense kernel.  Enabled, each sample's spikes are indexed, blocks
+  /// whose row window holds no spike sleep, and silent rows are
+  /// skipped inside woken blocks — with logits bit-identical to the
+  /// dense strategy at any thread count (pinned by the
+  /// sparse_dense_identity contract and tests/test_events.cpp).  Like
+  /// `serve`, the flag cannot affect logits, so it is excluded from
+  /// engine_config_hash.
   events::EventConfig events;
 
   /// "Ideal" configuration: linearized transfers, continuous timing,
@@ -178,10 +179,12 @@ class ProgrammedMatrix {
     void merge(const ProbeStats& other);
   };
 
-  /// forward() plus probes: y is bit-identical to forward(x, y) — same
-  /// encode, same block order, same recovery arithmetic — and `stats`
-  /// accumulates across calls.  Not part of the hot path: the regular
-  /// forward entry points never consult the introspection options.
+  /// forward() plus probes: y is bit-identical to forward(x, y) — the
+  /// same core runs it — and `stats` accumulates across calls.  A
+  /// probed pass always runs every block dense, because the probes read
+  /// each column's spike time and a sleeping block has none.  Not part
+  /// of the hot path: the regular forward entry points never consult
+  /// the introspection options.
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 
@@ -189,19 +192,19 @@ class ProgrammedMatrix {
   /// thread_local) so steady-state batched inference never allocates.
   struct BatchWorkspace {
     std::vector<double> t_in;       // [n, in] encoded spike times
-    std::vector<double> t_rows;     // [n, block.rows] staged block input
-    std::vector<double> t_out;      // [n, block.slots] block spike times
+    std::vector<double> t_rows;     // dense: [n, block.rows] staged input
+    std::vector<double> t_out;      // block spike times: [n, block.slots]
+                                    // dense, [block.slots] event
     std::vector<double> recovered;  // [n, physical cols] current-sums
-    FastMvm::BatchScratch mvm;
-    events::EventQueue queue;       // event path only
-    events::EventExecutor exec;     // event path only
+    FastMvm::BatchScratch mvm;      // dense: batched kernel scratch
+    std::vector<events::EventQueue> queues;  // event: one per sample
+    std::vector<std::uint32_t> wake;  // event: block-local wake set
   };
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
-  /// Bit-identical per sample to n forward() calls — same encode,
-  /// same block order, same recovery arithmetic — but each block runs
-  /// once over the whole batch through FastMvm::mvm_times_batch and
-  /// all scratch lives in `ws`.
+  /// forward() is this at n = 1, so batch and single calls are
+  /// bit-identical per sample.  Dense blocks run once over the whole
+  /// batch through FastMvm::mvm_times_batch; all scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
 
@@ -249,25 +252,24 @@ class ProgrammedMatrix {
     std::unique_ptr<FastMvm> mvm;
     /// Baked recovery contribution of this block when its row group is
     /// silent (length cols).  idle_times() output is input-independent,
-    /// so the per-column constants are computed once at programming and
-    /// let accumulate_events resolve a sleeping block with one add per
-    /// column — bit-identical to running the full recovery arithmetic.
+    /// so recover() runs once on it at programming and the event
+    /// strategy resolves a sleeping block with one add per column.
     std::vector<double> idle_recovery;
   };
 
-  void encode_input(std::span<const double> x, std::span<double> t) const;
-  /// Runs every block and accumulates recovered current-sums
-  /// (sum_i V_i G_ij) per physical column.
-  void accumulate(std::span<const double> t_in,
-                  std::span<double> recovered) const;
-  /// Event-driven accumulate: same block order and same per-column
-  /// recovery arithmetic, but each block runs through the event
-  /// executor (sleeping when no input event falls in its row window).
-  /// Bit-identical to accumulate() on the same times.
-  void accumulate_events(std::span<const double> t_in,
-                         std::span<double> recovered,
-                         events::EventQueue& queue,
-                         events::EventExecutor& exec) const;
+  /// The one forward core behind forward, forward_probed and
+  /// forward_batch: encode each sample, run every block by its strategy
+  /// (dense over the whole batch, or event-driven per sample when
+  /// config_.events is on and `probe` is null), recover, decode.
+  /// `probe`, when set, also counts encode clamps and column outcomes.
+  void run(std::span<const double> x, std::size_t n, std::span<double> y,
+           BatchWorkspace& ws, ProbeStats* probe) const;
+  /// Adds one block's recovered current-sums
+  /// (sum_i V_i G_ij = V_cog * g_total / k) into rec[0, block.cols),
+  /// reading each data column's spike time from its physical slot in
+  /// t_slots.
+  void recover(const Block& block, const double* t_slots, double* rec,
+               ProbeStats* probe) const;
   /// Converts accumulated recovered sums + bias into outputs.
   void decode(std::span<const double> recovered, std::span<double> y) const;
 
@@ -354,9 +356,6 @@ class ResipeNetwork {
   /// Total virtual 32x32-class tiles used by the mapping.
   std::size_t tile_count() const;
 
-  /// Total tile MVM executions for one input image.
-  std::size_t mvms_per_image() const;
-
   /// Matrix layers lowered.
   std::size_t programmed_layers() const { return matrices_.size(); }
 
@@ -379,6 +378,11 @@ class ResipeNetwork {
     std::size_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0;
   };
 
+  /// The one walker over steps_ behind forward, forward_observed and
+  /// forward_hybrid: reports each step to `obs` when set, and runs a
+  /// matrix step through its software layer when `digital` flags it.
+  nn::Tensor walk(const nn::Tensor& batch, LayerObserver* obs,
+                  const std::vector<bool>& digital) const;
   nn::Tensor run_dense(const Step& step, const nn::Tensor& x) const;
   nn::Tensor run_conv(const Step& step, const nn::Tensor& x) const;
 

@@ -1,7 +1,6 @@
 #include "resipe/resipe/events/event_queue.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "resipe/perf/work_model.hpp"
 #include "resipe/telemetry/telemetry.hpp"
@@ -11,25 +10,14 @@ namespace resipe::resipe_core::events {
 void EventQueue::build(std::span<const double> t_in, double slice_length) {
   RESIPE_PERF_WORK("resipe_core.events.queue_build",
                    perf::event_queue_build_cost(t_in.size()));
-  events_.clear();
   active_rows_.clear();
   total_rows_ = t_in.size();
   for (std::size_t r = 0; r < t_in.size(); ++r) {
-    const double t = t_in[r];
-    if (!carries_spike(t, slice_length)) continue;
-    events_.push_back({t, static_cast<std::uint32_t>(r)});
-    active_rows_.push_back(static_cast<std::uint32_t>(r));
+    if (carries_spike(t_in[r], slice_length)) {
+      active_rows_.push_back(static_cast<std::uint32_t>(r));
+    }
   }
-  // The row scan already yields active_rows_ ascending; the dispatch
-  // view re-sorts by arrival with the deterministic (time, row)
-  // tie-break.  stable vs unstable makes no difference under a total
-  // order, but the explicit row key documents the contract.
-  std::sort(events_.begin(), events_.end(),
-            [](const SpikeEvent& a, const SpikeEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.row < b.row;
-            });
-  RESIPE_TELEM_COUNT("resipe_core.events.queued", events_.size());
+  RESIPE_TELEM_COUNT("resipe_core.events.queued", active_rows_.size());
 }
 
 std::span<const std::uint32_t> EventQueue::rows_in_range(

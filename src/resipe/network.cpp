@@ -134,28 +134,14 @@ ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
 
 void ProgrammedMatrix::finalize_idle_recovery() {
   // A sleeping group's block output is input-independent, so its
-  // recovery contribution is a per-column constant.  Bake it with the
-  // exact operation sequence accumulate() applies — idle comparator
-  // outcome, slice-boundary substitution, ramp sample, conductance
-  // normalization — so adding the constant reproduces the dense bits.
-  const auto& params = config_.circuit;
+  // recovery contribution is a per-column constant.  Baking it through
+  // recover() itself makes adding the constant reproduce the dense bits.
   std::vector<double> t_idle;
   for (Block& block : blocks_) {
-    t_idle.assign(block.slots, 0.0);
+    t_idle.resize(block.slots);
     block.mvm->idle_times(t_idle);
     block.idle_recovery.assign(block.cols, 0.0);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_idle[s];
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        block.idle_recovery[c] = v_cog * g_total / k;
-      }
-    }
+    recover(block, t_idle.data(), block.idle_recovery.data(), nullptr);
   }
 }
 
@@ -402,97 +388,153 @@ void ProgrammedMatrix::set_time_scale(double alpha) {
   alpha_ = alpha;
 }
 
-void ProgrammedMatrix::encode_input(std::span<const double> x,
-                                    std::span<double> t) const {
-  // Normalize into the codec's [0, 1] domain, then batch-encode so the
-  // ramp-inversion chain runs through the SIMD codec kernel.
-  thread_local std::vector<double> scaled;
-  scaled.resize(in_);
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double xn = std::clamp(x[i] / input_scale_, 0.0, 1.0);
-    scaled[i] = alpha_ * xn;
-  }
-  codec_.encode_times(scaled, t.first(in_));
-}
-
-void ProgrammedMatrix::accumulate(std::span<const double> t_in,
-                                  std::span<double> recovered) const {
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", blocks_.size());
-  std::fill(recovered.begin(), recovered.end(), 0.0);
+void ProgrammedMatrix::recover(const Block& block, const double* t_slots,
+                               double* rec, ProbeStats* probe) const {
   const auto& params = config_.circuit;
-  thread_local std::vector<double> t_block_out;
-  for (const Block& block : blocks_) {
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    block.mvm->mvm_times(t_rows, t_block_out);
-    const bool remapped = !block.slot_of_col.empty();
+  // Fault-aware placement may have moved a data column onto a spare
+  // slot; read the bitline it actually lives on.
+  const bool remapped = !block.slot_of_col.empty();
+  if (probe != nullptr) {
+    // Saturation taxonomy: a silent column (kNoSpike) means the
+    // current-sum never pulled the COG across the ramp — the readout
+    // books the slice boundary and the true value is censored from
+    // above; a spike inside the first clock period means the column is
+    // pinned at the slice start (at/over full scale, censored from
+    // below); a spike in the last clock period is one LSB away from
+    // falling silent.
+    const std::size_t bins = probe->spike_time_hist.size();
     for (std::size_t c = 0; c < block.cols; ++c) {
-      // Fault-aware placement may have moved this data column onto a
-      // spare slot; read the bitline it actually lives on.
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      // A silent output line encodes "beyond full scale": the readout
-      // books the slice-boundary value.
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
+      const double t = t_slots[remapped ? block.slot_of_col[c] : c];
+      if (t == FastMvm::kNoSpike) {
+        ++probe->no_spike;
+        continue;
       }
+      ++probe->spikes;
+      if (t <= params.clock_period) ++probe->pinned_start;
+      if (t >= params.slice_length - params.clock_period) {
+        ++probe->pinned_end;
+      }
+      const double norm = t / params.slice_length;
+      const auto bin = std::min(
+          bins - 1, static_cast<std::size_t>(std::max(
+                        0.0, norm * static_cast<double>(bins))));
+      ++probe->spike_time_hist[bin];
+    }
+  }
+  for (std::size_t c = 0; c < block.cols; ++c) {
+    const std::size_t s = remapped ? block.slot_of_col[c] : c;
+    double t = t_slots[s];
+    // A silent output line encodes "beyond full scale": the readout
+    // books the slice-boundary value.
+    if (t == FastMvm::kNoSpike) t = params.slice_length;
+    const double v_cog = params.ramp_voltage(t);
+    const double k = block.mvm->k(s);
+    const double g_total = block.mvm->g_total(s);
+    if (k > 0.0) {
+      rec[c] += v_cog * g_total / k;
     }
   }
 }
 
-void ProgrammedMatrix::accumulate_events(std::span<const double> t_in,
-                                         std::span<double> recovered,
-                                         events::EventQueue& queue,
-                                         events::EventExecutor& exec) const {
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", blocks_.size());
-  std::fill(recovered.begin(), recovered.end(), 0.0);
-  const auto& params = config_.circuit;
-  queue.build(t_in, params.slice_length);
-  events::ExecStats stats;
-  thread_local std::vector<double> t_block_out;
+void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
+                           std::span<double> y, BatchWorkspace& ws,
+                           ProbeStats* probe) const {
+  RESIPE_REQUIRE(x.size() == n * in_ && y.size() == n * out_,
+                 "forward size mismatch");
+  if (n == 0) return;
+  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
+  const std::size_t cols = mapping_.cols;
+  // Probes read every column's spike time, and a sleeping block has
+  // none, so a probed pass runs every block dense.
+  const bool event_strategy = config_.events.enabled && probe == nullptr;
+
+  // Encode: normalize into the codec's [0, 1] domain, then batch-encode
+  // each sample so the ramp-inversion chain runs through the SIMD codec
+  // kernel.  The event strategy indexes each sample's spikes once.
+  thread_local std::vector<double> scaled;
+  scaled.resize(in_);
+  ws.t_in.resize(n * in_);
+  if (event_strategy && ws.queues.size() < n) ws.queues.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.data() + s * in_;
+    for (std::size_t i = 0; i < in_; ++i) {
+      const double xn = std::clamp(xs[i] / input_scale_, 0.0, 1.0);
+      scaled[i] = alpha_ * xn;
+    }
+    if (probe != nullptr) {
+      for (std::size_t i = 0; i < in_; ++i) {
+        const double ratio = xs[i] / input_scale_;
+        if (ratio < 0.0 || ratio > 1.0) ++probe->inputs_clamped;
+      }
+    }
+    const std::span<double> t(ws.t_in.data() + s * in_, in_);
+    codec_.encode_times(scaled, t);
+    if (event_strategy) ws.queues[s].build(t, config_.circuit.slice_length);
+  }
+
+  // Every strategy visits the blocks in the same order and recovers
+  // through recover(), so each sample's column sums accumulate in the
+  // same order on either strategy.
+  ws.recovered.assign(n * cols, 0.0);
+  std::uint64_t woken = 0, skipped = 0, delivered = 0, rows_skipped = 0;
   for (const Block& block : blocks_) {
-    if (queue.rows_in_range(block.row0, block.rows).empty()) {
-      // Sleeping group: the baked constants replace the comparator
-      // recovery and ramp evaluation (bit-identical by construction).
-      RESIPE_PERF_WORK("resipe_core.events.idle_resolve",
-                       perf::event_idle_resolve_cost(block.cols));
-      ++stats.groups_skipped;
-      stats.rows_skipped += block.rows;
-      for (std::size_t c = 0; c < block.cols; ++c) {
-        recovered[block.col0 + c] += block.idle_recovery[c];
+    if (!event_strategy) {
+      // Dense: the block runs once over the whole batch.
+      ws.t_rows.resize(n * block.rows);
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* src = ws.t_in.data() + s * in_ + block.row0;
+        std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
+      }
+      ws.t_out.resize(n * block.slots);
+      block.mvm->mvm_times_batch(ws.t_rows, n, ws.t_out, ws.mvm);
+      for (std::size_t s = 0; s < n; ++s) {
+        recover(block, ws.t_out.data() + s * block.slots,
+                ws.recovered.data() + s * cols + block.col0, probe);
       }
       continue;
     }
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    exec.run_group(*block.mvm, queue, block.row0, t_rows, t_block_out,
-                   stats);
-    // Recovery arithmetic identical to accumulate(), applied to
-    // bit-identical block outputs.
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
+    // Event-driven, per sample: a block whose row window holds no spike
+    // sleeps and adds its baked idle constants; a woken block runs the
+    // sparse kernel over its wake set only.
+    ws.t_out.resize(block.slots);
+    for (std::size_t s = 0; s < n; ++s) {
+      double* rec = ws.recovered.data() + s * cols + block.col0;
+      const auto wake = ws.queues[s].rows_in_range(block.row0, block.rows);
+      rows_skipped += block.rows - wake.size();
+      if (wake.empty()) {
+        RESIPE_PERF_WORK("resipe_core.events.idle_resolve",
+                         perf::event_idle_resolve_cost(block.cols));
+        ++skipped;
+        for (std::size_t c = 0; c < block.cols; ++c) {
+          rec[c] += block.idle_recovery[c];
+        }
+        continue;
       }
+      ws.wake.resize(wake.size());
+      for (std::size_t i = 0; i < wake.size(); ++i) {
+        ws.wake[i] = static_cast<std::uint32_t>(wake[i] - block.row0);
+      }
+      block.mvm->mvm_times_sparse(
+          std::span<const double>(ws.t_in.data() + s * in_ + block.row0,
+                                  block.rows),
+          ws.wake, ws.t_out);
+      ++woken;
+      delivered += wake.size();
+      recover(block, ws.t_out.data(), rec, nullptr);
     }
   }
-  RESIPE_TELEM_COUNT("resipe_core.events.delivered", stats.events_delivered);
-  RESIPE_TELEM_COUNT("resipe_core.events.groups_woken", stats.groups_woken);
-  RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped",
-                     stats.groups_skipped);
-  RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped", stats.rows_skipped);
+  if (event_strategy) {
+    RESIPE_TELEM_COUNT("resipe_core.events.delivered", delivered);
+    RESIPE_TELEM_COUNT("resipe_core.events.groups_woken", woken);
+    RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped", skipped);
+    RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped", rows_skipped);
+  }
+
+  for (std::size_t s = 0; s < n; ++s) {
+    decode(std::span<const double>(ws.recovered.data() + s * cols, cols),
+           y.subspan(s * out_, out_));
+  }
+  if (probe != nullptr) probe->vectors += n;
 }
 
 void ProgrammedMatrix::decode(std::span<const double> recovered,
@@ -512,21 +554,8 @@ void ProgrammedMatrix::decode(std::span<const double> recovered,
 void ProgrammedMatrix::forward(std::span<const double> x,
                                std::span<double> y) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward");
-  RESIPE_REQUIRE(x.size() == in_ && y.size() == out_,
-                 "forward vector size mismatch");
-  thread_local std::vector<double> t_in;
-  thread_local std::vector<double> recovered;
-  t_in.resize(in_);
-  encode_input(x, t_in);
-  recovered.assign(mapping_.cols, 0.0);
-  if (config_.events.enabled) {
-    thread_local events::EventQueue queue;
-    thread_local events::EventExecutor exec;
-    accumulate_events(t_in, recovered, queue, exec);
-  } else {
-    accumulate(t_in, recovered);
-  }
-  decode(recovered, y);
+  thread_local BatchWorkspace ws;
+  run(x, 1, y, ws, nullptr);
 }
 
 void ProgrammedMatrix::ProbeStats::merge(const ProbeStats& other) {
@@ -546,141 +575,15 @@ void ProgrammedMatrix::ProbeStats::merge(const ProbeStats& other) {
 void ProgrammedMatrix::forward_probed(std::span<const double> x,
                                       std::span<double> y,
                                       ProbeStats& stats) const {
-  RESIPE_REQUIRE(x.size() == in_ && y.size() == out_,
-                 "forward vector size mismatch");
-  const auto& params = config_.circuit;
-  // Encode exactly as encode_input() does, counting clamp engagements
-  // on the side.  `xn` is clamped with the identical expression and
-  // fed through the same batched codec kernel, so the spike times —
-  // and therefore y — match forward() bit for bit.
-  std::vector<double> t_in(in_, 0.0);
-  std::vector<double> scaled(in_, 0.0);
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double ratio = x[i] / input_scale_;
-    if (ratio < 0.0 || ratio > 1.0) ++stats.inputs_clamped;
-    const double xn = std::clamp(ratio, 0.0, 1.0);
-    scaled[i] = alpha_ * xn;
-  }
-  codec_.encode_times(scaled, t_in);
-
-  // accumulate() with per-column health probes.  Saturation taxonomy:
-  // a silent column (kNoSpike) means the current-sum never pulled the
-  // COG across the ramp — the readout books the slice boundary and the
-  // true value is censored from above; a spike inside the first clock
-  // period means the column is pinned at the slice start (at/over full
-  // scale, censored from below); a spike in the last clock period is
-  // one LSB away from falling silent.
-  const std::size_t bins = stats.spike_time_hist.size();
-  std::vector<double> recovered(mapping_.cols, 0.0);
-  std::vector<double> t_block_out;
-  for (const Block& block : blocks_) {
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    block.mvm->mvm_times(t_rows, t_block_out);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      if (t == FastMvm::kNoSpike) {
-        ++stats.no_spike;
-        t = params.slice_length;
-      } else {
-        ++stats.spikes;
-        if (t <= params.clock_period) ++stats.pinned_start;
-        if (t >= params.slice_length - params.clock_period) {
-          ++stats.pinned_end;
-        }
-        const double norm = t / params.slice_length;
-        const auto bin = std::min(
-            bins - 1,
-            static_cast<std::size_t>(std::max(
-                0.0, norm * static_cast<double>(bins))));
-        ++stats.spike_time_hist[bin];
-      }
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
-      }
-    }
-  }
-  decode(recovered, y);
-  ++stats.vectors;
+  thread_local BatchWorkspace ws;
+  run(x, 1, y, ws, &stats);
 }
 
 void ProgrammedMatrix::forward_batch(std::span<const double> x, std::size_t n,
                                      std::span<double> y,
                                      BatchWorkspace& ws) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
-  RESIPE_REQUIRE(x.size() == n * in_ && y.size() == n * out_,
-                 "forward_batch size mismatch");
-  if (n == 0) return;
-  const auto& params = config_.circuit;
-
-  ws.t_in.resize(n * in_);
-  for (std::size_t s = 0; s < n; ++s) {
-    encode_input(x.subspan(s * in_, in_),
-                 std::span<double>(ws.t_in.data() + s * in_, in_));
-  }
-
-  if (config_.events.enabled) {
-    // Event-driven batch path: the batched dense kernel is documented
-    // bitwise-identical to n single calls per backend, so the sparse
-    // path runs each sample through accumulate_events() — which books
-    // its own block_mvms count per sample.
-    ws.recovered.resize(n * mapping_.cols);
-    for (std::size_t s = 0; s < n; ++s) {
-      accumulate_events(
-          std::span<const double>(ws.t_in.data() + s * in_, in_),
-          std::span<double>(ws.recovered.data() + s * mapping_.cols,
-                            mapping_.cols),
-          ws.queue, ws.exec);
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      decode(std::span<const double>(ws.recovered.data() + s * mapping_.cols,
-                                     mapping_.cols),
-             y.subspan(s * out_, out_));
-    }
-    return;
-  }
-
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
-  // Same block order and same per-column recovery arithmetic as
-  // accumulate(); only the batching differs.
-  ws.recovered.assign(n * mapping_.cols, 0.0);
-  for (const Block& block : blocks_) {
-    ws.t_rows.resize(n * block.rows);
-    for (std::size_t s = 0; s < n; ++s) {
-      const double* src = ws.t_in.data() + s * in_ + block.row0;
-      std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
-    }
-    ws.t_out.resize(n * block.slots);
-    block.mvm->mvm_times_batch(ws.t_rows, n, ws.t_out, ws.mvm);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t s = 0; s < n; ++s) {
-      double* rec = ws.recovered.data() + s * mapping_.cols;
-      const double* t_blk = ws.t_out.data() + s * block.slots;
-      for (std::size_t c = 0; c < block.cols; ++c) {
-        const std::size_t slot = remapped ? block.slot_of_col[c] : c;
-        double t = t_blk[slot];
-        if (t == FastMvm::kNoSpike) t = params.slice_length;
-        const double v_cog = params.ramp_voltage(t);
-        const double k = block.mvm->k(slot);
-        const double g_total = block.mvm->g_total(slot);
-        if (k > 0.0) {
-          rec[block.col0 + c] += v_cog * g_total / k;
-        }
-      }
-    }
-  }
-
-  for (std::size_t s = 0; s < n; ++s) {
-    decode(std::span<const double>(ws.recovered.data() + s * mapping_.cols,
-                                   mapping_.cols),
-           y.subspan(s * out_, out_));
-  }
+  run(x, n, y, ws, nullptr);
 }
 
 double ProgrammedMatrix::forward_analytic(std::span<const double> x,
@@ -826,9 +729,9 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
   for (std::size_t li = 0; li < model_.layer_count(); ++li) {
     nn::Layer& layer = model_.layer(li);
     Step step;
-    // Matrix steps keep their software layer too: forward() dispatches
-    // on `matrix` first, and the layer pointer is what forward_hybrid
-    // and the introspection observer use as the digital reference.
+    // Matrix steps keep their software layer too: walk() dispatches on
+    // `matrix` first, and the layer pointer is what forward_hybrid and
+    // the introspection observer use as the digital reference.
     step.layer = &layer;
     if (auto* dense = dynamic_cast<nn::Dense*>(&layer)) {
       auto pm = std::make_unique<ProgrammedMatrix>(
@@ -942,46 +845,36 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   return y;
 }
 
-nn::Tensor ResipeNetwork::forward(const nn::Tensor& batch) const {
-  nn::Tensor h = batch;
-  for (const Step& step : steps_) {
-    if (step.matrix != nullptr) {
-      h = step.is_conv ? run_conv(step, h) : run_dense(step, h);
-    } else {
-      h = step.layer->forward(h, /*train=*/false);
-    }
-  }
-  return h;
-}
-
-nn::Tensor ResipeNetwork::forward_observed(const nn::Tensor& batch,
-                                           LayerObserver& obs) const {
+nn::Tensor ResipeNetwork::walk(const nn::Tensor& batch, LayerObserver* obs,
+                               const std::vector<bool>& digital) const {
   nn::Tensor h = batch;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const Step& step = steps_[i];
+    const bool analog =
+        step.matrix != nullptr && !(i < digital.size() && digital[i]);
     nn::Tensor out =
-        step.matrix != nullptr
-            ? (step.is_conv ? run_conv(step, h) : run_dense(step, h))
-            : step.layer->forward(h, /*train=*/false);
-    obs.on_step(i, *step.layer, step.matrix, step.is_conv, h, out);
+        analog ? (step.is_conv ? run_conv(step, h) : run_dense(step, h))
+               : step.layer->forward(h, /*train=*/false);
+    if (obs != nullptr) {
+      obs->on_step(i, *step.layer, step.matrix, step.is_conv, h, out);
+    }
     h = std::move(out);
   }
   return h;
 }
 
+nn::Tensor ResipeNetwork::forward(const nn::Tensor& batch) const {
+  return walk(batch, nullptr, {});
+}
+
+nn::Tensor ResipeNetwork::forward_observed(const nn::Tensor& batch,
+                                           LayerObserver& obs) const {
+  return walk(batch, &obs, {});
+}
+
 nn::Tensor ResipeNetwork::forward_hybrid(
     const nn::Tensor& batch, const std::vector<bool>& digital_steps) const {
-  nn::Tensor h = batch;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const Step& step = steps_[i];
-    const bool digital = i < digital_steps.size() && digital_steps[i];
-    if (step.matrix != nullptr && !digital) {
-      h = step.is_conv ? run_conv(step, h) : run_dense(step, h);
-    } else {
-      h = step.layer->forward(h, /*train=*/false);
-    }
-  }
-  return h;
+  return walk(batch, nullptr, digital_steps);
 }
 
 ProgrammedMatrix::ReliabilityStats ResipeNetwork::reliability_stats() const {
@@ -1007,16 +900,6 @@ std::size_t ResipeNetwork::degraded_outputs() const {
 }
 
 std::size_t ResipeNetwork::tile_count() const {
-  std::size_t n = 0;
-  for (const auto& m : matrices_) n += m->tile_count();
-  return n;
-}
-
-std::size_t ResipeNetwork::mvms_per_image() const {
-  // Dense layers: one pass over all blocks per image.  Conv layers: one
-  // pass per output position.  Positions are not stored, so report the
-  // conservative per-vector count times 1; the examples derive full
-  // counts from geometry where needed.
   std::size_t n = 0;
   for (const auto& m : matrices_) n += m->tile_count();
   return n;

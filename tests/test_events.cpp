@@ -21,9 +21,9 @@
 #include "resipe/nn/zoo.hpp"
 #include "resipe/perf/work_model.hpp"
 #include "resipe/resipe/events/config.hpp"
-#include "resipe/resipe/events/executor.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/network.hpp"
+#include "resipe/telemetry/metrics.hpp"
 #include "testing/approx.hpp"
 
 namespace resipe::resipe_core {
@@ -72,24 +72,10 @@ TEST(EventQueue, BuildFiltersAndIndexes) {
   ASSERT_EQ(q.size(), 2u);
   EXPECT_FALSE(q.empty());
   RESIPE_EXPECT_ULP(q.activity(), 2.0 / 6.0, 0);
-  // Dispatch order: ascending time.
-  EXPECT_EQ(q.events()[0].row, 3u);
-  EXPECT_EQ(q.events()[1].row, 0u);
   // Row index: ascending row.
   ASSERT_EQ(q.active_rows().size(), 2u);
   EXPECT_EQ(q.active_rows()[0], 0u);
   EXPECT_EQ(q.active_rows()[1], 3u);
-}
-
-TEST(EventQueue, SimultaneousSpikesTieBreakOnRow) {
-  events::EventQueue q;
-  q.build(std::vector<double>{50e-9, 50e-9, 10e-9, 50e-9}, 100e-9);
-  ASSERT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.events()[0].row, 2u);  // earliest time first
-  // Equal times replay in ascending row order, deterministically.
-  EXPECT_EQ(q.events()[1].row, 0u);
-  EXPECT_EQ(q.events()[2].row, 1u);
-  EXPECT_EQ(q.events()[3].row, 3u);
 }
 
 TEST(EventQueue, RowsInRangeComputesWakeSets) {
@@ -224,42 +210,6 @@ TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
                Error);  // input size mismatch
 }
 
-TEST_F(SparseKernels, ExecutorWakesAndSleepsGroups) {
-  const circuits::CircuitParams p;
-  const FastMvm mvm(p, kRows, kCols, g_);
-  events::EventQueue q;
-  std::vector<double> t(2 * kRows, 0.0);  // two stacked row groups
-  t[4] = 20e-9;                           // one event, in group 0 only
-  q.build(t, p.slice_length);
-
-  events::EventExecutor exec;
-  events::ExecStats stats;
-  std::vector<double> out0(kCols), out1(kCols);
-  exec.run_group(mvm, q, 0, std::span<const double>(t.data(), kRows), out0,
-                 stats);
-  exec.run_group(mvm, q, kRows,
-                 std::span<const double>(t.data() + kRows, kRows), out1,
-                 stats);
-  EXPECT_EQ(stats.groups_woken, 1u);
-  EXPECT_EQ(stats.groups_skipped, 1u);
-  EXPECT_EQ(stats.events_delivered, 1u);
-  EXPECT_EQ(stats.rows_skipped, 2 * kRows - 1);
-
-  // Woken group == dense on its staged input; sleeping group == idle.
-  std::vector<double> dense0(kCols), idle(kCols);
-  mvm.mvm_times(std::span<const double>(t.data(), kRows), dense0);
-  mvm.idle_times(idle);
-  EXPECT_TRUE(bit_identical(out0, dense0));
-  EXPECT_TRUE(bit_identical(out1, idle));
-
-  events::ExecStats more;
-  more.groups_woken = 2;
-  more.rows_skipped = 5;
-  stats.merge(more);
-  EXPECT_EQ(stats.groups_woken, 3u);
-  EXPECT_EQ(stats.rows_skipped, 2 * kRows - 1 + 5);
-}
-
 // --- ProgrammedMatrix / ResipeNetwork bit-identity ---------------------
 
 std::vector<double> random_batch(std::size_t n, std::size_t dim, Rng& rng,
@@ -298,6 +248,7 @@ TEST_F(MatrixEventPath, ForwardBitIdenticalAcrossConfigs) {
     Rng rng_a(11), rng_b(11), rng_x(12);
     const ProgrammedMatrix pm_dense = build(dense_cfg, rng_a);
     const ProgrammedMatrix pm_event = build(event_cfg, rng_b);
+    ProgrammedMatrix::ProbeStats stats_dense, stats_event;
     for (double sparsity : {0.0, 0.5, 0.95, 1.0}) {
       const auto x = random_batch(1, kIn, rng_x, sparsity);
       std::vector<double> y_dense(kOut), y_event(kOut);
@@ -305,7 +256,21 @@ TEST_F(MatrixEventPath, ForwardBitIdenticalAcrossConfigs) {
       pm_event.forward(x, y_event);
       EXPECT_TRUE(bit_identical(y_dense, y_event))
           << "quantize " << quantize << " sparsity " << sparsity;
+      // A probed pass runs dense on either twin: same bits, same probes.
+      std::vector<double> yp_dense(kOut), yp_event(kOut);
+      pm_dense.forward_probed(x, yp_dense, stats_dense);
+      pm_event.forward_probed(x, yp_event, stats_event);
+      EXPECT_TRUE(bit_identical(y_dense, yp_dense));
+      EXPECT_TRUE(bit_identical(yp_dense, yp_event));
     }
+    EXPECT_EQ(stats_dense.vectors, 4u);
+    EXPECT_EQ(stats_dense.spike_time_hist, stats_event.spike_time_hist);
+    EXPECT_EQ(stats_dense.spikes, stats_event.spikes);
+    EXPECT_EQ(stats_dense.no_spike, stats_event.no_spike);
+    EXPECT_EQ(stats_dense.pinned_start, stats_event.pinned_start);
+    EXPECT_EQ(stats_dense.pinned_end, stats_event.pinned_end);
+    EXPECT_EQ(stats_dense.inputs_clamped, stats_event.inputs_clamped);
+    EXPECT_EQ(stats_dense.vectors, stats_event.vectors);
   }
 }
 
@@ -520,7 +485,20 @@ TEST(EventPerf, WorkRegistryBooksEventKernels) {
   std::vector<double> x(70, 0.0);
   x[0] = 0.8;  // one active row: most groups sleep
   std::vector<double> y(20);
+  telemetry::MetricRegistry::instance().reset_values();
   pm.forward(x, y);
+  // 70 rows in 32-row tiles make 3 row blocks; 20 outputs as
+  // differential pairs make 40 physical columns, 2 column blocks.  Row
+  // 0 wakes both column blocks of row block 0 with one event each, the
+  // other 4 blocks sleep, and every row but row 0 is skipped per column
+  // block.
+  const auto counter = [](const char* name) {
+    return telemetry::MetricRegistry::instance().counter(name).value();
+  };
+  EXPECT_EQ(counter("resipe_core.events.groups_woken"), 2u);
+  EXPECT_EQ(counter("resipe_core.events.groups_skipped"), 4u);
+  EXPECT_EQ(counter("resipe_core.events.delivered"), 2u);
+  EXPECT_EQ(counter("resipe_core.events.rows_skipped"), 2u * (70u - 1u));
   std::uint64_t build_calls = 0, sparse_calls = 0, idle_calls = 0;
   std::uint64_t resolve_calls = 0;
   for (const auto& k : perf::WorkRegistry::instance().snapshot()) {

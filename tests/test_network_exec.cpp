@@ -191,7 +191,6 @@ TEST_F(MlpThroughHardware, TileAccounting) {
   EXPECT_EQ(hw.programmed_layers(), 2u);
   // 16x12 diff -> 24 phys cols -> 1 block; 12x4 -> 8 cols -> 1 block.
   EXPECT_EQ(hw.tile_count(), 2u);
-  EXPECT_GE(hw.mvms_per_image(), 2u);
 }
 
 TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {
