@@ -1,5 +1,5 @@
-// Roofline micro-bench: runs the annotated hot kernels with work
-// accounting enabled, calibrates the machine ceilings and reports each
+// Roofline micro-bench: runs the annotated hot kernels with telemetry
+// (spans and work) on, calibrates the machine ceilings and reports each
 // kernel's achieved GFLOP/s / GB/s / arithmetic intensity against the
 // roofline.  The BENCH_JSON figures feed the continuous regression
 // tracker (tools/collect_bench.py --history + tools/bench_diff.py).
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   bench::BenchReport report("roofline", argc, argv);
 
   telemetry::set_enabled(true);
-  perf::set_accounting_enabled(true);
 
   const circuits::CircuitParams params =
       circuits::CircuitParams::paper_defaults();
@@ -97,7 +96,8 @@ int main(int argc, char** argv) {
 
   const perf::MachineProfile machine = perf::calibrate_machine(40.0);
   const perf::RooflineReport roofline =
-      perf::build_roofline_report(machine);
+      perf::build_roofline_report(telemetry::CallProfile::this_thread(),
+                                  machine);
   std::cout << roofline.render_ascii() << "\n";
   // The work model books the same flop counts on either path (SIMD
   // changes how fast the flops run, not how many the kernel owes), so

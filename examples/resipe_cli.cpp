@@ -24,8 +24,8 @@
 //   profile [--net mlp1|mlp2|cnn1] [--images N] [--train N] [--epochs N]
 //           [--reps N] [--seed K] [--calib-ms MS] [--out FILE]
 //           [--folded FILE]
-//       Profiles repeated inference with kernel work accounting and
-//       prints the roofline report (GFLOP/s, GB/s, intensity,
+//       Profiles repeated inference with telemetry spans and kernel
+//       work and prints the roofline report (GFLOP/s, GB/s, intensity,
 //       compute- vs memory-bound) plus the work-annotated call tree;
 //       --out writes the JSON report, --folded writes flamegraph-
 //       compatible folded stacks.  With --trace, cumulative-work
@@ -64,7 +64,6 @@
 #include "resipe/nn/zoo.hpp"
 #include "resipe/perf/perf_counters.hpp"
 #include "resipe/perf/roofline.hpp"
-#include "resipe/perf/work_model.hpp"
 #include "resipe/resipe/chip.hpp"
 #include "resipe/resipe/network.hpp"
 #include "resipe/resipe/spike_code.hpp"
@@ -310,11 +309,12 @@ int cmd_inspect(int argc, char** argv) {
 }
 
 // Trains a small benchmark on synthetic digits, lowers it onto the
-// engine and profiles repeated inference with kernel work accounting,
-// hardware perf counters (when the kernel allows) and a one-shot
-// machine calibration, then prints the roofline report and the
-// work-annotated call tree.  Verifies on the way that enabling the
-// accounting leaves the logits bit-identical.
+// engine and profiles repeated inference with telemetry spans and
+// kernel work, hardware perf counters (when the kernel allows) and a
+// one-shot machine calibration, then prints the roofline report and the
+// work-annotated call tree, folded across every pool worker.  Verifies
+// on the way that switching telemetry on leaves the logits
+// bit-identical.
 int cmd_profile(int argc, char** argv) {
   const std::string tag = arg_value(argc, argv, "--net", "mlp1");
   nn::BenchmarkNet net;
@@ -348,6 +348,7 @@ int cmd_profile(int argc, char** argv) {
   // the telemetry flag at construction, and its codec work rides the
   // same cold path as its counters.
   telemetry::set_enabled(true);
+  telemetry::CallProfile& profile = telemetry::CallProfile::this_thread();
 
   Rng data_rng(7);
   Rng train_rng = data_rng.split();
@@ -372,32 +373,31 @@ int cmd_profile(int argc, char** argv) {
   (void)calib_labels;
   const resipe_core::ResipeNetwork hw(model, ec, calib);
 
-  // Bit-identity sanity: accounting on must not perturb the logits.
-  perf::set_accounting_enabled(false);
+  // Bit-identity sanity: telemetry on must not perturb the logits.
+  telemetry::set_enabled(false);
   const nn::Tensor logits_off = hw.forward(test.images);
-  perf::set_accounting_enabled(true);
+  telemetry::set_enabled(true);
   const nn::Tensor logits_on = hw.forward(test.images);
   const std::span<const double> off = logits_off.data();
   const std::span<const double> on = logits_on.data();
   const bool identical =
       off.size() == on.size() &&
       std::memcmp(off.data(), on.data(), off.size() * sizeof(double)) == 0;
-  std::printf("accounting on/off logits: %s\n",
+  std::printf("telemetry on/off logits: %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
   // Measured region: repeated inference over the test batch with the
-  // profile tree, work registry and counters all reset/armed.
-  perf::WorkRegistry::instance().reset_values();
-  telemetry::CallProfile::this_thread().reset();
+  // call tree and counters reset/armed.
+  profile.reset();
   auto& trace = telemetry::TraceSession::instance();
   perf::PerfCounterGroup counters;
   counters.start();
   for (std::size_t i = 0; i < reps; ++i) {
     (void)hw.forward(test.images);
     if (trace.active()) {
-      // Counter tracks: cumulative accounted work after each rep.
+      // Counter tracks: cumulative booked work after each rep.
       double gflops = 0.0, gbytes = 0.0;
-      for (const auto& k : perf::WorkRegistry::instance().snapshot()) {
+      for (const auto& k : perf::build_roofline_report(profile, {}).kernels) {
         gflops += k.flops * 1e-9;
         gbytes += k.bytes * 1e-9;
       }
@@ -411,20 +411,16 @@ int cmd_profile(int argc, char** argv) {
               calib_ms);
   const perf::MachineProfile machine = perf::calibrate_machine(calib_ms);
   const perf::RooflineReport report =
-      perf::build_roofline_report(machine, counters.read());
+      perf::build_roofline_report(profile, machine, counters.read());
   std::fputs(report.render_ascii().c_str(), stdout);
   std::puts("\n== work-annotated call tree ==");
-  std::fputs(
-      perf::render_annotated_profile(telemetry::CallProfile::this_thread())
-          .c_str(),
-      stdout);
+  std::fputs(profile.render().c_str(), stdout);
   if (!out.empty()) {
     report.write_json_file(out);
     std::printf("wrote %s\n", out.c_str());
   }
   if (!folded.empty()) {
-    perf::write_folded_stacks_file(folded,
-                                   telemetry::CallProfile::this_thread());
+    perf::write_folded_stacks_file(folded, profile);
     std::printf("wrote %s\n", folded.c_str());
   }
   return identical ? 0 : 1;

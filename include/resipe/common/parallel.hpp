@@ -60,13 +60,17 @@ void parallel_for_chunked(
 
 /// Callbacks a subsystem can register to bracket each thread's
 /// participation in a parallel region (the caller's slice included).
-/// Telemetry uses this to install per-thread counter shards that are
-/// merged at pool join, keeping the hot path free of shared atomics.
-/// Keeping the hooks generic (plain function pointers, registered at
-/// runtime) lets resipe_common stay free of any telemetry dependency.
+/// Telemetry uses this to install per-thread counter shards and call
+/// trees that are merged at pool join, keeping the hot path free of
+/// shared state.  Keeping the hooks generic (plain function pointers,
+/// registered at runtime) lets resipe_common stay free of any telemetry
+/// dependency.  Regions run inline when nested or single-threaded, and
+/// then no hook runs.
 struct ParallelHooks {
   void (*thread_begin)() = nullptr;  // runs before the first chunk
   void (*thread_end)() = nullptr;    // runs after the last chunk
+  void (*join)() = nullptr;  // runs on the caller once every thread_end
+                             // has returned
 };
 
 /// Installs region hooks (replacing any previous ones).  Hooks must be

@@ -3,7 +3,8 @@
 // folded-stack export of the ScopedTimer call tree.
 //
 // The report joins three sources:
-//   * the WorkRegistry (analytic FLOPs / bytes / elapsed ns per kernel),
+//   * the call tree folded across pool workers (analytic FLOPs / bytes /
+//     elapsed ns per span, summed per kernel name),
 //   * a one-shot machine calibration (STREAM-style triad bandwidth and
 //     an FMA-chain peak-FLOPs micro-bench, plus a stable fingerprint),
 //   * optional hardware counters (PerfCounterGroup) for IPC and cache
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "resipe/perf/perf_counters.hpp"
-#include "resipe/perf/work_model.hpp"
 #include "resipe/telemetry/timer.hpp"
 
 namespace resipe::perf {
@@ -62,7 +62,7 @@ struct KernelRates {
   double gflops = 0.0;     ///< achieved, 0 when untimed
   double gbs = 0.0;        ///< achieved, 0 when untimed
   double intensity = 0.0;  ///< FLOP/byte (shape property, time-free)
-  bool timed = false;      ///< region had an enclosing WorkScope
+  bool timed = false;      ///< work was booked by a timed span
   bool memory_bound = false;
   double attainable_gflops = 0.0;  ///< roofline ceiling at this intensity
   double efficiency = 0.0;         ///< achieved / attainable
@@ -80,9 +80,10 @@ struct RooflineReport {
   void write_json_file(const std::string& path) const;
 };
 
-/// Builds per-kernel rates from the current WorkRegistry contents.
-/// Kernels with zero recorded work are omitted.
-RooflineReport build_roofline_report(const MachineProfile& machine,
+/// Builds per-kernel rates from a call tree: every node with work, summed
+/// per span name wherever it sits.  Spans without work are omitted.
+RooflineReport build_roofline_report(const telemetry::CallProfile& profile,
+                                     const MachineProfile& machine,
                                      const PerfCounts& counters = {});
 
 /// Folded-stack (Brendan Gregg flamegraph.pl) rendering of a call-tree
@@ -91,12 +92,5 @@ RooflineReport build_roofline_report(const MachineProfile& machine,
 std::string folded_stacks(const telemetry::CallProfile& profile);
 void write_folded_stacks_file(const std::string& path,
                               const telemetry::CallProfile& profile);
-
-/// Call-tree render (telemetry::CallProfile::render layout) with
-/// achieved GFLOP/s / GB/s / intensity appended to every node whose
-/// span name has work recorded in the registry; work is attributed to
-/// nodes by the region's mean per-call cost times the node's count.
-std::string render_annotated_profile(
-    const telemetry::CallProfile& profile);
 
 }  // namespace resipe::perf

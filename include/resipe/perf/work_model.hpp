@@ -1,37 +1,24 @@
-// Kernel work accounting: analytic FLOP/byte models for the hot-path
-// kernels, aggregated per region into a process-wide registry.
+// Analytic FLOP/byte models for the hot-path kernels.
 //
-// The telemetry layer (PR 1) can say *where* time goes; this layer says
-// *why* — every annotated kernel records, next to its elapsed time, the
+// The telemetry layer says *where* time goes; these models say *why*:
+// every annotated kernel books, next to its span's elapsed time, the
 // analytic number of floating-point operations and bytes of algorithmic
-// memory traffic the call performed, so a profile region can report
+// memory traffic the call performed, so a profile node can report
 // achieved GFLOP/s, GB/s and arithmetic intensity and a roofline model
-// can classify it compute- vs memory-bound.
+// can classify it compute- vs memory-bound.  The work rides the
+// telemetry switch and call tree (telemetry.hpp):
 //
-// Accounting is opt-in (set_accounting_enabled / RESIPE_PERF=1) and
-// rides the telemetry build flag: with -DRESIPE_TELEMETRY=OFF every
-// macro below compiles away and the registry is never touched.  The
-// models only *count* — they never read or write kernel data — so
-// enabling accounting cannot perturb results (pinned by the
+//   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times",
+//                      perf::fast_mvm_cost(rows, cols));  // time + work
+//   RESIPE_TELEM_WORK("resipe_core.spike_codec.encode",
+//                     perf::spike_encode_cost());         // work only
+//
+// The models only *count* — they never read or write kernel data — so
+// switching telemetry on cannot perturb results (pinned by the
 // perf_accounting_identity fuzzer contract).
-//
-//   RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times",
-//                      fast_mvm_cost(rows, cols));   // RAII: time + work
-//   RESIPE_PERF_WORK("resipe_core.spike_codec.encode",
-//                    spike_encode_cost());           // work only
-//
-// Region names deliberately match the RESIPE_TELEM_SCOPE span names so
-// call-tree profile nodes and work entries join on the same key.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <vector>
+#include <cstddef>
 
 #include "resipe/telemetry/timer.hpp"
 
@@ -42,10 +29,7 @@ namespace resipe::perf {
 /// counts algorithmic traffic — every operand load and result store at
 /// double width, matrix operands assumed streamed from memory once per
 /// pass, register/cache reuse inside one pass not double-counted.
-struct WorkCost {
-  double flops = 0.0;
-  double bytes = 0.0;
-};
+using telemetry::WorkCost;
 
 // --- per-kernel analytic models ----------------------------------------
 //
@@ -63,7 +47,10 @@ struct WorkCost {
 ///                                          slice compare)
 /// bytes: read t_in + write v_wl (2*rows), stream the matrix and re-read
 /// v_wl per column (2*rows*cols), per-column constants g_total/k/offset
-/// (3*cols), write t_out (cols) — all at 8 bytes.
+/// (3*cols), write t_out (cols) — all at 8 bytes.  The event kernels
+/// book the same model over the rows they touch: mvm_times_sparse as
+/// fast_mvm_cost(active, cols), idle_times (a sleeping column group,
+/// S2 recovery only) as fast_mvm_cost(0, cols).
 WorkCost fast_mvm_cost(std::size_t rows, std::size_t cols);
 
 /// FastMvm::mvm_times_batch over n samples: flops are exactly n single
@@ -91,17 +78,6 @@ WorkCost spike_decode_cost();
 /// (time + row at double width, conservatively).
 WorkCost event_queue_build_cost(std::size_t rows);
 
-/// FastMvm::mvm_times_sparse with `active` woken rows over cols
-/// columns: S1 wordline ramp 4 flops per active row, current sums
-/// 2 flops per active cell, S2 recovery 10 flops per column; bytes
-/// read the wake set + staged times, stream only the active rows of
-/// the matrix, and keep the dense per-column constant/output traffic.
-WorkCost event_mvm_sparse_cost(std::size_t active, std::size_t cols);
-
-/// FastMvm::idle_times (a sleeping column group): S2 recovery only,
-/// 10 flops per column; bytes the per-column constants + output.
-WorkCost event_idle_cost(std::size_t cols);
-
 /// Skipped-group resolution in ProgrammedMatrix's event strategy: one
 /// add per column from the baked idle-recovery constants; bytes read
 /// the constants and read-modify-write the accumulator.
@@ -118,166 +94,4 @@ WorkCost ir_drop_solve_cost(std::size_t rows, std::size_t cols);
 /// state update, S1/S2 ramp integrations at 18 flops per step.
 WorkCost transient_mac_cost(std::size_t inputs, std::size_t steps);
 
-// --- runtime switch ----------------------------------------------------
-
-namespace detail {
-/// -1 = unresolved, 0 = off, 1 = on.
-extern std::atomic<int> g_accounting;
-bool resolve_accounting() noexcept;
-}  // namespace detail
-
-/// True when kernels should record work.  First call resolves the
-/// RESIPE_PERF environment variable ("1"/"on" enables); afterwards one
-/// relaxed atomic load.  Off by default: the disabled cost of an
-/// annotated kernel is a single predicted branch.
-inline bool accounting_enabled() noexcept {
-  const int state = detail::g_accounting.load(std::memory_order_relaxed);
-  if (state >= 0) return state != 0;
-  return detail::resolve_accounting();
-}
-
-/// Overrides the environment toggle for this process.
-void set_accounting_enabled(bool on) noexcept;
-
-// --- registry ----------------------------------------------------------
-
-/// Accumulated work for one kernel region.  Thread-safe; names follow
-/// the ScopedTimer span names so profiles and work join on the key.
-class KernelWork {
- public:
-  /// Adds one call's analytic cost (`calls` lets batch loops account a
-  /// whole batch with one add).
-  void add_work(const WorkCost& c, std::uint64_t calls = 1) noexcept {
-    calls_.fetch_add(calls, std::memory_order_relaxed);
-    flops_.fetch_add(c.flops, std::memory_order_relaxed);
-    bytes_.fetch_add(c.bytes, std::memory_order_relaxed);
-  }
-  /// Adds elapsed wall time attributed to this kernel.
-  void add_time(std::uint64_t ns) noexcept {
-    ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-
-  std::uint64_t calls() const noexcept {
-    return calls_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t timed_ns() const noexcept {
-    return ns_.load(std::memory_order_relaxed);
-  }
-  double flops() const noexcept {
-    return flops_.load(std::memory_order_relaxed);
-  }
-  double bytes() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept {
-    calls_.store(0, std::memory_order_relaxed);
-    ns_.store(0, std::memory_order_relaxed);
-    flops_.store(0.0, std::memory_order_relaxed);
-    bytes_.store(0.0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> ns_{0};
-  std::atomic<double> flops_{0.0};
-  std::atomic<double> bytes_{0.0};
-};
-
-/// Point-in-time copy of one registry entry.
-struct KernelWorkSnapshot {
-  std::string name;
-  std::uint64_t calls = 0;
-  std::uint64_t timed_ns = 0;
-  double flops = 0.0;
-  double bytes = 0.0;
-};
-
-/// Process-wide work registry.  Same contract as MetricRegistry:
-/// lookup registers on first use, references stay valid for the life
-/// of the process, reset_values() zeroes but never removes.
-class WorkRegistry {
- public:
-  static WorkRegistry& instance();
-
-  KernelWork& kernel(std::string_view name);
-  std::vector<KernelWorkSnapshot> snapshot() const;
-  void reset_values();
-
- private:
-  WorkRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<KernelWork>, std::less<>> kernels_;
-};
-
-/// RAII kernel span: measures elapsed time into a KernelWork entry and,
-/// when the cost is non-zero, books one call's work on exit.  A
-/// zero-cost scope only contributes time — used to time a region whose
-/// work is accounted at finer grain inside it (e.g. a codec loop).
-class WorkScope {
- public:
-  explicit WorkScope(KernelWork& kernel, WorkCost cost = {}) noexcept
-      : kernel_(kernel), cost_(cost), active_(accounting_enabled()) {
-    if (active_) start_ns_ = telemetry::now_ns();
-  }
-  ~WorkScope() {
-    if (!active_) return;
-    kernel_.add_time(telemetry::now_ns() - start_ns_);
-    if (cost_.flops != 0.0 || cost_.bytes != 0.0) kernel_.add_work(cost_);
-  }
-
-  /// Replaces the cost booked at scope exit (for kernels whose cost is
-  /// only known mid-body).
-  void set_cost(const WorkCost& cost) noexcept { cost_ = cost; }
-
-  WorkScope(const WorkScope&) = delete;
-  WorkScope& operator=(const WorkScope&) = delete;
-
- private:
-  KernelWork& kernel_;
-  WorkCost cost_;
-  bool active_ = false;
-  std::uint64_t start_ns_ = 0;
-};
-
 }  // namespace resipe::perf
-
-#if defined(RESIPE_TELEMETRY_DISABLED)
-
-#define RESIPE_PERF_KERNEL(name, ...) \
-  do {                                \
-  } while (false)
-#define RESIPE_PERF_WORK(name, ...) \
-  do {                              \
-  } while (false)
-
-#else
-
-#define RESIPE_PERF_CONCAT_IMPL(a, b) a##b
-#define RESIPE_PERF_CONCAT(a, b) RESIPE_PERF_CONCAT_IMPL(a, b)
-
-/// RAII: elapsed time + one call's analytic cost into the named kernel.
-/// The cost expression is only evaluated when accounting is enabled.
-#define RESIPE_PERF_KERNEL(name, ...)                                     \
-  static ::resipe::perf::KernelWork& RESIPE_PERF_CONCAT(                  \
-      resipe_perf_kernel_, __LINE__) =                                    \
-      ::resipe::perf::WorkRegistry::instance().kernel(name);              \
-  ::resipe::perf::WorkScope RESIPE_PERF_CONCAT(resipe_perf_scope_,        \
-                                               __LINE__)(                 \
-      RESIPE_PERF_CONCAT(resipe_perf_kernel_, __LINE__),                  \
-      ::resipe::perf::accounting_enabled()                                \
-          ? (__VA_ARGS__)                                                 \
-          : ::resipe::perf::WorkCost{})
-
-/// Work-only accounting (no timing) for ns-scale call sites; the cost
-/// expression is only evaluated when accounting is enabled.
-#define RESIPE_PERF_WORK(name, ...)                                       \
-  do {                                                                    \
-    if (::resipe::perf::accounting_enabled()) {                           \
-      static ::resipe::perf::KernelWork& resipe_perf_work_kernel_ =       \
-          ::resipe::perf::WorkRegistry::instance().kernel(name);          \
-      resipe_perf_work_kernel_.add_work(__VA_ARGS__);                     \
-    }                                                                     \
-  } while (false)
-
-#endif  // RESIPE_TELEMETRY_DISABLED

@@ -111,13 +111,6 @@ inline void counter_add(Counter& c, std::uint64_t n) {
   }
 }
 
-/// Registers the parallel-runtime hooks that install/flush per-thread
-/// counter shards around every parallel region.  Runs automatically at
-/// static-initialization time in instrumented builds; exposed for
-/// builds compiled with RESIPE_TELEMETRY_DISABLED that still want
-/// sharding for hand-rolled counter_add call sites.
-void install_parallel_counter_shards();
-
 /// Last-write-wins instantaneous value.  Thread-safe.
 class Gauge {
  public:

@@ -7,12 +7,18 @@
 // runtime cost is a predictable branch.
 //
 //   RESIPE_TELEM_SCOPE("resipe_core.tile.execute");       // RAII span
+//   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times",
+//                      perf::fast_mvm_cost(rows, cols));  // span + work
+//   RESIPE_TELEM_WORK("resipe_core.spike_codec.encode",
+//                     perf::spike_encode_cost());         // work only
 //   RESIPE_TELEM_COUNT("device.reram.program_ops", 1);    // counter +=
 //   RESIPE_TELEM_GAUGE("eval.yield.last_rmse", rmse);     // gauge =
 //   RESIPE_TELEM_OBSERVE("crossbar.solve_s", dt, 1e-6, 1e-3, 1.0);
 //   RESIPE_TELEM_INSTANT("eval.yield.sigma_done");        // trace marker
 //
-// Metric names follow `subsystem.component.metric`.
+// Metric names follow `subsystem.component.metric`.  A cost expression
+// is only evaluated when telemetry is on; its work lands in the call
+// tree (timer.hpp) next to the span's time.
 #pragma once
 
 #include "resipe/telemetry/metrics.hpp"
@@ -24,8 +30,13 @@
 // Constant-folds the whole instrumented branch away in -OFF builds.
 #define RESIPE_TELEM_ACTIVE() false
 
-#define RESIPE_TELEM_SCOPE(name) \
-  do {                           \
+#define RESIPE_TELEM_SCOPE(name, ...) \
+  do {                                \
+  } while (false)
+// sizeof keeps the cost's operands referenced without evaluating them.
+#define RESIPE_TELEM_WORK(name, ...)   \
+  do {                                 \
+    (void)sizeof(__VA_ARGS__);         \
   } while (false)
 #define RESIPE_TELEM_COUNT(name, n) \
   do {                              \
@@ -50,9 +61,18 @@
 // all their bookkeeping.
 #define RESIPE_TELEM_ACTIVE() (::resipe::telemetry::enabled())
 
-#define RESIPE_TELEM_SCOPE(name)                             \
-  ::resipe::telemetry::ScopedTimer RESIPE_TELEM_CONCAT(      \
-      resipe_telem_scope_, __LINE__)(name)
+#define RESIPE_TELEM_SCOPE(name, ...)                                    \
+  ::resipe::telemetry::ScopedTimer RESIPE_TELEM_CONCAT(                  \
+      resipe_telem_scope_, __LINE__)(name __VA_OPT__(, [&]() noexcept {  \
+    return ::resipe::telemetry::WorkCost(__VA_ARGS__);                   \
+  }))
+
+#define RESIPE_TELEM_WORK(name, ...)                                       \
+  do {                                                                     \
+    if (::resipe::telemetry::enabled()) {                                  \
+      ::resipe::telemetry::book_work(name, __VA_ARGS__);                   \
+    }                                                                      \
+  } while (false)
 
 #define RESIPE_TELEM_COUNT(name, n)                                        \
   do {                                                                     \

@@ -22,9 +22,14 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace resipe::telemetry {
+
+/// Writes `s` as a quoted JSON string, escaping '"', '\\' and every
+/// control byte below 0x20.  The one escaper behind every exporter.
+void json_string(std::ostream& os, std::string_view s);
 
 struct TraceEvent {
   std::string name;

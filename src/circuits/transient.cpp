@@ -5,6 +5,7 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/perf/work_model.hpp"
+#include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::circuits {
 
@@ -47,7 +48,7 @@ TransientMacResult transient_mac(const CircuitParams& params,
                                  std::span<const double> g,
                                  std::span<const Spike> inputs,
                                  std::size_t steps_per_slice) {
-  RESIPE_PERF_KERNEL("circuits.transient.mac",
+  RESIPE_TELEM_SCOPE("circuits.transient.mac",
                      perf::transient_mac_cost(g.size(), steps_per_slice));
   params.validate();
   RESIPE_REQUIRE(g.size() == inputs.size() && !g.empty(),

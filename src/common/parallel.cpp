@@ -15,6 +15,7 @@ namespace {
 std::atomic<std::size_t> g_default_threads{0};
 std::atomic<void (*)()> g_hook_begin{nullptr};
 std::atomic<void (*)()> g_hook_end{nullptr};
+std::atomic<void (*)()> g_hook_join{nullptr};
 thread_local bool t_in_region = false;
 
 // One in-flight region, claimed chunk-by-chunk through an atomic
@@ -81,6 +82,7 @@ class Pool {
       cv_done_.wait(lock, [this] { return unfinished_ == 0; });
       job_ = nullptr;
     }
+    if (void (*join)() = g_hook_join.load(std::memory_order_acquire)) join();
   }
 
   std::size_t worker_count() {
@@ -158,6 +160,7 @@ bool in_parallel_region() noexcept { return t_in_region; }
 void set_parallel_hooks(const ParallelHooks& hooks) {
   g_hook_begin.store(hooks.thread_begin, std::memory_order_release);
   g_hook_end.store(hooks.thread_end, std::memory_order_release);
+  g_hook_join.store(hooks.join, std::memory_order_release);
 }
 
 void parallel_for_chunked(

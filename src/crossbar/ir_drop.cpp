@@ -19,8 +19,7 @@ double WireModel::effective_g(double g_cell, std::size_t row,
 std::vector<circuits::ColumnDrive> drives_with_ir_drop(
     const Crossbar& xbar, std::span<const double> v_wl,
     const WireModel& wires) {
-  RESIPE_TELEM_SCOPE("crossbar.ir_drop.solve");
-  RESIPE_PERF_KERNEL("crossbar.ir_drop.solve",
+  RESIPE_TELEM_SCOPE("crossbar.ir_drop.solve",
                      perf::ir_drop_solve_cost(xbar.rows(), xbar.cols()));
   RESIPE_REQUIRE(v_wl.size() == xbar.rows(), "wordline vector size mismatch");
   std::vector<circuits::ColumnDrive> out(xbar.cols());

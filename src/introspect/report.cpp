@@ -10,6 +10,7 @@
 #include "resipe/common/table.hpp"
 #include "resipe/introspect/inspect.hpp"
 #include "resipe/telemetry/metrics.hpp"
+#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::introspect {
 
@@ -21,18 +22,7 @@ std::string number(double v) {
   return buf;
 }
 
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    if (ch == '\n') {
-      os << "\\n";
-      continue;
-    }
-    os << ch;
-  }
-  os << '"';
-}
+using telemetry::json_string;
 
 double share(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0

@@ -1,5 +1,5 @@
-// Roofline report assembly, JSON/ASCII rendering, folded-stack export
-// and the work-annotated call-tree profile.
+// Roofline report assembly, JSON/ASCII rendering and folded-stack
+// export.
 #include "resipe/perf/roofline.hpp"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/table.hpp"
+#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::perf {
 
@@ -22,45 +23,46 @@ std::string number(double v) {
   return buf;
 }
 
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    if (ch == '\n') {
-      os << "\\n";
-      continue;
-    }
-    os << ch;
-  }
-  os << '"';
-}
+using telemetry::json_string;
 
-std::string rate3(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
+// Sums count, time and work per span name over every node that carries
+// work, wherever it sits in the tree.
+void sum_by_name(const telemetry::ProfileNode& node,
+                 std::map<std::string, telemetry::ProfileNode>& out) {
+  for (const auto& c : node.children) {
+    if (c->flops != 0.0 || c->bytes != 0.0) {
+      telemetry::ProfileNode& k = out[c->name];
+      k.count += c->count;
+      k.total_ns += c->total_ns;
+      k.flops += c->flops;
+      k.bytes += c->bytes;
+    }
+    sum_by_name(*c, out);
+  }
 }
 
 }  // namespace
 
-RooflineReport build_roofline_report(const MachineProfile& machine,
+RooflineReport build_roofline_report(const telemetry::CallProfile& profile,
+                                     const MachineProfile& machine,
                                      const PerfCounts& counters) {
   RooflineReport report;
   report.machine = machine;
   report.counters = counters;
-  for (const KernelWorkSnapshot& k : WorkRegistry::instance().snapshot()) {
-    if (k.flops == 0.0 && k.bytes == 0.0) continue;
+  std::map<std::string, telemetry::ProfileNode> by_name;
+  sum_by_name(profile.root(), by_name);
+  for (const auto& [name, k] : by_name) {
     KernelRates r;
-    r.name = k.name;
-    r.calls = k.calls;
+    r.name = name;
+    r.calls = k.count;
     r.flops = k.flops;
     r.bytes = k.bytes;
-    r.seconds = static_cast<double>(k.timed_ns) * 1e-9;
-    r.timed = k.timed_ns > 0;
+    r.seconds = static_cast<double>(k.total_ns) * 1e-9;
+    r.timed = k.total_ns > 0;
     r.intensity = k.bytes > 0.0 ? k.flops / k.bytes : 0.0;
     if (r.timed) {
-      r.gflops = k.flops / static_cast<double>(k.timed_ns);
-      r.gbs = k.bytes / static_cast<double>(k.timed_ns);
+      r.gflops = k.flops / static_cast<double>(k.total_ns);
+      r.gbs = k.bytes / static_cast<double>(k.total_ns);
     }
     r.memory_bound =
         machine.ridge() > 0.0 && r.intensity < machine.ridge();
@@ -80,13 +82,13 @@ std::string RooflineReport::render_ascii() const {
   std::ostringstream os;
   os << "== roofline ==\n";
   os << "machine: " << machine.cpu_model << " (" << machine.cores
-     << " hw threads), peak " << rate3(machine.peak_gflops)
-     << " GFLOP/s, " << rate3(machine.peak_gbs) << " GB/s, ridge "
-     << rate3(machine.ridge()) << " FLOP/byte\n";
+     << " hw threads), peak " << format_fixed(machine.peak_gflops)
+     << " GFLOP/s, " << format_fixed(machine.peak_gbs) << " GB/s, ridge "
+     << format_fixed(machine.ridge()) << " FLOP/byte\n";
   if (counters.available) {
-    os << "counters: IPC " << rate3(counters.ipc()) << ", "
-       << rate3(counters.ghz()) << " GHz, cache-miss rate "
-       << rate3(counters.cache_miss_rate()) << ", branch misses "
+    os << "counters: IPC " << format_fixed(counters.ipc()) << ", "
+       << format_fixed(counters.ghz()) << " GHz, cache-miss rate "
+       << format_fixed(counters.cache_miss_rate()) << ", branch misses "
        << number(counters.branch_misses) << "\n";
   } else if (!counters.detail.empty()) {
     os << "counters: unavailable (" << counters.detail
@@ -101,8 +103,9 @@ std::string RooflineReport::render_ascii() const {
     table.add_row(
         {k.name, std::to_string(k.calls),
          k.timed ? format_si(k.seconds, "s") : "(untimed)",
-         k.timed ? rate3(k.gflops) : "-", k.timed ? rate3(k.gbs) : "-",
-         rate3(k.intensity), k.memory_bound ? "memory" : "compute",
+         k.timed ? format_fixed(k.gflops) : "-",
+         k.timed ? format_fixed(k.gbs) : "-",
+         format_fixed(k.intensity), k.memory_bound ? "memory" : "compute",
          k.timed && k.attainable_gflops > 0.0
              ? format_percent(k.efficiency)
              : "-"});
@@ -254,60 +257,6 @@ void write_folded_stacks_file(const std::string& path,
   RESIPE_REQUIRE(os.good(), "cannot open folded-stack file " << path);
   os << folded_stacks(profile);
   RESIPE_REQUIRE(os.good(), "failed writing folded-stack file " << path);
-}
-
-// --- annotated call tree -----------------------------------------------
-
-namespace {
-
-struct MeanCost {
-  double flops_per_call = 0.0;
-  double bytes_per_call = 0.0;
-};
-
-void render_annotated(
-    const telemetry::ProfileNode& node, std::size_t depth,
-    const std::map<std::string, MeanCost>& costs, std::ostringstream& os) {
-  const double total_s = static_cast<double>(node.total_ns) * 1e-9;
-  const double mean_s =
-      node.count > 0 ? total_s / static_cast<double>(node.count) : 0.0;
-  os << std::string(2 * depth, ' ') << node.name << "  x" << node.count
-     << "  total " << format_si(total_s, "s") << "  mean "
-     << format_si(mean_s, "s");
-  const auto it = costs.find(node.name);
-  if (it != costs.end() && node.total_ns > 0) {
-    // Region-mean per-call cost scaled by this node's call count: the
-    // registry aggregates work per region, the tree splits it per path.
-    const double flops =
-        it->second.flops_per_call * static_cast<double>(node.count);
-    const double bytes =
-        it->second.bytes_per_call * static_cast<double>(node.count);
-    const double ns = static_cast<double>(node.total_ns);
-    os << "  [" << rate3(flops / ns) << " GFLOP/s, " << rate3(bytes / ns)
-       << " GB/s, " << rate3(bytes > 0.0 ? flops / bytes : 0.0)
-       << " FLOP/B]";
-  }
-  os << "\n";
-  for (const auto& c : node.children) {
-    render_annotated(*c, depth + 1, costs, os);
-  }
-}
-
-}  // namespace
-
-std::string render_annotated_profile(
-    const telemetry::CallProfile& profile) {
-  std::map<std::string, MeanCost> costs;
-  for (const KernelWorkSnapshot& k : WorkRegistry::instance().snapshot()) {
-    if (k.calls == 0) continue;
-    costs[k.name] = {k.flops / static_cast<double>(k.calls),
-                     k.bytes / static_cast<double>(k.calls)};
-  }
-  std::ostringstream os;
-  for (const auto& c : profile.root().children) {
-    render_annotated(*c, 0, costs, os);
-  }
-  return os.str();
 }
 
 }  // namespace resipe::perf

@@ -8,8 +8,8 @@
 namespace resipe::resipe_core::events {
 
 void EventQueue::build(std::span<const double> t_in, double slice_length) {
-  RESIPE_PERF_WORK("resipe_core.events.queue_build",
-                   perf::event_queue_build_cost(t_in.size()));
+  RESIPE_TELEM_WORK("resipe_core.events.queue_build",
+                    perf::event_queue_build_cost(t_in.size()));
   active_rows_.clear();
   total_rows_ = t_in.size();
   for (std::size_t r = 0; r < t_in.size(); ++r) {

@@ -583,8 +583,7 @@ void FastMvm::mvm_times_sparse_simd(
 
 void FastMvm::mvm_times(std::span<const double> t_in,
                         std::span<double> t_out) const {
-  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times");
-  RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times",
+  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times",
                      perf::fast_mvm_cost(rows_, cols_));
   RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
                  "FastMvm vector size mismatch");
@@ -598,8 +597,7 @@ void FastMvm::mvm_times(std::span<const double> t_in,
 void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
                               std::span<double> t_out,
                               BatchScratch& scratch) const {
-  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times_batch");
-  RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times_batch",
+  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times_batch",
                      perf::fast_mvm_batch_cost(rows_, cols_, n));
   RESIPE_REQUIRE(t_in.size() == n * rows_ && t_out.size() == n * cols_,
                  "FastMvm batch size mismatch");
@@ -612,9 +610,8 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
 }
 
 void FastMvm::idle_times(std::span<double> t_out) const {
-  RESIPE_TELEM_SCOPE("resipe_core.events.idle_times");
-  RESIPE_PERF_KERNEL("resipe_core.events.idle_times",
-                     perf::event_idle_cost(cols_));
+  RESIPE_TELEM_SCOPE("resipe_core.events.idle_times",
+                     perf::fast_mvm_cost(0, cols_));
   RESIPE_REQUIRE(t_out.size() == cols_, "FastMvm vector size mismatch");
   std::size_t silent = 0;
   if (simd::enabled()) {
@@ -643,10 +640,8 @@ void FastMvm::idle_times(std::span<double> t_out) const {
 void FastMvm::mvm_times_sparse(std::span<const double> t_in,
                                std::span<const std::uint32_t> active_rows,
                                std::span<double> t_out) const {
-  RESIPE_TELEM_SCOPE("resipe_core.events.mvm_times_sparse");
-  RESIPE_PERF_KERNEL(
-      "resipe_core.events.mvm_times_sparse",
-      perf::event_mvm_sparse_cost(active_rows.size(), cols_));
+  RESIPE_TELEM_SCOPE("resipe_core.events.mvm_times_sparse",
+                     perf::fast_mvm_cost(active_rows.size(), cols_));
   RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
                  "FastMvm vector size mismatch");
   RESIPE_REQUIRE(active_rows.size() <= rows_ &&

@@ -502,8 +502,8 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
       const auto wake = ws.queues[s].rows_in_range(block.row0, block.rows);
       rows_skipped += block.rows - wake.size();
       if (wake.empty()) {
-        RESIPE_PERF_WORK("resipe_core.events.idle_resolve",
-                         perf::event_idle_resolve_cost(block.cols));
+        RESIPE_TELEM_WORK("resipe_core.events.idle_resolve",
+                          perf::event_idle_resolve_cost(block.cols));
         ++skipped;
         for (std::size_t c = 0; c < block.cols; ++c) {
           rec[c] += block.idle_recovery[c];

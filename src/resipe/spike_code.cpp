@@ -15,13 +15,12 @@ namespace {
 
 // Cold bookkeeping paths: encode/decode run in ns-scale loops, so the
 // disabled-telemetry cost must stay at one predicted branch per call.
-// Work accounting rides the same cold path (and so, like the counters,
-// only fires while telemetry is active); per-call RAII timing would
-// dwarf the codec itself, so these book work only — the enclosing
-// layer span carries the time.
+// Work rides the same cold path; per-call RAII timing would dwarf the
+// codec itself, so these book work only — the enclosing layer span
+// carries the time.
 [[gnu::noinline]] void record_encode(bool clipped, bool snapped) {
-  RESIPE_PERF_WORK("resipe_core.spike_codec.encode",
-                   perf::spike_encode_cost());
+  RESIPE_TELEM_WORK("resipe_core.spike_codec.encode",
+                    perf::spike_encode_cost());
   RESIPE_TELEM_COUNT("resipe_core.spike_codec.encoded", 1);
   if (clipped) {
     RESIPE_TELEM_COUNT("resipe_core.spike_codec.input_clipped", 1);
@@ -32,8 +31,8 @@ namespace {
 }
 
 [[gnu::noinline]] void record_decode(bool silent) {
-  RESIPE_PERF_WORK("resipe_core.spike_codec.decode",
-                   perf::spike_decode_cost());
+  RESIPE_TELEM_WORK("resipe_core.spike_codec.decode",
+                    perf::spike_decode_cost());
   RESIPE_TELEM_COUNT("resipe_core.spike_codec.decoded", 1);
   if (silent) {
     RESIPE_TELEM_COUNT("resipe_core.spike_codec.silent_decodes", 1);
@@ -47,8 +46,8 @@ perf::WorkCost scaled(perf::WorkCost c, std::size_t n) {
 
 [[gnu::noinline]] void record_encode_batch(std::size_t n, std::size_t clipped,
                                            std::size_t snapped) {
-  RESIPE_PERF_WORK("resipe_core.spike_codec.encode",
-                   scaled(perf::spike_encode_cost(), n));
+  RESIPE_TELEM_WORK("resipe_core.spike_codec.encode",
+                    scaled(perf::spike_encode_cost(), n));
   RESIPE_TELEM_COUNT("resipe_core.spike_codec.encoded", n);
   if (clipped) {
     RESIPE_TELEM_COUNT("resipe_core.spike_codec.input_clipped", clipped);
@@ -59,8 +58,8 @@ perf::WorkCost scaled(perf::WorkCost c, std::size_t n) {
 }
 
 [[gnu::noinline]] void record_decode_batch(std::size_t n, std::size_t silent) {
-  RESIPE_PERF_WORK("resipe_core.spike_codec.decode",
-                   scaled(perf::spike_decode_cost(), n));
+  RESIPE_TELEM_WORK("resipe_core.spike_codec.decode",
+                    scaled(perf::spike_decode_cost(), n));
   RESIPE_TELEM_COUNT("resipe_core.spike_codec.decoded", n);
   if (silent) {
     RESIPE_TELEM_COUNT("resipe_core.spike_codec.silent_decodes", silent);

@@ -41,8 +41,7 @@ ResipeTile::FlaggedResult ResipeTile::execute_flagged(
 
 std::vector<circuits::Spike> ResipeTile::execute(
     const std::vector<circuits::Spike>& inputs, Rng* read_noise) const {
-  RESIPE_TELEM_SCOPE("resipe_core.tile.execute");
-  RESIPE_PERF_KERNEL("resipe_core.tile.execute",
+  RESIPE_TELEM_SCOPE("resipe_core.tile.execute",
                      perf::tile_execute_cost(rows(), cols()));
   RESIPE_REQUIRE(inputs.size() == rows(),
                  "input spike count " << inputs.size() << " != rows "

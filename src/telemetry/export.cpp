@@ -9,6 +9,7 @@
 #include "resipe/common/error.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/telemetry/metrics.hpp"
+#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::telemetry {
 
@@ -18,15 +19,6 @@ std::string number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 #include <limits>
 
 #include "resipe/common/error.hpp"
-#include "resipe/common/parallel.hpp"
-#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::telemetry {
 
@@ -47,53 +45,6 @@ bool resolve_enabled() noexcept {
 void set_enabled(bool on) noexcept {
   detail::g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
-
-namespace detail {
-thread_local CounterShard* t_counter_shard = nullptr;
-}  // namespace detail
-
-namespace {
-
-thread_local CounterShard t_region_shard;
-
-void region_begin() noexcept {
-  detail::t_counter_shard = &t_region_shard;
-  // Label this thread's trace lane once, so chrome://tracing shows
-  // "worker-N" instead of a bare tid.  First-wins naming keeps the
-  // caller thread's "main" label when it participates in a region.
-  thread_local bool named = false;
-  if (!named) {
-    named = true;
-    const std::uint32_t tid = TraceSession::current_thread_id();
-    TraceSession::instance().set_thread_name(
-        1, tid, "worker-" + std::to_string(tid));
-  }
-}
-
-void region_end() noexcept {
-  t_region_shard.flush();
-  detail::t_counter_shard = nullptr;
-}
-
-}  // namespace
-
-void install_parallel_counter_shards() {
-  ParallelHooks hooks;
-  hooks.thread_begin = &region_begin;
-  hooks.thread_end = &region_end;
-  set_parallel_hooks(hooks);
-}
-
-#if !defined(RESIPE_TELEMETRY_DISABLED)
-namespace {
-// The hook slots in resipe_common are constant-initialized atomics, so
-// registering from a dynamic initializer is order-safe.
-const bool g_shards_installed = [] {
-  install_parallel_counter_shards();
-  return true;
-}();
-}  // namespace
-#endif
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)) {

@@ -20,7 +20,10 @@ std::uint32_t this_thread_id() {
   return id;
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
+}  // namespace
+
+void json_string(std::ostream& os, std::string_view s) {
+  os << '"';
   for (char ch : s) {
     switch (ch) {
       case '"': os << "\\\""; break;
@@ -37,9 +40,8 @@ void json_escape(std::ostream& os, const std::string& s) {
         }
     }
   }
+  os << '"';
 }
-
-}  // namespace
 
 TraceSession& TraceSession::instance() {
   static TraceSession session;
@@ -161,9 +163,9 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << key.first
-       << ",\"tid\":" << key.second << ",\"args\":{\"name\":\"";
-    json_escape(os, label);
-    os << "\"}}";
+       << ",\"tid\":" << key.second << ",\"args\":{\"name\":";
+    json_string(os, label);
+    os << "}}";
   }
   for (const TraceEvent& e : events) {
     if (!first) os << ",";
@@ -171,11 +173,11 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
     const auto dot = e.name.find('.');
     const std::string cat =
         dot == std::string::npos ? e.name : e.name.substr(0, dot);
-    os << "{\"name\":\"";
-    json_escape(os, e.name);
-    os << "\",\"cat\":\"";
-    json_escape(os, cat);
-    os << "\",\"ph\":\"" << e.phase << "\"";
+    os << "{\"name\":";
+    json_string(os, e.name);
+    os << ",\"cat\":";
+    json_string(os, cat);
+    os << ",\"ph\":\"" << e.phase << "\"";
     // Chrome expects microseconds; emit fractional us to keep ns detail.
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.3f",

@@ -11,7 +11,6 @@
 #include "resipe/common/simd.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/nn/model.hpp"
-#include "resipe/perf/work_model.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/resipe/tile.hpp"
@@ -156,8 +155,10 @@ NetworkFixture build_network_inputs(const CaseSpec& spec, Rng& rng) {
 }
 
 bool bit_identical(std::span<const double> a, std::span<const double> b) {
+  // Empty spans may carry a null data(), which memcmp must not see.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // --- contract bodies ---------------------------------------------------
@@ -591,22 +592,20 @@ ContractResult check_perf_accounting_identity(const CaseSpec& spec) {
   NetworkFixture fx = build_network_inputs(spec, rng);
   const ResipeNetwork net(*fx.model, spec.config, fx.calibration);
 
-  // The work models only count — they never touch kernel data — so
-  // enabling the accounting (and the telemetry it rides on) must leave
-  // every logit bit-identical.  Restore both switches on exit so this
-  // contract cannot leak state into the next one.
+  // Spans and their work models only count — they never touch kernel
+  // data — so switching telemetry on must leave every logit
+  // bit-identical.  Restore the switch on exit so this contract cannot
+  // leak state into the next one.
   const bool telem_was = telemetry::enabled();
-  perf::set_accounting_enabled(false);
+  telemetry::set_enabled(false);
   const nn::Tensor y_off = net.forward(fx.batch);
   telemetry::set_enabled(true);
-  perf::set_accounting_enabled(true);
   const nn::Tensor y_on = net.forward(fx.batch);
-  perf::set_accounting_enabled(false);
   telemetry::set_enabled(telem_was);
 
   if (!bit_identical(y_off.data(), y_on.data())) {
     return ContractResult::fail(
-        "enabling kernel work accounting perturbed the logits");
+        "switching on telemetry (spans and work) perturbed the logits");
   }
   return ContractResult::ok();
 }
@@ -1050,7 +1049,8 @@ const std::vector<Contract>& contract_registry() {
        "disabled reliability/introspection sub-knobs cannot affect "
        "logits", check_off_flags_identical},
       {"perf_accounting_identity",
-       "kernel work accounting on vs off leaves logits bit-identical",
+       "telemetry (spans and kernel work) on vs off leaves logits "
+       "bit-identical",
        check_perf_accounting_identity},
       {"serving_identity",
        "the serving path (pool + scheduler) reproduces direct engine "

@@ -19,7 +19,7 @@
 #include "resipe/common/simd.hpp"
 #include "resipe/introspect/inspect.hpp"
 #include "resipe/nn/zoo.hpp"
-#include "resipe/perf/work_model.hpp"
+#include "resipe/perf/roofline.hpp"
 #include "resipe/resipe/events/config.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/network.hpp"
@@ -469,10 +469,12 @@ TEST(EventConfig, ValidatesAndStaysOutOfConfigHash) {
             introspect::engine_config_hash(on));
 }
 
-TEST(EventPerf, WorkRegistryBooksEventKernels) {
+TEST(EventPerf, SpansBookEventKernels) {
+#if defined(RESIPE_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "kernel annotations compile away with telemetry off";
+#else
   telemetry::set_enabled(true);
-  perf::set_accounting_enabled(true);
-  perf::WorkRegistry::instance().reset_values();
+  telemetry::CallProfile::this_thread().reset();
   EngineConfig cfg;
   cfg.tile_rows = 32;
   cfg.tile_cols = 32;
@@ -501,7 +503,9 @@ TEST(EventPerf, WorkRegistryBooksEventKernels) {
   EXPECT_EQ(counter("resipe_core.events.rows_skipped"), 2u * (70u - 1u));
   std::uint64_t build_calls = 0, sparse_calls = 0, idle_calls = 0;
   std::uint64_t resolve_calls = 0;
-  for (const auto& k : perf::WorkRegistry::instance().snapshot()) {
+  const perf::RooflineReport work = perf::build_roofline_report(
+      telemetry::CallProfile::this_thread(), perf::MachineProfile{});
+  for (const auto& k : work.kernels) {
     if (k.name == "resipe_core.events.queue_build") build_calls = k.calls;
     if (k.name == "resipe_core.events.mvm_times_sparse")
       sparse_calls = k.calls;
@@ -513,8 +517,9 @@ TEST(EventPerf, WorkRegistryBooksEventKernels) {
   EXPECT_GE(sparse_calls, 1u);    // the block owning row 0 wakes
   EXPECT_GE(idle_calls, 1u);      // idle-recovery baking at programming
   EXPECT_GE(resolve_calls, 1u);   // the other row blocks sleep
-  perf::set_accounting_enabled(false);
   telemetry::set_enabled(false);
+  telemetry::CallProfile::this_thread().reset();
+#endif
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Performance-observability layer: analytic work models (hand-counted),
-// the work registry, roofline report internal consistency, folded-stack
-// export, perf-counter graceful degradation and the accounting on/off
-// bit-identity guarantee.
+// work booked into the call tree, roofline report internal consistency,
+// folded-stack export, perf-counter graceful degradation and the
+// telemetry on/off bit-identity guarantee.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "resipe/circuits/params.hpp"
@@ -24,22 +26,35 @@ namespace {
 
 using namespace resipe;
 
-// Restores the global accounting/telemetry switches so tests cannot
-// leak state into each other (the registry is process-wide).
+// Restores the telemetry switch and the thread's call tree so tests
+// cannot leak state into each other.
 struct PerfSwitchGuard {
   PerfSwitchGuard() {
     telemetry::set_enabled(true);
-    perf::set_accounting_enabled(true);
-    perf::WorkRegistry::instance().reset_values();
     telemetry::CallProfile::this_thread().reset();
   }
   ~PerfSwitchGuard() {
-    perf::set_accounting_enabled(false);
     telemetry::set_enabled(false);
-    perf::WorkRegistry::instance().reset_values();
     telemetry::CallProfile::this_thread().reset();
   }
 };
+
+// The top-level node named `name` in the calling thread's tree.
+[[maybe_unused]] const telemetry::ProfileNode* top_node(const char* name) {
+  for (const auto& c : telemetry::CallProfile::this_thread().root().children) {
+    if (std::strcmp(c->name, name) == 0) return c.get();
+  }
+  return nullptr;
+}
+
+resipe_core::FastMvm random_mvm(std::size_t rows, std::size_t cols,
+                                Rng& rng) {
+  const device::ReramSpec spec = device::ReramSpec::nn_mapping();
+  std::vector<double> g(rows * cols);
+  for (double& v : g) v = rng.uniform(spec.g_min(), spec.g_max());
+  return resipe_core::FastMvm(circuits::CircuitParams::paper_defaults(),
+                              rows, cols, g);
+}
 
 // --- analytic model hand counts ----------------------------------------
 
@@ -82,78 +97,90 @@ TEST(WorkModel, CodecCostsAreConstants) {
   EXPECT_GT(perf::spike_decode_cost().flops, 0.0);
 }
 
-// --- registry accumulation from the real kernels -----------------------
-
-TEST(WorkRegistry, FastMvmBooksExactAnalyticWork) {
+TEST(WorkModel, SparseAndIdleBookingsHandCount) {
 #if defined(RESIPE_TELEMETRY_DISABLED)
   GTEST_SKIP() << "kernel annotations compile away with telemetry off";
 #else
+  Rng rng(10);
+  const resipe_core::FastMvm mvm = random_mvm(3, 2, rng);
   PerfSwitchGuard guard;
-  const circuits::CircuitParams params =
-      circuits::CircuitParams::paper_defaults();
-  const device::ReramSpec spec = device::ReramSpec::nn_mapping();
-  Rng rng(11);
-  std::vector<double> g(3 * 2);
-  for (double& v : g) v = rng.uniform(spec.g_min(), spec.g_max());
-  const resipe_core::FastMvm mvm(params, 3, 2, g);
-
-  const resipe_core::SpikeCodec codec(params);
-  std::vector<double> t_in(3);
-  for (double& t : t_in) t = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
+  const std::vector<double> t_in(3, 1e-9);
+  const std::vector<std::uint32_t> active = {0, 2};
   std::vector<double> t_out(2);
-  constexpr std::uint64_t kCalls = 5;
-  for (std::uint64_t i = 0; i < kCalls; ++i) mvm.mvm_times(t_in, t_out);
+  mvm.mvm_times_sparse(t_in, active, t_out);
+  mvm.idle_times(t_out);
 
-  bool found = false;
-  for (const auto& k : perf::WorkRegistry::instance().snapshot()) {
-    if (k.name != "resipe_core.fast_mvm.mvm_times") continue;
-    found = true;
-    EXPECT_EQ(k.calls, kCalls);
-    // Analytic counts accumulate exactly (no float drift at this size).
-    EXPECT_EQ(k.flops, static_cast<double>(kCalls) * 44.0);
-    EXPECT_EQ(k.bytes, static_cast<double>(kCalls) * 208.0);
-    EXPECT_GT(k.timed_ns, 0u);
-  }
-  EXPECT_TRUE(found);
+  // Sparse, 2 active rows over 2 columns: 4*2 + 2*4 + 10*2 = 36 flops;
+  // bytes 8 * (2*2 + 2*4 + 3*2 + 2) = 160.
+  const telemetry::ProfileNode* sparse =
+      top_node("resipe_core.events.mvm_times_sparse");
+  ASSERT_NE(sparse, nullptr);
+  EXPECT_EQ(sparse->count, 1u);
+  EXPECT_EQ(sparse->flops, 36.0);
+  EXPECT_EQ(sparse->bytes, 160.0);
+  // Idle, recovery only over 2 columns: 10*2 = 20 flops; 8 * 4*2 = 64.
+  const telemetry::ProfileNode* idle =
+      top_node("resipe_core.events.idle_times");
+  ASSERT_NE(idle, nullptr);
+  EXPECT_EQ(idle->count, 1u);
+  EXPECT_EQ(idle->flops, 20.0);
+  EXPECT_EQ(idle->bytes, 64.0);
 #endif
 }
 
-TEST(WorkRegistry, DisabledAccountingBooksNothing) {
+// --- work booked into the call tree by the real kernels ---------------
+
+TEST(SpanWork, FastMvmBooksExactAnalyticWork) {
+#if defined(RESIPE_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "kernel annotations compile away with telemetry off";
+#else
+  Rng rng(11);
+  const resipe_core::FastMvm mvm = random_mvm(3, 2, rng);
+  const resipe_core::SpikeCodec codec(
+      circuits::CircuitParams::paper_defaults());
+  std::vector<double> t_in(3);
+  for (double& t : t_in) t = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
+  std::vector<double> t_out(2);
   PerfSwitchGuard guard;
-  perf::set_accounting_enabled(false);
-  perf::WorkRegistry::instance().reset_values();
-  const circuits::CircuitParams params =
-      circuits::CircuitParams::paper_defaults();
+  constexpr std::uint64_t kCalls = 5;
+  for (std::uint64_t i = 0; i < kCalls; ++i) mvm.mvm_times(t_in, t_out);
+
+  const telemetry::ProfileNode* node =
+      top_node("resipe_core.fast_mvm.mvm_times");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->count, kCalls);
+  // Analytic counts accumulate exactly (no float drift at this size).
+  EXPECT_EQ(node->flops, static_cast<double>(kCalls) * 44.0);
+  EXPECT_EQ(node->bytes, static_cast<double>(kCalls) * 208.0);
+  EXPECT_GT(node->total_ns, 0u);
+#endif
+}
+
+TEST(SpanWork, DisabledTelemetryBooksNothing) {
   Rng rng(12);
-  std::vector<double> g(4 * 2, 1e-6);
-  const resipe_core::FastMvm mvm(params, 4, 2, g);
+  const resipe_core::FastMvm mvm = random_mvm(4, 2, rng);
+  PerfSwitchGuard guard;
+  telemetry::set_enabled(false);
   std::vector<double> t_in(4, 1e-9);
   std::vector<double> t_out(2);
   mvm.mvm_times(t_in, t_out);
-  for (const auto& k : perf::WorkRegistry::instance().snapshot()) {
-    EXPECT_EQ(k.calls, 0u) << k.name;
-    EXPECT_EQ(k.flops, 0.0) << k.name;
-  }
+  EXPECT_TRUE(telemetry::CallProfile::this_thread().root().children.empty());
 }
 
-TEST(WorkRegistry, AccountingOnOffIsBitIdentical) {
-  PerfSwitchGuard guard;
-  const circuits::CircuitParams params =
-      circuits::CircuitParams::paper_defaults();
-  const device::ReramSpec spec = device::ReramSpec::nn_mapping();
+TEST(SpanWork, TelemetryOnOffIsBitIdentical) {
   Rng rng(13);
-  std::vector<double> g(16 * 8);
-  for (double& v : g) v = rng.uniform(spec.g_min(), spec.g_max());
-  const resipe_core::FastMvm mvm(params, 16, 8, g);
-  const resipe_core::SpikeCodec codec(params);
+  const resipe_core::FastMvm mvm = random_mvm(16, 8, rng);
+  const resipe_core::SpikeCodec codec(
+      circuits::CircuitParams::paper_defaults());
   std::vector<double> t_in(16);
   for (double& t : t_in) {
     t = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
   }
+  PerfSwitchGuard guard;
   std::vector<double> off(8), on(8);
-  perf::set_accounting_enabled(false);
+  telemetry::set_enabled(false);
   mvm.mvm_times(t_in, off);
-  perf::set_accounting_enabled(true);
+  telemetry::set_enabled(true);
   mvm.mvm_times(t_in, on);
   EXPECT_EQ(0, std::memcmp(off.data(), on.data(), 8 * sizeof(double)));
 }
@@ -165,14 +192,10 @@ TEST(Roofline, RatesAreInternallyConsistent) {
   GTEST_SKIP() << "kernel annotations compile away with telemetry off";
 #else
   PerfSwitchGuard guard;
-  const circuits::CircuitParams params =
-      circuits::CircuitParams::paper_defaults();
-  const device::ReramSpec spec = device::ReramSpec::nn_mapping();
   Rng rng(14);
-  std::vector<double> g(32 * 16);
-  for (double& v : g) v = rng.uniform(spec.g_min(), spec.g_max());
-  const resipe_core::FastMvm mvm(params, 32, 16, g);
-  const resipe_core::SpikeCodec codec(params);
+  const resipe_core::FastMvm mvm = random_mvm(32, 16, rng);
+  const resipe_core::SpikeCodec codec(
+      circuits::CircuitParams::paper_defaults());
   std::vector<double> t_in(32);
   for (double& t : t_in) {
     t = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
@@ -183,8 +206,8 @@ TEST(Roofline, RatesAreInternallyConsistent) {
   perf::MachineProfile machine;
   machine.peak_gflops = 10.0;
   machine.peak_gbs = 20.0;
-  const perf::RooflineReport report =
-      perf::build_roofline_report(machine);
+  const perf::RooflineReport report = perf::build_roofline_report(
+      telemetry::CallProfile::this_thread(), machine);
   ASSERT_FALSE(report.kernels.empty());
   for (const auto& k : report.kernels) {
     if (!k.timed) continue;
@@ -198,25 +221,37 @@ TEST(Roofline, RatesAreInternallyConsistent) {
 }
 
 TEST(Roofline, ClassifiesAgainstRidgePoint) {
-  perf::WorkRegistry::instance().reset_values();
+  PerfSwitchGuard guard;
   perf::MachineProfile machine;
   machine.peak_gflops = 8.0;  // ridge = 2 FLOP/byte
   machine.peak_gbs = 4.0;
   EXPECT_DOUBLE_EQ(machine.ridge(), 2.0);
 
-  auto& mem = perf::WorkRegistry::instance().kernel("t.mem_bound");
-  mem.add_work({100.0, 1000.0});  // intensity 0.1 < ridge
-  mem.add_time(1000);
-  auto& comp = perf::WorkRegistry::instance().kernel("t.compute_bound");
-  comp.add_work({1000.0, 100.0});  // intensity 10 > ridge
-  comp.add_time(1000);
+  // Hand-built tree: the memory-bound kernel sits under two parents and
+  // the report sums it per name; the work-free parents are left out.
+  telemetry::ProfileNode& top =
+      *telemetry::CallProfile::this_thread().current();
+  const auto book = [](telemetry::ProfileNode& n, double flops,
+                       double bytes) {
+    n.count += 1;
+    n.total_ns += 1000;
+    n.flops += flops;
+    n.bytes += bytes;
+  };
+  book(top.child("a").child("t.mem_bound"), 50.0, 500.0);  // 0.1 < ridge
+  book(top.child("b").child("t.mem_bound"), 50.0, 500.0);
+  book(top.child("t.compute_bound"), 1000.0, 100.0);  // 10 > ridge
 
-  const perf::RooflineReport report =
-      perf::build_roofline_report(machine);
+  const perf::RooflineReport report = perf::build_roofline_report(
+      telemetry::CallProfile::this_thread(), machine);
+  ASSERT_EQ(report.kernels.size(), 2u);
   bool saw_mem = false, saw_comp = false;
   for (const auto& k : report.kernels) {
     if (k.name == "t.mem_bound") {
       saw_mem = true;
+      EXPECT_EQ(k.calls, 2u);
+      EXPECT_EQ(k.flops, 100.0);
+      EXPECT_EQ(k.bytes, 1000.0);
       EXPECT_TRUE(k.memory_bound);
       // Ceiling at intensity 0.1: 0.1 * 4 = 0.4 GFLOP/s.
       EXPECT_DOUBLE_EQ(k.attainable_gflops, 0.4);
@@ -239,7 +274,6 @@ TEST(Roofline, ClassifiesAgainstRidgePoint) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bound\":\"memory\""), std::string::npos);
   EXPECT_NE(json.find("\"bound\":\"compute\""), std::string::npos);
-  perf::WorkRegistry::instance().reset_values();
 }
 
 TEST(Roofline, MachineCalibrationProducesPositiveCeilings) {
@@ -285,18 +319,40 @@ TEST(FoldedStacks, EmitsSemicolonPathsWithSelfTime) {
 
 TEST(AnnotatedProfile, AppendsRatesToKnownRegions) {
   PerfSwitchGuard guard;
-  auto& kernel = perf::WorkRegistry::instance().kernel("region.hot");
+  const auto hot = [](double flops) {
+    telemetry::ScopedTimer t("region.hot", [&] {
+      return telemetry::WorkCost{flops, 500.0};
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  };
   {
-    telemetry::ScopedTimer t("region.hot");
-    kernel.add_work({1000.0, 500.0});
-    for (volatile int i = 0; i < 1000; ++i) {
-    }
+    telemetry::ScopedTimer a("path.a");
+    hot(1000.0);
   }
-  const std::string tree = perf::render_annotated_profile(
-      telemetry::CallProfile::this_thread());
+  {
+    telemetry::ScopedTimer b("path.b");
+    hot(10.0);
+    hot(10.0);
+  }
+  telemetry::book_work("region.cold", {6.0, 3.0});
+
+  // Work is exact per node: the same span under two parents carries
+  // each path's own cost, not a per-name mean.
+  const telemetry::ProfileNode& root =
+      telemetry::CallProfile::this_thread().root();
+  ASSERT_EQ(root.children.size(), 3u);
+  EXPECT_EQ(root.children[0]->children[0]->flops, 1000.0);
+  EXPECT_EQ(root.children[1]->children[0]->count, 2u);
+  EXPECT_EQ(root.children[1]->children[0]->flops, 20.0);
+  EXPECT_EQ(root.children[1]->children[0]->bytes, 1000.0);
+  EXPECT_EQ(root.children[1]->flops, 0.0);
+
+  const std::string tree = telemetry::CallProfile::this_thread().render();
   EXPECT_NE(tree.find("region.hot"), std::string::npos);
   EXPECT_NE(tree.find("GFLOP/s"), std::string::npos);
-  EXPECT_NE(tree.find("FLOP/B"), std::string::npos);
+  EXPECT_NE(tree.find("0.020 FLOP/B]"), std::string::npos);
+  // A work-only node reports its intensity but no rate.
+  EXPECT_NE(tree.find("[untimed, 2.000 FLOP/B]"), std::string::npos);
 }
 
 // --- perf counters -----------------------------------------------------

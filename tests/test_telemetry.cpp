@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/parallel.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/device/reram.hpp"
 #include "resipe/eval/characterization.hpp"
@@ -41,7 +44,8 @@ class TelemetryTest : public ::testing::Test {
 
 // --- minimal JSON validator --------------------------------------------
 // Just enough of a recursive-descent parser to prove the exported trace
-// is well-formed JSON; values are not retained.
+// is well-formed JSON (raw control bytes inside strings included);
+// values are not retained.
 class JsonValidator {
  public:
   explicit JsonValidator(const std::string& text) : s_(text) {}
@@ -121,6 +125,7 @@ class JsonValidator {
     if (peek() != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;
       ++pos_;
     }
@@ -452,6 +457,56 @@ TEST_F(TelemetryTest, SiblingScopesDoNotNest) {
   EXPECT_TRUE(root.children[0]->children.empty());
   EXPECT_TRUE(root.children[1]->children.empty());
 }
+
+TEST_F(TelemetryTest, PoolWorkerSpansFoldUnderCallerSpan) {
+  constexpr std::size_t kIters = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> on_worker{false};
+  const auto region = [&] {
+    RESIPE_TELEM_SCOPE("test.pool.caller");
+    parallel_for(
+        kIters,
+        [&](std::size_t) {
+          RESIPE_TELEM_SCOPE("test.pool.item", WorkCost{2.0, 8.0});
+          if (std::this_thread::get_id() != caller) {
+            on_worker = true;
+            return;
+          }
+          // The caller holds its item until a pool worker has taken one,
+          // so every region really spans several threads.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!on_worker && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        },
+        4);
+  };
+  region();
+  EXPECT_TRUE(on_worker.exchange(false));
+  // A second region folds into the same node without re-adding the
+  // first region's spans.
+  region();
+  EXPECT_TRUE(on_worker);
+
+  const ProfileNode& root = CallProfile::this_thread().root();
+  ASSERT_EQ(root.children.size(), 1u);
+  const ProfileNode& outer = *root.children[0];
+  EXPECT_STREQ(outer.name, "test.pool.caller");
+  EXPECT_EQ(outer.count, 2u);
+  ASSERT_EQ(outer.children.size(), 1u);
+  const ProfileNode& item = *outer.children[0];
+  EXPECT_STREQ(item.name, "test.pool.item");
+  EXPECT_EQ(item.count, 2 * kIters);
+  EXPECT_EQ(item.flops, 2.0 * 2 * kIters);
+  EXPECT_EQ(item.bytes, 8.0 * 2 * kIters);
+
+  // With telemetry off a region records and folds nothing.
+  set_enabled(false);
+  region();
+  EXPECT_EQ(item.count, 2 * kIters);
+  EXPECT_EQ(root.children.size(), 1u);
+}
 #endif  // !RESIPE_TELEMETRY_DISABLED
 
 // --- trace export -------------------------------------------------------
@@ -663,6 +718,18 @@ TEST_F(TelemetryTest, MetricsJsonAndCsvExport) {
   EXPECT_NE(ascii.find("p95"), std::string::npos);
   EXPECT_NE(ascii.find("test.export.hist"), std::string::npos);
   EXPECT_NE(ascii.find("test.export.counter"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, MetricsJsonEscapesHostileNames) {
+  MetricRegistry::instance().counter("test.\"quoted\"\\back\nline").add(1);
+  std::ostringstream js;
+  write_metrics_json(js);
+  const std::string json = js.str();
+  JsonValidator validator(json);
+  EXPECT_TRUE(validator.parse()) << json;
+  EXPECT_NE(json.find(R"("test.\"quoted\"\\back\nline":1)"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace
