@@ -62,6 +62,15 @@ WorkCost fast_mvm_cost(std::size_t rows, std::size_t cols);
 WorkCost fast_mvm_batch_cost(std::size_t rows, std::size_t cols,
                              std::size_t n);
 
+/// The two stages of FastMvm::mvm_times_batch, which sum to
+/// fast_mvm_batch_cost exactly: wordline_batch is the S1 ramp and the
+/// t_in/v_wl staging (4*n*rows flops, 8 * 2*n*rows bytes);
+/// mvm_voltages_batch is the rest (the current sums, S2 recovery, the
+/// matrix pass, the v_wl re-reads and the per-column traffic).
+WorkCost fast_mvm_wordline_cost(std::size_t rows, std::size_t n);
+WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
+                                std::size_t n);
+
 /// ResipeTile::execute (faithful per-cell model), one MVM:
 ///   GD decode 6 flops/row, column drives 4 flops/cell, COG conversion
 ///   12 flops/column; bytes 8 * (2*rows + 2*rows*cols + 2*cols).

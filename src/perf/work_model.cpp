@@ -21,6 +21,21 @@ WorkCost fast_mvm_batch_cost(std::size_t rows, std::size_t cols,
           8.0 * (2.0 * s * r + r * c + s * r * c + 3.0 * c + 3.0 * s * c)};
 }
 
+WorkCost fast_mvm_wordline_cost(std::size_t rows, std::size_t n) {
+  const double r = static_cast<double>(rows);
+  const double s = static_cast<double>(n);
+  return {4.0 * s * r, 8.0 * 2.0 * s * r};
+}
+
+WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
+                                std::size_t n) {
+  const double r = static_cast<double>(rows);
+  const double c = static_cast<double>(cols);
+  const double s = static_cast<double>(n);
+  return {s * (2.0 * r * c + 10.0 * c),
+          8.0 * (r * c + s * r * c + 3.0 * c + 3.0 * s * c)};
+}
+
 WorkCost tile_execute_cost(std::size_t rows, std::size_t cols) {
   const double r = static_cast<double>(rows);
   const double c = static_cast<double>(cols);

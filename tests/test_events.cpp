@@ -12,11 +12,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/simd.hpp"
+#include "resipe/common/units.hpp"
 #include "resipe/introspect/inspect.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/perf/roofline.hpp"
@@ -231,6 +233,19 @@ class MatrixEventPath : public ::testing::Test {
     return ProgrammedMatrix(cfg, w, b, kIn, kOut, rng);
   }
 
+  // 32x32 tiles, and offset-column tiles 13 wide: a block width that
+  // is no multiple of any vector width, so vector recovery runs its
+  // staged tail.
+  static std::vector<EngineConfig> tilings() {
+    EngineConfig square;
+    square.tile_rows = 32;
+    square.tile_cols = 32;
+    EngineConfig odd = square;
+    odd.mapping = crossbar::SignedMapping::kOffsetColumn;
+    odd.tile_cols = 13;
+    return {square, odd};
+  }
+
   static constexpr std::size_t kIn = 70;  // 3 row blocks at 32-row tiles
   static constexpr std::size_t kOut = 20;
 };
@@ -275,41 +290,82 @@ TEST_F(MatrixEventPath, ForwardBitIdenticalAcrossConfigs) {
 }
 
 TEST_F(MatrixEventPath, ForwardBatchBitIdenticalIncludingEdgeSizes) {
-  EngineConfig dense_cfg;
-  dense_cfg.tile_rows = 32;
-  dense_cfg.tile_cols = 32;
-  EngineConfig event_cfg = dense_cfg;
-  event_cfg.events.enabled = true;
-  Rng rng_a(21), rng_b(21), rng_x(22);
-  const ProgrammedMatrix pm_dense = build(dense_cfg, rng_a);
-  const ProgrammedMatrix pm_event = build(event_cfg, rng_b);
-  ProgrammedMatrix::BatchWorkspace ws_dense, ws_event;
-  for (std::size_t n : {0u, 1u, 7u}) {
-    const auto x = random_batch(n, kIn, rng_x, 0.8);
-    std::vector<double> y_dense(n * kOut), y_event(n * kOut);
-    pm_dense.forward_batch(x, n, y_dense, ws_dense);
-    pm_event.forward_batch(x, n, y_event, ws_event);
-    EXPECT_TRUE(bit_identical(y_dense, y_event)) << "batch " << n;
+  for (const EngineConfig& dense_cfg : tilings()) {
+    EngineConfig event_cfg = dense_cfg;
+    event_cfg.events.enabled = true;
+    Rng rng_a(21), rng_b(21), rng_x(22);
+    const ProgrammedMatrix pm_dense = build(dense_cfg, rng_a);
+    const ProgrammedMatrix pm_event = build(event_cfg, rng_b);
+    ProgrammedMatrix::BatchWorkspace ws_dense, ws_event;
+    for (std::size_t n : {0u, 1u, 7u}) {
+      const auto x = random_batch(n, kIn, rng_x, 0.8);
+      std::vector<double> y_dense(n * kOut), y_event(n * kOut);
+      pm_dense.forward_batch(x, n, y_dense, ws_dense);
+      pm_event.forward_batch(x, n, y_event, ws_event);
+      EXPECT_TRUE(bit_identical(y_dense, y_event))
+          << "tile width " << dense_cfg.tile_cols << " batch " << n;
+    }
   }
 }
 
 TEST_F(MatrixEventPath, EventBatchBitIdenticalToEventSingles) {
-  EngineConfig cfg;
-  cfg.tile_rows = 32;
-  cfg.tile_cols = 32;
-  cfg.events.enabled = true;
-  Rng rng(31), rng_x(32);
-  const ProgrammedMatrix pm = build(cfg, rng);
-  const std::size_t n = 5;
-  const auto x = random_batch(n, kIn, rng_x, 0.7);
-  std::vector<double> y_batch(n * kOut), y_single(n * kOut);
-  ProgrammedMatrix::BatchWorkspace ws;
-  pm.forward_batch(x, n, y_batch, ws);
-  for (std::size_t s = 0; s < n; ++s) {
-    pm.forward(std::span<const double>(x.data() + s * kIn, kIn),
-               std::span<double>(y_single.data() + s * kOut, kOut));
+  // Both strategies: batch == single per sample.
+  for (EngineConfig cfg : tilings()) {
+    for (const bool events : {true, false}) {
+      cfg.events.enabled = events;
+      Rng rng(31), rng_x(32);
+      const ProgrammedMatrix pm = build(cfg, rng);
+      const std::size_t n = 5;
+      const auto x = random_batch(n, kIn, rng_x, 0.7);
+      std::vector<double> y_batch(n * kOut), y_single(n * kOut);
+      ProgrammedMatrix::BatchWorkspace ws;
+      pm.forward_batch(x, n, y_batch, ws);
+      for (std::size_t s = 0; s < n; ++s) {
+        pm.forward(std::span<const double>(x.data() + s * kIn, kIn),
+                   std::span<double>(y_single.data() + s * kOut, kOut));
+      }
+      EXPECT_TRUE(bit_identical(y_batch, y_single))
+          << "tile width " << cfg.tile_cols << " events " << events;
+    }
   }
-  EXPECT_TRUE(bit_identical(y_batch, y_single));
+}
+
+TEST_F(MatrixEventPath, IdleConstantsFollowTheRuntimeKernelPath) {
+  // The idle constants are baked when the matrix is programmed, but the
+  // SIMD mode may change before it runs.  Comparator delay and offsets
+  // make idle columns spike inside the slice, so their recovered value
+  // goes through the ramp's exp, which differs between the paths.  A
+  // matrix built on one path and run on the other must still match its
+  // dense twin, in both directions.
+  EngineConfig dense_cfg;
+  dense_cfg.tile_rows = 32;
+  dense_cfg.tile_cols = 32;
+  dense_cfg.circuit.comparator_delay = 2.0 * units::ns;
+  dense_cfg.circuit.comparator_offset = 3.0 * units::mV;
+  dense_cfg.circuit.comparator_offset_sigma = 5.0 * units::mV;
+  EngineConfig event_cfg = dense_cfg;
+  event_cfg.events.enabled = true;
+  // 8 of 70 inputs active, all in the first row window: the other two
+  // windows sleep.
+  Rng rng_x(72);
+  std::vector<double> x(kIn, 0.0);
+  for (std::size_t i = 0; i < 32; i += 4) x[i] = rng_x.uniform(0.2, 1.0);
+  for (const bool build_scalar : {false, true}) {
+    Rng rng_a(71), rng_b(71);
+    std::optional<simd::ForceScalarGuard> at_build;
+    if (build_scalar) at_build.emplace();
+    const ProgrammedMatrix pm_dense = build(dense_cfg, rng_a);
+    const ProgrammedMatrix pm_event = build(event_cfg, rng_b);
+    at_build.reset();
+    std::optional<simd::ForceScalarGuard> at_run;
+    if (!build_scalar) at_run.emplace();
+    std::vector<double> y_dense(kOut), y_event(kOut);
+    pm_dense.forward(x, y_dense);
+    pm_event.forward(x, y_event);
+    EXPECT_TRUE(bit_identical(y_dense, y_event))
+        << (build_scalar ? "built scalar, run SIMD"
+                         : "built SIMD, run scalar");
+  }
 }
 
 TEST_F(MatrixEventPath, AllSilentInputYieldsExactBias) {
@@ -380,23 +436,33 @@ TEST(NetworkEventPath, MlpLogitsBitIdenticalAtAnyThreadCount) {
   for (std::size_t i = 0; i < calib.size(); ++i)
     calib[i] = rng.uniform(0.0, 1.0);
 
-  EngineConfig dense_cfg;
-  EngineConfig event_cfg = dense_cfg;
-  event_cfg.events.enabled = true;
-  const ResipeNetwork hw_dense(model, dense_cfg, calib);
-  const ResipeNetwork hw_event(model, event_cfg, calib);
-
   // ReLU-sparse batch: zero out half the pixels so real layers see
   // genuinely silent rows.
   nn::Tensor batch({6, 1, 4, 4});
   for (std::size_t i = 0; i < batch.size(); ++i)
     batch[i] = (i % 2 == 0) ? rng.uniform(0.0, 1.0) : 0.0;
 
-  const nn::Tensor ref = hw_dense.forward(batch);
-  for (const std::size_t threads : {1, 2, 8}) {
-    set_default_threads(threads);
-    const nn::Tensor out = hw_event.forward(batch);
-    EXPECT_TRUE(bit_identical(ref, out)) << "threads " << threads;
+  // Default tiles, and 7-wide offset-column tiles: a block width that
+  // is no multiple of any vector width.
+  EngineConfig odd;
+  odd.mapping = crossbar::SignedMapping::kOffsetColumn;
+  odd.tile_cols = 7;
+  for (const EngineConfig& dense_cfg : {EngineConfig{}, odd}) {
+    EngineConfig event_cfg = dense_cfg;
+    event_cfg.events.enabled = true;
+    const ResipeNetwork hw_dense(model, dense_cfg, calib);
+    const ResipeNetwork hw_event(model, event_cfg, calib);
+    set_default_threads(1);
+    const nn::Tensor ref = hw_dense.forward(batch);
+    for (const std::size_t threads : {1, 2, 8}) {
+      set_default_threads(threads);
+      EXPECT_TRUE(bit_identical(ref, hw_dense.forward(batch)))
+          << "dense, tile width " << dense_cfg.tile_cols << ", threads "
+          << threads;
+      EXPECT_TRUE(bit_identical(ref, hw_event.forward(batch)))
+          << "events, tile width " << dense_cfg.tile_cols << ", threads "
+          << threads;
+    }
   }
 }
 

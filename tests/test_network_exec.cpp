@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <span>
+#include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/eval/fidelity.hpp"
@@ -191,6 +194,77 @@ TEST_F(MlpThroughHardware, TileAccounting) {
   EXPECT_EQ(hw.programmed_layers(), 2u);
   // 16x12 diff -> 24 phys cols -> 1 block; 12x4 -> 8 cols -> 1 block.
   EXPECT_EQ(hw.tile_count(), 2u);
+}
+
+// The at()-indexed im2col the direct-indexed gather replaced: layout
+// (ic, kr, kc), zero outside the padded image.
+std::vector<double> indexed_patch(const nn::Tensor& x, std::size_t img,
+                                  std::size_t cin, std::size_t k,
+                                  std::size_t stride, std::size_t pad,
+                                  std::size_t r, std::size_t c) {
+  std::vector<double> patch;
+  for (std::size_t ic = 0; ic < cin; ++ic) {
+    for (std::size_t kr = 0; kr < k; ++kr) {
+      for (std::size_t kc = 0; kc < k; ++kc) {
+        const auto ir = static_cast<std::ptrdiff_t>(r * stride + kr) -
+                        static_cast<std::ptrdiff_t>(pad);
+        const auto icol = static_cast<std::ptrdiff_t>(c * stride + kc) -
+                          static_cast<std::ptrdiff_t>(pad);
+        const bool inside = ir >= 0 && icol >= 0 &&
+                            ir < static_cast<std::ptrdiff_t>(x.dim(2)) &&
+                            icol < static_cast<std::ptrdiff_t>(x.dim(3));
+        patch.push_back(inside ? x.at(img, ic, static_cast<std::size_t>(ir),
+                                      static_cast<std::size_t>(icol))
+                               : 0.0);
+      }
+    }
+  }
+  return patch;
+}
+
+TEST(ConvLowering, GatherMatchesIndexedReference) {
+  Rng rng(8);
+  nn::Tensor x({2, 3, 7, 6});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1.0, 1.0);
+  const struct { std::size_t cin, k, stride, pad; } shapes[] = {
+      {3, 3, 1, 1}, {3, 3, 2, 1}, {2, 5, 1, 2}, {3, 5, 2, 2}, {1, 2, 2, 0}};
+  for (const auto& sh : shapes) {
+    const std::size_t oh = (7 + 2 * sh.pad - sh.k) / sh.stride + 1;
+    const std::size_t ow = (6 + 2 * sh.pad - sh.k) / sh.stride + 1;
+    std::vector<double> patch(sh.cin * sh.k * sh.k);
+    for (std::size_t img = 0; img < 2; ++img) {
+      for (std::size_t r = 0; r < oh; ++r) {
+        for (std::size_t c = 0; c < ow; ++c) {
+          gather_conv_patch(x, img, sh.cin, sh.k, sh.stride, sh.pad, r, c,
+                            patch);
+          EXPECT_EQ(patch, indexed_patch(x, img, sh.cin, sh.k, sh.stride,
+                                         sh.pad, r, c))
+              << "k " << sh.k << " stride " << sh.stride << " pad "
+              << sh.pad << " at (" << img << ", " << r << ", " << c << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvLowering, GatherValidatesArgumentsOnce) {
+  nn::Tensor x({1, 2, 4, 4});
+  x.fill(0.5);
+  // A span one element short, carved from a larger buffer: nothing may
+  // be written past its end.
+  std::vector<double> buf(2 * 3 * 3 + 1, -1.0);
+  EXPECT_THROW(gather_conv_patch(x, 0, 2, 3, 1, 1, 0, 0,
+                                 std::span<double>(buf.data(), 17)),
+               Error);
+  EXPECT_EQ(buf[17], -1.0);
+  std::vector<double> patch(2 * 3 * 3);
+  EXPECT_THROW(gather_conv_patch(x, 1, 2, 3, 1, 1, 0, 0, patch), Error);
+  std::vector<double> wide(3 * 3 * 3);
+  EXPECT_THROW(gather_conv_patch(x, 0, 3, 3, 1, 1, 0, 0, wide),
+               Error);  // 3 channels asked of a 2-channel input
+  const nn::Tensor flat({4, 8});
+  EXPECT_THROW(gather_conv_patch(flat, 0, 2, 3, 1, 1, 0, 0, patch), Error);
+  EXPECT_NO_THROW(gather_conv_patch(x, 0, 2, 3, 1, 1, 0, 0, patch));
 }
 
 TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {

@@ -74,6 +74,14 @@ TEST(WorkModel, FastMvmBatchFlopsAreExactlyNTimesSingle) {
   EXPECT_EQ(batch.bytes, 8.0 * 262.0);
   // Batch amortizes the matrix stream: fewer bytes than n singles.
   EXPECT_LT(batch.bytes, 7.0 * single.bytes);
+  // The S1 and voltage-fed stages split the batch cost exactly:
+  // 4*7*5 = 140 flops and 8 * 2*7*5 = 560 bytes of S1.
+  const perf::WorkCost s1 = perf::fast_mvm_wordline_cost(5, 7);
+  const perf::WorkCost rest = perf::fast_mvm_voltages_cost(5, 3, 7);
+  EXPECT_EQ(s1.flops, 140.0);
+  EXPECT_EQ(s1.bytes, 560.0);
+  EXPECT_EQ(s1.flops + rest.flops, batch.flops);
+  EXPECT_EQ(s1.bytes + rest.bytes, batch.bytes);
 }
 
 TEST(WorkModel, TileHandCount2x2) {

@@ -493,55 +493,80 @@ TEST(SpikeCodecBatch, DecodeValuesMatchesElementwiseDecode) {
 // End to end: SIMD vs scalar through a lowered network, across worker
 // counts.  SIMD logits must be bit-identical at any thread count (the
 // parallel runtime is order-deterministic), and the scalar/SIMD pair
-// must agree on every clear-margin argmax.
+// must agree on every clear-margin argmax.  The cases cover the dense
+// lowering, a conv lowering, and fault-aware programming whose
+// remapped spare slots send column recovery through its gather.
 // ---------------------------------------------------------------------
 
 TEST(NetworkSimd, ScalarVsSimdAgreementAcrossThreads) {
   Rng model_rng(0xBEEF);
-  nn::Sequential model = nn::build_benchmark(nn::BenchmarkNet::kMlp1,
-                                             model_rng);
+  nn::Sequential mlp = nn::build_benchmark(nn::BenchmarkNet::kMlp1,
+                                           model_rng);
+  nn::Sequential cnn("simd-cnn");
+  cnn.emplace<nn::Conv2d>(1, 3, 3, 2, 1, model_rng);
+  cnn.emplace<nn::ReLU>();
+  cnn.emplace<nn::Flatten>();
+  cnn.emplace<nn::Dense>(3 * 14 * 14, 10, model_rng);
   Rng data_rng(11);
   const nn::Dataset batch = nn::synthetic_digits(12, data_rng);
-  resipe_core::EngineConfig config;
-  const resipe_core::ResipeNetwork net(model, config, batch.images);
 
-  const auto logits = [&](bool force_scalar) {
-    std::optional<simd::ForceScalarGuard> guard;
-    if (force_scalar) guard.emplace();
-    const nn::Tensor y = net.forward(batch.images);
-    return std::vector<double>(y.data().begin(), y.data().end());
-  };
+  resipe_core::EngineConfig faulty;
+  faulty.reliability.enabled = true;
+  faulty.reliability.faults.stuck_lrs_rate = 0.01;
+  faulty.reliability.faults.stuck_hrs_rate = 0.01;
+  const struct {
+    const char* name;
+    nn::Sequential* model;
+    resipe_core::EngineConfig config;
+  } cases[] = {{"mlp", &mlp, {}}, {"conv", &cnn, {}},
+               {"mlp, remapped slots", &mlp, faulty}};
 
-  set_default_threads(1);
-  const std::vector<double> simd_ref = logits(false);
-  const std::vector<double> scalar_ref = logits(true);
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    set_default_threads(threads);
-    EXPECT_EQ(logits(false), simd_ref) << threads << " threads (simd)";
-    EXPECT_EQ(logits(true), scalar_ref) << threads << " threads (scalar)";
-  }
-  set_default_threads(0);
-
-  const std::size_t classes = scalar_ref.size() / 12;
-  ASSERT_GT(classes, 1u);
-  for (std::size_t s = 0; s < 12; ++s) {
-    const double* sc = scalar_ref.data() + s * classes;
-    const double* vc = simd_ref.data() + s * classes;
-    std::size_t best = 0;
-    double scale = 0.0;
-    for (std::size_t c = 0; c < classes; ++c) {
-      if (sc[c] > sc[best]) best = c;
-      scale = std::max(scale, std::abs(sc[c]));
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    const resipe_core::ResipeNetwork net(*tc.model, tc.config,
+                                         batch.images);
+    if (tc.config.reliability.enabled) {
+      ASSERT_GT(net.reliability_stats().columns_remapped, 0u);
     }
-    double margin = kInf;
-    for (std::size_t c = 0; c < classes; ++c) {
-      if (c != best) margin = std::min(margin, sc[best] - sc[c]);
+
+    const auto logits = [&](bool force_scalar) {
+      std::optional<simd::ForceScalarGuard> guard;
+      if (force_scalar) guard.emplace();
+      const nn::Tensor y = net.forward(batch.images);
+      return std::vector<double>(y.data().begin(), y.data().end());
+    };
+
+    set_default_threads(1);
+    const std::vector<double> simd_ref = logits(false);
+    const std::vector<double> scalar_ref = logits(true);
+
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      set_default_threads(threads);
+      EXPECT_EQ(logits(false), simd_ref) << threads << " threads (simd)";
+      EXPECT_EQ(logits(true), scalar_ref) << threads << " threads (scalar)";
     }
-    if (margin <= 1e-6 * (scale + 1.0)) continue;  // genuinely ambiguous
-    const std::size_t vbest =
-        std::max_element(vc, vc + classes) - vc;
-    EXPECT_EQ(vbest, best) << "argmax flip on sample " << s;
+    set_default_threads(0);
+
+    const std::size_t classes = scalar_ref.size() / 12;
+    ASSERT_GT(classes, 1u);
+    for (std::size_t s = 0; s < 12; ++s) {
+      const double* sc = scalar_ref.data() + s * classes;
+      const double* vc = simd_ref.data() + s * classes;
+      std::size_t best = 0;
+      double scale = 0.0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        if (sc[c] > sc[best]) best = c;
+        scale = std::max(scale, std::abs(sc[c]));
+      }
+      double margin = kInf;
+      for (std::size_t c = 0; c < classes; ++c) {
+        if (c != best) margin = std::min(margin, sc[best] - sc[c]);
+      }
+      if (margin <= 1e-6 * (scale + 1.0)) continue;  // genuinely ambiguous
+      const std::size_t vbest =
+          std::max_element(vc, vc + classes) - vc;
+      EXPECT_EQ(vbest, best) << "argmax flip on sample " << s;
+    }
   }
 }
 
