@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/resipe/spike_code.hpp"
@@ -41,6 +43,67 @@ TEST(FastMvm, MatchesHandComputedSingleColumn) {
   const double vout = veq * mvm.k(0);
   const double expect = -p.tau_gd() * std::log(1.0 - vout);
   RESIPE_EXPECT_REL(t_out[0], expect, 1e-12);
+}
+
+TEST(FastMvm, AddCurrentSumsReadsTheTrimThroughTheSlotMap) {
+  // 11 slots, the last one unprogrammed (k = 0).  Nine data columns
+  // placed out of order, one on a silent slot and one on the
+  // unprogrammed slot; nine is no multiple of any vector width, so the
+  // vector path stages a tail.
+  const CircuitParams p;
+  const std::size_t rows = 3, slots = 11;
+  Rng rng(7);
+  std::vector<double> g(rows * slots, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c + 1 < slots; ++c) {
+      g[r * slots + c] = rng.uniform(1e-6, 50e-6);
+    }
+  }
+  const FastMvm mvm(p, rows, slots, g);
+  ASSERT_EQ(mvm.k(slots - 1), 0.0);
+  std::vector<double> t(slots);
+  for (double& v : t) v = rng.uniform(0.0, p.slice_length);
+  t[2] = FastMvm::kNoSpike;
+  const std::vector<std::size_t> slot_of_col{10, 3, 7, 2, 4, 8, 1, 5, 0};
+  const std::size_t cols = slot_of_col.size();
+
+  // The scalar path is the reference expression, bit for bit, and adds
+  // to what rec already holds.
+  std::vector<double> scalar(cols, 1e-6);
+  mvm.add_current_sums(t, slot_of_col, scalar, false);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::size_t s = slot_of_col[c];
+    const double ts = t[s] == FastMvm::kNoSpike ? p.slice_length : t[s];
+    const double expect =
+        mvm.k(s) > 0.0 ? 1e-6 + p.ramp_voltage(ts) * mvm.g_total(s) / mvm.k(s)
+                       : 1e-6;
+    RESIPE_EXPECT_ULP(scalar[c], expect, 0) << "col " << c;
+  }
+
+  // The vector path gathers through the map: each data column equals
+  // its slot's lane of an identity-mapped pass, bit for bit, and stays
+  // within the polynomial exp's error of the scalar reference.
+  std::vector<double> vec(cols, 1e-6);
+  std::vector<double> identity(slots, 1e-6);
+  mvm.add_current_sums(t, slot_of_col, vec, true);
+  mvm.add_current_sums(t, {}, identity, true);
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::size_t s = slot_of_col[c];
+    RESIPE_EXPECT_ULP(vec[c], identity[s], 0) << "col " << c;
+    const double scale =
+        mvm.k(s) > 0.0 ? p.v_s * mvm.g_total(s) / mvm.k(s) : 0.0;
+    EXPECT_NEAR(vec[c], scalar[c],
+                2.0 * simd::kTranscendentalUlp * eps * scale)
+        << "col " << c;
+  }
+
+  EXPECT_THROW(mvm.add_current_sums(std::span<const double>(t).first(10),
+                                    {}, identity),
+               Error);
+  EXPECT_THROW(mvm.add_current_sums(t, slot_of_col,
+                                    std::span<double>(vec).first(8)),
+               Error);
 }
 
 TEST(FastMvm, AgreesWithFaithfulTileModel) {
