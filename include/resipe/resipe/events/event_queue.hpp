@@ -23,7 +23,7 @@ class EventQueue {
  public:
   /// The activity predicate shared with the dense reference: rows
   /// failing it hold their wordline at exactly 0 V for the whole
-  /// slice (FastMvm::wordline_voltages maps them to +0.0).
+  /// slice (FastMvm's S1 stage maps them to +0.0).
   static bool carries_spike(double t, double slice_length) {
     return t > 0.0 && t <= slice_length;
   }

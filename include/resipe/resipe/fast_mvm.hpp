@@ -12,20 +12,30 @@
 // so one MVM costs one dot product per column plus one log for the S2
 // inversion.
 //
-// Two executions of the same math live here:
+// Every MVM is the same two stages: S1 (the GD ramp sets the wordline
+// voltages) and the voltage stage (the column current sums, then the S2
+// inversion to output spike times).  Each stage takes n samples, the
+// kernel path and the set of vector-width row chunks to visit; single,
+// batched, sparse (the chunks holding the wake set) and idle (no
+// chunks) MVMs are calls of the two stages.  A row outside the visited
+// chunks is silent, so it would add exactly +0.0 to every sum.
 //
-//   * the scalar reference path — the original loops, bit-identical to
+// Each stage has two bodies:
+//
+//   * the scalar reference — row-ascending sums, bit-identical to
 //     ResipeTile::execute for the same programmed array (asserted by
 //     the property tests), and what you get from a scalar build or
 //     RESIPE_SIMD=scalar;
-//   * the SIMD path (default on vector builds) — cache-blocked,
-//     FMA-vectorized kernels over width-padded column-major storage.
-//     Its row sums fold in vector-lane order and its exp/log are the
-//     polynomial forms from common/simd.hpp, so outputs may differ
-//     from the reference by a bounded reassociation/rounding error.
-//     The `simd_equivalence` verify contract pins that bound; batched
-//     and single-sample SIMD calls share every kernel, so batch ==
-//     single stays bitwise exact on either path.
+//   * the SIMD body (default on vector builds) — cache-blocked,
+//     FMA-vectorized over width-padded column-major storage.  Its row
+//     sums fold in vector-lane order and its exp/log are the polynomial
+//     forms from common/simd.hpp, so outputs may differ from the
+//     reference by a bounded reassociation/rounding error.  The
+//     `simd_equivalence` verify contract pins that bound.
+//
+// Because every entry point runs the same bodies, batch == single
+// holds bitwise on either path, and so do sparse and idle calls against
+// the dense call on the input they stand for.
 #pragma once
 
 #include <cstddef>
@@ -99,17 +109,16 @@ class FastMvm {
   /// Layout is an implementation detail of the selected kernel path.
   struct BatchScratch {
     aligned_vector v_wl;      // wordline voltages (padded per sample)
-    aligned_vector weighted;  // per-column current sums
+    aligned_vector weighted;  // per-column current sums (SIMD path)
     aligned_vector t_cols;    // padded per-sample outputs (SIMD path)
   };
 
   /// Batched mvm_times: `t_in` is row-major [n, rows], `t_out` is
   /// row-major [n, cols].  Bit-identical per sample to n calls of
-  /// mvm_times — both paths share their dot-product and recovery
-  /// kernels — but the matrix is walked in cache-sized column blocks
-  /// reused across the whole batch, with several samples accumulated
-  /// per matrix load.  Exactly wordline_batch followed by
-  /// mvm_voltages_batch.
+  /// mvm_times — both run the same two stages — but the matrix is
+  /// walked in cache-sized column blocks reused across the whole batch,
+  /// with several samples accumulated per matrix load.  Exactly
+  /// wordline_batch followed by mvm_voltages_batch.
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
 
@@ -122,7 +131,7 @@ class FastMvm {
   void wordline_batch(std::span<const double> t_in, std::size_t n,
                       aligned_vector& v_wl) const;
 
-  /// The dot-product + S2 stage of mvm_times_batch, fed wordline
+  /// The current-sum + S2 stage of mvm_times_batch, fed wordline
   /// voltages from wordline_batch of this FastMvm or of one with the
   /// same rows and circuit parameters; `t_out` is row-major [n, cols].
   void mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
@@ -131,24 +140,25 @@ class FastMvm {
 
   /// Event-driven recovery for a group with no input events: every
   /// wordline held 0 V for the whole slice, so only the per-column
-  /// comparator outcome remains — O(cols) instead of O(rows x cols).
-  /// Bit-identical to mvm_times on an input whose every row fails the
-  /// events::EventQueue::carries_spike predicate (the current sums of
-  /// such an input are exactly +0.0 on both kernel paths), run on the
+  /// comparator outcome remains — the voltage stage over no row chunks,
+  /// O(cols) instead of O(rows x cols).  Bit-identical to mvm_times on
+  /// an input whose every row fails the events::EventQueue::carries_spike
+  /// predicate (every current sum is then exactly +0.0), run on the
   /// kernel path `vector` selects: the active one by default, either
   /// one when a caller bakes constants for both.
   void idle_times(std::span<double> t_out,
                   bool vector = simd::enabled()) const;
 
   /// Event-driven MVM: `active_rows` (strictly ascending, group-local
-  /// indices) lists the rows that carry a spike inside the slice;
-  /// every other row is guaranteed silent by the caller (its dense
-  /// wordline voltage is exactly +0.0).  Bit-identical to mvm_times on
-  /// the same full input on either kernel path: the scalar sum skips
-  /// only exact +0.0 terms, and the SIMD path skips whole vector-width
-  /// row chunks, which leaves the fixed FMA/reduction tree — and so
-  /// every rounding — untouched.  Cost is O(active x cols) for the dot
-  /// products.
+  /// indices, else throws) lists the rows that carry a spike inside the
+  /// slice; every other row is guaranteed silent by the caller (its
+  /// dense wordline voltage is exactly +0.0).  Runs both stages over
+  /// the vector-width row chunks holding the wake set only, which is
+  /// bit-identical to mvm_times on the same full input on either kernel
+  /// path: a skipped row adds exactly +0.0 to a non-negative sum, and
+  /// chunks are never compacted into fewer lanes, so the fixed
+  /// FMA/reduction tree — and every rounding — is untouched.  Cost is
+  /// O(woken chunks x cols) for the current sums.
   void mvm_times_sparse(std::span<const double> t_in,
                         std::span<const std::uint32_t> active_rows,
                         std::span<double> t_out) const;
@@ -163,57 +173,34 @@ class FastMvm {
  private:
   void precompute();
 
-  // --- scalar reference path (the original loops, kept bit-stable) ---
-
-  /// Fills v_wl[0, rows) with the S1 wordline voltages for one sample.
-  void wordline_voltages(std::span<const double> t_in, double* v_wl) const;
-
-  /// Shared S2 recovery: current-sum -> threshold -> crossing -> spike
-  /// time (or kNoSpike).  `silent` counts suppressed outputs.
+  /// S2 on the scalar path: current-sum -> threshold -> crossing ->
+  /// spike time (kNoSpike past the slice; the comparator delay for an
+  /// unprogrammed column).  `silent` counts suppressed outputs.
   double recover_time(double weighted, std::size_t col,
                       std::size_t* silent) const;
 
-  void mvm_times_scalar(std::span<const double> t_in,
-                        std::span<double> t_out) const;
-  /// Dot products + S2 of n samples from v_wl [n, rows_pad_].
-  void mvm_voltages_scalar(const double* v_wl, std::size_t n,
-                           std::span<double> t_out,
-                           BatchScratch& scratch) const;
-  void mvm_times_sparse_scalar(std::span<const double> t_in,
-                               std::span<const std::uint32_t> active_rows,
-                               std::span<double> t_out) const;
-
-  // --- SIMD path -----------------------------------------------------
-
-  /// S1 over a width-padded sample: t_pad has rows_pad() entries with
-  /// kNoSpike in the padding lanes, so padded v_wl lanes come out 0 and
-  /// contribute nothing to any dot product.
-  void wordline_voltages_simd(const double* t_pad, double* v_wl) const;
-
-  /// S2 for one vector chunk of columns [c, c+W): reads w[0, W) and the
-  /// padded per-column arrays at c, writes out[0, W).  Element-wise per
-  /// lane, so any chunking of the column axis yields identical values.
+  /// S2 on the SIMD path for one vector chunk of columns [c, c+W):
+  /// reads w[0, W) and the padded per-column arrays at c, writes
+  /// out[0, W).  Element-wise per lane, so any chunking of the column
+  /// axis yields identical values.
   void recover_block_simd(const double* w, std::size_t c, double* out,
                           std::size_t* silent) const;
 
-  void mvm_times_simd(std::span<const double> t_in,
-                      std::span<double> t_out) const;
-  void mvm_voltages_simd(const double* v_wl, std::size_t n,
-                         std::span<double> t_out,
-                         BatchScratch& scratch) const;
-  void mvm_times_sparse_simd(std::span<const double> t_in,
-                             std::span<const std::uint32_t> active_rows,
-                             std::span<double> t_out) const;
+  /// S1: the wordline voltages of n samples (`t_in` row-major
+  /// [n, rows]) into `v_wl` [n, rows_pad_], on the kernel path `vector`
+  /// selects, for the row chunks in `chunks` only; the other chunks of
+  /// `v_wl` keep whatever they held.
+  template <class Chunks>
+  void wordline_stage(const double* t_in, std::size_t n, bool vector,
+                      const Chunks& chunks, double* v_wl) const;
 
-  // --- batched stages, dispatched on simd::enabled() -----------------
-
-  /// wordline_batch without the span and the size check.
-  void wordline_stage(std::span<const double> t_in, std::size_t n,
-                      aligned_vector& v_wl) const;
-  void voltage_stage(const double* v_wl, std::size_t n,
-                     std::span<double> t_out, BatchScratch& scratch) const;
-
-  std::size_t rows_pad() const { return rows_pad_; }
+  /// Current sums over the row chunks in `chunks`, then S2: n samples
+  /// from `v_wl` [n, rows_pad_] into `t_out` row-major [n, cols].
+  /// Books the silent outputs; the caller books the MACs.
+  template <class Chunks>
+  void voltage_stage(const double* v_wl, std::size_t n, bool vector,
+                     const Chunks& chunks, double* t_out,
+                     BatchScratch& scratch) const;
 
   circuits::CircuitParams params_;
   std::size_t rows_ = 0;

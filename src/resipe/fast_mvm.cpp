@@ -14,7 +14,7 @@ namespace {
 using simd::vdouble;
 constexpr std::size_t kW = simd::native_lanes;
 
-/// Samples accumulated per matrix load in the batched dot kernel: four
+/// Samples accumulated per matrix load in the SIMD voltage body: four
 /// independent FMA chains cover the FMA latency and amortize each
 /// column load 4x.
 constexpr std::size_t kSampleGroup = 4;
@@ -26,6 +26,47 @@ constexpr std::size_t kBlockBytes = 128 * 1024;
 
 /// Prefetch distance (in doubles) ahead of the streaming matrix reads.
 constexpr std::size_t kPrefetchAhead = 64;
+
+// Row-chunk sets the two stages visit, as types so that the dense walk
+// has no per-chunk indirection.  for_each calls f with the first row of
+// each visited kW-row chunk, ascending.
+
+/// Every chunk of a matrix with rows_pad (padded) rows.
+struct AllChunks {
+  std::size_t rows_pad;
+  template <class F>
+  void for_each(F&& f) const {
+    for (std::size_t r = 0; r < rows_pad; r += kW) f(r);
+  }
+};
+
+/// A listed, ascending set of chunk indices; empty visits no chunk.
+struct ListedChunks {
+  std::span<const std::uint32_t> chunks;
+  template <class F>
+  void for_each(F&& f) const {
+    for (const std::uint32_t ch : chunks) f(std::size_t{ch} * kW);
+  }
+};
+
+/// Scratch shared by the single-sample entry points, one per thread;
+/// `chunks` holds a sparse call's woken chunk indices.
+struct SingleScratch : FastMvm::BatchScratch {
+  std::vector<std::uint32_t> chunks;
+};
+
+SingleScratch& single_scratch() {
+  thread_local SingleScratch scratch;
+  return scratch;
+}
+
+/// Grows a scratch buffer to at least n elements and returns its data.
+/// It never shrinks, so calls alternating between tile shapes do not
+/// re-zero it.
+double* grown(FastMvm::aligned_vector& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
 
 }  // namespace
 
@@ -96,34 +137,12 @@ void FastMvm::set_column_offsets(std::vector<double> offsets) {
   has_offsets_ = true;
 }
 
-// --- scalar reference path ---------------------------------------------
-//
-// These are the original loops, byte-for-byte in the arithmetic: the
-// scalar build and RESIPE_SIMD=scalar reproduce historical results
-// exactly, and the verify harness measures the SIMD path against them.
-
-void FastMvm::wordline_voltages(std::span<const double> t_in,
-                                double* v_wl) const {
-  const double tau_gd = params_.tau_gd();
-  const double v_s = params_.v_s;
-  const bool linear = params_.model == circuits::TransferModel::kLinear;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double t = t_in[r];
-    if (!(t >= 0.0) || t == kNoSpike || t > params_.slice_length) {
-      v_wl[r] = 0.0;
-      continue;
-    }
-    // The linear ramp saturates at v_s like the real GD output
-    // (CircuitParams::ramp_voltage clamps); without the clamp a fast
-    // ramp (tau_gd < slice) would feed the crossbar voltages the
-    // circuit cannot produce and diverge from ResipeTile.
-    v_wl[r] = linear ? std::min(v_s * t / tau_gd, v_s)
-                     : v_s * (1.0 - std::exp(-t / tau_gd));
-  }
-}
+// --- S2 per kernel path --------------------------------------------------
 
 double FastMvm::recover_time(double weighted, std::size_t col,
                              std::size_t* silent) const {
+  // An unprogrammed column never charges: the ramp crosses 0 at t=0.
+  if (g_total_[col] <= 0.0) return params_.comparator_delay;
   const double tau_gd = params_.tau_gd();
   const double v_s = params_.v_s;
   const bool linear = params_.model == circuits::TransferModel::kLinear;
@@ -145,88 +164,6 @@ double FastMvm::recover_time(double weighted, std::size_t col,
   if (t <= params_.slice_length) return t;
   ++*silent;
   return kNoSpike;
-}
-
-void FastMvm::mvm_times_scalar(std::span<const double> t_in,
-                               std::span<double> t_out) const {
-  // S1: wordline voltages from the GD ramp.
-  thread_local std::vector<double> v_wl;
-  v_wl.resize(rows_);
-  wordline_voltages(t_in, v_wl.data());
-
-  // Computation stage + S2 per column.
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if (g_total_[c] <= 0.0) {
-      // An unprogrammed column never charges: the ramp crosses 0 at t=0.
-      t_out[c] = params_.comparator_delay;
-      continue;
-    }
-    const double* gc = g_cm_.data() + c * rows_pad_;
-    double weighted = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      weighted += v_wl[r] * gc[r];
-    }
-    t_out[c] = recover_time(weighted, c, &silent);
-  }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
-}
-
-void FastMvm::mvm_voltages_scalar(const double* v_wl, std::size_t n,
-                                  std::span<double> t_out,
-                                  BatchScratch& scratch) const {
-  // Column-outer so each column's weights are loaded once and the dot
-  // product / recovery chain runs contiguously across samples.
-  scratch.weighted.resize(n);
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if (g_total_[c] <= 0.0) {
-      for (std::size_t s = 0; s < n; ++s) {
-        t_out[s * cols_ + c] = params_.comparator_delay;
-      }
-      continue;
-    }
-    const double* gc = g_cm_.data() + c * rows_pad_;
-    for (std::size_t s = 0; s < n; ++s) {
-      const double* vs = v_wl + s * rows_pad_;
-      double weighted = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        weighted += vs[r] * gc[r];
-      }
-      scratch.weighted[s] = weighted;
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      t_out[s * cols_ + c] = recover_time(scratch.weighted[s], c, &silent);
-    }
-  }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
-}
-
-// --- SIMD path ---------------------------------------------------------
-
-void FastMvm::wordline_voltages_simd(const double* t_pad,
-                                     double* v_wl) const {
-  const vdouble v_s(params_.v_s);
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  const vdouble slice(params_.slice_length);
-  const vdouble tau(params_.tau_gd());
-  const bool linear = params_.model == circuits::TransferModel::kLinear;
-  for (std::size_t r = 0; r < rows_pad_; r += kW) {
-    const vdouble t = vdouble::load(t_pad + r);
-    // Valid when 0 <= t <= slice; NaN and kNoSpike fail both compares.
-    const auto valid = (t >= zero) & (t <= slice);
-    vdouble v;
-    if (linear) {
-      v = simd::min(v_s * t / tau, v_s);
-    } else {
-      v = v_s * (one - simd::exp(zero - t / tau));
-    }
-    v = simd::select(valid, v, zero);
-    v.store(v_wl + r);
-  }
 }
 
 void FastMvm::recover_block_simd(const double* w, std::size_t c, double* out,
@@ -273,77 +210,111 @@ void FastMvm::recover_block_simd(const double* w, std::size_t c, double* out,
   *silent += simd::mask_count(silent_mask);
 }
 
-void FastMvm::mvm_times_simd(std::span<const double> t_in,
-                             std::span<double> t_out) const {
-  thread_local aligned_vector t_pad;
-  thread_local aligned_vector v_wl;
-  thread_local aligned_vector w_pad;
-  thread_local aligned_vector out_pad;
-  t_pad.resize(rows_pad_);
-  v_wl.resize(rows_pad_);
-  w_pad.resize(cols_pad_);
-  out_pad.resize(cols_pad_);
+// --- the two stages ------------------------------------------------------
+//
+// Every entry point is a call of these two stages.  The scalar bodies
+// are the reference: row-ascending sums and libm, so the scalar build
+// and RESIPE_SIMD=scalar reproduce historical results exactly, and the
+// verify harness measures the SIMD bodies against them.
+//
+// Visiting only some row chunks is exact on both paths.  A silent row's
+// wordline voltage is exactly +0.0: invalid times are zeroed by the
+// validity test, and t = 0 (the encoding of input value 0) gives
+// v_s * (1 - exp(-0)) = +0.0 because exp(+-0.0) == 1.0 exactly on every
+// backend (see common/simd.hpp).  Adding +0.0 (scalar) or
+// fma(g, 0, acc) (SIMD) leaves a non-negative accumulator bitwise
+// unchanged, so a skipped row — outside the visited chunks, or silent
+// inside one — preserves every partial sum the dense walk produces.
+// Chunks are never compacted into fewer lanes, which would re-shape
+// the fixed FMA/reduction tree and change the rounding.
 
-  // S1 over the padded sample; padding lanes carry kNoSpike -> v = 0.
-  std::copy(t_in.begin(), t_in.end(), t_pad.begin());
-  std::fill(t_pad.begin() + rows_, t_pad.end(), kNoSpike);
-  wordline_voltages_simd(t_pad.data(), v_wl.data());
-
-  // Per-column FMA dot products, four columns per pass so each v_wl
-  // load feeds four accumulator chains.
-  for (std::size_t c0 = 0; c0 < cols_; c0 += 4) {
-    const std::size_t nc = std::min<std::size_t>(4, cols_ - c0);
-    if (nc == 4) {
-      const double* g0 = g_cm_.data() + (c0 + 0) * rows_pad_;
-      const double* g1 = g_cm_.data() + (c0 + 1) * rows_pad_;
-      const double* g2 = g_cm_.data() + (c0 + 2) * rows_pad_;
-      const double* g3 = g_cm_.data() + (c0 + 3) * rows_pad_;
-      vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
-      for (std::size_t r = 0; r < rows_pad_; r += kW) {
-        const vdouble v = vdouble::load(v_wl.data() + r);
-        a0 = simd::fma(vdouble::load(g0 + r), v, a0);
-        a1 = simd::fma(vdouble::load(g1 + r), v, a1);
-        a2 = simd::fma(vdouble::load(g2 + r), v, a2);
-        a3 = simd::fma(vdouble::load(g3 + r), v, a3);
-      }
-      w_pad[c0 + 0] = simd::reduce_add(a0);
-      w_pad[c0 + 1] = simd::reduce_add(a1);
-      w_pad[c0 + 2] = simd::reduce_add(a2);
-      w_pad[c0 + 3] = simd::reduce_add(a3);
-    } else {
-      for (std::size_t j = 0; j < nc; ++j) {
-        const double* gc = g_cm_.data() + (c0 + j) * rows_pad_;
-        vdouble acc(0.0);
-        for (std::size_t r = 0; r < rows_pad_; r += kW) {
-          acc = simd::fma(vdouble::load(gc + r), vdouble::load(v_wl.data() + r),
-                          acc);
+template <class Chunks>
+void FastMvm::wordline_stage(const double* t_in, std::size_t n, bool vector,
+                             const Chunks& chunks, double* v_wl) const {
+  const bool linear = params_.model == circuits::TransferModel::kLinear;
+  if (!vector) {
+    const double tau_gd = params_.tau_gd();
+    const double v_s = params_.v_s;
+    for (std::size_t s = 0; s < n; ++s) {
+      const double* t_s = t_in + s * rows_;
+      double* v = v_wl + s * rows_pad_;
+      chunks.for_each([&](std::size_t r0) {
+        const std::size_t r_end = std::min(r0 + kW, rows_);
+        for (std::size_t r = r0; r < r_end; ++r) {
+          const double t = t_s[r];
+          if (!(t >= 0.0) || t == kNoSpike || t > params_.slice_length) {
+            v[r] = 0.0;
+            continue;
+          }
+          // The linear ramp saturates at v_s like the real GD output
+          // (CircuitParams::ramp_voltage clamps); without the clamp a
+          // fast ramp (tau_gd < slice) would feed the crossbar voltages
+          // the circuit cannot produce and diverge from ResipeTile.
+          v[r] = linear ? std::min(v_s * t / tau_gd, v_s)
+                        : v_s * (1.0 - std::exp(-t / tau_gd));
         }
-        w_pad[c0 + j] = simd::reduce_add(acc);
-      }
+        std::fill(v + r_end, v + r0 + kW, 0.0);  // padding rows
+      });
     }
+    return;
   }
-  std::fill(w_pad.begin() + cols_, w_pad.end(), 0.0);
-
-  // S2 recovery, one vector chunk of columns at a time.
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_pad_; c += kW) {
-    recover_block_simd(w_pad.data() + c, c, out_pad.data() + c, &silent);
+  const vdouble v_s(params_.v_s);
+  const vdouble zero(0.0);
+  const vdouble one(1.0);
+  const vdouble slice(params_.slice_length);
+  const vdouble tau(params_.tau_gd());
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* t_s = t_in + s * rows_;
+    double* v = v_wl + s * rows_pad_;
+    chunks.for_each([&](std::size_t r) {
+      vdouble t;
+      if (r + kW <= rows_) {
+        t = vdouble::loadu(t_s + r);
+      } else {
+        // The last, partial chunk: its padding lanes carry kNoSpike.
+        alignas(simd::kAlignment) double lane[kW];
+        std::fill(lane, lane + kW, kNoSpike);
+        std::copy(t_s + r, t_s + rows_, lane);
+        t = vdouble::load(lane);
+      }
+      // Valid when 0 <= t <= slice; NaN and kNoSpike fail both compares.
+      const auto valid = (t >= zero) & (t <= slice);
+      const vdouble volts = linear
+                                ? simd::min(v_s * t / tau, v_s)
+                                : v_s * (one - simd::exp(zero - t / tau));
+      simd::select(valid, volts, zero).store(v + r);
+    });
   }
-  std::copy(out_pad.begin(), out_pad.begin() + cols_, t_out.begin());
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
 }
 
-void FastMvm::mvm_voltages_simd(const double* v_wl, std::size_t n,
-                                std::span<double> t_out,
-                                BatchScratch& scratch) const {
-  scratch.weighted.resize(kSampleGroup * cols_pad_);
-  scratch.t_cols.resize(n * cols_pad_);
+template <class Chunks>
+void FastMvm::voltage_stage(const double* v_wl, std::size_t n, bool vector,
+                            const Chunks& chunks, double* t_out,
+                            BatchScratch& scratch) const {
   std::size_t silent = 0;
+  if (!vector) {
+    // Column-outer so each column's weights are loaded once and its
+    // current sum + recovery chain runs across the samples.
+    for (std::size_t c = 0; c < cols_; ++c) {
+      const double* gc = g_cm_.data() + c * rows_pad_;
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* v = v_wl + s * rows_pad_;
+        double weighted = 0.0;
+        chunks.for_each([&](std::size_t r0) {
+          const std::size_t r_end = std::min(r0 + kW, rows_);
+          for (std::size_t r = r0; r < r_end; ++r) weighted += v[r] * gc[r];
+        });
+        t_out[s * cols_ + c] = recover_time(weighted, c, &silent);
+      }
+    }
+    RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
+    return;
+  }
+  double* const w = grown(scratch.weighted, kSampleGroup * cols_pad_);
+  double* const t_cols = grown(scratch.t_cols, n * cols_pad_);
 
   // Column-block outer loop: a block of g_cm_ stays L2-resident while
-  // the whole batch streams through it.  Within a block, groups of
-  // four samples share each matrix load.
+  // the whole batch streams through it.
   for (std::size_t c0 = 0; c0 < cols_; c0 += block_cols_) {
     const std::size_t c_end = std::min(c0 + block_cols_, cols_);
     // Recovery chunks must cover full vector widths; blocks start at
@@ -352,37 +323,62 @@ void FastMvm::mvm_voltages_simd(const double* v_wl, std::size_t n,
 
     for (std::size_t s0 = 0; s0 < n; s0 += kSampleGroup) {
       const std::size_t ns = std::min(kSampleGroup, n - s0);
-      const double* vw0 = v_wl + s0 * rows_pad_;
-
-      for (std::size_t c = c0; c < c_end; ++c) {
-        const double* gc = g_cm_.data() + c * rows_pad_;
-        if (ns == kSampleGroup) {
-          const double* vw1 = vw0 + rows_pad_;
-          const double* vw2 = vw1 + rows_pad_;
-          const double* vw3 = vw2 + rows_pad_;
+      const double* v0 = v_wl + s0 * rows_pad_;
+      if (ns == kSampleGroup) {
+        // Four samples share each matrix load.
+        const double* v1 = v0 + rows_pad_;
+        const double* v2 = v1 + rows_pad_;
+        const double* v3 = v2 + rows_pad_;
+        for (std::size_t c = c0; c < c_end; ++c) {
+          const double* gc = g_cm_.data() + c * rows_pad_;
           vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
-          for (std::size_t r = 0; r < rows_pad_; r += kW) {
+          chunks.for_each([&](std::size_t r) {
             simd::prefetch(gc + r + kPrefetchAhead);
             const vdouble g = vdouble::load(gc + r);
-            a0 = simd::fma(vdouble::load(vw0 + r), g, a0);
-            a1 = simd::fma(vdouble::load(vw1 + r), g, a1);
-            a2 = simd::fma(vdouble::load(vw2 + r), g, a2);
-            a3 = simd::fma(vdouble::load(vw3 + r), g, a3);
+            a0 = simd::fma(vdouble::load(v0 + r), g, a0);
+            a1 = simd::fma(vdouble::load(v1 + r), g, a1);
+            a2 = simd::fma(vdouble::load(v2 + r), g, a2);
+            a3 = simd::fma(vdouble::load(v3 + r), g, a3);
+          });
+          w[0 * cols_pad_ + c] = simd::reduce_add(a0);
+          w[1 * cols_pad_ + c] = simd::reduce_add(a1);
+          w[2 * cols_pad_ + c] = simd::reduce_add(a2);
+          w[3 * cols_pad_ + c] = simd::reduce_add(a3);
+        }
+      } else {
+        // A short group (every single-sample call): four columns share
+        // each wordline load.  Per column this is the FMA sequence and
+        // reduction above, so both shapes give the same bits.
+        for (std::size_t j = 0; j < ns; ++j) {
+          const double* v = v0 + j * rows_pad_;
+          double* w_j = w + j * cols_pad_;
+          std::size_t c = c0;
+          for (; c + 4 <= c_end; c += 4) {
+            const double* g0 = g_cm_.data() + c * rows_pad_;
+            const double* g1 = g0 + rows_pad_;
+            const double* g2 = g1 + rows_pad_;
+            const double* g3 = g2 + rows_pad_;
+            vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
+            chunks.for_each([&](std::size_t r) {
+              const vdouble vr = vdouble::load(v + r);
+              a0 = simd::fma(vdouble::load(g0 + r), vr, a0);
+              a1 = simd::fma(vdouble::load(g1 + r), vr, a1);
+              a2 = simd::fma(vdouble::load(g2 + r), vr, a2);
+              a3 = simd::fma(vdouble::load(g3 + r), vr, a3);
+            });
+            w_j[c + 0] = simd::reduce_add(a0);
+            w_j[c + 1] = simd::reduce_add(a1);
+            w_j[c + 2] = simd::reduce_add(a2);
+            w_j[c + 3] = simd::reduce_add(a3);
           }
-          scratch.weighted[0 * cols_pad_ + c] = simd::reduce_add(a0);
-          scratch.weighted[1 * cols_pad_ + c] = simd::reduce_add(a1);
-          scratch.weighted[2 * cols_pad_ + c] = simd::reduce_add(a2);
-          scratch.weighted[3 * cols_pad_ + c] = simd::reduce_add(a3);
-        } else {
-          for (std::size_t j = 0; j < ns; ++j) {
-            const double* vwj = vw0 + j * rows_pad_;
+          for (; c < c_end; ++c) {
+            const double* gc = g_cm_.data() + c * rows_pad_;
             vdouble acc(0.0);
-            for (std::size_t r = 0; r < rows_pad_; r += kW) {
-              simd::prefetch(gc + r + kPrefetchAhead);
-              acc = simd::fma(vdouble::load(vwj + r), vdouble::load(gc + r),
+            chunks.for_each([&](std::size_t r) {
+              acc = simd::fma(vdouble::load(gc + r), vdouble::load(v + r),
                               acc);
-            }
-            scratch.weighted[j * cols_pad_ + c] = simd::reduce_add(acc);
+            });
+            w_j[c] = simd::reduce_add(acc);
           }
         }
       }
@@ -390,8 +386,8 @@ void FastMvm::mvm_voltages_simd(const double* v_wl, std::size_t n,
       // S2 for this (sample group x column block), contiguous per
       // sample over the padded output row.
       for (std::size_t j = 0; j < ns; ++j) {
-        double* out_row = scratch.t_cols.data() + (s0 + j) * cols_pad_;
-        const double* w_row = scratch.weighted.data() + j * cols_pad_;
+        double* out_row = t_cols + (s0 + j) * cols_pad_;
+        const double* w_row = w + j * cols_pad_;
         for (std::size_t c = c0; c < c_end_pad; c += kW) {
           recover_block_simd(w_row + c, c, out_row + c, &silent);
         }
@@ -400,166 +396,17 @@ void FastMvm::mvm_voltages_simd(const double* v_wl, std::size_t n,
   }
 
   for (std::size_t s = 0; s < n; ++s) {
-    const double* src = scratch.t_cols.data() + s * cols_pad_;
-    std::copy(src, src + cols_, t_out.begin() + s * cols_);
+    const double* src = t_cols + s * cols_pad_;
+    std::copy(src, src + cols_, t_out + s * cols_);
   }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
 }
 
-// --- event-driven sparse kernels ---------------------------------------
+// --- public entry points -------------------------------------------------
 //
-// Bit-identity with the dense kernels rests on two IEEE facts the
-// dense paths already rely on:
-//   * a silent row's wordline voltage is exactly +0.0 — invalid times
-//     are zeroed by the validity branch/mask, and t = 0 (the encoding
-//     of input value 0) gives v_s * (1 - exp(-0)) = +0.0 because
-//     exp(+-0.0) == 1.0 exactly on every backend (see common/simd.hpp);
-//   * adding +0.0 (scalar) or fma(g, 0-vector, acc) (SIMD) leaves a
-//     non-negative accumulator bitwise unchanged, so skipping those
-//     terms preserves every partial sum the dense loop would produce.
-// The SIMD kernel therefore skips whole kW-row chunks — never
-// compacting active rows into fewer lanes, which would re-shape the
-// fixed FMA/reduction tree and change the rounding.
-
-void FastMvm::mvm_times_sparse_scalar(
-    std::span<const double> t_in, std::span<const std::uint32_t> active_rows,
-    std::span<double> t_out) const {
-  // S1 only at the active rows; the expressions match
-  // wordline_voltages() and every active row passes its validity
-  // predicate by the caller's contract.
-  thread_local std::vector<double> v_act;
-  v_act.resize(active_rows.size());
-  const double tau_gd = params_.tau_gd();
-  const double v_s = params_.v_s;
-  const bool linear = params_.model == circuits::TransferModel::kLinear;
-  for (std::size_t i = 0; i < active_rows.size(); ++i) {
-    const double t = t_in[active_rows[i]];
-    v_act[i] = linear ? std::min(v_s * t / tau_gd, v_s)
-                      : v_s * (1.0 - std::exp(-t / tau_gd));
-  }
-
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if (g_total_[c] <= 0.0) {
-      t_out[c] = params_.comparator_delay;
-      continue;
-    }
-    const double* gc = g_cm_.data() + c * rows_pad_;
-    // Row-ascending over the active set: the same partial-sum sequence
-    // as the dense loop minus its exact-zero terms.
-    double weighted = 0.0;
-    for (std::size_t i = 0; i < active_rows.size(); ++i) {
-      weighted += v_act[i] * gc[active_rows[i]];
-    }
-    t_out[c] = recover_time(weighted, c, &silent);
-  }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops",
-                     active_rows.size() * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
-}
-
-void FastMvm::mvm_times_sparse_simd(
-    std::span<const double> t_in, std::span<const std::uint32_t> active_rows,
-    std::span<double> t_out) const {
-  thread_local aligned_vector t_pad;
-  thread_local aligned_vector v_wl;
-  thread_local aligned_vector w_pad;
-  thread_local aligned_vector out_pad;
-  thread_local std::vector<std::uint32_t> chunks;
-  t_pad.resize(rows_pad_);
-  v_wl.resize(rows_pad_);
-  w_pad.resize(cols_pad_);
-  out_pad.resize(cols_pad_);
-
-  std::copy(t_in.begin(), t_in.end(), t_pad.begin());
-  std::fill(t_pad.begin() + rows_, t_pad.end(), kNoSpike);
-
-  // Active kW-row chunks, ascending (active_rows is ascending so the
-  // dedup is a running comparison).  Inactive chunks are never staged:
-  // their v_wl slots may hold stale data, and no FMA ever reads them.
-  chunks.clear();
-  for (const std::uint32_t r : active_rows) {
-    const std::uint32_t ch = r / static_cast<std::uint32_t>(kW);
-    if (chunks.empty() || chunks.back() != ch) chunks.push_back(ch);
-  }
-
-  // S1 per active chunk — the wordline_voltages_simd loop body, run
-  // only where an event landed.  Lanes of an active chunk that are
-  // themselves silent (or padding) still come out exactly 0 through
-  // the same validity mask the dense kernel applies.
-  {
-    const vdouble v_s(params_.v_s);
-    const vdouble zero(0.0);
-    const vdouble one(1.0);
-    const vdouble slice(params_.slice_length);
-    const vdouble tau(params_.tau_gd());
-    const bool linear = params_.model == circuits::TransferModel::kLinear;
-    for (const std::uint32_t ch : chunks) {
-      const std::size_t r = static_cast<std::size_t>(ch) * kW;
-      const vdouble t = vdouble::load(t_pad.data() + r);
-      const auto valid = (t >= zero) & (t <= slice);
-      vdouble v;
-      if (linear) {
-        v = simd::min(v_s * t / tau, v_s);
-      } else {
-        v = v_s * (one - simd::exp(zero - t / tau));
-      }
-      v = simd::select(valid, v, zero);
-      v.store(v_wl.data() + r);
-    }
-  }
-
-  // Dot products over active chunks only.  The dense kernel folds all
-  // chunks in ascending order; a skipped chunk contributes
-  // fma(g, 0, acc) == acc bitwise, so the accumulator states at every
-  // active chunk — and the final pairwise reduction — are identical.
-  for (std::size_t c0 = 0; c0 < cols_; c0 += 4) {
-    const std::size_t nc = std::min<std::size_t>(4, cols_ - c0);
-    if (nc == 4) {
-      const double* g0 = g_cm_.data() + (c0 + 0) * rows_pad_;
-      const double* g1 = g_cm_.data() + (c0 + 1) * rows_pad_;
-      const double* g2 = g_cm_.data() + (c0 + 2) * rows_pad_;
-      const double* g3 = g_cm_.data() + (c0 + 3) * rows_pad_;
-      vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
-      for (const std::uint32_t ch : chunks) {
-        const std::size_t r = static_cast<std::size_t>(ch) * kW;
-        const vdouble v = vdouble::load(v_wl.data() + r);
-        a0 = simd::fma(vdouble::load(g0 + r), v, a0);
-        a1 = simd::fma(vdouble::load(g1 + r), v, a1);
-        a2 = simd::fma(vdouble::load(g2 + r), v, a2);
-        a3 = simd::fma(vdouble::load(g3 + r), v, a3);
-      }
-      w_pad[c0 + 0] = simd::reduce_add(a0);
-      w_pad[c0 + 1] = simd::reduce_add(a1);
-      w_pad[c0 + 2] = simd::reduce_add(a2);
-      w_pad[c0 + 3] = simd::reduce_add(a3);
-    } else {
-      for (std::size_t j = 0; j < nc; ++j) {
-        const double* gc = g_cm_.data() + (c0 + j) * rows_pad_;
-        vdouble acc(0.0);
-        for (const std::uint32_t ch : chunks) {
-          const std::size_t r = static_cast<std::size_t>(ch) * kW;
-          acc = simd::fma(vdouble::load(gc + r), vdouble::load(v_wl.data() + r),
-                          acc);
-        }
-        w_pad[c0 + j] = simd::reduce_add(acc);
-      }
-    }
-  }
-  std::fill(w_pad.begin() + cols_, w_pad.end(), 0.0);
-
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_pad_; c += kW) {
-    recover_block_simd(w_pad.data() + c, c, out_pad.data() + c, &silent);
-  }
-  std::copy(out_pad.begin(), out_pad.begin() + cols_, t_out.begin());
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops",
-                     chunks.size() * kW * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
-}
-
-// --- public entry points -----------------------------------------------
+// Each is a few lines over the two stages and books its own MACs, the
+// count the work model uses; none calls another, so no span's work is
+// booked twice in the call tree.
 
 void FastMvm::mvm_times(std::span<const double> t_in,
                         std::span<double> t_out) const {
@@ -567,11 +414,13 @@ void FastMvm::mvm_times(std::span<const double> t_in,
                      perf::fast_mvm_cost(rows_, cols_));
   RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
                  "FastMvm vector size mismatch");
-  if (simd::enabled()) {
-    mvm_times_simd(t_in, t_out);
-  } else {
-    mvm_times_scalar(t_in, t_out);
-  }
+  const bool vector = simd::enabled();
+  const AllChunks all{rows_pad_};
+  SingleScratch& scratch = single_scratch();
+  double* v_wl = grown(scratch.v_wl, rows_pad_);
+  wordline_stage(t_in.data(), 1, vector, all, v_wl);
+  voltage_stage(v_wl, 1, vector, all, t_out.data(), scratch);
+  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
 }
 
 void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
@@ -582,8 +431,12 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
   RESIPE_REQUIRE(t_in.size() == n * rows_ && t_out.size() == n * cols_,
                  "FastMvm batch size mismatch");
   if (n == 0) return;
-  wordline_stage(t_in, n, scratch.v_wl);
-  voltage_stage(scratch.v_wl.data(), n, t_out, scratch);
+  const bool vector = simd::enabled();
+  const AllChunks all{rows_pad_};
+  double* v_wl = grown(scratch.v_wl, n * rows_pad_);
+  wordline_stage(t_in.data(), n, vector, all, v_wl);
+  voltage_stage(v_wl, n, vector, all, t_out.data(), scratch);
+  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
 }
 
 void FastMvm::wordline_batch(std::span<const double> t_in, std::size_t n,
@@ -591,7 +444,9 @@ void FastMvm::wordline_batch(std::span<const double> t_in, std::size_t n,
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.wordline_batch",
                      perf::fast_mvm_wordline_cost(rows_, n));
   RESIPE_REQUIRE(t_in.size() == n * rows_, "FastMvm wordline size mismatch");
-  wordline_stage(t_in, n, v_wl);
+  v_wl.resize(n * rows_pad_);
+  wordline_stage(t_in.data(), n, simd::enabled(), AllChunks{rows_pad_},
+                 v_wl.data());
 }
 
 void FastMvm::mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
@@ -602,68 +457,54 @@ void FastMvm::mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
   RESIPE_REQUIRE(v_wl.size() == n * rows_pad_ && t_out.size() == n * cols_,
                  "FastMvm voltage batch size mismatch");
   if (n == 0) return;
-  voltage_stage(v_wl.data(), n, t_out, scratch);
+  voltage_stage(v_wl.data(), n, simd::enabled(), AllChunks{rows_pad_},
+                t_out.data(), scratch);
+  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
 }
 
-void FastMvm::wordline_stage(std::span<const double> t_in, std::size_t n,
-                             aligned_vector& v_wl) const {
-  v_wl.resize(n * rows_pad_);
-  if (!simd::enabled()) {
-    for (std::size_t s = 0; s < n; ++s) {
-      double* v = v_wl.data() + s * rows_pad_;
-      wordline_voltages(t_in.subspan(s * rows_, rows_), v);
-      std::fill(v + rows_, v + rows_pad_, 0.0);
+void FastMvm::mvm_times_sparse(std::span<const double> t_in,
+                               std::span<const std::uint32_t> active_rows,
+                               std::span<double> t_out) const {
+  RESIPE_TELEM_SCOPE("resipe_core.events.mvm_times_sparse",
+                     perf::fast_mvm_cost(active_rows.size(), cols_));
+  RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
+                 "FastMvm vector size mismatch");
+  // The woken chunks, ascending: the wake set is ascending, so the
+  // dedup is a running comparison.
+  SingleScratch& scratch = single_scratch();
+  scratch.chunks.clear();
+  for (std::size_t i = 0; i < active_rows.size(); ++i) {
+    const std::uint32_t r = active_rows[i];
+    RESIPE_REQUIRE(r < rows_, "FastMvm sparse wake set: row "
+                                  << r << " at index " << i
+                                  << " is out of range for " << rows_
+                                  << " rows");
+    RESIPE_REQUIRE(i == 0 || active_rows[i - 1] < r,
+                   "FastMvm sparse wake set must be strictly ascending: row "
+                       << r << " at index " << i << " follows row "
+                       << active_rows[i - 1]);
+    const auto chunk = static_cast<std::uint32_t>(r / kW);
+    if (scratch.chunks.empty() || scratch.chunks.back() != chunk) {
+      scratch.chunks.push_back(chunk);
     }
-    return;
   }
-  // Same kernel as the single-sample path, so every element is bitwise
-  // identical to it; padding lanes carry kNoSpike -> v = 0.
-  thread_local aligned_vector t_pad;
-  t_pad.resize(rows_pad_);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto sample = t_in.subspan(s * rows_, rows_);
-    std::copy(sample.begin(), sample.end(), t_pad.begin());
-    std::fill(t_pad.begin() + rows_, t_pad.end(), kNoSpike);
-    wordline_voltages_simd(t_pad.data(), v_wl.data() + s * rows_pad_);
-  }
-}
-
-void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
-                            std::span<double> t_out,
-                            BatchScratch& scratch) const {
-  if (simd::enabled()) {
-    mvm_voltages_simd(v_wl, n, t_out, scratch);
-  } else {
-    mvm_voltages_scalar(v_wl, n, t_out, scratch);
-  }
+  const bool vector = simd::enabled();
+  const ListedChunks woken{scratch.chunks};
+  double* v_wl = grown(scratch.v_wl, rows_pad_);
+  wordline_stage(t_in.data(), 1, vector, woken, v_wl);
+  voltage_stage(v_wl, 1, vector, woken, t_out.data(), scratch);
+  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops",
+                     active_rows.size() * cols_);
 }
 
 void FastMvm::idle_times(std::span<double> t_out, bool vector) const {
   RESIPE_TELEM_SCOPE("resipe_core.events.idle_times",
                      perf::fast_mvm_cost(0, cols_));
   RESIPE_REQUIRE(t_out.size() == cols_, "FastMvm vector size mismatch");
-  std::size_t silent = 0;
-  if (vector) {
-    thread_local aligned_vector w_pad;
-    thread_local aligned_vector out_pad;
-    w_pad.assign(cols_pad_, 0.0);
-    out_pad.resize(cols_pad_);
-    for (std::size_t c = 0; c < cols_pad_; c += kW) {
-      recover_block_simd(w_pad.data() + c, c, out_pad.data() + c, &silent);
-    }
-    std::copy(out_pad.begin(), out_pad.begin() + cols_, t_out.begin());
-  } else {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (g_total_[c] <= 0.0) {
-        t_out[c] = params_.comparator_delay;
-        continue;
-      }
-      // The dense loop's current sum over all-zero wordlines is
-      // exactly +0.0 on either kernel path; recover from that.
-      t_out[c] = recover_time(0.0, c, &silent);
-    }
-  }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
+  // No chunk visited, so no wordline is read: every current sum is
+  // exactly +0.0.
+  voltage_stage(nullptr, 1, vector, ListedChunks{}, t_out.data(),
+                single_scratch());
 }
 
 void FastMvm::add_current_sums(std::span<const double> t_slots,
@@ -727,23 +568,6 @@ void FastMvm::add_current_sums(std::span<const double> t_slots,
         vdouble::load(lane[2]), vdouble::load(lane[3]))
         .store(lane[3]);
     std::copy(lane[3], lane[3] + m, rec.begin() + c);
-  }
-}
-
-void FastMvm::mvm_times_sparse(std::span<const double> t_in,
-                               std::span<const std::uint32_t> active_rows,
-                               std::span<double> t_out) const {
-  RESIPE_TELEM_SCOPE("resipe_core.events.mvm_times_sparse",
-                     perf::fast_mvm_cost(active_rows.size(), cols_));
-  RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
-                 "FastMvm vector size mismatch");
-  RESIPE_REQUIRE(active_rows.size() <= rows_ &&
-                     (active_rows.empty() || active_rows.back() < rows_),
-                 "FastMvm sparse wake set out of range");
-  if (simd::enabled()) {
-    mvm_times_sparse_simd(t_in, active_rows, t_out);
-  } else {
-    mvm_times_sparse_scalar(t_in, active_rows, t_out);
   }
 }
 

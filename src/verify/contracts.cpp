@@ -11,6 +11,7 @@
 #include "resipe/common/simd.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/nn/model.hpp"
+#include "resipe/resipe/events/event_queue.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/resipe/tile.hpp"
@@ -27,6 +28,7 @@ namespace {
 using circuits::Spike;
 using resipe_core::EngineConfig;
 using resipe_core::FastMvm;
+using resipe_core::events::EventQueue;
 using resipe_core::ProgrammedMatrix;
 using resipe_core::ResipeNetwork;
 using resipe_core::ResipeTile;
@@ -305,27 +307,68 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
   const std::vector<double> g = random_conductances(spec, rng);
   const FastMvm fast(spec.config.circuit, spec.rows, spec.cols, g);
   const std::size_t n = std::max<std::size_t>(spec.batch, 2);
-  std::vector<double> t_in(n * spec.rows);
+  const std::size_t rows = spec.rows;
+  const std::size_t cols = spec.cols;
+  // n drawn samples, then one all-silent sample for idle_times.
+  std::vector<double> t_in((n + 1) * rows);
   const SpikeCodec codec(spec.config.circuit, spec.config.quantize_spikes);
-  for (double& t : t_in) t = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
-
-  std::vector<double> batch_out(n * spec.cols, 0.0);
-  FastMvm::BatchScratch scratch;
-  fast.mvm_times_batch(t_in, n, batch_out, scratch);
-
-  std::vector<double> single_out(spec.cols, 0.0);
+  for (std::size_t i = 0; i < n * rows; ++i) {
+    t_in[i] = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
+  }
+  // Silence mask: each sample silences rows at its own rate, half as
+  // t = 0 and half as kNoSpike, so wake sets range from full to empty.
   for (std::size_t s = 0; s < n; ++s) {
-    fast.mvm_times(std::span<const double>(t_in).subspan(s * spec.rows,
-                                                         spec.rows),
-                   single_out);
-    for (std::size_t c = 0; c < spec.cols; ++c) {
-      const double batched = batch_out[s * spec.cols + c];
-      if (std::memcmp(&batched, &single_out[c], sizeof(double)) != 0) {
-        return ContractResult::fail(fail_at("batched vs single FastMvm",
-                                            s * spec.cols + c, batched,
-                                            single_out[c]));
+    const double rate = rng.uniform(0.0, 1.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < rate) {
+        t_in[s * rows + r] = u < 0.5 * rate ? 0.0 : FastMvm::kNoSpike;
       }
     }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    t_in[n * rows + r] = r % 2 == 0 ? 0.0 : FastMvm::kNoSpike;
+  }
+
+  std::vector<double> batch_out((n + 1) * cols, 0.0);
+  FastMvm::BatchScratch scratch;
+  fast.mvm_times_batch(t_in, n + 1, batch_out, scratch);
+  std::string failure;
+  const auto matches = [&](const char* what, std::size_t s,
+                           std::span<const double> got) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double batched = batch_out[s * cols + c];
+      if (std::memcmp(&batched, &got[c], sizeof(double)) != 0) {
+        failure = fail_at(what, s * cols + c, got[c], batched);
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::vector<double> out(cols, 0.0);
+  std::vector<std::uint32_t> wake;
+  const double slice = spec.config.circuit.slice_length;
+  for (std::size_t s = 0; s <= n; ++s) {
+    const auto sample = std::span<const double>(t_in).subspan(s * rows, rows);
+    fast.mvm_times(sample, out);
+    if (!matches("single vs batched FastMvm", s, out)) {
+      return ContractResult::fail(failure);
+    }
+    wake.clear();
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (EventQueue::carries_spike(sample[r], slice)) {
+        wake.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    fast.mvm_times_sparse(sample, wake, out);
+    if (!matches("sparse vs batched FastMvm", s, out)) {
+      return ContractResult::fail(failure);
+    }
+  }
+  fast.idle_times(out);
+  if (!matches("idle vs batched FastMvm", n, out)) {
+    return ContractResult::fail(failure);
   }
   return ContractResult::ok();
 }
@@ -1126,8 +1169,9 @@ const std::vector<Contract>& contract_registry() {
        "FastMvm agrees with the faithful per-cell tile to float "
        "exactness", check_fast_vs_tile},
       {"fast_batch_vs_single",
-       "FastMvm::mvm_times_batch is bit-identical to per-sample "
-       "mvm_times", check_fast_batch},
+       "FastMvm::mvm_times_batch is bit-identical per sample to "
+       "mvm_times, to mvm_times_sparse over the spiking rows, and to "
+       "idle_times on an all-silent sample", check_fast_batch},
       {"perm_columns",
        "permuting crossbar columns permutes output spike times "
        "bit-for-bit", check_perm_columns},

@@ -210,6 +210,18 @@ TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
   EXPECT_THROW(mvm.mvm_times_sparse(std::vector<double>{1e-9},
                                     std::vector<std::uint32_t>{}, out),
                Error);  // input size mismatch
+  // Strictly ascending, on either kernel path: a repeated row would be
+  // summed twice and an unsorted set would revisit a row chunk.
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ForceScalarGuard> guard;
+    if (scalar) guard.emplace();
+    EXPECT_THROW(
+        mvm.mvm_times_sparse(t, std::vector<std::uint32_t>{1, 3, 3, 5}, out),
+        Error);  // duplicate
+    EXPECT_THROW(
+        mvm.mvm_times_sparse(t, std::vector<std::uint32_t>{1, 9, 2}, out),
+        Error);  // unsorted
+  }
 }
 
 // --- ProgrammedMatrix / ResipeNetwork bit-identity ---------------------
@@ -583,6 +595,15 @@ TEST(EventPerf, SpansBookEventKernels) {
   EXPECT_GE(sparse_calls, 1u);    // the block owning row 0 wakes
   EXPECT_GE(idle_calls, 1u);      // idle-recovery baking at programming
   EXPECT_GE(resolve_calls, 1u);   // the other row blocks sleep
+  // MACs are the work model's count, the same on both kernel paths: one
+  // active row over the 32 + 8 columns of the two woken blocks.
+  EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 40u);
+  {
+    simd::ForceScalarGuard scalar;
+    telemetry::MetricRegistry::instance().reset_values();
+    pm.forward(x, y);
+    EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 40u);
+  }
   telemetry::set_enabled(false);
   telemetry::CallProfile::this_thread().reset();
 #endif
