@@ -189,10 +189,10 @@ class ProgrammedMatrix {
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 
-  /// Reusable scratch for forward_batch.  Hoist one per worker (e.g.
-  /// thread_local) so steady-state batched inference never allocates.
+  /// Reusable scratch for forward_batch and forward_times_batch.  Hoist
+  /// one per worker (e.g. thread_local) so steady-state batched
+  /// inference never allocates.
   struct BatchWorkspace {
-    std::vector<double> scaled;     // [n, in] normalized codec inputs
     std::vector<double> t_in;       // [n, in] encoded spike times
     std::vector<double> t_rows;     // dense: [n, block.rows] staged input
     std::vector<double> t_out;      // block spike times: [n, block.slots]
@@ -211,6 +211,21 @@ class ProgrammedMatrix {
   /// from them (FastMvm::mvm_voltages_batch); all scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
+
+  /// The encode step of every forward: t[i] receives the spike time of
+  /// x[i], clamp-normalized to [0, 1] by the input scale, scaled by
+  /// alpha and run through one SpikeCodec::encode_times call.  The
+  /// spans may have any (equal) length.  Encoding is pointwise, so a
+  /// value encodes to the same time in any span, which lets a conv
+  /// step encode each activation once and gather times.
+  void encode(std::span<const double> x, std::span<double> t) const;
+
+  /// forward_batch from spike times: t is row-major [n, in] as encode()
+  /// writes it, y row-major [n, out].  forward_batch(x) is encode(x)
+  /// followed by this, bit for bit, and both book the
+  /// resipe_core.matrix.forward_batch span.
+  void forward_times_batch(std::span<const double> t, std::size_t n,
+                           std::span<double> y, BatchWorkspace& ws) const;
 
   /// Analytic voltage-domain forward (no time quantization, no slice
   /// clamping) — the noise-free reference used by calibration; also
@@ -263,13 +278,18 @@ class ProgrammedMatrix {
     std::array<std::vector<double>, 2> idle_recovery;
   };
 
-  /// The one forward core behind forward, forward_probed and
-  /// forward_batch: encode each sample, run every block by its strategy
-  /// (dense over the whole batch, or event-driven per sample when
-  /// config_.events is on and `probe` is null), recover, decode.
-  /// `probe`, when set, also counts encode clamps and column outcomes.
+  /// forward, forward_probed and forward_batch: encode() into ws.t_in,
+  /// then run_times.  `probe`, when set, also counts encode clamps.
   void run(std::span<const double> x, std::size_t n, std::span<double> y,
            BatchWorkspace& ws, ProbeStats* probe) const;
+  /// The one forward core from spike times: run every block by its
+  /// strategy (dense over the whole batch, or event-driven per sample
+  /// when config_.events is on and `probe` is null), recover, decode.
+  /// `probe`, when set, also counts column outcomes.  Never writes
+  /// ws.t_in, so `t` may be it.
+  void run_times(std::span<const double> t, std::size_t n,
+                 std::span<double> y, BatchWorkspace& ws,
+                 ProbeStats* probe) const;
   /// Adds one block's recovered current-sums
   /// (sum_i V_i G_ij = V_cog * g_total / k) into rec[0, block.cols),
   /// reading each data column's spike time from its physical slot in
@@ -304,7 +324,9 @@ class ProgrammedMatrix {
 };
 
 /// Extracts one im2col patch (layout matching conv_weight_matrix) for
-/// conv lowering.  Exposed for the eval diagnostics.
+/// conv lowering, with 0 at padding positions.  Calibration, the eval
+/// diagnostics and replays of a conv step use it; the forward gathers
+/// the same layout from encoded spike times.
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,

@@ -44,7 +44,9 @@ class SpikeCodec {
   /// differ from element-wise encode() by the documented
   /// transcendental bound; with the scalar fallback (or
   /// RESIPE_SIMD=scalar) this is bit-identical to calling encode() in
-  /// a loop.  Telemetry counters aggregate over the batch.
+  /// a loop.  Every lane is encoded on its own, so an element's time
+  /// does not depend on the rest of the span.  `times` may be `values`
+  /// itself.  Telemetry counters aggregate over the batch.
   void encode_times(std::span<const double> values,
                     std::span<double> times) const;
 

@@ -1,4 +1,5 @@
 #include <sstream>
+#include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
 
@@ -6,8 +7,22 @@ namespace resipe::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
-  Tensor y = x;
-  for (double& v : y.data()) v = v > 0.0 ? v : 0.0;
+  if (x.size() == 0) return x;
+  Tensor y(x.shape());
+  const std::size_t per_image = x.size() / x.dim(0);
+  const double* xd = x.data().data();
+  double* yd = y.data().data();
+  const auto clamp = [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b * per_image; i < e * per_image; ++i) {
+      yd[i] = xd[i] > 0.0 ? xd[i] : 0.0;
+    }
+  };
+  // A training pass stays on the caller, like the rest of training.
+  if (train) {
+    clamp(0, x.dim(0));
+  } else {
+    detail::for_image_chunks(x.dim(0), per_image, clamp);
+  }
   return y;
 }
 

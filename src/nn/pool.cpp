@@ -1,6 +1,7 @@
 #include <limits>
 #include <sstream>
 
+#include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
 
@@ -25,29 +26,40 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
     cached_x_ = x;
     argmax_.assign(y.size(), 0);
   }
-  std::size_t out_flat = 0;
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t c = 0; c < ch; ++c) {
+  const double* xd = x.data().data();
+  double* yd = y.data().data();
+  std::size_t* argmax = train ? argmax_.data() : nullptr;
+  // Row-major window scan with a strict >: the first maximum wins, and
+  // a window of NaN or -inf keeps -inf and flat index 0.
+  const auto pool = [&](std::size_t b, std::size_t e) {
+    for (std::size_t p = b * ch; p < e * ch; ++p) {
+      const std::size_t in0 = p * h * w;
+      const std::size_t out0 = p * oh * ow;
       for (std::size_t r = 0; r < oh; ++r) {
-        for (std::size_t col = 0; col < ow; ++col, ++out_flat) {
+        for (std::size_t col = 0; col < ow; ++col) {
           double best = -std::numeric_limits<double>::infinity();
           std::size_t best_idx = 0;
           for (std::size_t kr = 0; kr < k_; ++kr) {
+            const std::size_t row = in0 + (r * k_ + kr) * w + col * k_;
             for (std::size_t kc = 0; kc < k_; ++kc) {
-              const std::size_t ir = r * k_ + kr;
-              const std::size_t ic = col * k_ + kc;
-              const double v = x.at(img, c, ir, ic);
-              if (v > best) {
-                best = v;
-                best_idx = ((img * ch + c) * h + ir) * w + ic;
+              if (xd[row + kc] > best) {
+                best = xd[row + kc];
+                best_idx = row + kc;
               }
             }
           }
-          y.at(img, c, r, col) = best;
-          if (train) argmax_[out_flat] = best_idx;
+          yd[out0 + r * ow + col] = best;
+          if (argmax != nullptr) argmax[out0 + r * ow + col] = best_idx;
         }
       }
     }
+  };
+  // A training pass writes argmax_ and stays on the caller, like the
+  // rest of training.
+  if (train) {
+    pool(0, n);
+  } else {
+    detail::for_image_chunks(n, ch * h * w, pool);
   }
   return y;
 }

@@ -434,10 +434,37 @@ void ProgrammedMatrix::recover(const Block& block, const double* t_slots,
                               std::span<double>(rec, block.cols), vector);
 }
 
+void ProgrammedMatrix::encode(std::span<const double> x,
+                              std::span<double> t) const {
+  RESIPE_REQUIRE(x.size() == t.size(), "encode span size mismatch");
+  // Normalize into the codec's [0, 1] domain in place, then encode the
+  // whole span through the codec's batch kernel.
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    t[i] = alpha_ * std::clamp(x[i] / input_scale_, 0.0, 1.0);
+  }
+  codec_.encode_times(t, t);
+}
+
 void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
                            std::span<double> y, BatchWorkspace& ws,
                            ProbeStats* probe) const {
   RESIPE_REQUIRE(x.size() == n * in_ && y.size() == n * out_,
+                 "forward size mismatch");
+  if (probe != nullptr) {
+    for (const double xi : x) {
+      const double ratio = xi / input_scale_;
+      if (ratio < 0.0 || ratio > 1.0) ++probe->inputs_clamped;
+    }
+  }
+  ws.t_in.resize(n * in_);
+  encode(x, ws.t_in);
+  run_times(ws.t_in, n, y, ws, probe);
+}
+
+void ProgrammedMatrix::run_times(std::span<const double> t, std::size_t n,
+                                 std::span<double> y, BatchWorkspace& ws,
+                                 ProbeStats* probe) const {
+  RESIPE_REQUIRE(t.size() == n * in_ && y.size() == n * out_,
                  "forward size mismatch");
   if (n == 0) return;
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
@@ -447,28 +474,12 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
   const bool event_strategy = config_.events.enabled && probe == nullptr;
   const bool vector = simd::enabled();
 
-  // Encode: normalize into the codec's [0, 1] domain, then encode the
-  // whole batch through the codec's batch kernel.  The event strategy
-  // indexes each sample's spikes once.
-  ws.scaled.resize(n * in_);
-  for (std::size_t i = 0; i < n * in_; ++i) {
-    const double xn = std::clamp(x[i] / input_scale_, 0.0, 1.0);
-    ws.scaled[i] = alpha_ * xn;
-  }
-  if (probe != nullptr) {
-    for (const double xi : x) {
-      const double ratio = xi / input_scale_;
-      if (ratio < 0.0 || ratio > 1.0) ++probe->inputs_clamped;
-    }
-  }
-  ws.t_in.resize(n * in_);
-  codec_.encode_times(ws.scaled, ws.t_in);
+  // The event strategy indexes each sample's spikes once.
   if (event_strategy) {
     if (ws.queues.size() < n) ws.queues.resize(n);
     for (std::size_t s = 0; s < n; ++s) {
-      ws.queues[s].build(
-          std::span<const double>(ws.t_in.data() + s * in_, in_),
-          config_.circuit.slice_length);
+      ws.queues[s].build(t.subspan(s * in_, in_),
+                         config_.circuit.slice_length);
     }
   }
 
@@ -486,7 +497,7 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
       if (block.row0 != window) {
         ws.t_rows.resize(n * block.rows);
         for (std::size_t s = 0; s < n; ++s) {
-          const double* src = ws.t_in.data() + s * in_ + block.row0;
+          const double* src = t.data() + s * in_ + block.row0;
           std::copy(src, src + block.rows,
                     ws.t_rows.data() + s * block.rows);
         }
@@ -521,10 +532,8 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
       for (std::size_t i = 0; i < wake.size(); ++i) {
         ws.wake[i] = static_cast<std::uint32_t>(wake[i] - block.row0);
       }
-      block.mvm->mvm_times_sparse(
-          std::span<const double>(ws.t_in.data() + s * in_ + block.row0,
-                                  block.rows),
-          ws.wake, ws.t_out);
+      block.mvm->mvm_times_sparse(t.subspan(s * in_ + block.row0, block.rows),
+                                  ws.wake, ws.t_out);
       ++woken;
       delivered += wake.size();
       recover(block, ws.t_out.data(), rec, nullptr, vector);
@@ -593,6 +602,13 @@ void ProgrammedMatrix::forward_batch(std::span<const double> x, std::size_t n,
   run(x, n, y, ws, nullptr);
 }
 
+void ProgrammedMatrix::forward_times_batch(std::span<const double> t,
+                                           std::size_t n, std::span<double> y,
+                                           BatchWorkspace& ws) const {
+  RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
+  run_times(t, n, y, ws, nullptr);
+}
+
 double ProgrammedMatrix::forward_analytic(std::span<const double> x,
                                           std::span<double> y) const {
   RESIPE_REQUIRE(x.size() == in_ && y.size() == out_,
@@ -654,6 +670,39 @@ void ProgrammedMatrix::calibrate_alpha(std::span<const double> x_batch,
   }
 }
 
+namespace {
+
+/// The im2col patch at output (r, c) of one [cin, h, w] plane, in
+/// conv_weight_matrix's (ic, kr, kc) layout; positions in the padding
+/// read `fill`.
+void gather_patch(const double* plane, std::size_t cin, std::size_t h,
+                  std::size_t w, std::size_t k, std::size_t stride,
+                  std::size_t pad, std::size_t r, std::size_t c, double fill,
+                  double* out) {
+  const auto sh = static_cast<std::ptrdiff_t>(h);
+  const auto sw = static_cast<std::ptrdiff_t>(w);
+  const std::ptrdiff_t top = static_cast<std::ptrdiff_t>(r * stride) -
+                             static_cast<std::ptrdiff_t>(pad);
+  const std::ptrdiff_t left = static_cast<std::ptrdiff_t>(c * stride) -
+                              static_cast<std::ptrdiff_t>(pad);
+  for (std::size_t ic = 0; ic < cin; ++ic, plane += h * w) {
+    for (std::size_t kr = 0; kr < k; ++kr) {
+      const std::ptrdiff_t ir = top + static_cast<std::ptrdiff_t>(kr);
+      if (ir < 0 || ir >= sh) {
+        out = std::fill_n(out, k, fill);
+        continue;
+      }
+      const double* row = plane + ir * sw;
+      for (std::size_t kc = 0; kc < k; ++kc) {
+        const std::ptrdiff_t icol = left + static_cast<std::ptrdiff_t>(kc);
+        *out++ = (icol < 0 || icol >= sw) ? fill : row[icol];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,
@@ -665,30 +714,9 @@ void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                  "and a patch of cin*k*k values; got rank "
                      << shape.size() << ", img " << img << ", cin " << cin
                      << ", k " << k << ", patch " << patch.size());
-  const std::size_t h = shape[2];
-  const std::size_t w = shape[3];
-  const auto sh = static_cast<std::ptrdiff_t>(h);
-  const auto sw = static_cast<std::ptrdiff_t>(w);
-  const std::ptrdiff_t top = static_cast<std::ptrdiff_t>(r * stride) -
-                             static_cast<std::ptrdiff_t>(pad);
-  const std::ptrdiff_t left = static_cast<std::ptrdiff_t>(c * stride) -
-                              static_cast<std::ptrdiff_t>(pad);
-  const double* plane = x.data().data() + img * shape[1] * h * w;
-  double* out = patch.data();
-  for (std::size_t ic = 0; ic < cin; ++ic, plane += h * w) {
-    for (std::size_t kr = 0; kr < k; ++kr) {
-      const std::ptrdiff_t ir = top + static_cast<std::ptrdiff_t>(kr);
-      if (ir < 0 || ir >= sh) {
-        out = std::fill_n(out, k, 0.0);
-        continue;
-      }
-      const double* row = plane + ir * sw;
-      for (std::size_t kc = 0; kc < k; ++kc) {
-        const std::ptrdiff_t icol = left + static_cast<std::ptrdiff_t>(kc);
-        *out++ = (icol < 0 || icol >= sw) ? 0.0 : row[icol];
-      }
-    }
-  }
+  const std::size_t plane = shape[1] * shape[2] * shape[3];
+  gather_patch(x.data().data() + img * plane, cin, shape[2], shape[3], k,
+               stride, pad, r, c, 0.0, patch.data());
 }
 
 std::vector<double> conv_weight_matrix(const nn::Conv2d& conv) {
@@ -838,22 +866,36 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   const std::size_t ow = (w + 2 * step.pad - step.k) / step.stride + 1;
   nn::Tensor y({n, step.cout, oh, ow});
   const std::size_t in = step.matrix->in_features();
+  const std::size_t plane = step.cin * h * w;
+  const double* x_data = x.data().data();
   double* y_data = y.data().data();
+  // Encoding is pointwise, so encoding each activation once and then
+  // gathering its time into every patch that holds it gives the bits of
+  // encoding every gathered patch element.  Padding holds the value 0,
+  // so it gathers the time the codec gives 0.
+  const double zero = 0.0;
+  double t_pad = 0.0;
+  step.matrix->encode(std::span<const double>(&zero, 1),
+                      std::span<double>(&t_pad, 1));
   // One image per work item; each output row of ow patches runs as one
   // batched MVM.  Images write disjoint y slices.
   parallel_for(n, [&](std::size_t img) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
+    thread_local std::vector<double> t_img;
     thread_local std::vector<double> patches;
     thread_local std::vector<double> out_row;
+    t_img.resize(plane);
     patches.resize(ow * in);
     out_row.resize(ow * step.cout);
+    step.matrix->encode(
+        std::span<const double>(x_data + img * plane, plane), t_img);
     double* y_img = y_data + img * step.cout * oh * ow;
     for (std::size_t r = 0; r < oh; ++r) {
       for (std::size_t c = 0; c < ow; ++c) {
-        gather_conv_patch(x, img, step.cin, step.k, step.stride, step.pad, r,
-                          c, std::span<double>(patches.data() + c * in, in));
+        gather_patch(t_img.data(), step.cin, h, w, step.k, step.stride,
+                     step.pad, r, c, t_pad, patches.data() + c * in);
       }
-      step.matrix->forward_batch(patches, ow, out_row, ws);
+      step.matrix->forward_times_batch(patches, ow, out_row, ws);
       for (std::size_t oc = 0; oc < step.cout; ++oc) {
         double* y_row = y_img + (oc * oh + r) * ow;
         for (std::size_t c = 0; c < ow; ++c) {

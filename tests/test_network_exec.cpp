@@ -10,6 +10,7 @@
 #include "resipe/common/error.hpp"
 #include "resipe/eval/fidelity.hpp"
 #include "resipe/nn/zoo.hpp"
+#include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::resipe_core {
 namespace {
@@ -288,6 +289,41 @@ TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(out[i], ref[i], 0.02 * scale) << "logit " << i;
   }
+}
+
+TEST(ResipeNetworkConv, CodecEncodesEachConvActivationOncePerImage) {
+#if defined(RESIPE_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "codec counters compile away with telemetry off";
+#else
+  // Codecs snapshot the telemetry switch when the network is lowered.
+  telemetry::set_enabled(true);
+  Rng rng(12);
+  nn::Sequential model("counted-cnn");
+  model.emplace<nn::Conv2d>(2, 3, 3, 1, 1, rng);  // [2, 8, 8] -> [3, 8, 8]
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::MaxPool2d>(2);                // -> [3, 4, 4]
+  model.emplace<nn::Conv2d>(3, 4, 3, 2, 0, rng);  // -> [4, 1, 1]
+  model.emplace<nn::Flatten>();
+  model.emplace<nn::Dense>(4, 5, rng);
+  nn::Tensor batch({3, 2, 8, 8});
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch[i] = rng.uniform(-0.2, 1.2);
+  const ResipeNetwork hw(model, EngineConfig{}, batch);
+
+  telemetry::MetricRegistry::instance().reset_values();
+  hw.forward(batch);
+  // Each conv step encodes its n*cin*h*w activations once plus the one
+  // value 0 it derives the padding time from (not n*oh*ow*cin*k*k patch
+  // elements); a dense step encodes its n*in inputs.
+  const std::uint64_t want = (3 * 2 * 8 * 8 + 1) + (3 * 3 * 4 * 4 + 1) +
+                             3 * 4;
+  EXPECT_EQ(telemetry::MetricRegistry::instance()
+                .counter("resipe_core.spike_codec.encoded")
+                .value(),
+            want);
+  telemetry::set_enabled(false);
+  telemetry::MetricRegistry::instance().reset_values();
+#endif
 }
 
 }  // namespace

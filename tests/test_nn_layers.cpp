@@ -2,10 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "resipe/common/error.hpp"
+#include "resipe/common/parallel.hpp"
 
 namespace resipe::nn {
 namespace {
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// Half-integer steps make many window ties; -0.0, +-inf and NaN are
+// sprinkled in.  [n, 4, 64, 64] holds enough elements per image that
+// an eval forward splits the batch into one-image chunks.
+Tensor awkward_batch(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor x({n, 4, 64, 64});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, kInf, -kInf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (double& v : x.data()) {
+    v = 0.5 * static_cast<double>(rng.uniform_int(-3, 3));
+    if (rng.bernoulli(0.05)) v = specials[rng.uniform_int(0, 3)];
+  }
+  return x;
+}
+
+// Eval forwards run images on the pool; a training forward runs on the
+// caller.  Each element's arithmetic is the same, so the outputs must
+// agree bit for bit at every thread count.
+void expect_eval_matches_train(Layer& eval_layer, Layer& train_layer,
+                               const Tensor& x) {
+  const Tensor want = train_layer.forward(x, /*train=*/true);
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    EXPECT_TRUE(bit_equal(eval_layer.forward(x, /*train=*/false), want))
+        << eval_layer.describe() << " batch " << x.dim(0) << " at "
+        << threads << " threads";
+  }
+  set_default_threads(0);
+}
+
+void expect_backward_before_train(Layer& layer, const Tensor& grad) {
+  try {
+    layer.backward(grad);
+    ADD_FAILURE() << layer.describe() << ": backward after an eval forward";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("backward before forward(train)"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Dense, ForwardMatchesHandComputation) {
   Rng rng(1);
@@ -143,6 +197,55 @@ TEST(ReLU, GradientMasksNegatives) {
   EXPECT_DOUBLE_EQ(gx[0], 0.0);
   EXPECT_DOUBLE_EQ(gx[1], 5.0);
   EXPECT_DOUBLE_EQ(gx[2], 0.0);  // x == 0 has zero subgradient here
+}
+
+TEST(ReLU, EvalForwardMatchesTrainingForwardAtAnyThreadCount) {
+  for (const std::size_t n : {1, 5}) {
+    ReLU eval_relu, train_relu;
+    expect_eval_matches_train(eval_relu, train_relu, awkward_batch(n, n));
+  }
+}
+
+TEST(ReLU, EvalForwardLeavesNoState) {
+  ReLU relu;
+  const Tensor x = awkward_batch(5, 3);
+  relu.forward(x, false);
+  expect_backward_before_train(relu, x);
+}
+
+TEST(ReLU, EmptyAndRankZeroInputsPassThrough) {
+  ReLU relu;
+  EXPECT_EQ(relu.forward(Tensor(), false).rank(), 0u);
+  EXPECT_EQ(relu.forward(Tensor({0, 3}), false).shape(),
+            (std::vector<std::size_t>{0, 3}));
+}
+
+TEST(MaxPool2d, EvalForwardMatchesTrainingForwardAtAnyThreadCount) {
+  for (const std::size_t n : {1, 5}) {
+    for (const std::size_t k : {2, 4}) {
+      MaxPool2d eval_pool(k), train_pool(k);
+      expect_eval_matches_train(eval_pool, train_pool, awkward_batch(n, n));
+    }
+  }
+}
+
+TEST(MaxPool2d, TiesKeepTheFirstMaximumInScanOrder) {
+  MaxPool2d pool(2);
+  // -0.0 before +0.0: strict > keeps -0.0; NaN never wins.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Tensor x({1, 1, 2, 4}, {-0.0, 0.0, nan, nan,
+                                0.0, -1.0, nan, -2.0});
+  const Tensor y = pool.forward(x, false);
+  EXPECT_TRUE(std::signbit(y[0]));
+  EXPECT_EQ(y[1], -2.0);
+}
+
+TEST(MaxPool2d, EvalForwardLeavesNoState) {
+  MaxPool2d pool(2);
+  const Tensor x = awkward_batch(5, 4);
+  const Tensor y = pool.forward(x, false);
+  expect_backward_before_train(pool, y);
+  EXPECT_EQ(pool.forward(Tensor({0, 2, 4, 4}), false).size(), 0u);
 }
 
 TEST(Flatten, CollapsesAndRestores) {
