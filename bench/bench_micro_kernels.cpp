@@ -46,11 +46,11 @@ BENCHMARK(BM_FastMvm)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 // Batched MVM over one reusable scratch.  Per-iteration allocations are
 // zero by construction (BatchScratch only grows on first use and the
-// column-major conductance layout is baked into the FastMvm): if this
+// row-major conductance layout is baked into the FastMvm): if this
 // bench ever shows per-batch mallocs under a profiler, mvm_times_batch
 // has regressed.  Throughput here should be >= the per-sample BM_FastMvm
-// figure at equal n — the batch path amortizes the wordline-voltage
-// precompute and walks conductances column-contiguously.
+// figure at equal n — the batch path feeds each conductance row load to
+// several samples.
 void BM_FastMvmBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 32;

@@ -2,38 +2,35 @@
 //
 // One header, four backends: AVX-512F, AVX2+FMA, NEON and a scalar
 // fallback, selected at compile time from the architecture macros the
-// active -march flags imply (see the RESIPE_SIMD CMake option).  The
-// kernels are written once against `vdouble` — the widest double
-// vector the build supports — and degrade to plain scalar loops when
-// the build has no vector ISA (native_lanes == 1).
+// active -march flags imply (see the RESIPE_SIMD CMake option).  Each
+// kernel is one body, templated on its vector type and instantiated at
+// `vdouble` — the widest double vector the build supports — and at
+// `vscalar` = simd<double, 1>, the scalar reference (at_width() picks
+// the instance).  A build with no vector ISA has vdouble == vscalar.
 //
 // Semantics the kernels rely on:
 //
-//  * Lane arithmetic (+, -, *, /, fma, min, max, select, compares) is
+//  * Lane arithmetic (+, -, *, /, min, max, select, compares) is
 //    IEEE-754 per lane: a lane computes bit-exactly what the same
-//    scalar expression computes.  Only *horizontal* operations
-//    (reduce_add) and the polynomial transcendentals below introduce
-//    results that differ from a scalar loop.
-//  * reduce_add folds lanes in a fixed pairwise tree —
-//    (lo half + hi half) recursively — so a given build is fully
-//    deterministic, but the fold order differs from the scalar
-//    left-to-right sum.  Kernels that promise bit-identical batched ==
-//    single results must use the same reduce on both paths.
+//    scalar expression computes.  The kernels use no horizontal
+//    operation and no fused multiply-add, so each lane of a vdouble
+//    instance computes what the vscalar instance computes for that
+//    element, except for the one source of divergence below.
 //  * exp()/log() are Cephes-style polynomial evaluations (the same
 //    approach Arbor's simd layer uses): relative error is within
 //    kTranscendentalUlp ulp of the correctly-rounded result (asserted
-//    by tests/test_simd.cpp).  The scalar fallback and NEON backends
-//    call libm per lane instead, which is strictly tighter, so the
-//    bound holds for every backend.  The `simd_equivalence` oracle
-//    contract (src/verify/contracts.cpp) budgets this bound when it
-//    compares the SIMD kernels against the scalar reference path.
+//    by tests/test_simd.cpp).  The generic backend — vscalar included
+//    — and NEON call libm per lane instead, which is strictly tighter,
+//    so the bound holds for every backend.  The `simd_equivalence`
+//    oracle contract (src/verify/contracts.cpp) budgets this bound
+//    when it compares the vdouble instances against the vscalar ones.
 //
 // Runtime control: `RESIPE_SIMD=scalar` in the environment (or
-// set_force_scalar(true)) makes the kernels dispatch to their scalar
-// reference implementations even in a vector build; active_isa()
-// reports what is actually in use.  Forcing is process-global and not
-// thread-safe against concurrent kernel calls — flip it at setup time,
-// like telemetry::set_enabled.
+// set_force_scalar(true)) makes the kernels run their vscalar instance
+// even in a vector build; active_isa() reports what is actually in
+// use.  Forcing is process-global and not thread-safe against
+// concurrent kernel calls — flip it at setup time, like
+// telemetry::set_enabled.
 #pragma once
 
 #include <cmath>
@@ -74,8 +71,8 @@ inline constexpr std::size_t kAlignment = 64;
 //
 // The portable reference implementation: an array of lanes.  The
 // native specializations below override it for the build's widest
-// double vector; everything else (odd widths, scalar builds, unit
-// tests of the abstraction itself) uses this.  gcc/clang usually
+// double vector; everything else (vscalar, odd widths, scalar builds,
+// unit tests of the abstraction itself) uses this.  gcc/clang usually
 // vectorize these loops when the ISA allows, but no kernel correctness
 // depends on that.
 
@@ -155,15 +152,6 @@ struct simd {
   }
 };
 
-/// a * b + c, fused per lane where the ISA has FMA.
-template <typename T, std::size_t N>
-inline simd<T, N> fma(simd<T, N> a, simd<T, N> b, simd<T, N> c) {
-  for (std::size_t i = 0; i < N; ++i) {
-    c.lane[i] = std::fma(a.lane[i], b.lane[i], c.lane[i]);
-  }
-  return c;
-}
-
 template <typename T, std::size_t N>
 inline simd<T, N> min(simd<T, N> a, simd<T, N> b) {
   for (std::size_t i = 0; i < N; ++i) {
@@ -187,22 +175,6 @@ inline simd<T, N> select(basic_mask<T, N> m, simd<T, N> a, simd<T, N> b) {
     if (!m.lane[i]) a.lane[i] = b.lane[i];
   }
   return a;
-}
-
-/// Horizontal sum in the canonical pairwise tree order:
-/// reduce([a,b,c,d]) == (a+c) + (b+d); width halves each step.
-template <typename T, std::size_t N>
-inline T reduce_add(const simd<T, N>& v) {
-  if constexpr (N == 1) {
-    return v.lane[0];
-  } else {
-    static_assert(N % 2 == 0, "pairwise reduce needs a power-of-two width");
-    simd<T, N / 2> half;
-    for (std::size_t i = 0; i < N / 2; ++i) {
-      half.lane[i] = v.lane[i] + v.lane[i + N / 2];
-    }
-    return reduce_add(half);
-  }
 }
 
 template <typename T, std::size_t N>
@@ -320,10 +292,6 @@ struct simd<double, 8> {
   }
 };
 
-inline simd<double, 8> fma(simd<double, 8> a, simd<double, 8> b,
-                           simd<double, 8> c) {
-  return simd<double, 8>(_mm512_fmadd_pd(a.v, b.v, c.v));
-}
 inline simd<double, 8> min(simd<double, 8> a, simd<double, 8> b) {
   return simd<double, 8>(_mm512_min_pd(a.v, b.v));
 }
@@ -334,15 +302,6 @@ inline simd<double, 8> select(simd<double, 8>::mask m, simd<double, 8> a,
                               simd<double, 8> b) {
   // blend: picks b where the bit is set, so route through mask_mov.
   return simd<double, 8>(_mm512_mask_mov_pd(b.v, m, a.v));
-}
-inline double reduce_add(const simd<double, 8>& x) {
-  // Pairwise tree, same order as the generic reference.
-  const __m256d half = _mm256_add_pd(_mm512_castpd512_pd256(x.v),
-                                     _mm512_extractf64x4_pd(x.v, 1));
-  const __m128d quarter = _mm_add_pd(_mm256_castpd256_pd128(half),
-                                     _mm256_extractf128_pd(half, 1));
-  return _mm_cvtsd_f64(quarter) +
-         _mm_cvtsd_f64(_mm_unpackhi_pd(quarter, quarter));
 }
 inline std::size_t mask_count(simd<double, 8>::mask m) {
   return static_cast<std::size_t>(__builtin_popcount(m));
@@ -504,10 +463,6 @@ struct simd<double, 4> {
   }
 };
 
-inline simd<double, 4> fma(simd<double, 4> a, simd<double, 4> b,
-                           simd<double, 4> c) {
-  return simd<double, 4>(_mm256_fmadd_pd(a.v, b.v, c.v));
-}
 inline simd<double, 4> min(simd<double, 4> a, simd<double, 4> b) {
   return simd<double, 4>(_mm256_min_pd(a.v, b.v));
 }
@@ -521,12 +476,6 @@ inline simd<double, 4> select(simd<double, 4>::mask m, simd<double, 4> a,
 inline simd<double, 4>::mask operator&(simd<double, 4>::mask a,
                                        simd<double, 4>::mask b) {
   return {_mm256_and_pd(a.m, b.m)};
-}
-inline double reduce_add(const simd<double, 4>& x) {
-  const __m128d half = _mm_add_pd(_mm256_castpd256_pd128(x.v),
-                                  _mm256_extractf128_pd(x.v, 1));
-  return _mm_cvtsd_f64(half) +
-         _mm_cvtsd_f64(_mm_unpackhi_pd(half, half));
 }
 inline std::size_t mask_count(simd<double, 4>::mask m) {
   return static_cast<std::size_t>(
@@ -690,10 +639,6 @@ struct simd<double, 2> {
   friend mask operator<(simd a, simd b) { return {vcltq_f64(a.v, b.v)}; }
 };
 
-inline simd<double, 2> fma(simd<double, 2> a, simd<double, 2> b,
-                           simd<double, 2> c) {
-  return simd<double, 2>(vfmaq_f64(c.v, a.v, b.v));
-}
 inline simd<double, 2> min(simd<double, 2> a, simd<double, 2> b) {
   return simd<double, 2>(vminq_f64(a.v, b.v));
 }
@@ -707,9 +652,6 @@ inline simd<double, 2> select(simd<double, 2>::mask m, simd<double, 2> a,
 inline simd<double, 2>::mask operator&(simd<double, 2>::mask a,
                                        simd<double, 2>::mask b) {
   return {vandq_u64(a.m, b.m)};
-}
-inline double reduce_add(const simd<double, 2>& x) {
-  return vgetq_lane_f64(x.v, 0) + vgetq_lane_f64(x.v, 1);
 }
 inline std::size_t mask_count(simd<double, 2>::mask m) {
   return (vgetq_lane_u64(m.m, 0) ? 1u : 0u) +
@@ -748,21 +690,21 @@ inline constexpr const char* kCompiledIsa = "scalar";
 
 #endif
 
-/// The build's widest double vector — what the kernels use.
+/// The build's widest double vector.
 using vdouble = simd<double, native_lanes>;
+
+/// The width-1 vector: its kernel instances are the scalar reference.
+using vscalar = simd<double, 1>;
+
+/// The lane count of a simd type, native specializations included.
+template <typename V>
+inline constexpr std::size_t lanes = 0;
+template <typename T, std::size_t N>
+inline constexpr std::size_t lanes<simd<T, N>> = N;
 
 /// Rounds n up to the next multiple of the native vector width.
 inline constexpr std::size_t pad_to_lanes(std::size_t n) {
   return (n + native_lanes - 1) / native_lanes * native_lanes;
-}
-
-/// Software prefetch into all cache levels; a no-op where unsupported.
-inline void prefetch(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
 }
 
 // --- runtime ISA control -----------------------------------------------
@@ -802,6 +744,17 @@ struct ForceScalarGuard {
   ForceScalarGuard(const ForceScalarGuard&) = delete;
   ForceScalarGuard& operator=(const ForceScalarGuard&) = delete;
 };
+
+/// Runs a kernel body templated on its vector type: f(vdouble{}) when
+/// `vector` is set, else f(vscalar{}), the scalar reference.
+template <typename F>
+inline void at_width(bool vector, F&& f) {
+  if (vector) {
+    f(vdouble{});
+  } else {
+    f(vscalar{});
+  }
+}
 
 /// ISA the build selected at compile time.
 inline const char* compiled_isa() { return kCompiledIsa; }

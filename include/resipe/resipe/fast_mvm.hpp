@@ -9,33 +9,33 @@
 //   * per-column total conductance g_tot_j,
 //   * per-column saturation factor k_j = 1 - exp(-dt * g_tot_j / Ccog),
 //
-// so one MVM costs one dot product per column plus one log for the S2
-// inversion.
+// so one MVM costs one multiply and one add per cell plus one log per
+// column for the S2 inversion.
 //
 // Every MVM is the same two stages: S1 (the GD ramp sets the wordline
 // voltages) and the voltage stage (the column current sums, then the S2
-// inversion to output spike times).  Each stage takes n samples, the
-// kernel path and the set of vector-width row chunks to visit; single,
-// batched, sparse (the chunks holding the wake set) and idle (no
-// chunks) MVMs are calls of the two stages.  A row outside the visited
-// chunks is silent, so it would add exactly +0.0 to every sum.
+// inversion to output spike times).  Each stage takes n samples and the
+// ascending list of rows to visit: single and batched MVMs visit every
+// row, sparse ones the wake set and idle ones none.  A row left out is
+// silent, so it would add exactly +0.0 to every sum.
 //
-// Each stage has two bodies:
-//
-//   * the scalar reference — row-ascending sums, bit-identical to
-//     ResipeTile::execute for the same programmed array (asserted by
-//     the property tests), and what you get from a scalar build or
-//     RESIPE_SIMD=scalar;
-//   * the SIMD body (default on vector builds) — cache-blocked,
-//     FMA-vectorized over width-padded column-major storage.  Its row
-//     sums fold in vector-lane order and its exp/log are the polynomial
-//     forms from common/simd.hpp, so outputs may differ from the
-//     reference by a bounded reassociation/rounding error.  The
-//     `simd_equivalence` verify contract pins that bound.
+// Each stage is one body, templated on the vector type and instantiated
+// at simd::vdouble and at simd::vscalar (width 1).  Columns sit in the
+// lanes, as in the crossbar, where each wordline drives current into
+// every column line at once: the voltage stage walks the rows in
+// ascending order and adds v * g (a multiply, then an add) into a
+// register block of samples x column vectors.  So each column sums its
+// rows in the same order with the same operations at either width, and
+// the current sums agree bit for bit.  The one divergence is the
+// vdouble instance's polynomial exp/log (common/simd.hpp), which the
+// `simd_equivalence` verify contract bounds.  The vscalar instance is
+// the reference: bit-identical to ResipeTile::execute for the same
+// programmed array (asserted by the property tests), and what you get
+// from a scalar build or RESIPE_SIMD=scalar.
 //
 // Because every entry point runs the same bodies, batch == single
-// holds bitwise on either path, and so do sparse and idle calls against
-// the dense call on the input they stand for.
+// holds bitwise at either width, and so do sparse and idle calls
+// against the dense call on the input they stand for.
 #pragma once
 
 #include <cstddef>
@@ -86,8 +86,7 @@ class FastMvm {
   /// silent column (kNoSpike) books the slice boundary.  Column c reads
   /// t_slots, g_total and k at slot slot_of_col[c] (identity when
   /// empty), the physical column it was placed on.  `vector` selects
-  /// the SIMD evaluation (simd::exp over column chunks, in the scalar
-  /// expression's order) over the scalar reference (ramp_voltage).
+  /// the vdouble instance over the vscalar reference.
   void add_current_sums(std::span<const double> t_slots,
                         std::span<const std::size_t> slot_of_col,
                         std::span<double> rec,
@@ -106,26 +105,23 @@ class FastMvm {
 
   /// Reusable scratch for mvm_times_batch.  Hoist one per worker (e.g.
   /// thread_local) so steady-state batched MVMs never touch the heap.
-  /// Layout is an implementation detail of the selected kernel path.
+  /// The current sums live in registers, so only S1's output is kept.
   struct BatchScratch {
-    aligned_vector v_wl;      // wordline voltages (padded per sample)
-    aligned_vector weighted;  // per-column current sums (SIMD path)
-    aligned_vector t_cols;    // padded per-sample outputs (SIMD path)
+    aligned_vector v_wl;  // wordline voltages, [n, rows]
   };
 
   /// Batched mvm_times: `t_in` is row-major [n, rows], `t_out` is
   /// row-major [n, cols].  Bit-identical per sample to n calls of
-  /// mvm_times — both run the same two stages — but the matrix is
-  /// walked in cache-sized column blocks reused across the whole batch,
-  /// with several samples accumulated per matrix load.  Exactly
-  /// wordline_batch followed by mvm_voltages_batch.
+  /// mvm_times — both run the same two stages — but each load of a
+  /// conductance row feeds several samples.  Exactly wordline_batch
+  /// followed by mvm_voltages_batch.
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
 
   /// The S1 stage of mvm_times_batch: the wordline voltages of n
   /// samples (`t_in` row-major [n, rows]) on the active kernel path,
-  /// written to `v_wl` as [n, rows rounded up to the vector width] with
-  /// zero padding.  They depend only on the circuit parameters and the
+  /// written to `v_wl` as row-major [n, rows].  They depend only on the
+  /// circuit parameters and the
   /// input, so they can feed mvm_voltages_batch of every FastMvm with
   /// the same rows and parameters — the tiles sharing a row window.
   void wordline_batch(std::span<const double> t_in, std::size_t n,
@@ -134,13 +130,15 @@ class FastMvm {
   /// The current-sum + S2 stage of mvm_times_batch, fed wordline
   /// voltages from wordline_batch of this FastMvm or of one with the
   /// same rows and circuit parameters; `t_out` is row-major [n, cols].
+  /// The stage needs no scratch; `scratch` is accepted for callers that
+  /// pass the one they hand mvm_times_batch.
   void mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
                           std::span<double> t_out,
                           BatchScratch& scratch) const;
 
   /// Event-driven recovery for a group with no input events: every
   /// wordline held 0 V for the whole slice, so only the per-column
-  /// comparator outcome remains — the voltage stage over no row chunks,
+  /// comparator outcome remains — the voltage stage over no rows,
   /// O(cols) instead of O(rows x cols).  Bit-identical to mvm_times on
   /// an input whose every row fails the events::EventQueue::carries_spike
   /// predicate (every current sum is then exactly +0.0), run on the
@@ -153,12 +151,10 @@ class FastMvm {
   /// indices, else throws) lists the rows that carry a spike inside the
   /// slice; every other row is guaranteed silent by the caller (its
   /// dense wordline voltage is exactly +0.0).  Runs both stages over
-  /// the vector-width row chunks holding the wake set only, which is
-  /// bit-identical to mvm_times on the same full input on either kernel
-  /// path: a skipped row adds exactly +0.0 to a non-negative sum, and
-  /// chunks are never compacted into fewer lanes, so the fixed
-  /// FMA/reduction tree — and every rounding — is untouched.  Cost is
-  /// O(woken chunks x cols) for the current sums.
+  /// the wake set only, which is bit-identical to mvm_times on the same
+  /// full input on either kernel path: a skipped row would add exactly
+  /// +0.0 to a non-negative sum, and every other row adds in the same
+  /// order.  Cost is O(active rows x cols) for the current sums.
   void mvm_times_sparse(std::span<const double> t_in,
                         std::span<const std::uint32_t> active_rows,
                         std::span<double> t_out) const;
@@ -173,47 +169,45 @@ class FastMvm {
  private:
   void precompute();
 
-  /// S2 on the scalar path: current-sum -> threshold -> crossing ->
-  /// spike time (kNoSpike past the slice; the comparator delay for an
-  /// unprogrammed column).  `silent` counts suppressed outputs.
-  double recover_time(double weighted, std::size_t col,
-                      std::size_t* silent) const;
-
-  /// S2 on the SIMD path for one vector chunk of columns [c, c+W):
-  /// reads w[0, W) and the padded per-column arrays at c, writes
-  /// out[0, W).  Element-wise per lane, so any chunking of the column
-  /// axis yields identical values.
-  void recover_block_simd(const double* w, std::size_t c, double* out,
-                          std::size_t* silent) const;
-
   /// S1: the wordline voltages of n samples (`t_in` row-major
-  /// [n, rows]) into `v_wl` [n, rows_pad_], on the kernel path `vector`
-  /// selects, for the row chunks in `chunks` only; the other chunks of
-  /// `v_wl` keep whatever they held.
-  template <class Chunks>
-  void wordline_stage(const double* t_in, std::size_t n, bool vector,
-                      const Chunks& chunks, double* v_wl) const;
+  /// [n, rows]) into `v_wl` [n, rows], for the listed rows only; the
+  /// other rows of `v_wl` keep whatever they held.
+  template <class V>
+  void wordline_stage(const double* t_in, std::size_t n,
+                      std::span<const std::uint32_t> rows,
+                      double* v_wl) const;
 
-  /// Current sums over the row chunks in `chunks`, then S2: n samples
-  /// from `v_wl` [n, rows_pad_] into `t_out` row-major [n, cols].
-  /// Books the silent outputs; the caller books the MACs.
-  template <class Chunks>
-  void voltage_stage(const double* v_wl, std::size_t n, bool vector,
-                     const Chunks& chunks, double* t_out,
-                     BatchScratch& scratch) const;
+  /// Current sums over the listed rows, then S2: n samples from `v_wl`
+  /// [n, rows] into `t_out` row-major [n, cols].  Books the silent
+  /// outputs; the caller books the MACs.
+  template <class V>
+  void voltage_stage(const double* v_wl, std::size_t n,
+                     std::span<const std::uint32_t> rows,
+                     double* t_out) const;
+
+  /// One register block of the voltage stage: kS samples from s0 by kC
+  /// column vectors from c0.
+  template <class V, std::size_t kS, std::size_t kC>
+  void column_block(const double* v_wl, std::size_t s0, std::size_t c0,
+                    std::span<const std::uint32_t> rows, double* t_out,
+                    std::size_t* silent) const;
+
+  /// S2 for the column vector at c: current sums -> threshold ->
+  /// crossing -> spike times (kNoSpike past the slice, the comparator
+  /// delay for an unprogrammed or padding column).  Element-wise per
+  /// lane; `silent` counts suppressed outputs.
+  template <class V>
+  V recover(V weighted, std::size_t c, std::size_t* silent) const;
 
   circuits::CircuitParams params_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::size_t rows_pad_ = 0;   // rows rounded up to the vector width
-  std::size_t cols_pad_ = 0;   // cols rounded up to the vector width
-  std::size_t block_cols_ = 0;  // column-block size for batch tiling
-  bool has_offsets_ = false;
-  aligned_vector g_cm_;     // column-major effective conductances:
-                            // g_cm_[c * rows_pad_ + r], zero padding
-                            // rows.  Column-major keeps each column's
-                            // weights contiguous for the per-column
-                            // dot products (single and batched paths).
+  std::size_t cols_pad_ = 0;  // cols rounded up to the vector width
+  std::vector<std::uint32_t> all_rows_;  // 0, 1, ..., rows - 1
+  aligned_vector g_;        // row-major effective conductances:
+                            // g_[r * cols_pad_ + c], zero padding
+                            // columns, so each row's column vectors
+                            // load aligned
   aligned_vector g_total_;  // per column, padded with zeros
   aligned_vector k_;        // per-column saturation factor, padded
   aligned_vector offsets_;  // per-column comparator mismatch, padded

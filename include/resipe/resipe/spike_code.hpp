@@ -38,22 +38,22 @@ class SpikeCodec {
   double decode(const circuits::Spike& spike) const;
 
   /// Batched encode: times[i] receives encode(values[i]).arrival_time.
-  /// On vector builds the whole chain — clamp, ramp inversion, and the
-  /// clock-snap quantization (simd::round, bit-equal to std::round) —
-  /// runs through common/simd.hpp, so pre-quantization times may
-  /// differ from element-wise encode() by the documented
-  /// transcendental bound; with the scalar fallback (or
-  /// RESIPE_SIMD=scalar) this is bit-identical to calling encode() in
-  /// a loop.  Every lane is encoded on its own, so an element's time
-  /// does not depend on the rest of the span.  `times` may be `values`
-  /// itself.  Telemetry counters aggregate over the batch.
+  /// One body — clamp, ramp inversion, and the clock-snap quantization
+  /// (simd::round, bit-equal to std::round) — instantiated at
+  /// simd::vdouble and simd::vscalar.  The vscalar instance (a scalar
+  /// build or RESIPE_SIMD=scalar) is bit-identical to calling encode()
+  /// in a loop; the vdouble instance's pre-quantization times may
+  /// differ from it by the documented transcendental bound of its log.
+  /// Every lane is encoded on its own, so an element's time does not
+  /// depend on the rest of the span.  `times` may be `values` itself.
+  /// Telemetry counters aggregate over the batch.
   void encode_times(std::span<const double> values,
                     std::span<double> times) const;
 
   /// Batched decode over raw arrival times: values[i] receives what
   /// decode(Spike::at(times[i])) returns (kNoSpike or a negative time
-  /// decodes to the over-range sentinel 1.0).  Same SIMD/bit-identity
-  /// story as encode_times.
+  /// decodes to the over-range sentinel 1.0).  Same two instances and
+  /// bit-identity story as encode_times, with exp in place of log.
   void decode_values(std::span<const double> times,
                      std::span<double> values) const;
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <limits>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/simd.hpp"
@@ -66,6 +66,23 @@ perf::WorkCost scaled(perf::WorkCost c, std::size_t n) {
   }
 }
 
+/// Maps x to y through f(V) -> V, V-wide: whole chunks load and store
+/// in place, so y may alias x, and the tail runs through zero-padded
+/// lanes.
+template <class V, class F>
+void map_lanes(std::span<const double> x, std::span<double> y, F&& f) {
+  constexpr std::size_t W = simd::lanes<V>;
+  std::size_t i = 0;
+  for (; i + W <= x.size(); i += W) {
+    f(V::loadu(x.data() + i)).storeu(y.data() + i);
+  }
+  if (i == x.size()) return;
+  alignas(simd::kAlignment) double lane[W] = {};
+  std::copy(x.begin() + i, x.end(), lane);
+  f(V::load(lane)).store(lane);
+  std::copy(lane, lane + (x.size() - i), y.begin() + i);
+}
+
 }  // namespace
 
 SpikeCodec::SpikeCodec(const circuits::CircuitParams& params, bool quantize)
@@ -120,122 +137,78 @@ void SpikeCodec::encode_times(std::span<const double> values,
                               std::span<double> times) const {
   RESIPE_REQUIRE(values.size() == times.size(),
                  "encode_times span size mismatch");
-  const std::size_t n = values.size();
-  if (n == 0) return;
-  if (!simd::enabled()) {
-    // Scalar reference: element-wise encode, historical bit pattern.
-    for (std::size_t i = 0; i < n; ++i) {
-      times[i] = encode(values[i]).arrival_time;
-    }
-    return;
-  }
-
-  using simd::vdouble;
-  constexpr std::size_t kW = simd::native_lanes;
-  thread_local std::vector<double, simd::AlignedAllocator<double>> buf;
-  const std::size_t np = simd::pad_to_lanes(n);
-  buf.resize(np);
-  std::copy(values.begin(), values.end(), buf.begin());
-  std::fill(buf.begin() + n, buf.end(), 0.0);
-
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  const vdouble v_full(v_full_);
-  const vdouble v_s(params_.v_s);
-  const vdouble tau(params_.tau_gd());
-  const vdouble t_full(t_full_);
+  if (values.empty()) return;
   const bool linear = params_.model == circuits::TransferModel::kLinear;
   std::size_t clipped = 0;
-  for (std::size_t i = 0; i < np; i += kW) {
-    const vdouble x = vdouble::load(buf.data() + i);
-    // One input cannot be clipped on both sides, so the counts add.
-    clipped += simd::mask_count(x < zero) + simd::mask_count(x > one);
-    const vdouble xc = simd::min(simd::max(x, zero), one);
-    const vdouble v = xc * v_full;
-    // ramp_crossing(v): v_full < v_s in the exact model (the ramp
-    // never reaches its asymptote) and the linear branch has no
-    // saturation case, so only the v <= 0 edge needs a select.
-    vdouble t;
-    if (linear) {
-      t = v * tau / v_s;
-    } else {
-      t = (zero - tau) * simd::log(one - v / v_s);
-    }
-    t = simd::select(v <= zero, zero, t);
-    t = simd::min(t, t_full);
-    t.store(buf.data() + i);
-  }
-
   std::size_t snapped = 0;
-  if (quantize_) {
-    // Vectorized clock snap: simd::round is bit-equal to std::round on
+  simd::at_width(simd::enabled(), [&](auto vec) {
+    using V = decltype(vec);
+    const V zero(0.0);
+    const V one(1.0);
+    const V v_full(v_full_);
+    const V v_s(params_.v_s);
+    const V tau(params_.tau_gd());
+    const V t_full(t_full_);
+    const V clock(params_.clock_period);
+    map_lanes<V>(values, times, [&](V x) {
+      // One input cannot be clipped on both sides, so the counts add.
+      clipped += simd::mask_count(x < zero) + simd::mask_count(x > one);
+      const V v = simd::min(simd::max(x, zero), one) * v_full;
+      // ramp_crossing(v): v <= v_full <= v_s, and v == v_s (the exact
+      // model's unreachable asymptote) gives log(0) = -inf, so the time
+      // is +inf there as in the scalar branch; only the v <= 0 edge
+      // needs a select.
+      const V t =
+          linear ? v * tau / v_s : (zero - tau) * simd::log(one - v / v_s);
+      return simd::min(simd::select(v <= zero, zero, t), t_full);
+    });
+    if (!quantize_) return;
+    // Clock snap, in place: simd::round is bit-equal to std::round on
     // every backend (half away from zero — the tie behavior is part of
-    // the quantization contract, pinned in test_simd.cpp).
-    const vdouble clock(params_.clock_period);
-    for (std::size_t i = 0; i < np; i += kW) {
-      const vdouble exact = vdouble::load(buf.data() + i);
-      const vdouble q = simd::min(simd::round(exact / clock) * clock, t_full);
-      // Masks only compose with &, so count q == exact as <= and >=;
-      // padding lanes snap 0 to 0 and never inflate the count.
-      snapped += kW - simd::mask_count((q <= exact) & (q >= exact));
-      q.store(buf.data() + i);
-    }
-  }
-  std::copy(buf.begin(), buf.begin() + n, times.begin());
-  if (telemetry_) record_encode_batch(n, clipped, snapped);
+    // the quantization contract, pinned in test_simd.cpp).  Masks only
+    // compose with &, so count q == t as <= and >=; zero padding lanes
+    // snap 0 to 0 and never inflate the count.  A second pass is faster
+    // than fusing the snap into the first one.
+    map_lanes<V>(times, times, [&](V t) {
+      const V q = simd::min(simd::round(t / clock) * clock, t_full);
+      snapped += simd::lanes<V> - simd::mask_count((q <= t) & (q >= t));
+      return q;
+    });
+  });
+  if (telemetry_) record_encode_batch(values.size(), clipped, snapped);
 }
 
 void SpikeCodec::decode_values(std::span<const double> times,
                                std::span<double> values) const {
   RESIPE_REQUIRE(times.size() == values.size(),
                  "decode_values span size mismatch");
-  const std::size_t n = times.size();
-  if (n == 0) return;
-  if (!simd::enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = decode(circuits::Spike::at(times[i]));
-    }
-    return;
-  }
-
-  using simd::vdouble;
-  constexpr std::size_t kW = simd::native_lanes;
-  thread_local std::vector<double, simd::AlignedAllocator<double>> buf;
-  const std::size_t np = simd::pad_to_lanes(n);
-  buf.resize(np);
-  std::copy(times.begin(), times.end(), buf.begin());
-  std::fill(buf.begin() + n, buf.end(), 0.0);
-
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  const vdouble v_full(v_full_);
-  const vdouble v_s(params_.v_s);
-  const vdouble tau(params_.tau_gd());
-  const vdouble t_full(t_full_);
-  const vdouble no_spike(std::numeric_limits<double>::infinity());
+  if (times.empty()) return;
   const bool linear = params_.model == circuits::TransferModel::kLinear;
   std::size_t silent = 0;
-  for (std::size_t i = 0; i < np; i += kW) {
-    const vdouble t_raw = vdouble::load(buf.data() + i);
-    // Spike::valid(): t >= 0 and t != inf.  NaN and inf fail the
-    // window compare, negatives fail the sign compare.
-    const auto valid = (t_raw >= zero) & (t_raw < no_spike);
-    silent += kW - simd::mask_count(valid);
-    const vdouble t = simd::min(t_raw, t_full);
-    vdouble v;
-    if (linear) {
-      v = v_s * t / tau;
-    } else {
-      v = v_s * (one - simd::exp(zero - t / tau));
-    }
-    // ramp_voltage clamps to [0, v_s]; decode then clamps v/v_full to
-    // [0, 1] — fold both into one clamp after the scale.
-    vdouble y = simd::min(simd::max(v / v_full, zero), one);
-    y = simd::select(valid, y, one);
-    y.store(buf.data() + i);
-  }
-  std::copy(buf.begin(), buf.begin() + n, values.begin());
-  if (telemetry_) record_decode_batch(n, silent);
+  simd::at_width(simd::enabled(), [&](auto vec) {
+    using V = decltype(vec);
+    const V zero(0.0);
+    const V one(1.0);
+    const V v_full(v_full_);
+    const V v_s(params_.v_s);
+    const V tau(params_.tau_gd());
+    const V t_full(t_full_);
+    const V no_spike(std::numeric_limits<double>::infinity());
+    map_lanes<V>(times, values, [&](V t_raw) {
+      // Spike::valid(): t >= 0 and t != inf.  NaN and inf fail the
+      // window compare, negatives fail the sign compare.
+      const auto valid = (t_raw >= zero) & (t_raw < no_spike);
+      silent += simd::lanes<V> - simd::mask_count(valid);
+      const V t = simd::min(t_raw, t_full);
+      const V v = linear ? v_s * t / tau
+                         : v_s * (one - simd::exp(zero - t / tau));
+      // ramp_voltage clamps to [0, v_s]; decode then clamps v/v_full to
+      // [0, 1] — fold both into one clamp after the scale.
+      return simd::select(valid, simd::min(simd::max(v / v_full, zero), one),
+                          one);
+    });
+  });
+  if (telemetry_) record_decode_batch(times.size(), silent);
 }
 
 }  // namespace resipe::resipe_core

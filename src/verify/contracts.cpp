@@ -834,19 +834,23 @@ ContractResult check_serving_trace_identity(const CaseSpec& spec) {
   return ContractResult::ok();
 }
 
-// ProgrammedMatrix::forward_batch on both paths, outputs within a bound
-// derived from the same two divergence sources plus the recovery ramp's
-// exp.  The inputs are the ramp voltages of whole clock steps, so the
-// codec snaps them to the same time on both paths (an unquantized
-// codec differs by its log's ulp error, booked per row below).
+// ProgrammedMatrix::forward_batch on both paths: bit-identical under
+// the linear model, where no transcendental runs anywhere in the chain,
+// and otherwise within a bound derived from the one divergence source
+// (the polynomial exp/log) through S1, S2 and the recovery ramp.  The
+// inputs are the ramp voltages of whole clock steps, so the codec snaps
+// them to the same time on both paths (an unquantized codec differs by
+// its log's ulp error, booked per row below).
 //
 // The bound is carried in the recovered-voltage domain, where the S2
 // pole cancels: recovery maps a column's spike time back through the
 // ramp, whose slope (v_s - v)/tau times the S2 inversion's
 // tau/(v_s - th) is at most 1.  So per column
 //   dv_rec <= 2 d_th + 3 kTrans eps v_s           (S2 log, ramp exp)
-//   d_th   <= (2 rows eps v_s + dv_row) k + 8 eps |th|
-// with dv_row the S1 exp plus the codec log.  A column that falls
+//   d_th   <= dv_row k + 8 eps |th|
+// with dv_row the S1 exp plus the codec log; both paths sum each column
+// in the same order with the same operations, so the sum only carries
+// that error forward.  A column that falls
 // silent on one path only sits within d_th of the silence cut, and
 // the ramp moves v by at most that much there, so neither the
 // saturation pole nor the slice boundary needs an exclusion zone.
@@ -892,15 +896,17 @@ ContractResult check_simd_matrix_recovery(const CaseSpec& spec) {
       (spec.inputs + cfg.tile_rows - 1) / cfg.tile_rows);
   const double a = params.comp_stage / params.c_cog;
   const double g_col = rows * 2.0 * cfg.device.g_max();
-  const double k_max = linear ? a * g_col : 1.0 - std::exp(-a * g_col);
-  const double gk_max = linear ? 1.0 / a : g_col / k_max;
+  // The bound is the exact model's; a linear-model output is settled on
+  // its bits below.
+  const double k_max = 1.0 - std::exp(-a * g_col);
+  const double gk_max = g_col / k_max;
   const double th_abs = v_s * k_max + std::fabs(params.comparator_offset) +
                         8.0 * params.comparator_offset_sigma;
-  const double dv_row = (linear ? 4.0 : 2.0 * kTrans) * kEps * v_s;
+  const double dv_row = 2.0 * kTrans * kEps * v_s;
   // Per column: the threshold error times g_total / k <= g_col, plus the
   // transcendental and rounding terms times g_total / k <= gk_max.
   const double d_col =
-      2.0 * (2.0 * rows * kEps * v_s + dv_row) * g_col +
+      2.0 * dv_row * g_col +
       (16.0 * kEps * th_abs + (3.0 * kTrans + 4.0) * kEps * v_s) * gk_max;
   const double rec_max = blocks * v_s * gk_max;
   // Two columns per output, each summed over the row blocks.
@@ -914,6 +920,12 @@ ContractResult check_simd_matrix_recovery(const CaseSpec& spec) {
 
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (std::memcmp(&got[i], &ref[i], sizeof(double)) == 0) continue;
+    if (linear) {
+      return ContractResult::fail(fail_at(
+          "SIMD vs scalar ProgrammedMatrix output under the linear model "
+          "(no transcendental: must be bit-identical)",
+          i, got[i], ref[i]));
+    }
     const double bound =
         kSafety * scale * d_diff +
         4.0 * kEps * (std::fabs(ref[i]) + 2.0 * scale * rec_max);
@@ -931,24 +943,21 @@ ContractResult check_simd_matrix_recovery(const CaseSpec& spec) {
 // SIMD path vs scalar reference, within a bound derived from the
 // kernel's numeric contract rather than an arbitrary tolerance.
 //
-// The SIMD kernels differ from the scalar reference in exactly two
-// ways (include/resipe/common/simd.hpp):
-//   1. the per-column row sum folds in vector-lane order — classical
-//      summation-error bound gamma_n = n*eps on a sum of non-negative
-//      terms (every v_wl * g product is >= 0);
-//   2. exp/log are polynomial, within simd::kTranscendentalUlp ulp of
-//      libm.
-// Everything else is per-lane IEEE arithmetic, identical to scalar.
-// The check propagates those two sources through the recovery chain:
-//   d_weighted = 2n*eps*weighted + dv*g_total          (sum + S1 exp)
+// The SIMD kernels are the scalar reference's bodies at a wider vector
+// type (include/resipe/common/simd.hpp): per-lane IEEE arithmetic, each
+// column summed over its rows in the same order with an unfused
+// multiply and add.  They differ in one way only: exp/log are
+// polynomial, within simd::kTranscendentalUlp ulp of libm.  So under
+// the linear model, which runs no transcendental, every output must be
+// bit-identical.  Otherwise (the exact model) the check propagates the
+// exp/log error through the recovery chain:
+//   d_weighted = dv*g_total                            (S1 exp)
 //   d_threshold = d_weighted * k / g_total + rounding
-//   d_t: linear model  -> d_th * tau / v_s;
-//        exact model   -> tau * d_th / (v_s - th) plus the log's own
-//                         ulp bound — the saturation pole is real, so
-//                         a threshold within its bound of v_s (or a
-//                         spike time within bound of the slice end)
-//                         may legitimately land on either side of the
-//                         silence cut and is not a violation.
+//   d_t = tau * d_th / (v_s - th) plus the log's own ulp bound — the
+//         saturation pole is real, so a threshold within its bound of
+//         v_s (or a spike time within bound of the slice end) may
+//         legitimately land on either side of the silence cut and is
+//         not a violation.
 // A matrix-level pass adds column recovery (ProgrammedMatrix,
 // whole forward_batch); see check_simd_matrix_recovery.  A
 // network-level pass then requires the argmax decision to match
@@ -988,14 +997,14 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
 
   std::vector<double> v_wl(spec.rows, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
-    // Reference S1 voltages, recomputed scalar for the bound.
+    // Reference S1 voltages of the exact model, recomputed for the
+    // bound (a linear-model output is settled on its bits first).
     for (std::size_t r = 0; r < spec.rows; ++r) {
       const double t = t_in[s * spec.rows + r];
       if (!(t >= 0.0) || t == FastMvm::kNoSpike || t > params.slice_length) {
         v_wl[r] = 0.0;
       } else {
-        v_wl[r] = linear ? std::min(v_s * t / tau, v_s)
-                         : v_s * (1.0 - std::exp(-t / tau));
+        v_wl[r] = v_s * (1.0 - std::exp(-t / tau));
       }
     }
     for (std::size_t c = 0; c < spec.cols; ++c) {
@@ -1003,6 +1012,12 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
       const double got = vec_out[idx];
       const double ref = ref_out[idx];
       if (std::memcmp(&got, &ref, sizeof(double)) == 0) continue;
+      if (linear) {
+        return ContractResult::fail(fail_at(
+            "SIMD vs scalar spike time under the linear model (no "
+            "transcendental: must be bit-identical)",
+            idx, got, ref));
+      }
       const double g_tot = fast.g_total(c);
       if (g_tot <= 0.0) {
         // Unprogrammed column: both paths must report the comparator
@@ -1015,12 +1030,7 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
       for (std::size_t r = 0; r < spec.rows; ++r) {
         weighted += v_wl[r] * g[r * spec.cols + c];
       }
-      // S1 carries a transcendental only in the exact model; linear
-      // lanes are op-for-op identical, leaving pure rounding slack.
-      const double dv = (linear ? 4.0 : kTrans) * kEps * v_s;
-      const double d_weighted =
-          2.0 * static_cast<double>(spec.rows) * kEps * weighted +
-          dv * g_tot;
+      const double d_weighted = kTrans * kEps * v_s * g_tot;
       const double k = fast.k(c);
       const double th_ref = weighted / g_tot * k + params.comparator_offset;
       const double d_th =
@@ -1030,8 +1040,6 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
       double t_raw;
       if (th_ref <= 0.0) {
         t_raw = 0.0;
-      } else if (linear) {
-        t_raw = th_ref * tau / v_s;
       } else if (th_ref >= v_s) {
         t_raw = FastMvm::kNoSpike;
       } else {
@@ -1039,20 +1047,17 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
       }
       t_raw += params.comparator_delay;
 
-      double d_t;
-      if (linear) {
-        d_t = d_th * tau / v_s + 8.0 * kEps * tau;
-      } else {
-        const double denom = v_s - th_ref - kSafety * d_th;
-        if (denom <= 0.0) {
-          // Threshold within its own error bound of the saturation
-          // pole: either side may (not) spike; no bounded statement.
-          continue;
-        }
-        d_t = tau * d_th / denom +
-              kTrans * kEps * (tau + std::min(t_raw, params.slice_length));
+      const double denom = v_s - th_ref - kSafety * d_th;
+      if (denom <= 0.0) {
+        // Threshold within its own error bound of the saturation pole:
+        // either side may (not) spike; no bounded statement.
+        continue;
       }
-      d_t = kSafety * d_t + 1e-21;
+      const double d_t =
+          kSafety * (tau * d_th / denom +
+                     kTrans * kEps *
+                         (tau + std::min(t_raw, params.slice_length))) +
+          1e-21;
 
       const bool ref_silent = ref == FastMvm::kNoSpike;
       const bool got_silent = got == FastMvm::kNoSpike;
@@ -1313,9 +1318,10 @@ const std::vector<Contract>& contract_registry() {
        "logits bit-for-bit and replays identically at any thread count",
        check_serving_identity},
       {"simd_equivalence",
-       "SIMD kernels and matrix outputs (through column recovery) match "
-       "the scalar reference within the derived reassociation/ULP "
-       "bounds and never flip a clear argmax",
+       "SIMD kernels and matrix outputs (through column recovery) are "
+       "bit-identical to the scalar reference under the linear model and "
+       "otherwise within the derived exp/log ULP bounds, and never flip a "
+       "clear argmax",
        check_simd_equivalence},
       {"serving_trace_identity",
        "attaching an event journal leaves every response bit-identical "

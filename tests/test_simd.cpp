@@ -67,21 +67,18 @@ std::array<double, kW> to_array(vdouble v) {
 
 TEST(SimdOps, ArithmeticMatchesScalarPerLane) {
   Rng rng(101);
-  alignas(simd::kAlignment) std::array<double, kW> a_raw, b_raw, c_raw;
+  alignas(simd::kAlignment) std::array<double, kW> a_raw, b_raw;
   for (std::size_t i = 0; i < kW; ++i) {
     a_raw[i] = rng.uniform(-10.0, 10.0);
     b_raw[i] = rng.uniform(0.5, 10.0);
-    c_raw[i] = rng.uniform(-5.0, 5.0);
   }
   const vdouble a = vdouble::load(a_raw.data());
   const vdouble b = vdouble::load(b_raw.data());
-  const vdouble c = vdouble::load(c_raw.data());
 
   const auto sum = to_array(a + b);
   const auto dif = to_array(a - b);
   const auto prd = to_array(a * b);
   const auto quo = to_array(a / b);
-  const auto fml = to_array(simd::fma(a, b, c));
   const auto mn = to_array(simd::min(a, b));
   const auto mx = to_array(simd::max(a, b));
   for (std::size_t i = 0; i < kW; ++i) {
@@ -89,7 +86,6 @@ TEST(SimdOps, ArithmeticMatchesScalarPerLane) {
     EXPECT_EQ(dif[i], a_raw[i] - b_raw[i]);
     EXPECT_EQ(prd[i], a_raw[i] * b_raw[i]);
     EXPECT_EQ(quo[i], a_raw[i] / b_raw[i]);
-    EXPECT_EQ(fml[i], std::fma(a_raw[i], b_raw[i], c_raw[i]));
     EXPECT_EQ(mn[i], std::min(a_raw[i], b_raw[i]));
     EXPECT_EQ(mx[i], std::max(a_raw[i], b_raw[i]));
   }
@@ -116,21 +112,6 @@ TEST(SimdOps, ComparisonSelectAndMaskCount) {
   for (std::size_t i = 0; i < kW; ++i) {
     EXPECT_EQ(sel[i], a_raw[i] < b_raw[i] ? -1.0 : a_raw[i]);
   }
-}
-
-// reduce_add folds in a fixed pairwise tree (lo half + hi half,
-// recursively).  The kernels rely on this order being stable — batch
-// and single-sample sums must land on the same bits — so pin it.
-TEST(SimdOps, ReduceAddUsesPairwiseTreeOrder) {
-  Rng rng(202);
-  alignas(simd::kAlignment) std::array<double, kW> raw;
-  for (double& v : raw) v = rng.uniform(-1.0, 1.0);
-
-  std::array<double, kW> tree = raw;
-  for (std::size_t half = kW / 2; half >= 1; half /= 2) {
-    for (std::size_t i = 0; i < half; ++i) tree[i] += tree[i + half];
-  }
-  EXPECT_EQ(simd::reduce_add(vdouble::load(raw.data())), tree[0]);
 }
 
 TEST(SimdOps, PadToLanesRoundsUp) {
@@ -323,34 +304,73 @@ TEST(FastMvmValidation, CrossbarPathRejectsZeroDims) {
 }
 
 // SIMD output vs the scalar reference on deliberately awkward shapes:
-// 1x1 (everything is padding), 3x5 (sub-width), 63x65 (one short of /
-// one past a pad boundary).  The two paths differ only by sum
-// reassociation and the polynomial exp/log, so a flat 1e-9 relative
-// tolerance is generous; silence must agree exactly except where the
-// scalar time sits within that tolerance of the slice boundary.
+// 1x1 (one real lane), 3x5 (sub-width), 63x65 (one short of / one past
+// a pad boundary), 27x16 (CNN-3's first conv) and 8x32 (a
+// partial row window), through mvm_times and through mvm_times_batch
+// at sample counts that fill register blocks and leave partial ones.
+// Both widths sum each column's rows in the same order with the same
+// operations, so under kLinear, where no transcendental runs, the two
+// paths agree bit for bit.  Under the exact model they differ only by
+// the polynomial exp/log, so a flat 1e-9 relative tolerance is
+// generous; silence must agree exactly except where the scalar time
+// sits within that tolerance of the slice boundary.
 TEST(FastMvmSimd, EdgeShapesMatchScalarReference) {
-  const auto p = test_params();
-  const SpikeCodec codec(p);
   Rng rng(505);
   const struct { std::size_t rows, cols; } shapes[] = {
-      {1, 1}, {3, 5}, {63, 65}};
-  for (const auto& shape : shapes) {
-    const FastMvm mvm = random_mvm(p, shape.rows, shape.cols, rng);
-    for (int trial = 0; trial < 8; ++trial) {
-      const std::vector<double> t_in = random_inputs(codec, shape.rows, rng);
-      std::vector<double> vec(shape.cols, -1.0), ref(shape.cols, -1.0);
-      mvm.mvm_times(t_in, vec);
-      {
-        simd::ForceScalarGuard guard;
-        mvm.mvm_times(t_in, ref);
-      }
-      for (std::size_t c = 0; c < shape.cols; ++c) {
-        if (std::isinf(vec[c]) != std::isinf(ref[c])) {
-          const double finite = std::isinf(vec[c]) ? ref[c] : vec[c];
-          EXPECT_NEAR(finite, p.slice_length, 1e-9 * p.slice_length)
-              << "silence flip away from the slice boundary, col " << c;
-        } else if (!std::isinf(ref[c])) {
-          RESIPE_EXPECT_CLOSE(vec[c], ref[c], 1e-9, 1e-20);
+      {1, 1}, {3, 5}, {63, 65}, {27, 16}, {8, 32}};
+  for (const auto model :
+       {circuits::TransferModel::kExact, circuits::TransferModel::kLinear}) {
+    auto p = test_params();
+    p.model = model;
+    const bool linear = model == circuits::TransferModel::kLinear;
+    const SpikeCodec codec(p);
+    for (const auto& shape : shapes) {
+      const FastMvm mvm = random_mvm(p, shape.rows, shape.cols, rng);
+      for (const std::size_t n : {1, 3, 4, 5, 9}) {
+        std::vector<double> t_in(n * shape.rows);
+        for (std::size_t s = 0; s < n; ++s) {
+          const auto one = random_inputs(codec, shape.rows, rng);
+          std::copy(one.begin(), one.end(), t_in.begin() + s * shape.rows);
+        }
+        for (const bool batch : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (linear ? "linear " : "exact ") << shape.rows
+                       << "x" << shape.cols << " n=" << n
+                       << (batch ? " mvm_times_batch" : " mvm_times"));
+          const auto run = [&] {
+            std::vector<double> out(n * shape.cols, -1.0);
+            if (batch) {
+              FastMvm::BatchScratch scratch;
+              mvm.mvm_times_batch(t_in, n, out, scratch);
+            }
+            for (std::size_t s = 0; !batch && s < n; ++s) {
+              mvm.mvm_times(
+                  std::span<const double>(t_in).subspan(s * shape.rows,
+                                                        shape.rows),
+                  std::span<double>(out).subspan(s * shape.cols,
+                                                 shape.cols));
+            }
+            return out;
+          };
+          const std::vector<double> vec = run();
+          std::vector<double> ref;
+          {
+            simd::ForceScalarGuard guard;
+            ref = run();
+          }
+          for (std::size_t i = 0; i < vec.size(); ++i) {
+            if (linear) {
+              EXPECT_EQ(std::memcmp(&vec[i], &ref[i], sizeof(double)), 0)
+                  << "output " << i << ": " << vec[i] << " vs " << ref[i];
+            } else if (std::isinf(vec[i]) != std::isinf(ref[i])) {
+              const double finite = std::isinf(vec[i]) ? ref[i] : vec[i];
+              EXPECT_NEAR(finite, p.slice_length, 1e-9 * p.slice_length)
+                  << "silence flip away from the slice boundary, output "
+                  << i;
+            } else if (!std::isinf(ref[i])) {
+              RESIPE_EXPECT_CLOSE(vec[i], ref[i], 1e-9, 1e-20);
+            }
+          }
         }
       }
     }

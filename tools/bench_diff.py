@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Noise-aware bench regression gate over the append-only history store.
 
-Compares a candidate ``benchmarks.json`` (from tools/collect_bench.py)
-against the last N matching entries in a ``--history`` directory
-(written by ``collect_bench.py --history``):
+Compares each bench of a candidate ``benchmarks.json`` (from
+tools/collect_bench.py) against the newest N matching entries of that
+bench in a ``--history`` directory (written by
+``collect_bench.py --history``):
 
     python3 tools/bench_diff.py benchmarks.json --history bench/history
 
@@ -69,8 +70,10 @@ def direction(key):
     return 0
 
 
-def load_history(history_dir, machine_hash, ignore_machine, last_n):
-    """Newest-first matching history entries."""
+def load_history(history_dir, machine_hash, ignore_machine):
+    """Newest-first machine-matching history entries, all of them: the
+    window is taken per bench in diff(), so newer files of other benches
+    cannot push a bench's baseline out of it."""
     try:
         names = sorted(os.listdir(history_dir), reverse=True)
     except OSError as err:
@@ -91,8 +94,6 @@ def load_history(history_dir, machine_hash, ignore_machine, last_n):
         if not ignore_machine and entry.get("machine_hash") != machine_hash:
             continue
         entries.append(entry)
-        if len(entries) >= last_n:
-            break
     return entries
 
 
@@ -108,8 +109,11 @@ def figures_of(bench_doc):
     return out
 
 
-def diff(candidate, history, threshold, noise_mult, match_config=True):
-    """Returns (regressions, improvements, checked) lists of strings."""
+def diff(candidate, history, threshold, noise_mult, match_config=True,
+         last_n=5):
+    """Returns (regressions, improvements, checked) lists of strings.
+    `history` is newest first; each bench compares against its newest
+    `last_n` matching entries."""
     regressions, improvements, checked = [], [], []
     by_name = {}
     for entry in history:
@@ -138,6 +142,7 @@ def diff(candidate, history, threshold, noise_mult, match_config=True):
         if not prior:
             checked.append(f"{name}: no matching history (new baseline)")
             continue
+        prior = prior[:last_n]
         cand_figures = figures_of(bench)
         for key, value in sorted(cand_figures.items()):
             sign = direction(key)
@@ -174,15 +179,15 @@ def run_diff(args):
         print(f"bench_diff: cannot read candidate: {err}", file=sys.stderr)
         return 2
     machine_hash = fnv1a_hex(machine_fingerprint())
-    history = load_history(args.history, machine_hash,
-                           args.ignore_machine, args.last)
+    history = load_history(args.history, machine_hash, args.ignore_machine)
     if not history:
         print("bench_diff: no usable history entries — nothing to gate "
               "(treating as pass; seed the store with "
               "collect_bench.py --history)")
         return 0
     regressions, improvements, checked = diff(
-        candidate, history, args.threshold, args.noise_mult)
+        candidate, history, args.threshold, args.noise_mult,
+        last_n=args.last)
     for line in checked:
         if args.verbose:
             print(f"  ok      {line}")
@@ -192,8 +197,9 @@ def run_diff(args):
         print(f"  SLOWER  {line}")
     print(f"bench_diff: {len(regressions)} regression(s), "
           f"{len(improvements)} improvement(s), "
-          f"{len(checked)} unchanged/uncompared vs last "
-          f"{len(history)} entr{'y' if len(history) == 1 else 'ies'}")
+          f"{len(checked)} unchanged/uncompared vs the last {args.last} "
+          f"entries per bench ({len(history)} history "
+          f"file{'' if len(history) == 1 else 's'})")
     if regressions and args.warn_only:
         print("bench_diff: --warn-only set, not failing the gate")
         return 0
@@ -273,8 +279,8 @@ def main(argv=None):
                         help="history directory "
                              "(default: bench/history)")
     parser.add_argument("--last", type=int, default=5,
-                        help="compare against the last N matching "
-                             "entries (default: 5)")
+                        help="compare each bench against its last N "
+                             "matching entries (default: 5)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative regression threshold "
                              "(default: 0.10)")

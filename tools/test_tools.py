@@ -4,6 +4,7 @@
     python3 tools/test_tools.py -v
 """
 
+import contextlib
 import copy
 import io
 import json
@@ -218,6 +219,38 @@ class BenchDiffTest(unittest.TestCase):
         slow["benches"][0]["wall_time_s"] *= 1.20
         regressions, _, _ = bench_diff.diff(slow, history, 0.10, 3.0)
         self.assertTrue(any("wall_time_s" in r for r in regressions))
+
+    def test_window_is_per_bench(self):
+        # Newer files of another bench must not push a bench's baseline
+        # out of the --last window: the gate would compare nothing.
+        history = self.history(n=2)
+        for i in range(5):
+            history.append({
+                "timestamp": 2000 + i,
+                "machine_hash": "m",
+                "benches": [{"bench": "other", "config_hash": "c",
+                             "wall_time_s": 1.0, "figures": {}}],
+            })
+        slow = copy.deepcopy(history[0])
+        slow["benches"][0]["figures"]["k_gflops"] *= 0.5
+        with tempfile.TemporaryDirectory() as tmp:
+            store = os.path.join(tmp, "history")
+            os.mkdir(store)
+            for entry in history:
+                name = f"{entry['timestamp']}_x_m.json"
+                with open(os.path.join(store, name), "w",
+                          encoding="utf-8") as fh:
+                    json.dump(entry, fh)
+            candidate = os.path.join(tmp, "candidate.json")
+            with open(candidate, "w", encoding="utf-8") as fh:
+                json.dump(slow, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = bench_diff.main([candidate, "--history", store,
+                                        "--last", "5",
+                                        "--ignore-machine"])
+        self.assertEqual(code, 1, out.getvalue())
+        self.assertIn("SLOWER  b.k_gflops", out.getvalue())
 
     def test_self_test_entrypoint(self):
         self.assertEqual(bench_diff.self_test(), 0)
