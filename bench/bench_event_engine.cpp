@@ -1,21 +1,23 @@
 // Event-driven vs dense execution: the activity crossover.
 //
-// The event engine (EngineConfig::events) wakes a FastMvm column group
-// only when an input event lands in its row window and skips silent
-// rows inside woken groups, so its cost scales with the *activity
-// fraction* (share of inputs that actually spike) instead of the layer
-// width.  This bench sweeps the activity fraction under two activity
-// shapes and times both paths on the same programmed matrix:
+// With EngineConfig::events on, each row window of the matrix forward
+// loop visits only the rows that carry a spike in some sample, so the
+// current-sum work scales with the *activity fraction* (share of inputs
+// that actually spike) instead of the layer width.  S2 and column
+// recovery still run for every block, silent or not.  This bench
+// sweeps the activity fraction under two activity shapes and times
+// both paths on the same programmed matrix, one vector per call:
 //
 //   banded  — the active inputs are contiguous (the shape im2col
 //             produces when whole input channels are silent): entire
-//             32-row tile groups fall silent and are skipped wholesale.
-//   random  — the same activity scattered uniformly: groups rarely
-//             sleep, so only the in-group row skipping helps, and the
-//             dense SIMD kernel wins until activity is very low.
+//             32-row windows fall silent and run S2 over no rows.
+//   random  — the same activity scattered uniformly: windows rarely
+//             fall silent, so only the skipped rows inside them help,
+//             and the dense SIMD kernel wins until activity is low.
 //
-// Both paths are bit-identical by construction (asserted here on every
-// sweep point); the only question is where the crossover sits.
+// Both paths are bit-identical by construction; the exit code asserts
+// it on every sweep point.  The only question is where the crossover
+// sits.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -69,7 +71,7 @@ std::vector<double> make_input(double fraction, bool banded, Rng& rng) {
 double time_forward_us(const ProgrammedMatrix& pm,
                        const std::vector<double>& x,
                        std::vector<double>& y) {
-  // Warm-up settles the thread-local queue/executor allocations.
+  // Warm-up settles the thread-local workspace allocations.
   pm.forward(x, y);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < kReps; ++r) pm.forward(x, y);
@@ -110,7 +112,7 @@ int main(int argc, char** argv) {
   report.set_config(event_cfg);
 
   // Identical seeds => identical programmed conductances, so the two
-  // paths disagree only if the sparse kernels have a bug.
+  // paths disagree only if the row lists are wrong.
   Rng rng_a(7), rng_b(7), rng_x(8);
   std::vector<double> w(kIn * kOut), b(kOut);
   for (double& v : w) v = rng_a.uniform(-0.5, 0.5);
@@ -178,9 +180,9 @@ int main(int argc, char** argv) {
     std::puts("ERROR: event path diverged from the dense reference");
     return 1;
   }
-  std::puts("Banded activity sleeps whole 32-row tile groups, so the "
-            "event path\npulls ahead early; scattered activity only "
-            "skips rows inside woken\ngroups and needs much lower "
-            "activity to beat the dense SIMD kernel.");
+  std::puts("Banded activity leaves whole 32-row windows silent, so "
+            "they run S2 alone;\nscattered activity only skips rows "
+            "inside active windows and needs much\nlower activity to "
+            "beat the dense SIMD kernel.");
   return report.emit();
 }

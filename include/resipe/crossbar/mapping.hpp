@@ -69,7 +69,8 @@ struct MappedWeights {
 /// conductance targets for the given device spec.  `w_clip`, when
 /// positive, overrides the normalization scale (weights are clipped to
 /// [-w_clip, +w_clip]); otherwise max |w| is used (or 1.0 for an
-/// all-zero matrix).
+/// all-zero matrix).  Throws on a NaN or infinite weight, naming the
+/// row and column of the first.
 MappedWeights map_weights(std::span<const double> weights, std::size_t rows,
                           std::size_t logical_cols,
                           const device::ReramSpec& spec,

@@ -17,13 +17,15 @@ namespace resipe::nn {
 /// failure.
 void save_weights(Sequential& model, const std::string& path);
 
-/// Loads parameters saved by save_weights into `model`.  Throws when
-/// the file does not exist, is corrupt, or the parameter layout does
-/// not match.
+/// Loads parameters saved by save_weights into `model`, all or
+/// nothing.  Throws, leaving every parameter unchanged, when the file
+/// does not exist, is corrupt or truncated, has trailing bytes, holds a
+/// NaN or infinite value (named by parameter index and element), or
+/// the parameter layout does not match.
 void load_weights(Sequential& model, const std::string& path);
 
-/// True when `path` exists and matches the model's parameter layout —
-/// load_weights(model, path) would succeed.
+/// True when load_weights(model, path) would succeed: `path` exists,
+/// matches the model's parameter layout and passes every check.
 bool weights_compatible(Sequential& model, const std::string& path);
 
 }  // namespace resipe::nn

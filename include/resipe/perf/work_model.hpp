@@ -47,10 +47,7 @@ using telemetry::WorkCost;
 ///                                          slice compare)
 /// bytes: read t_in + write v_wl (2*rows), stream the matrix and re-read
 /// v_wl per column (2*rows*cols), per-column constants g_total/k/offset
-/// (3*cols), write t_out (cols) — all at 8 bytes.  The event kernels
-/// book the same model over the rows they touch: mvm_times_sparse as
-/// fast_mvm_cost(active, cols), idle_times (a sleeping column group,
-/// S2 recovery only) as fast_mvm_cost(0, cols).
+/// (3*cols), write t_out (cols) — all at 8 bytes.
 WorkCost fast_mvm_cost(std::size_t rows, std::size_t cols);
 
 /// FastMvm::mvm_times_batch over n samples: flops are exactly n single
@@ -66,7 +63,9 @@ WorkCost fast_mvm_batch_cost(std::size_t rows, std::size_t cols,
 /// fast_mvm_batch_cost exactly: wordline_batch is the S1 ramp and the
 /// t_in/v_wl staging (4*n*rows flops, 8 * 2*n*rows bytes);
 /// mvm_voltages_batch is the rest (the current sums, S2 recovery, the
-/// matrix pass, the v_wl re-reads and the per-column traffic).
+/// matrix pass, the v_wl re-reads and the per-column traffic).  Both
+/// book the model over the rows their row list holds, so a list of
+/// active rows costs its length and an empty one S2 recovery alone.
 WorkCost fast_mvm_wordline_cost(std::size_t rows, std::size_t n);
 WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
                                 std::size_t n);
@@ -86,11 +85,6 @@ WorkCost spike_decode_cost();
 /// line); bytes read the times and write up to one event per line
 /// (time + row at double width, conservatively).
 WorkCost event_queue_build_cost(std::size_t rows);
-
-/// Skipped-group resolution in ProgrammedMatrix's event strategy: one
-/// add per column from the baked idle-recovery constants; bytes read
-/// the constants and read-modify-write the accumulator.
-WorkCost event_idle_resolve_cost(std::size_t cols);
 
 /// crossbar::drives_with_ir_drop: per cell the wire-divider effective_g
 /// (6 flops) plus the two accumulations (3 flops), per column the v_eq

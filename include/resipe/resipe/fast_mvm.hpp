@@ -15,9 +15,10 @@
 // Every MVM is the same two stages: S1 (the GD ramp sets the wordline
 // voltages) and the voltage stage (the column current sums, then the S2
 // inversion to output spike times).  Each stage takes n samples and the
-// ascending list of rows to visit: single and batched MVMs visit every
-// row, sparse ones the wake set and idle ones none.  A row left out is
-// silent, so it would add exactly +0.0 to every sum.
+// ascending list of rows to visit: mvm_times and mvm_times_batch visit
+// every row, wordline_batch and mvm_voltages_batch the rows their
+// caller lists, which may be none.  A row left out must be silent, so
+// it would add a signed zero to every sum.
 //
 // Each stage is one body, templated on the vector type and instantiated
 // at simd::vdouble and at simd::vscalar (width 1).  Columns sit in the
@@ -34,8 +35,8 @@
 // from a scalar build or RESIPE_SIMD=scalar.
 //
 // Because every entry point runs the same bodies, batch == single
-// holds bitwise at either width, and so do sparse and idle calls
-// against the dense call on the input they stand for.
+// holds bitwise at either width, and so does a call over a row list
+// against the full call on an input silent outside the list.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +71,8 @@ class FastMvm {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// The row list of every row, 0 to rows - 1, for the row-list stages.
+  std::span<const std::uint32_t> all_rows() const { return all_rows_; }
   const circuits::CircuitParams& params() const { return params_; }
   double g_total(std::size_t col) const { return g_total_[col]; }
 
@@ -114,50 +117,33 @@ class FastMvm {
   /// row-major [n, cols].  Bit-identical per sample to n calls of
   /// mvm_times — both run the same two stages — but each load of a
   /// conductance row feeds several samples.  Exactly wordline_batch
-  /// followed by mvm_voltages_batch.
+  /// followed by mvm_voltages_batch over every row.
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
 
-  /// The S1 stage of mvm_times_batch: the wordline voltages of n
-  /// samples (`t_in` row-major [n, rows]) on the active kernel path,
-  /// written to `v_wl` as row-major [n, rows].  They depend only on the
-  /// circuit parameters and the
-  /// input, so they can feed mvm_voltages_batch of every FastMvm with
-  /// the same rows and parameters — the tiles sharing a row window.
+  /// The S1 stage of mvm_times_batch over the listed rows: the wordline
+  /// voltages of n samples (`t_in` row-major [n, rows]) on the active
+  /// kernel path, written to `v_wl` as row-major [n, rows]; unlisted
+  /// rows of `v_wl` keep whatever they held.  `rows` must be strictly
+  /// ascending and in range, else throws.  The voltages depend only on
+  /// the circuit parameters and the input, so they can feed
+  /// mvm_voltages_batch of every FastMvm with the same rows and
+  /// parameters — the tiles sharing a row window.
   void wordline_batch(std::span<const double> t_in, std::size_t n,
+                      std::span<const std::uint32_t> rows,
                       aligned_vector& v_wl) const;
 
-  /// The current-sum + S2 stage of mvm_times_batch, fed wordline
-  /// voltages from wordline_batch of this FastMvm or of one with the
-  /// same rows and circuit parameters; `t_out` is row-major [n, cols].
-  /// The stage needs no scratch; `scratch` is accepted for callers that
-  /// pass the one they hand mvm_times_batch.
+  /// The current-sum + S2 stage of mvm_times_batch over the listed rows
+  /// (strictly ascending and in range, else throws), fed wordline
+  /// voltages from wordline_batch over the same rows of this FastMvm or
+  /// of one with the same rows and circuit parameters; `t_out` is
+  /// row-major [n, cols].  When every unlisted row is silent in every
+  /// sample, the output is bit-identical to mvm_times_batch on the full
+  /// input: a silent row would add a signed zero to each current sum.
+  /// An empty list runs S2 alone, O(cols) per sample.
   void mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
-                          std::span<double> t_out,
-                          BatchScratch& scratch) const;
-
-  /// Event-driven recovery for a group with no input events: every
-  /// wordline held 0 V for the whole slice, so only the per-column
-  /// comparator outcome remains — the voltage stage over no rows,
-  /// O(cols) instead of O(rows x cols).  Bit-identical to mvm_times on
-  /// an input whose every row fails the events::EventQueue::carries_spike
-  /// predicate (every current sum is then exactly +0.0), run on the
-  /// kernel path `vector` selects: the active one by default, either
-  /// one when a caller bakes constants for both.
-  void idle_times(std::span<double> t_out,
-                  bool vector = simd::enabled()) const;
-
-  /// Event-driven MVM: `active_rows` (strictly ascending, group-local
-  /// indices, else throws) lists the rows that carry a spike inside the
-  /// slice; every other row is guaranteed silent by the caller (its
-  /// dense wordline voltage is exactly +0.0).  Runs both stages over
-  /// the wake set only, which is bit-identical to mvm_times on the same
-  /// full input on either kernel path: a skipped row would add exactly
-  /// +0.0 to a non-negative sum, and every other row adds in the same
-  /// order.  Cost is O(active rows x cols) for the current sums.
-  void mvm_times_sparse(std::span<const double> t_in,
-                        std::span<const std::uint32_t> active_rows,
-                        std::span<double> t_out) const;
+                          std::span<const std::uint32_t> rows,
+                          std::span<double> t_out) const;
 
   /// The ideal Eq.(6) linear-model times for the same inputs.
   void ideal_times(std::span<const double> t_in,
@@ -168,6 +154,8 @@ class FastMvm {
 
  private:
   void precompute();
+  /// Throws unless `rows` is strictly ascending and in range.
+  void check_rows(std::span<const std::uint32_t> rows) const;
 
   /// S1: the wordline voltages of n samples (`t_in` row-major
   /// [n, rows]) into `v_wl` [n, rows], for the listed rows only; the

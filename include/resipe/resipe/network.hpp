@@ -28,7 +28,6 @@
 // circuit, so the substitution is documented in DESIGN.md.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -45,6 +44,11 @@
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/serve/config.hpp"
+
+namespace resipe::reliability {
+class FaultMap;
+class FaultMapper;
+}  // namespace resipe::reliability
 
 namespace resipe::resipe_core {
 
@@ -101,13 +105,12 @@ struct EngineConfig {
   /// of generation and validation for the verify fuzzer.
   serve::ServeConfig serve;
 
-  /// Event-driven sparse execution (see resipe/events/ and DESIGN.md
-  /// §15): selects the per-block strategy of ProgrammedMatrix's one
-  /// forward core.  Disabled by default: every block runs the batched
-  /// dense kernel.  Enabled, each sample's spikes are indexed, blocks
-  /// whose row window holds no spike sleep, and silent rows are
-  /// skipped inside woken blocks — with logits bit-identical to the
-  /// dense strategy at any thread count (pinned by the
+  /// Event-driven execution (see resipe/events/ and DESIGN.md §15):
+  /// selects the row list of ProgrammedMatrix's one forward loop.
+  /// Disabled by default: every block visits every row.  Enabled, the
+  /// batch's spikes are indexed once and each row window visits only
+  /// the rows that spike in some sample — with logits bit-identical to
+  /// the dense run at any thread count (pinned by the
   /// sparse_dense_identity contract and tests/test_events.cpp).  Like
   /// `serve`, the flag cannot affect logits, so it is excluded from
   /// engine_config_hash.
@@ -181,11 +184,9 @@ class ProgrammedMatrix {
   };
 
   /// forward() plus probes: y is bit-identical to forward(x, y) — the
-  /// same core runs it — and `stats` accumulates across calls.  A
-  /// probed pass always runs every block dense, because the probes read
-  /// each column's spike time and a sleeping block has none.  Not part
-  /// of the hot path: the regular forward entry points never consult
-  /// the introspection options.
+  /// same core runs it — and `stats` accumulates across calls.  Not
+  /// part of the hot path: the regular forward entry points never
+  /// consult the introspection options.
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 
@@ -194,21 +195,21 @@ class ProgrammedMatrix {
   /// inference never allocates.
   struct BatchWorkspace {
     std::vector<double> t_in;       // [n, in] encoded spike times
-    std::vector<double> t_rows;     // dense: [n, block.rows] staged input
-    std::vector<double> t_out;      // block spike times: [n, block.slots]
-                                    // dense, [block.slots] event
+    std::vector<double> t_rows;     // [n, block.rows] staged input
+    std::vector<double> t_out;      // [n, block.slots] block spike times
     std::vector<double> recovered;  // [n, physical cols] current-sums
-    FastMvm::BatchScratch mvm;      // dense: batched kernel scratch
-    std::vector<events::EventQueue> queues;  // event: one per sample
-    std::vector<std::uint32_t> wake;  // event: block-local wake set
+    FastMvm::BatchScratch mvm;      // the row window's wordline voltages
+    std::vector<std::uint32_t> rows;  // events: the row window's row list
+    events::EventQueue queue;       // events: rows spiking in the batch
   };
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
   /// forward() is this at n = 1, so batch and single calls are
-  /// bit-identical per sample.  Dense blocks run once over the whole
+  /// bit-identical per sample.  Every block runs once over the whole
   /// batch: each row window's wordline voltages once
   /// (FastMvm::wordline_batch), then every column block of the window
-  /// from them (FastMvm::mvm_voltages_batch); all scratch lives in `ws`.
+  /// from them (FastMvm::mvm_voltages_batch), both over the window's
+  /// row list; all scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
 
@@ -269,24 +270,17 @@ class ProgrammedMatrix {
     /// Physical slot of each data column (empty = identity).
     std::vector<std::size_t> slot_of_col;
     std::unique_ptr<FastMvm> mvm;
-    /// Baked recovery contribution of this block when its row group is
-    /// silent (length cols), one set per kernel path: [0] scalar,
-    /// [1] vector (empty on builds without a vector backend).
-    /// idle_times() output is input-independent, so recover() runs once
-    /// on it at programming and the event strategy resolves a sleeping
-    /// block with one add per column from the set of the active path.
-    std::array<std::vector<double>, 2> idle_recovery;
   };
 
   /// forward, forward_probed and forward_batch: encode() into ws.t_in,
   /// then run_times.  `probe`, when set, also counts encode clamps.
   void run(std::span<const double> x, std::size_t n, std::span<double> y,
            BatchWorkspace& ws, ProbeStats* probe) const;
-  /// The one forward core from spike times: run every block by its
-  /// strategy (dense over the whole batch, or event-driven per sample
-  /// when config_.events is on and `probe` is null), recover, decode.
-  /// `probe`, when set, also counts column outcomes.  Never writes
-  /// ws.t_in, so `t` may be it.
+  /// The one forward core from spike times: run every block once over
+  /// the whole batch and its row window's row list (every row, or with
+  /// config_.events on the rows that spike in some sample), recover,
+  /// decode.  `probe`, when set, also counts column outcomes.  Never
+  /// writes ws.t_in, so `t` may be it.
   void run_times(std::span<const double> t, std::size_t n,
                  std::span<double> y, BatchWorkspace& ws,
                  ProbeStats* probe) const;
@@ -299,15 +293,21 @@ class ProgrammedMatrix {
   /// Converts accumulated recovered sums + bias into outputs.
   void decode(std::span<const double> recovered, std::span<double> y) const;
 
-  /// Fault-injecting programming path (config_.reliability.enabled):
-  /// draws per-block defect maps from the dedicated fault stream,
-  /// detects + remaps + compensates per the mitigation policy, and
-  /// programs through the bounded write-verify loop.
-  void program_blocks_with_faults(Rng& rng);
-
-  /// Bakes each block's Block::idle_recovery constants for both kernel
-  /// paths (runs once at the end of both programming paths).
-  void finalize_idle_recovery();
+  /// The one block builder of both programming paths: walks the tile
+  /// grid, programs every cell (through the bounded write-verify loop
+  /// over pinned defects when config_.reliability is enabled), reads
+  /// back its effective conductance and builds each block's FastMvm
+  /// with its comparator offsets.
+  void program_blocks(Rng& rng);
+  /// The fault path's placement of one block: draws its defect map from
+  /// the dedicated fault stream, detects, remaps and compensates per
+  /// the mitigation policy, writes the per-slot targets and flags
+  /// degraded columns.  Returns the true defects to pin.
+  reliability::FaultMap place_block(Block& block,
+                                    std::vector<double>& targets,
+                                    Rng& fault_rng,
+                                    const reliability::FaultMapper& mapper,
+                                    std::vector<bool>& col_degraded);
 
   EngineConfig config_;
   SpikeCodec codec_;

@@ -43,6 +43,14 @@ MappedWeights map_weights(std::span<const double> weights, std::size_t rows,
   RESIPE_REQUIRE(rows > 0 && logical_cols > 0, "empty weight matrix");
   RESIPE_REQUIRE(weights.size() == rows * logical_cols,
                  "weight matrix size mismatch");
+  // std::max below would skip a NaN, and an Inf would scale every
+  // finite weight to zero.
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    RESIPE_REQUIRE(std::isfinite(weights[i]),
+                   "non-finite weight " << weights[i] << " at row "
+                                        << i / logical_cols << ", column "
+                                        << i % logical_cols);
+  }
   spec.validate();
 
   double scale = w_clip;

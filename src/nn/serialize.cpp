@@ -1,5 +1,7 @@
 #include "resipe/nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <vector>
@@ -52,32 +54,59 @@ bool read_header(std::ifstream& in, std::vector<std::uint64_t>& sizes) {
   return true;
 }
 
-}  // namespace
-
-void load_weights(Sequential& model, const std::string& path) {
+/// Reads every parameter of a save_weights file laid out for `model`
+/// into staging buffers, one per parameter, and checks the whole file
+/// before returning them; throws on the first defect.
+std::vector<std::vector<double>> read_weights(Sequential& model,
+                                              const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   RESIPE_REQUIRE(in.good(), "cannot open '" << path << "' for reading");
   std::vector<std::uint64_t> sizes;
   RESIPE_REQUIRE(read_header(in, sizes), "corrupt weight file '" << path
                                                                  << "'");
-  const auto expect = layout(model);
-  RESIPE_REQUIRE(sizes == expect,
+  RESIPE_REQUIRE(sizes == layout(model),
                  "weight file '" << path
                                  << "' does not match model architecture");
-  for (const Param& p : model.params()) {
-    auto data = p.value->data();
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(double)));
-    RESIPE_REQUIRE(in.good(), "truncated weight file '" << path << "'");
+  std::vector<std::vector<double>> staged(sizes.size());
+  for (std::size_t p = 0; p < sizes.size(); ++p) {
+    staged[p].resize(sizes[p]);
+    in.read(reinterpret_cast<char*>(staged[p].data()),
+            static_cast<std::streamsize>(sizes[p] * sizeof(double)));
+    RESIPE_REQUIRE(in.good(), "truncated weight file '"
+                                  << path << "': parameter " << p << " of "
+                                  << sizes.size() << " is incomplete");
+    for (std::size_t i = 0; i < staged[p].size(); ++i) {
+      RESIPE_REQUIRE(std::isfinite(staged[p][i]),
+                     "weight file '" << path << "': parameter " << p
+                                     << " holds " << staged[p][i]
+                                     << " at element " << i);
+    }
+  }
+  RESIPE_REQUIRE(in.peek() == std::ifstream::traits_type::eof(),
+                 "weight file '" << path << "' has trailing bytes after its "
+                                 << sizes.size() << " parameters");
+  return staged;
+}
+
+}  // namespace
+
+void load_weights(Sequential& model, const std::string& path) {
+  // Nothing reaches the model until the whole file has been checked.
+  const std::vector<std::vector<double>> staged = read_weights(model, path);
+  const std::vector<Param> params = model.params();
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    std::copy(staged[p].begin(), staged[p].end(),
+              params[p].value->data().begin());
   }
 }
 
 bool weights_compatible(Sequential& model, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  std::vector<std::uint64_t> sizes;
-  if (!read_header(in, sizes)) return false;
-  return sizes == layout(model);
+  try {
+    read_weights(model, path);
+  } catch (const Error&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace resipe::nn

@@ -52,11 +52,6 @@ WorkCost event_queue_build_cost(std::size_t rows) {
   return {3.0 * r, 8.0 * (r + 2.0 * r)};
 }
 
-WorkCost event_idle_resolve_cost(std::size_t cols) {
-  const double c = static_cast<double>(cols);
-  return {c, 8.0 * 3.0 * c};
-}
-
 WorkCost ir_drop_solve_cost(std::size_t rows, std::size_t cols) {
   const double r = static_cast<double>(rows);
   const double c = static_cast<double>(cols);

@@ -33,9 +33,8 @@ void with_count(std::size_t k, F&& f) {
   }(std::make_index_sequence<kMax>{});
 }
 
-/// Wordline-voltage buffer of the single-sample entry points, one per
-/// thread.  Callers only grow it, so calls alternating between tile
-/// shapes never re-zero it.
+/// Wordline-voltage buffer of mvm_times, one per thread.  Calls only
+/// grow it, so calls alternating between tile shapes never re-zero it.
 FastMvm::aligned_vector& single_v_wl() {
   thread_local FastMvm::aligned_vector v_wl;
   return v_wl;
@@ -102,6 +101,26 @@ void FastMvm::set_column_offsets(std::vector<double> offsets) {
   RESIPE_REQUIRE(offsets.size() == cols_,
                  "need one comparator offset per column");
   std::copy(offsets.begin(), offsets.end(), offsets_.begin());
+}
+
+void FastMvm::check_rows(std::span<const std::uint32_t> rows) const {
+  // One pass without early exit, so it vectorizes; a failure rescans to
+  // name the first bad entry.  Strictly ascending with the last row in
+  // range puts every row in range.
+  bool ok = rows.empty() || rows.back() < rows_;
+  for (std::size_t i = 1; i < rows.size(); ++i) ok &= rows[i - 1] < rows[i];
+  if (ok) return;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint32_t r = rows[i];
+    RESIPE_REQUIRE(r < rows_, "FastMvm row list: row "
+                                  << r << " at index " << i
+                                  << " is out of range for " << rows_
+                                  << " rows");
+    RESIPE_REQUIRE(i == 0 || rows[i - 1] < r,
+                   "FastMvm row list must be strictly ascending: row "
+                       << r << " at index " << i << " follows row "
+                       << rows[i - 1]);
+  }
 }
 
 // --- the two stages ------------------------------------------------------
@@ -294,68 +313,31 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
 }
 
 void FastMvm::wordline_batch(std::span<const double> t_in, std::size_t n,
+                             std::span<const std::uint32_t> rows,
                              aligned_vector& v_wl) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.wordline_batch",
-                     perf::fast_mvm_wordline_cost(rows_, n));
+                     perf::fast_mvm_wordline_cost(rows.size(), n));
   RESIPE_REQUIRE(t_in.size() == n * rows_, "FastMvm wordline size mismatch");
+  check_rows(rows);
   v_wl.resize(n * rows_);
   simd::at_width(simd::enabled(), [&](auto v) {
-    wordline_stage<decltype(v)>(t_in.data(), n, all_rows_, v_wl.data());
+    wordline_stage<decltype(v)>(t_in.data(), n, rows, v_wl.data());
   });
 }
 
 void FastMvm::mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
-                                 std::span<double> t_out,
-                                 BatchScratch& /*scratch*/) const {
+                                 std::span<const std::uint32_t> rows,
+                                 std::span<double> t_out) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_voltages_batch",
-                     perf::fast_mvm_voltages_cost(rows_, cols_, n));
+                     perf::fast_mvm_voltages_cost(rows.size(), cols_, n));
   RESIPE_REQUIRE(v_wl.size() == n * rows_ && t_out.size() == n * cols_,
                  "FastMvm voltage batch size mismatch");
+  check_rows(rows);
   if (n == 0) return;
   simd::at_width(simd::enabled(), [&](auto v) {
-    voltage_stage<decltype(v)>(v_wl.data(), n, all_rows_, t_out.data());
+    voltage_stage<decltype(v)>(v_wl.data(), n, rows, t_out.data());
   });
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
-}
-
-void FastMvm::mvm_times_sparse(std::span<const double> t_in,
-                               std::span<const std::uint32_t> active_rows,
-                               std::span<double> t_out) const {
-  RESIPE_TELEM_SCOPE("resipe_core.events.mvm_times_sparse",
-                     perf::fast_mvm_cost(active_rows.size(), cols_));
-  RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
-                 "FastMvm vector size mismatch");
-  for (std::size_t i = 0; i < active_rows.size(); ++i) {
-    const std::uint32_t r = active_rows[i];
-    RESIPE_REQUIRE(r < rows_, "FastMvm sparse wake set: row "
-                                  << r << " at index " << i
-                                  << " is out of range for " << rows_
-                                  << " rows");
-    RESIPE_REQUIRE(i == 0 || active_rows[i - 1] < r,
-                   "FastMvm sparse wake set must be strictly ascending: row "
-                       << r << " at index " << i << " follows row "
-                       << active_rows[i - 1]);
-  }
-  aligned_vector& v_wl = single_v_wl();
-  v_wl.resize(std::max(v_wl.size(), rows_));
-  simd::at_width(simd::enabled(), [&](auto v) {
-    using V = decltype(v);
-    wordline_stage<V>(t_in.data(), 1, active_rows, v_wl.data());
-    voltage_stage<V>(v_wl.data(), 1, active_rows, t_out.data());
-  });
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops",
-                     active_rows.size() * cols_);
-}
-
-void FastMvm::idle_times(std::span<double> t_out, bool vector) const {
-  RESIPE_TELEM_SCOPE("resipe_core.events.idle_times",
-                     perf::fast_mvm_cost(0, cols_));
-  RESIPE_REQUIRE(t_out.size() == cols_, "FastMvm vector size mismatch");
-  // No row visited, so no wordline is read: every current sum is
-  // exactly +0.0.
-  simd::at_width(vector, [&](auto v) {
-    voltage_stage<decltype(v)>(nullptr, 1, {}, t_out.data());
-  });
+  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows.size() * cols_);
 }
 
 void FastMvm::add_current_sums(std::span<const double> t_slots,

@@ -30,7 +30,6 @@ void EngineConfig::validate() const {
   device.validate();
   reliability.validate();
   serve.validate();
-  events.validate();
   RESIPE_REQUIRE(tile_rows > 0 && tile_cols > 0,
                  "tile dimensions must be positive, got "
                      << tile_rows << "x" << tile_cols);
@@ -53,6 +52,33 @@ void EngineConfig::validate() const {
                  "negative introspection activity threshold");
 }
 
+namespace {
+
+/// The effective conductance of a programmed cell at tile position
+/// (r, c): retention drift and, on the fault path, accumulated read
+/// disturb act on the device filament, then the 1T1R series transistor,
+/// then position-dependent wire IR drop.
+double effective_conductance(const EngineConfig& config,
+                             const device::ReramCell& cell, std::size_t r,
+                             std::size_t c) {
+  const device::ReramSpec& spec = config.device;
+  const auto& rel = config.reliability;
+  double g_dev = cell.programmed_g();
+  if (config.retention_time > 0.0) {
+    g_dev = cell.drifted_g(spec, config.retention_time);
+  }
+  if (rel.enabled && rel.read_disturb_rate > 0.0 && rel.expected_mvms > 0.0 &&
+      !cell.hard_faulted()) {
+    g_dev = reliability::read_disturbed_conductance(
+        g_dev, rel.expected_mvms, rel.read_disturb_rate, spec.g_min());
+  }
+  double g = g_dev > 0.0 ? 1.0 / (1.0 / g_dev + spec.transistor_r_on) : 0.0;
+  if (config.model_wire_ir_drop) g = config.wires.effective_g(g, r, c);
+  return g;
+}
+
+}  // namespace
+
 ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
                                    std::span<const double> weights,
                                    std::span<const double> bias,
@@ -70,115 +96,27 @@ ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
 
   mapping_ = crossbar::map_weights(weights, in, out, config_.device,
                                    config_.mapping);
-
   row_blocks_ = (in + config_.tile_rows - 1) / config_.tile_rows;
-  const std::size_t col_blocks =
-      (mapping_.cols + config_.tile_cols - 1) / config_.tile_cols;
-
   output_ok_.assign(out_, true);
-  if (config_.reliability.enabled) {
-    program_blocks_with_faults(rng);
-    finalize_idle_recovery();
-    return;
-  }
-
-  // Program every block cell-by-cell through the full device model.
-  for (std::size_t rb = 0; rb < row_blocks_; ++rb) {
-    const std::size_t row0 = rb * config_.tile_rows;
-    const std::size_t rows = std::min(config_.tile_rows, in - row0);
-    for (std::size_t cb = 0; cb < col_blocks; ++cb) {
-      const std::size_t col0 = cb * config_.tile_cols;
-      const std::size_t cols = std::min(config_.tile_cols,
-                                        mapping_.cols - col0);
-      Block block;
-      block.row0 = row0;
-      block.rows = rows;
-      block.col0 = col0;
-      block.cols = cols;
-      block.slots = cols;
-      std::vector<double> g_eff(rows * cols, 0.0);
-      device::ReramCell cell;
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          const double target =
-              mapping_.g_targets[(row0 + r) * mapping_.cols + (col0 + c)];
-          cell.program(config_.device, target, rng);
-          double g = cell.effective_g(config_.device);
-          if (config_.retention_time > 0.0 && g > 0.0) {
-            // Apply drift to the device part of the series combination.
-            const double g_dev = cell.drifted_g(config_.device,
-                                                config_.retention_time);
-            g = g_dev > 0.0
-                    ? 1.0 / (1.0 / g_dev + config_.device.transistor_r_on)
-                    : 0.0;
-          }
-          if (config_.model_wire_ir_drop) {
-            g = config_.wires.effective_g(g, r, c);
-          }
-          g_eff[r * cols + c] = g;
-        }
-      }
-      block.mvm = std::make_unique<FastMvm>(config_.circuit, rows, cols,
-                                            std::move(g_eff));
-      if (config_.circuit.comparator_offset_sigma > 0.0) {
-        std::vector<double> offsets(cols, 0.0);
-        for (double& o : offsets) {
-          o = rng.normal(0.0, config_.circuit.comparator_offset_sigma);
-        }
-        block.mvm->set_column_offsets(std::move(offsets));
-      }
-      blocks_.push_back(std::move(block));
-    }
-  }
-  finalize_idle_recovery();
+  program_blocks(rng);
 }
 
-void ProgrammedMatrix::finalize_idle_recovery() {
-  // A sleeping group's block output is input-independent, so its
-  // recovery contribution is a per-column constant.  Baking it through
-  // recover() itself makes adding the constant reproduce the dense bits
-  // of the kernel path that baked it, so each path bakes its own set:
-  // the SIMD mode may change between programming and inference.
-  std::vector<double> t_idle;
-  for (Block& block : blocks_) {
-    t_idle.resize(block.slots);
-    for (const bool vector : {false, true}) {
-      if (vector && simd::native_lanes == 1) break;
-      block.mvm->idle_times(t_idle, vector);
-      std::vector<double>& idle = block.idle_recovery[vector];
-      idle.assign(block.cols, 0.0);
-      recover(block, t_idle.data(), idle.data(), nullptr, vector);
-    }
-  }
-}
-
-void ProgrammedMatrix::program_blocks_with_faults(Rng& rng) {
-  RESIPE_TELEM_SCOPE("resipe_core.matrix.program_with_faults");
+void ProgrammedMatrix::program_blocks(Rng& rng) {
   const auto& rel = config_.reliability;
-  rel.validate();
-  const auto& mit = rel.mitigation;
   const device::ReramSpec& spec = config_.device;
-  const double g_min = spec.g_min();
-  const double g_max = spec.g_max();
-  const double g_span = g_max - g_min;
-  const bool paired =
-      config_.mapping != crossbar::SignedMapping::kOffsetColumn;
-  const std::size_t group = paired ? 2 : 1;
-  // Spare columns are physical silicon: they exist (and are defective
-  // at the same rates) whether or not the mitigation policy uses them,
-  // so the OFF/ON comparison sees identical fault realizations.
-  const std::size_t spare = mit.spare_cols;
-
+  // Spare columns are physical silicon: on the fault path they exist
+  // (and are defective at the same rates) whether or not the mitigation
+  // policy uses them, so the OFF/ON comparison sees identical fault
+  // realizations.
+  const std::size_t spare = rel.enabled ? rel.mitigation.spare_cols : 0;
   // Defects come from their own stream: toggling mitigation changes how
   // many *programming* draws happen, never which cells are broken.
   Rng fault_rng(rel.fault_seed);
   const reliability::FaultMapper mapper(rel.mapper);
-
   device::ProgramBudget budget;
-  budget.max_attempts = std::max(1, mit.write_verify_retries);
+  budget.max_attempts = std::max(1, rel.mitigation.write_verify_retries);
   budget.endurance_cycles = rel.endurance_cycles;
   budget.wear_cycles = rel.wear_cycles;
-
   std::vector<bool> col_degraded(mapping_.cols, false);
 
   const std::size_t col_blocks =
@@ -187,161 +125,58 @@ void ProgrammedMatrix::program_blocks_with_faults(Rng& rng) {
     const std::size_t row0 = rb * config_.tile_rows;
     const std::size_t rows = std::min(config_.tile_rows, in_ - row0);
     for (std::size_t cb = 0; cb < col_blocks; ++cb) {
-      const std::size_t col0 = cb * config_.tile_cols;
-      const std::size_t cols =
-          std::min(config_.tile_cols, mapping_.cols - col0);
-      const std::size_t slots = cols + spare;
       Block block;
       block.row0 = row0;
       block.rows = rows;
-      block.col0 = col0;
-      block.cols = cols;
-      block.slots = slots;
+      block.col0 = cb * config_.tile_cols;
+      block.cols = std::min(config_.tile_cols, mapping_.cols - block.col0);
+      block.slots = block.cols + spare;
+      const std::size_t slots = block.slots;
 
-      // --- Defect realization and (imperfect) march-test detection.
-      const reliability::FaultMap truth =
-          reliability::generate_fault_map(rows, slots, rel.faults,
-                                          fault_rng);
-      // The march test always burns its rng draws so the defect stream
-      // stays aligned across arms, but a blind (mitigation-off) chip
-      // never looks at the result.
-      const reliability::FaultMap detected =
-          mapper.from_truth(truth, fault_rng);
-      rstats_.cells_faulty += truth.fault_count();
-      if (mit.enabled) rstats_.cells_detected += detected.fault_count();
-
-      // --- Column placement.  Importance = conductance mass above
-      // G_min, i.e. the weight magnitude the column carries.
-      crossbar::ColumnRemapPlan plan;
-      plan.group = group;
-      plan.data_cols = cols;
-      plan.total_cols = slots;
-      plan.slot_of_col.resize(cols);
-      std::iota(plan.slot_of_col.begin(), plan.slot_of_col.end(),
-                std::size_t{0});
-      if (mit.enabled) {
-        std::vector<double> importance;
-        if (mit.remap_columns) {
-          importance.assign(cols, 0.0);
-          for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < cols; ++c) {
-              importance[c] +=
-                  mapping_.g_targets[(row0 + r) * mapping_.cols +
-                                     (col0 + c)] -
-                  g_min;
-            }
-          }
-        }
-        plan = crossbar::plan_column_remap(detected, cols, group,
-                                           importance,
-                                           mit.remap_columns);
-        rstats_.columns_remapped += plan.remapped_cols;
-        rstats_.spares_used += plan.spares_used;
-        rstats_.columns_unrepairable += plan.unrepaired.size();
-      }
-
-      // --- Per-slot conductance targets; unused slots idle at HRS.
-      std::vector<double> targets(rows * slots, g_min);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          targets[r * slots + plan.slot_of_col[c]] =
-              mapping_.g_targets[(row0 + r) * mapping_.cols + (col0 + c)];
-        }
-      }
-
-      // --- Differential compensation: a single detected-stuck cell of
-      // a (G+, G-) pair is cancelled by re-targeting its healthy
-      // partner to preserve the pair difference.  Residuals beyond the
-      // degrade threshold (and both-stuck rows) flag the pair.
-      std::vector<bool> data_degraded(cols, false);
-      const bool compensate = mit.enabled && mit.compensate_pairs && paired;
-      if (compensate) {
-        for (std::size_t c0 = 0; c0 + 1 < cols; c0 += 2) {
-          const std::size_t c1 = c0 + 1;
-          const std::size_t s0 = plan.slot_of_col[c0];
-          const std::size_t s1 = plan.slot_of_col[c1];
-          bool degraded = false;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const reliability::FaultType f0 = detected.at(r, s0);
-            const reliability::FaultType f1 = detected.at(r, s1);
-            const bool b0 = f0 != reliability::FaultType::kNone;
-            const bool b1 = f1 != reliability::FaultType::kNone;
-            if (!b0 && !b1) continue;
-            if (b0 && b1) {
-              degraded = true;  // both cells pinned: nothing to re-target
-              continue;
-            }
-            const bool plus_stuck = b0;
-            const std::size_t healthy = plus_stuck ? s1 : s0;
-            const reliability::FaultType fault = plus_stuck ? f0 : f1;
-            const double g_stuck =
-                fault == reliability::FaultType::kStuckLrs ? g_max : g_min;
-            const double diff =
-                targets[r * slots + s0] - targets[r * slots + s1];
-            const double want =
-                plus_stuck ? g_stuck - diff : g_stuck + diff;
-            const double retarget = std::clamp(want, g_min, g_max);
-            targets[r * slots + healthy] = retarget;
-            ++rstats_.cells_compensated;
-            if (std::abs(want - retarget) >
-                mit.degrade_threshold * g_span) {
-              degraded = true;
-            }
-          }
-          if (degraded) {
-            data_degraded[c0] = true;
-            data_degraded[c1] = true;
-          }
-        }
+      // Per-slot conductance targets; unused slots idle at HRS.
+      std::vector<double> targets(rows * slots, spec.g_min());
+      reliability::FaultMap truth;
+      if (rel.enabled) {
+        truth = place_block(block, targets, fault_rng, mapper, col_degraded);
       } else {
-        for (std::size_t c : plan.unrepaired) data_degraded[c] = true;
+        for (std::size_t r = 0; r < rows; ++r) {
+          std::copy_n(mapping_.g_targets.data() +
+                          (row0 + r) * mapping_.cols + block.col0,
+                      block.cols, targets.data() + r * slots);
+        }
       }
 
-      // --- Pin the true defects, then program every slot through the
+      // Program every slot through the full device model.  On the fault
+      // path the true defects are pinned first and writes go through the
       // bounded write-verify loop (endurance wear can add new hard
       // faults mid-write; the explicit status makes that observable).
       std::vector<double> g_eff(rows * slots, 0.0);
       for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t s = 0; s < slots; ++s) {
+          const double target = targets[r * slots + s];
           device::ReramCell cell;
-          switch (truth.at(r, s)) {
-            case reliability::FaultType::kStuckLrs:
-              cell.force_stuck_lrs(spec);
-              break;
-            case reliability::FaultType::kStuckHrs:
-              cell.force_stuck_hrs(spec);
-              break;
-            case reliability::FaultType::kNone:
-              break;
+          if (!rel.enabled) {
+            cell.program(spec, target, rng);
+          } else {
+            switch (truth.at(r, s)) {
+              case reliability::FaultType::kStuckLrs:
+                cell.force_stuck_lrs(spec);
+                break;
+              case reliability::FaultType::kStuckHrs:
+                cell.force_stuck_hrs(spec);
+                break;
+              case reliability::FaultType::kNone:
+                break;
+            }
+            const device::ProgramResult res =
+                cell.program_verified(spec, target, rng, budget);
+            if (res.status == device::ProgramStatus::kGaveUp) {
+              ++rstats_.write_giveups;
+            } else if (res.status == device::ProgramStatus::kWriteFailed) {
+              ++rstats_.write_wearouts;
+            }
           }
-          const device::ProgramResult res =
-              cell.program_verified(spec, targets[r * slots + s], rng,
-                                    budget);
-          if (res.status == device::ProgramStatus::kGaveUp) {
-            ++rstats_.write_giveups;
-          } else if (res.status == device::ProgramStatus::kWriteFailed) {
-            ++rstats_.write_wearouts;
-          }
-
-          // Effective conductance: retention drift + accumulated read
-          // disturb act on the device filament, then the 1T1R series
-          // transistor, then position-dependent wire IR drop.
-          double g_dev = cell.programmed_g();
-          if (config_.retention_time > 0.0) {
-            g_dev = cell.drifted_g(spec, config_.retention_time);
-          }
-          if (rel.read_disturb_rate > 0.0 && rel.expected_mvms > 0.0 &&
-              !cell.hard_faulted()) {
-            g_dev = reliability::read_disturbed_conductance(
-                g_dev, rel.expected_mvms, rel.read_disturb_rate, g_min);
-          }
-          double g = g_dev > 0.0
-                         ? 1.0 / (1.0 / g_dev + spec.transistor_r_on)
-                         : 0.0;
-          if (config_.model_wire_ir_drop) {
-            g = config_.wires.effective_g(g, r, s);
-          }
-          g_eff[r * slots + s] = g;
+          g_eff[r * slots + s] = effective_conductance(config_, cell, r, s);
         }
       }
 
@@ -354,15 +189,10 @@ void ProgrammedMatrix::program_blocks_with_faults(Rng& rng) {
         }
         block.mvm->set_column_offsets(std::move(offsets));
       }
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (data_degraded[c]) col_degraded[col0 + c] = true;
-      }
-      if (!plan.identity()) {
-        block.slot_of_col = std::move(plan.slot_of_col);
-      }
       blocks_.push_back(std::move(block));
     }
   }
+  if (!rel.enabled) return;
 
   std::size_t degraded = 0;
   for (std::size_t j = 0; j < out_; ++j) {
@@ -375,6 +205,116 @@ void ProgrammedMatrix::program_blocks_with_faults(Rng& rng) {
   RESIPE_TELEM_COUNT("reliability.cells_compensated",
                      rstats_.cells_compensated);
   RESIPE_TELEM_COUNT("reliability.degraded_outputs", degraded);
+}
+
+reliability::FaultMap ProgrammedMatrix::place_block(
+    Block& block, std::vector<double>& targets, Rng& fault_rng,
+    const reliability::FaultMapper& mapper,
+    std::vector<bool>& col_degraded) {
+  const auto& rel = config_.reliability;
+  const auto& mit = rel.mitigation;
+  const double g_min = config_.device.g_min();
+  const double g_max = config_.device.g_max();
+  const double g_span = g_max - g_min;
+  const bool paired =
+      config_.mapping != crossbar::SignedMapping::kOffsetColumn;
+  const std::size_t rows = block.rows;
+  const std::size_t cols = block.cols;
+  const std::size_t slots = block.slots;
+  const auto target_of = [&](std::size_t r, std::size_t c) {
+    return mapping_.g_targets[(block.row0 + r) * mapping_.cols +
+                              (block.col0 + c)];
+  };
+
+  // --- Defect realization and (imperfect) march-test detection.
+  reliability::FaultMap truth =
+      reliability::generate_fault_map(rows, slots, rel.faults, fault_rng);
+  // The march test always burns its rng draws so the defect stream
+  // stays aligned across arms, but a blind (mitigation-off) chip never
+  // looks at the result.
+  const reliability::FaultMap detected = mapper.from_truth(truth, fault_rng);
+  rstats_.cells_faulty += truth.fault_count();
+  if (mit.enabled) rstats_.cells_detected += detected.fault_count();
+
+  // --- Column placement.  Importance = conductance mass above G_min,
+  // i.e. the weight magnitude the column carries.
+  crossbar::ColumnRemapPlan plan;
+  plan.group = paired ? 2 : 1;
+  plan.data_cols = cols;
+  plan.total_cols = slots;
+  plan.slot_of_col.resize(cols);
+  std::iota(plan.slot_of_col.begin(), plan.slot_of_col.end(),
+            std::size_t{0});
+  if (mit.enabled) {
+    std::vector<double> importance;
+    if (mit.remap_columns) {
+      importance.assign(cols, 0.0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          importance[c] += target_of(r, c) - g_min;
+        }
+      }
+    }
+    plan = crossbar::plan_column_remap(detected, cols, plan.group,
+                                       importance, mit.remap_columns);
+    rstats_.columns_remapped += plan.remapped_cols;
+    rstats_.spares_used += plan.spares_used;
+    rstats_.columns_unrepairable += plan.unrepaired.size();
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      targets[r * slots + plan.slot_of_col[c]] = target_of(r, c);
+    }
+  }
+
+  // --- Differential compensation: a single detected-stuck cell of a
+  // (G+, G-) pair is cancelled by re-targeting its healthy partner to
+  // preserve the pair difference.  Residuals beyond the degrade
+  // threshold (and both-stuck rows) flag the pair.
+  std::vector<bool> data_degraded(cols, false);
+  if (mit.enabled && mit.compensate_pairs && paired) {
+    for (std::size_t c0 = 0; c0 + 1 < cols; c0 += 2) {
+      const std::size_t c1 = c0 + 1;
+      const std::size_t s0 = plan.slot_of_col[c0];
+      const std::size_t s1 = plan.slot_of_col[c1];
+      bool degraded = false;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const reliability::FaultType f0 = detected.at(r, s0);
+        const reliability::FaultType f1 = detected.at(r, s1);
+        const bool b0 = f0 != reliability::FaultType::kNone;
+        const bool b1 = f1 != reliability::FaultType::kNone;
+        if (!b0 && !b1) continue;
+        if (b0 && b1) {
+          degraded = true;  // both cells pinned: nothing to re-target
+          continue;
+        }
+        const bool plus_stuck = b0;
+        const std::size_t healthy = plus_stuck ? s1 : s0;
+        const reliability::FaultType fault = plus_stuck ? f0 : f1;
+        const double g_stuck =
+            fault == reliability::FaultType::kStuckLrs ? g_max : g_min;
+        const double diff = targets[r * slots + s0] - targets[r * slots + s1];
+        const double want = plus_stuck ? g_stuck - diff : g_stuck + diff;
+        const double retarget = std::clamp(want, g_min, g_max);
+        targets[r * slots + healthy] = retarget;
+        ++rstats_.cells_compensated;
+        if (std::abs(want - retarget) > mit.degrade_threshold * g_span) {
+          degraded = true;
+        }
+      }
+      if (degraded) {
+        data_degraded[c0] = true;
+        data_degraded[c1] = true;
+      }
+    }
+  } else {
+    for (std::size_t c : plan.unrepaired) data_degraded[c] = true;
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (data_degraded[c]) col_degraded[block.col0 + c] = true;
+  }
+  if (!plan.identity()) block.slot_of_col = std::move(plan.slot_of_col);
+  return truth;
 }
 
 std::size_t ProgrammedMatrix::degraded_outputs() const {
@@ -469,77 +409,58 @@ void ProgrammedMatrix::run_times(std::span<const double> t, std::size_t n,
   if (n == 0) return;
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
   const std::size_t cols = mapping_.cols;
-  // Probes read every column's spike time, and a sleeping block has
-  // none, so a probed pass runs every block dense.
-  const bool event_strategy = config_.events.enabled && probe == nullptr;
-  const bool vector = simd::enabled();
+  // With events on, each row window visits only the rows that spike in
+  // some sample.  Any other row holds its wordline at 0 V in every
+  // sample, so leaving it out changes no current sum (see the note
+  // above FastMvm's stages); a window silent across the batch runs the
+  // voltage stage over no rows.
+  const bool events = config_.events.enabled;
+  if (events) ws.queue.build(t, config_.circuit.slice_length, n);
 
-  // The event strategy indexes each sample's spikes once.
-  if (event_strategy) {
-    if (ws.queues.size() < n) ws.queues.resize(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      ws.queues[s].build(t.subspan(s * in_, in_),
-                         config_.circuit.slice_length);
-    }
-  }
-
-  // Every strategy visits the blocks in the same order and recovers
-  // through recover(), so each sample's column sums accumulate in the
-  // same order on either strategy.
+  // Every block accumulates in the same order, so each sample's column
+  // sums do not depend on the row lists.
   ws.recovered.assign(n * cols, 0.0);
   std::uint64_t woken = 0, skipped = 0, delivered = 0, rows_skipped = 0;
-  // Row window whose wordline voltages ws.mvm.v_wl holds; blocks are
-  // stored window by window, so each window's S1 runs once per batch.
+  // Row window whose row list `rows` and wordline voltages ws.mvm.v_wl
+  // hold; blocks are stored window by window, so each window's S1 runs
+  // once per batch.
   std::size_t window = in_;
+  std::span<const std::uint32_t> rows;
+  const bool vector = simd::enabled();
   for (const Block& block : blocks_) {
-    if (!event_strategy) {
-      // Dense: the block runs once over the whole batch.
-      if (block.row0 != window) {
-        ws.t_rows.resize(n * block.rows);
-        for (std::size_t s = 0; s < n; ++s) {
-          const double* src = t.data() + s * in_ + block.row0;
-          std::copy(src, src + block.rows,
-                    ws.t_rows.data() + s * block.rows);
-        }
-        block.mvm->wordline_batch(ws.t_rows, n, ws.mvm.v_wl);
-        window = block.row0;
-      }
-      ws.t_out.resize(n * block.slots);
-      block.mvm->mvm_voltages_batch(ws.mvm.v_wl, n, ws.t_out, ws.mvm);
+    if (block.row0 != window) {
+      window = block.row0;
+      ws.t_rows.resize(n * block.rows);
       for (std::size_t s = 0; s < n; ++s) {
-        recover(block, ws.t_out.data() + s * block.slots,
-                ws.recovered.data() + s * cols + block.col0, probe, vector);
+        const double* src = t.data() + s * in_ + block.row0;
+        std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
       }
-      continue;
+      rows = block.mvm->all_rows();
+      if (events) {
+        const auto spiking = ws.queue.rows_in_range(block.row0, block.rows);
+        ws.rows.resize(spiking.size());
+        for (std::size_t i = 0; i < spiking.size(); ++i) {
+          ws.rows[i] = static_cast<std::uint32_t>(spiking[i] - block.row0);
+        }
+        rows = ws.rows;
+      }
+      block.mvm->wordline_batch(ws.t_rows, n, rows, ws.mvm.v_wl);
     }
-    // Event-driven, per sample: a block whose row window holds no spike
-    // sleeps and adds its baked idle constants; a woken block runs the
-    // sparse kernel over its wake set only.
-    const std::vector<double>& idle = block.idle_recovery[vector];
-    ws.t_out.resize(block.slots);
-    for (std::size_t s = 0; s < n; ++s) {
-      double* rec = ws.recovered.data() + s * cols + block.col0;
-      const auto wake = ws.queues[s].rows_in_range(block.row0, block.rows);
-      rows_skipped += block.rows - wake.size();
-      if (wake.empty()) {
-        RESIPE_TELEM_WORK("resipe_core.events.idle_resolve",
-                          perf::event_idle_resolve_cost(block.cols));
-        ++skipped;
-        for (std::size_t c = 0; c < block.cols; ++c) rec[c] += idle[c];
-        continue;
-      }
-      ws.wake.resize(wake.size());
-      for (std::size_t i = 0; i < wake.size(); ++i) {
-        ws.wake[i] = static_cast<std::uint32_t>(wake[i] - block.row0);
-      }
-      block.mvm->mvm_times_sparse(t.subspan(s * in_ + block.row0, block.rows),
-                                  ws.wake, ws.t_out);
+    ws.t_out.resize(n * block.slots);
+    block.mvm->mvm_voltages_batch(ws.mvm.v_wl, n, rows, ws.t_out);
+    if (rows.empty()) {
+      ++skipped;
+    } else {
       ++woken;
-      delivered += wake.size();
-      recover(block, ws.t_out.data(), rec, nullptr, vector);
+    }
+    delivered += rows.size();
+    rows_skipped += block.rows - rows.size();
+    for (std::size_t s = 0; s < n; ++s) {
+      recover(block, ws.t_out.data() + s * block.slots,
+              ws.recovered.data() + s * cols + block.col0, probe, vector);
     }
   }
-  if (event_strategy) {
+  if (events) {
     RESIPE_TELEM_COUNT("resipe_core.events.delivered", delivered);
     RESIPE_TELEM_COUNT("resipe_core.events.groups_woken", woken);
     RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped", skipped);

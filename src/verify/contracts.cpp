@@ -310,14 +310,14 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
   const std::size_t n = std::max<std::size_t>(spec.batch, 2);
   const std::size_t rows = spec.rows;
   const std::size_t cols = spec.cols;
-  // n drawn samples, then one all-silent sample for idle_times.
+  // n drawn samples, then one all-silent sample.
   std::vector<double> t_in((n + 1) * rows);
   const SpikeCodec codec(spec.config.circuit, spec.config.quantize_spikes);
   for (std::size_t i = 0; i < n * rows; ++i) {
     t_in[i] = codec.encode(rng.uniform(0.0, 1.0)).arrival_time;
   }
   // Silence mask: each sample silences rows at its own rate, half as
-  // t = 0 and half as kNoSpike, so wake sets range from full to empty.
+  // t = 0 and half as kNoSpike, so row lists range from full to empty.
   for (std::size_t s = 0; s < n; ++s) {
     const double rate = rng.uniform(0.0, 1.0);
     for (std::size_t r = 0; r < rows; ++r) {
@@ -337,38 +337,47 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
   std::string failure;
   const auto matches = [&](const char* what, std::size_t s,
                            std::span<const double> got) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double batched = batch_out[s * cols + c];
-      if (std::memcmp(&batched, &got[c], sizeof(double)) != 0) {
-        failure = fail_at(what, s * cols + c, got[c], batched);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const double batched = batch_out[s * cols + i];
+      if (std::memcmp(&batched, &got[i], sizeof(double)) != 0) {
+        failure = fail_at(what, s * cols + i, got[i], batched);
         return false;
       }
     }
     return true;
   };
-
-  std::vector<double> out(cols, 0.0);
-  std::vector<std::uint32_t> wake;
+  // The row-list stages over the rows that spike in any of the given
+  // samples, as the forward loop runs them.
   const double slice = spec.config.circuit.slice_length;
+  std::vector<std::uint32_t> spiking;
+  std::vector<double> out;
+  const auto run_listed = [&](std::span<const double> samples,
+                              std::size_t m) {
+    EventQueue queue;
+    queue.build(samples, slice, m);
+    spiking.assign(queue.active_rows().begin(), queue.active_rows().end());
+    fast.wordline_batch(samples, m, spiking, scratch.v_wl);
+    out.assign(m * cols, 0.0);
+    fast.mvm_voltages_batch(scratch.v_wl, m, spiking, out);
+  };
+
+  // Per sample: single, and the row list of its spiking rows (empty
+  // for the all-silent last sample).
   for (std::size_t s = 0; s <= n; ++s) {
     const auto sample = std::span<const double>(t_in).subspan(s * rows, rows);
+    out.assign(cols, 0.0);
     fast.mvm_times(sample, out);
     if (!matches("single vs batched FastMvm", s, out)) {
       return ContractResult::fail(failure);
     }
-    wake.clear();
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (EventQueue::carries_spike(sample[r], slice)) {
-        wake.push_back(static_cast<std::uint32_t>(r));
-      }
-    }
-    fast.mvm_times_sparse(sample, wake, out);
-    if (!matches("sparse vs batched FastMvm", s, out)) {
+    run_listed(sample, 1);
+    if (!matches("row-list vs batched FastMvm", s, out)) {
       return ContractResult::fail(failure);
     }
   }
-  fast.idle_times(out);
-  if (!matches("idle vs batched FastMvm", n, out)) {
+  // The whole batch over the rows that spike in any sample.
+  run_listed(t_in, n + 1);
+  if (!matches("batch row-list vs batched FastMvm", 0, out)) {
     return ContractResult::fail(failure);
   }
   return ContractResult::ok();
@@ -1122,6 +1131,21 @@ ContractResult check_simd_equivalence(const CaseSpec& spec) {
   return ContractResult::ok();
 }
 
+/// Keeps every matrix step's matrix and boundary tensors of a
+/// forward_observed pass.
+struct MatrixStepCapture : resipe_core::LayerObserver {
+  std::vector<const ProgrammedMatrix*> matrices;
+  std::vector<nn::Tensor> inputs;
+  std::vector<nn::Tensor> outputs;
+  void on_step(std::size_t, nn::Layer&, const ProgrammedMatrix* m, bool,
+               const nn::Tensor& in, const nn::Tensor& out) override {
+    if (m == nullptr) return;
+    matrices.push_back(m);
+    inputs.push_back(in);
+    outputs.push_back(out);
+  }
+};
+
 ContractResult check_sparse_dense_identity(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamSparseDense));
   NetworkFixture fx = build_network_inputs(spec, rng);
@@ -1132,6 +1156,22 @@ ContractResult check_sparse_dense_identity(const CaseSpec& spec) {
   for (double& v : fx.batch.data()) {
     if (rng.bernoulli(0.5)) v = 0.0;
   }
+  // Silence at batch level: one drawn band of inputs in every sample,
+  // then a second band per sample, so a row window can be silent across
+  // the whole batch or in some of its samples only.
+  const std::size_t in = spec.inputs;
+  const std::size_t batch = fx.batch.dim(0);
+  const auto silence_band = [&](std::size_t s0, std::size_t s1) {
+    const auto lo = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(in) - 1));
+    const auto hi = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo) + 1, static_cast<std::int64_t>(in)));
+    for (std::size_t s = s0; s < s1; ++s) {
+      std::fill_n(fx.batch.data().begin() + s * in + lo, hi - lo, 0.0);
+    }
+  };
+  silence_band(0, batch);
+  for (std::size_t s = 0; s < batch; ++s) silence_band(s, s + 1);
 
   EngineConfig cfg_dense = spec.config;
   cfg_dense.events.enabled = false;
@@ -1143,10 +1183,26 @@ ContractResult check_sparse_dense_identity(const CaseSpec& spec) {
   const ResipeNetwork net_event(*fx.model, cfg_event, fx.calibration);
 
   const nn::Tensor ref = net_dense.forward(fx.batch);
-  const nn::Tensor got = net_event.forward(fx.batch);
+  MatrixStepCapture steps;
+  const nn::Tensor got = net_event.forward_observed(fx.batch, steps);
   if (!bit_identical(ref.data(), got.data())) {
     return ContractResult::fail(
         "event-driven logits differ from the dense reference");
+  }
+  // The network hands its matrices a few samples per call; run each
+  // matrix step's whole input as one batch too, so the row lists span
+  // samples that spike in different rows.
+  for (std::size_t i = 0; i < steps.matrices.size(); ++i) {
+    const ProgrammedMatrix& pm = *steps.matrices[i];
+    const std::size_t n = steps.inputs[i].dim(0);
+    std::vector<double> y(n * pm.out_features());
+    ProgrammedMatrix::BatchWorkspace ws;
+    pm.forward_batch(steps.inputs[i].data(), n, y, ws);
+    if (!bit_identical(y, steps.outputs[i].data())) {
+      return ContractResult::fail(
+          "event-driven forward_batch over the whole batch differs from "
+          "the network's output of matrix step " + std::to_string(i));
+    }
   }
 
   ThreadGuard guard;
@@ -1160,21 +1216,6 @@ ContractResult check_sparse_dense_identity(const CaseSpec& spec) {
   }
   return ContractResult::ok();
 }
-
-/// Keeps the first lowered step's boundary tensors of a
-/// forward_observed pass.
-struct FirstStepCapture : resipe_core::LayerObserver {
-  const ProgrammedMatrix* matrix = nullptr;
-  nn::Tensor input;
-  nn::Tensor output;
-  void on_step(std::size_t index, nn::Layer&, const ProgrammedMatrix* m,
-               bool, const nn::Tensor& in, const nn::Tensor& out) override {
-    if (index != 0) return;
-    matrix = m;
-    input = in;
-    output = out;
-  }
-};
 
 ContractResult check_conv_lowering_identity(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamConvLowering));
@@ -1215,11 +1256,13 @@ ContractResult check_conv_lowering_identity(const CaseSpec& spec) {
 
   // 1. The conv step equals a replay through the public value-domain
   //    path: im2col patches gathered row by row, then forward_batch.
-  FirstStepCapture cap;
-  const nn::Tensor observed = net.forward_observed(batch, cap);
-  if (cap.matrix == nullptr) {
+  MatrixStepCapture steps;
+  const nn::Tensor observed = net.forward_observed(batch, steps);
+  if (steps.matrices.empty()) {
     return ContractResult::fail("the conv layer was not lowered to a matrix");
   }
+  const nn::Tensor& conv_in = steps.inputs.front();
+  const nn::Tensor& conv_out = steps.outputs.front();
   const std::size_t in = cin * k * k;
   std::vector<double> patches(ow * in), row(ow * cout);
   ProgrammedMatrix::BatchWorkspace ws;
@@ -1227,13 +1270,13 @@ ContractResult check_conv_lowering_identity(const CaseSpec& spec) {
     for (std::size_t r = 0; r < oh; ++r) {
       for (std::size_t c = 0; c < ow; ++c) {
         resipe_core::gather_conv_patch(
-            cap.input, img, cin, k, stride, pad, r, c,
+            conv_in, img, cin, k, stride, pad, r, c,
             std::span<double>(patches.data() + c * in, in));
       }
-      cap.matrix->forward_batch(patches, ow, row, ws);
+      steps.matrices.front()->forward_batch(patches, ow, row, ws);
       for (std::size_t c = 0; c < ow; ++c) {
         for (std::size_t oc = 0; oc < cout; ++oc) {
-          const double got = cap.output.at(img, oc, r, c);
+          const double got = conv_out.at(img, oc, r, c);
           const double want = row[c * cout + oc];
           if (std::memcmp(&got, &want, sizeof(double)) != 0) {
             std::ostringstream os;
@@ -1286,8 +1329,10 @@ const std::vector<Contract>& contract_registry() {
        "exactness", check_fast_vs_tile},
       {"fast_batch_vs_single",
        "FastMvm::mvm_times_batch is bit-identical per sample to "
-       "mvm_times, to mvm_times_sparse over the spiking rows, and to "
-       "idle_times on an all-silent sample", check_fast_batch},
+       "mvm_times and to the row-list stages over each sample's spiking "
+       "rows (none on an all-silent sample), and over the whole batch to "
+       "the row-list stages over the rows spiking in any sample",
+       check_fast_batch},
       {"perm_columns",
        "permuting crossbar columns permutes output spike times "
        "bit-for-bit", check_perm_columns},

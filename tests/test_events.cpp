@@ -113,7 +113,31 @@ TEST(EventQueue, AllSilentAndEmptyInputs) {
   EXPECT_EQ(q.activity(), 0.0);
 }
 
-// --- FastMvm sparse kernels --------------------------------------------
+TEST(EventQueue, BatchBuildKeepsRowsSpikingInAnySample) {
+  events::EventQueue q;
+  const double slice = 100e-9;
+  // Three samples of 5 rows: row 1 spikes in the first, row 3 in the
+  // second, row 4 in all three; the third sample is otherwise silent.
+  const std::vector<double> t = {0.0, 20e-9, kInf, 0.0,  5e-9,
+                                 kNaN, 0.0,  0.0,  9e-9, 1e-9,
+                                 0.0,  0.0,  0.0,  0.0,  slice};
+  q.build(t, slice, 3);
+  EXPECT_EQ(q.total_rows(), 5u);
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.active_rows()[0], 1u);
+  EXPECT_EQ(q.active_rows()[1], 3u);
+  EXPECT_EQ(q.active_rows()[2], 4u);
+  RESIPE_EXPECT_ULP(q.activity(), 3.0 / 5.0, 0);
+  // At n = 1 the queue is the first sample's alone.
+  q.build(std::span<const double>(t).first(5), slice);
+  ASSERT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.active_rows()[0], 1u);
+  EXPECT_EQ(q.active_rows()[1], 4u);
+  EXPECT_THROW(q.build(t, slice, 4), Error);  // 15 times, 4 samples
+  EXPECT_THROW(q.build(t, slice, 0), Error);
+}
+
+// --- FastMvm row-list stages ------------------------------------------
 
 class SparseKernels : public ::testing::Test {
  protected:
@@ -136,15 +160,49 @@ class SparseKernels : public ::testing::Test {
     return t;
   }
 
+  // The rows of `t` ([n, kRows]) that spike in any sample.
   static std::vector<std::uint32_t> wake_set(std::span<const double> t,
-                                             double slice) {
-    std::vector<std::uint32_t> rows;
-    for (std::size_t r = 0; r < t.size(); ++r) {
-      if (events::EventQueue::carries_spike(t[r], slice)) {
-        rows.push_back(static_cast<std::uint32_t>(r));
-      }
+                                             double slice,
+                                             std::size_t n = 1) {
+    events::EventQueue q;
+    q.build(t, slice, n);
+    return {q.active_rows().begin(), q.active_rows().end()};
+  }
+
+  // wordline_batch then mvm_voltages_batch over `rows`, as the forward
+  // loop runs them.
+  static std::vector<double> run_listed(const FastMvm& mvm,
+                                        std::span<const double> t,
+                                        std::size_t n,
+                                        std::span<const std::uint32_t> rows) {
+    FastMvm::aligned_vector v_wl;
+    mvm.wordline_batch(t, n, rows, v_wl);
+    std::vector<double> out(n * kCols);
+    mvm.mvm_voltages_batch(v_wl, n, rows, out);
+    return out;
+  }
+
+  // Per sample and over the whole batch: the row list of the spiking
+  // rows gives mvm_times' and mvm_times_batch's bits.
+  void expect_listed_matches_dense(const FastMvm& mvm,
+                                   std::initializer_list<double> activities) {
+    const double slice = mvm.params().slice_length;
+    std::vector<double> batch;
+    for (const double activity : activities) {
+      const auto t = make_input(activity);
+      batch.insert(batch.end(), t.begin(), t.end());
+      std::vector<double> dense(kCols);
+      mvm.mvm_times(t, dense);
+      EXPECT_TRUE(bit_identical(dense, run_listed(mvm, t, 1,
+                                                  wake_set(t, slice))))
+          << "activity " << activity;
     }
-    return rows;
+    const std::size_t n = activities.size();
+    std::vector<double> dense(n * kCols);
+    FastMvm::BatchScratch scratch;
+    mvm.mvm_times_batch(batch, n, dense, scratch);
+    EXPECT_TRUE(bit_identical(
+        dense, run_listed(mvm, batch, n, wake_set(batch, slice, n))));
   }
 
   static constexpr std::size_t kRows = 37;  // deliberately not lane-aligned
@@ -155,73 +213,58 @@ class SparseKernels : public ::testing::Test {
 
 TEST_F(SparseKernels, SparseMatchesDenseBitwiseSimd) {
   if (!simd::enabled()) GTEST_SKIP() << "scalar build";
-  const circuits::CircuitParams p;
-  const FastMvm mvm(p, kRows, kCols, g_);
-  for (double activity : {0.0, 0.05, 0.3, 0.7, 1.0}) {
-    const auto t = make_input(activity);
-    const auto rows = wake_set(t, p.slice_length);
-    std::vector<double> dense(kCols), sparse(kCols);
-    mvm.mvm_times(t, dense);
-    mvm.mvm_times_sparse(t, rows, sparse);
-    EXPECT_TRUE(bit_identical(dense, sparse)) << "activity " << activity;
-  }
+  const FastMvm mvm(circuits::CircuitParams{}, kRows, kCols, g_);
+  expect_listed_matches_dense(mvm, {0.0, 0.05, 0.3, 0.7, 1.0});
 }
 
 TEST_F(SparseKernels, SparseMatchesDenseBitwiseScalar) {
   simd::ForceScalarGuard guard;
-  const circuits::CircuitParams p;
-  const FastMvm mvm(p, kRows, kCols, g_);
-  for (double activity : {0.0, 0.1, 0.5, 1.0}) {
-    const auto t = make_input(activity);
-    const auto rows = wake_set(t, p.slice_length);
-    std::vector<double> dense(kCols), sparse(kCols);
-    mvm.mvm_times(t, dense);
-    mvm.mvm_times_sparse(t, rows, sparse);
-    EXPECT_TRUE(bit_identical(dense, sparse)) << "activity " << activity;
-  }
+  const FastMvm mvm(circuits::CircuitParams{}, kRows, kCols, g_);
+  expect_listed_matches_dense(mvm, {0.0, 0.1, 0.5, 1.0});
 }
 
 TEST_F(SparseKernels, IdleMatchesDenseAllSilentBitwise) {
   const circuits::CircuitParams p;
   const FastMvm mvm(p, kRows, kCols, g_);
   // Mixed silent encodings: t=0 and kNoSpike give the same 0 V drive.
-  std::vector<double> t(kRows, 0.0);
-  for (std::size_t r = 0; r < kRows; r += 3) t[r] = FastMvm::kNoSpike;
-  std::vector<double> dense(kCols), idle(kCols);
-  mvm.mvm_times(t, dense);
-  mvm.idle_times(idle);
-  EXPECT_TRUE(bit_identical(dense, idle));
-  {
-    simd::ForceScalarGuard guard;
-    std::vector<double> dense_s(kCols), idle_s(kCols);
-    mvm.mvm_times(t, dense_s);
-    mvm.idle_times(idle_s);
-    EXPECT_TRUE(bit_identical(dense_s, idle_s));
+  // Two silent samples over the empty list: S2 alone.
+  std::vector<double> t(2 * kRows, 0.0);
+  for (std::size_t r = 0; r < t.size(); r += 3) t[r] = FastMvm::kNoSpike;
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ForceScalarGuard> guard;
+    if (scalar) guard.emplace();
+    std::vector<double> dense(2 * kCols);
+    FastMvm::BatchScratch scratch;
+    mvm.mvm_times_batch(t, 2, dense, scratch);
+    EXPECT_TRUE(bit_identical(dense, run_listed(mvm, t, 2, {})))
+        << (scalar ? "scalar" : "active path");
   }
 }
 
 TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
   const circuits::CircuitParams p;
   const FastMvm mvm(p, kRows, kCols, g_);
-  std::vector<double> t(kRows, 10e-9), out(kCols);
-  EXPECT_THROW(
-      mvm.mvm_times_sparse(t, std::vector<std::uint32_t>{kRows}, out),
-      Error);  // row index out of range
-  EXPECT_THROW(mvm.mvm_times_sparse(std::vector<double>{1e-9},
-                                    std::vector<std::uint32_t>{}, out),
-               Error);  // input size mismatch
-  // Strictly ascending, on either kernel path: a repeated row would be
-  // summed twice and an unsorted set would revisit a row chunk.
+  const std::vector<double> t(kRows, 10e-9);
+  FastMvm::aligned_vector v_wl;
+  mvm.wordline_batch(t, 1, std::vector<std::uint32_t>{0, 1}, v_wl);
+  std::vector<double> out(kCols);
+  // Strictly ascending and in range, on either kernel path and in both
+  // stages: a repeated row would be summed twice.
   for (const bool scalar : {false, true}) {
     std::optional<simd::ForceScalarGuard> guard;
     if (scalar) guard.emplace();
-    EXPECT_THROW(
-        mvm.mvm_times_sparse(t, std::vector<std::uint32_t>{1, 3, 3, 5}, out),
-        Error);  // duplicate
-    EXPECT_THROW(
-        mvm.mvm_times_sparse(t, std::vector<std::uint32_t>{1, 9, 2}, out),
-        Error);  // unsorted
+    for (const std::vector<std::uint32_t>& bad :
+         {std::vector<std::uint32_t>{kRows},  // out of range
+          std::vector<std::uint32_t>{1, 3, 3, 5},  // duplicate
+          std::vector<std::uint32_t>{1, 9, 2}}) {  // unsorted
+      EXPECT_THROW(mvm.wordline_batch(t, 1, bad, v_wl), Error);
+      EXPECT_THROW(mvm.mvm_voltages_batch(v_wl, 1, bad, out), Error);
+    }
   }
+  // Size mismatches.
+  EXPECT_THROW(mvm.wordline_batch(std::vector<double>{1e-9}, 1, {}, v_wl),
+               Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v_wl, 2, {}, out), Error);
 }
 
 // --- ProgrammedMatrix / ResipeNetwork bit-identity ---------------------
@@ -283,7 +326,8 @@ TEST_F(MatrixEventPath, ForwardBitIdenticalAcrossConfigs) {
       pm_event.forward(x, y_event);
       EXPECT_TRUE(bit_identical(y_dense, y_event))
           << "quantize " << quantize << " sparsity " << sparsity;
-      // A probed pass runs dense on either twin: same bits, same probes.
+      // A probed pass runs the same loop on either twin: same bits,
+      // same probes.
       std::vector<double> yp_dense(kOut), yp_event(kOut);
       pm_dense.forward_probed(x, yp_dense, stats_dense);
       pm_event.forward_probed(x, yp_event, stats_event);
@@ -342,13 +386,14 @@ TEST_F(MatrixEventPath, EventBatchBitIdenticalToEventSingles) {
   }
 }
 
-TEST_F(MatrixEventPath, IdleConstantsFollowTheRuntimeKernelPath) {
-  // The idle constants are baked when the matrix is programmed, but the
-  // SIMD mode may change before it runs.  Comparator delay and offsets
-  // make idle columns spike inside the slice, so their recovered value
-  // goes through the ramp's exp, which differs between the paths.  A
-  // matrix built on one path and run on the other must still match its
-  // dense twin, in both directions.
+TEST_F(MatrixEventPath, SilentWindowsFollowTheRuntimeKernelPath) {
+  // A row window silent across the batch runs S2 over no rows on the
+  // kernel path active at run time, which may differ from the one the
+  // matrix was programmed on.  Comparator delay and offsets make its
+  // columns spike inside the slice, so their recovered value goes
+  // through the ramp's exp, which differs between the paths.  A matrix
+  // built on one path and run on the other must still match its dense
+  // twin, in both directions.
   EngineConfig dense_cfg;
   dense_cfg.tile_rows = 32;
   dense_cfg.tile_cols = 32;
@@ -358,7 +403,7 @@ TEST_F(MatrixEventPath, IdleConstantsFollowTheRuntimeKernelPath) {
   EngineConfig event_cfg = dense_cfg;
   event_cfg.events.enabled = true;
   // 8 of 70 inputs active, all in the first row window: the other two
-  // windows sleep.
+  // windows are silent.
   Rng rng_x(72);
   std::vector<double> x(kIn, 0.0);
   for (std::size_t i = 0; i < 32; i += 4) x[i] = rng_x.uniform(0.2, 1.0);
@@ -380,10 +425,77 @@ TEST_F(MatrixEventPath, IdleConstantsFollowTheRuntimeKernelPath) {
   }
 }
 
+TEST_F(MatrixEventPath, DisjointWindowsAndASilentSampleInOneBatch) {
+  // One batch whose samples spike in disjoint row windows, plus an
+  // all-silent sample: every window's row list comes from a different
+  // sample, and no sample spikes in the others' windows.  Comparator
+  // offsets make silent columns spike, so the probes see both outcomes.
+  ThreadGuard restore;
+  EngineConfig dense_cfg;
+  dense_cfg.tile_rows = 32;
+  dense_cfg.tile_cols = 32;
+  dense_cfg.circuit.comparator_offset_sigma = 5.0 * units::mV;
+  EngineConfig event_cfg = dense_cfg;
+  event_cfg.events.enabled = true;
+  Rng rng_a(81), rng_b(81), rng_x(82);
+  const ProgrammedMatrix pm_dense = build(dense_cfg, rng_a);
+  const ProgrammedMatrix pm_event = build(event_cfg, rng_b);
+  // Samples 0, 1 and 2 spike only in windows [0, 32), [32, 64) and
+  // [64, 70); sample 3 is silent.
+  constexpr std::size_t n = 4;
+  std::vector<double> x(n * kIn, 0.0);
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (std::size_t i = 32 * s; i < std::min(kIn, 32 * (s + 1)); ++i) {
+      if (rng_x.uniform(0.0, 1.0) < 0.5) {
+        x[s * kIn + i] = rng_x.uniform(0.0, 1.0);
+      }
+    }
+  }
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    for (const bool scalar : {false, true}) {
+      std::optional<simd::ForceScalarGuard> guard;
+      if (scalar) guard.emplace();
+      std::vector<double> y_single(n * kOut);
+      for (std::size_t s = 0; s < n; ++s) {
+        pm_dense.forward(std::span<const double>(x).subspan(s * kIn, kIn),
+                         std::span<double>(y_single).subspan(s * kOut, kOut));
+      }
+      std::vector<double> y_dense(n * kOut), y_event(n * kOut);
+      ProgrammedMatrix::BatchWorkspace ws_dense, ws_event;
+      pm_dense.forward_batch(x, n, y_dense, ws_dense);
+      pm_event.forward_batch(x, n, y_event, ws_event);
+      EXPECT_TRUE(bit_identical(y_single, y_dense))
+          << "threads " << threads << (scalar ? ", scalar" : "");
+      EXPECT_TRUE(bit_identical(y_single, y_event))
+          << "threads " << threads << (scalar ? ", scalar" : "");
+      ProgrammedMatrix::ProbeStats stats_dense, stats_event;
+      for (std::size_t s = 0; s < n; ++s) {
+        const auto xs = std::span<const double>(x).subspan(s * kIn, kIn);
+        std::vector<double> yp_dense(kOut), yp_event(kOut);
+        pm_dense.forward_probed(xs, yp_dense, stats_dense);
+        pm_event.forward_probed(xs, yp_event, stats_event);
+        EXPECT_TRUE(bit_identical(yp_dense, yp_event)) << "sample " << s;
+        EXPECT_TRUE(bit_identical(
+            yp_event,
+            std::span<const double>(y_event).subspan(s * kOut, kOut)))
+            << "sample " << s;
+      }
+      EXPECT_EQ(stats_dense.spike_time_hist, stats_event.spike_time_hist);
+      EXPECT_EQ(stats_dense.spikes, stats_event.spikes);
+      EXPECT_EQ(stats_dense.no_spike, stats_event.no_spike);
+      EXPECT_EQ(stats_dense.pinned_start, stats_event.pinned_start);
+      EXPECT_EQ(stats_dense.pinned_end, stats_event.pinned_end);
+      EXPECT_EQ(stats_dense.inputs_clamped, stats_event.inputs_clamped);
+      EXPECT_EQ(stats_event.vectors, n);
+    }
+  }
+}
+
 TEST_F(MatrixEventPath, AllSilentInputYieldsExactBias) {
-  // Every line silent: events path sleeps every group; the decode must
-  // still produce exactly the dense result (which reduces to the bias
-  // when the differential columns cancel bitwise).
+  // Every line silent: every row window runs S2 over no rows; the
+  // decode must still produce exactly the dense result (which reduces
+  // to the bias when the differential columns cancel bitwise).
   EngineConfig dense_cfg = EngineConfig::ideal();
   EngineConfig event_cfg = dense_cfg;
   event_cfg.events.enabled = true;
@@ -562,47 +674,52 @@ TEST(EventPerf, SpansBookEventKernels) {
   std::vector<double> b(20, 0.0);
   for (double& v : w) v = rng.uniform(-0.5, 0.5);
   const ProgrammedMatrix pm(cfg, w, b, 70, 20, rng);
-  std::vector<double> x(70, 0.0);
-  x[0] = 0.8;  // one active row: most groups sleep
-  std::vector<double> y(20);
+  // Three samples: one active row in the first row window, one in the
+  // second, and a silent sample.
+  constexpr std::size_t n = 3;
+  std::vector<double> x(n * 70, 0.0);
+  x[0] = 0.8;
+  x[70 + 40] = 0.5;
+  std::vector<double> y(n * 20);
+  ProgrammedMatrix::BatchWorkspace ws;
   telemetry::MetricRegistry::instance().reset_values();
-  pm.forward(x, y);
-  // 70 rows in 32-row tiles make 3 row blocks; 20 outputs as
-  // differential pairs make 40 physical columns, 2 column blocks.  Row
-  // 0 wakes both column blocks of row block 0 with one event each, the
-  // other 4 blocks sleep, and every row but row 0 is skipped per column
-  // block.
+  pm.forward_batch(x, n, y, ws);
+  // 70 rows in 32-row tiles make 3 row windows; 20 outputs as
+  // differential pairs make 40 physical columns, 2 column blocks.  The
+  // counters count block calls, each over the whole batch: the first
+  // two windows list one row each (0 and 40 - 32) and wake both their
+  // column blocks; the third lists none, so its 2 blocks are skipped.
   const auto counter = [](const char* name) {
     return telemetry::MetricRegistry::instance().counter(name).value();
   };
-  EXPECT_EQ(counter("resipe_core.events.groups_woken"), 2u);
-  EXPECT_EQ(counter("resipe_core.events.groups_skipped"), 4u);
-  EXPECT_EQ(counter("resipe_core.events.delivered"), 2u);
-  EXPECT_EQ(counter("resipe_core.events.rows_skipped"), 2u * (70u - 1u));
-  std::uint64_t build_calls = 0, sparse_calls = 0, idle_calls = 0;
-  std::uint64_t resolve_calls = 0;
+  EXPECT_EQ(counter("resipe_core.events.queued"), 2u);
+  EXPECT_EQ(counter("resipe_core.events.groups_woken"), 4u);
+  EXPECT_EQ(counter("resipe_core.events.groups_skipped"), 2u);
+  EXPECT_EQ(counter("resipe_core.events.delivered"), 4u);
+  EXPECT_EQ(counter("resipe_core.events.rows_skipped"),
+            2u * (31u + 31u + 6u));
+  std::uint64_t build_calls = 0, wordline_calls = 0, voltage_calls = 0;
   const perf::RooflineReport work = perf::build_roofline_report(
       telemetry::CallProfile::this_thread(), perf::MachineProfile{});
   for (const auto& k : work.kernels) {
     if (k.name == "resipe_core.events.queue_build") build_calls = k.calls;
-    if (k.name == "resipe_core.events.mvm_times_sparse")
-      sparse_calls = k.calls;
-    if (k.name == "resipe_core.events.idle_times") idle_calls = k.calls;
-    if (k.name == "resipe_core.events.idle_resolve")
-      resolve_calls = k.calls;
+    if (k.name == "resipe_core.fast_mvm.wordline_batch")
+      wordline_calls = k.calls;
+    if (k.name == "resipe_core.fast_mvm.mvm_voltages_batch")
+      voltage_calls = k.calls;
   }
-  EXPECT_EQ(build_calls, 1u);
-  EXPECT_GE(sparse_calls, 1u);    // the block owning row 0 wakes
-  EXPECT_GE(idle_calls, 1u);      // idle-recovery baking at programming
-  EXPECT_GE(resolve_calls, 1u);   // the other row blocks sleep
-  // MACs are the work model's count, the same on both kernel paths: one
-  // active row over the 32 + 8 columns of the two woken blocks.
-  EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 40u);
+  EXPECT_EQ(build_calls, 1u);     // one queue per batch
+  EXPECT_EQ(wordline_calls, 3u);  // one per row window
+  EXPECT_EQ(voltage_calls, 6u);   // one per block
+  // MACs are the work model's count, the same on both kernel paths:
+  // 3 samples x 1 listed row over the 32 + 8 columns of each of the two
+  // woken windows.
+  EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 2u * 3u * 40u);
   {
     simd::ForceScalarGuard scalar;
     telemetry::MetricRegistry::instance().reset_values();
-    pm.forward(x, y);
-    EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 40u);
+    pm.forward_batch(x, n, y, ws);
+    EXPECT_EQ(counter("resipe_core.fast_mvm.mac_ops"), 2u * 3u * 40u);
   }
   telemetry::set_enabled(false);
   telemetry::CallProfile::this_thread().reset();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/rng.hpp"
@@ -135,6 +137,41 @@ TEST(Mapping, RejectsBadShapes) {
   EXPECT_THROW(map_weights(w, 0, 2, spec,
                            SignedMapping::kDifferentialPair),
                Error);
+}
+
+TEST(Mapping, RejectsNonFiniteWeightsNamingTheFirst) {
+  const device::ReramSpec spec = fine_spec();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  // 2 x 3 matrix; the bad weight sits at row 1, column 2, after a
+  // finite one at row 0.
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    std::vector<double> w{0.1, -0.2, 0.3, 0.4, 0.5, bad};
+    for (const SignedMapping strategy :
+         {SignedMapping::kDifferentialPair, SignedMapping::kComplementaryPair,
+          SignedMapping::kOffsetColumn}) {
+      for (const double clip : {0.0, 1.0}) {
+        try {
+          map_weights(w, 2, 3, spec, strategy, clip);
+          ADD_FAILURE() << "accepted weight " << bad;
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("row 1, column 2"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+    // Only the first one is named.
+    w[1] = bad;
+    try {
+      map_weights(w, 2, 3, spec, SignedMapping::kDifferentialPair);
+      ADD_FAILURE() << "accepted weight " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 0, column 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Mapping, ToStringNames) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
@@ -26,6 +31,65 @@ struct TempFile {
   explicit TempFile(std::string p) : path(std::move(p)) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+}
+
+std::vector<std::vector<double>> snapshot(Sequential& model) {
+  std::vector<std::vector<double>> values;
+  for (const Param& p : model.params()) {
+    const auto data = p.value->data();
+    values.emplace_back(data.begin(), data.end());
+  }
+  return values;
+}
+
+// Every parameter of `model` still holds the bits of `before`.
+void expect_unchanged(Sequential& model,
+                      const std::vector<std::vector<double>>& before) {
+  const std::vector<Param> params = model.params();
+  ASSERT_EQ(params.size(), before.size());
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    const auto data = params[p].value->data();
+    ASSERT_EQ(data.size(), before[p].size());
+    EXPECT_EQ(0, std::memcmp(data.data(), before[p].data(),
+                             data.size() * sizeof(double)))
+        << "parameter " << p << " changed";
+  }
+}
+
+// Byte offset of element `i` of parameter `p` in a save_weights file:
+// magic, count and one size per parameter, then the parameters in order.
+std::size_t value_offset(Sequential& model, std::size_t p, std::size_t i) {
+  const std::vector<Param> params = model.params();
+  std::size_t offset = 8 * (2 + params.size());
+  for (std::size_t q = 0; q < p; ++q) offset += 8 * params[q].value->size();
+  return offset + 8 * i;
+}
+
+// load_weights(model, path) throws with `what` in its message and
+// leaves every parameter bit-unchanged, and weights_compatible says so
+// beforehand.
+void expect_rejected_unchanged(Sequential& model, const std::string& path,
+                               const std::string& what) {
+  EXPECT_FALSE(weights_compatible(model, path)) << what;
+  const auto before = snapshot(model);
+  try {
+    load_weights(model, path);
+    ADD_FAILURE() << "accepted a bad weight file (" << what << ")";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  expect_unchanged(model, before);
+}
 
 TEST(Serialize, RoundTripPreservesOutputs) {
   TempFile f("test_weights_roundtrip.bin");
@@ -98,6 +162,53 @@ TEST(Serialize, TruncatedFileRejected) {
   }
   Sequential b = make_model(2);
   EXPECT_THROW(load_weights(b, f.path), Error);
+}
+
+TEST(Serialize, TruncatedFileLeavesModelUnchanged) {
+  TempFile f("test_weights_trunc_atomic.bin");
+  Sequential a = make_model(1);
+  save_weights(a, f.path);
+  const std::string contents = read_file(f.path);
+  Sequential b = make_model(2);
+  // Cut inside the second parameter: the first is whole, so a reader
+  // that loads in place would already have overwritten it.
+  ASSERT_GE(b.params().size(), 2u);
+  write_file(f.path, contents.substr(0, value_offset(b, 1, 1) + 3));
+  expect_rejected_unchanged(b, f.path, "parameter 1 of 4 is incomplete");
+  // Cut at a parameter boundary: the last parameter is missing.
+  write_file(f.path, contents.substr(0, value_offset(b, 3, 0)));
+  expect_rejected_unchanged(b, f.path, "parameter 3 of 4 is incomplete");
+}
+
+TEST(Serialize, TrailingBytesRejected) {
+  TempFile f("test_weights_trailing.bin");
+  Sequential a = make_model(1);
+  save_weights(a, f.path);
+  write_file(f.path, read_file(f.path) + "x");
+  Sequential b = make_model(2);
+  expect_rejected_unchanged(b, f.path, "trailing bytes");
+}
+
+TEST(Serialize, NonFiniteValuesRejectedByIndex) {
+  TempFile f("test_weights_nonfinite.bin");
+  Sequential a = make_model(1);
+  save_weights(a, f.path);
+  const std::string contents = read_file(f.path);
+  Sequential b = make_model(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // The last parameter's element 3: every earlier one is valid.
+    std::string corrupt = contents;
+    std::memcpy(corrupt.data() + value_offset(b, 3, 3), &bad, sizeof bad);
+    write_file(f.path, corrupt);
+    expect_rejected_unchanged(b, f.path, "parameter 3 holds");
+    expect_rejected_unchanged(b, f.path, "at element 3");
+  }
+  // The intact file still loads.
+  write_file(f.path, contents);
+  load_weights(b, f.path);
+  expect_unchanged(b, snapshot(a));
 }
 
 }  // namespace

@@ -114,25 +114,31 @@ TEST(WorkModel, SparseAndIdleBookingsHandCount) {
   PerfSwitchGuard guard;
   const std::vector<double> t_in(3, 1e-9);
   const std::vector<std::uint32_t> active = {0, 2};
+  resipe_core::FastMvm::aligned_vector v_wl;
   std::vector<double> t_out(2);
-  mvm.mvm_times_sparse(t_in, active, t_out);
-  mvm.idle_times(t_out);
+  // The row-list stages book the work model over the listed rows: two
+  // of three here, then none (S2 alone, as for a window silent across
+  // the batch).
+  mvm.wordline_batch(t_in, 1, active, v_wl);
+  mvm.mvm_voltages_batch(v_wl, 1, active, t_out);
+  mvm.mvm_voltages_batch(v_wl, 1, {}, t_out);
 
-  // Sparse, 2 active rows over 2 columns: 4*2 + 2*4 + 10*2 = 36 flops;
-  // bytes 8 * (2*2 + 2*4 + 3*2 + 2) = 160.
-  const telemetry::ProfileNode* sparse =
-      top_node("resipe_core.events.mvm_times_sparse");
-  ASSERT_NE(sparse, nullptr);
-  EXPECT_EQ(sparse->count, 1u);
-  EXPECT_EQ(sparse->flops, 36.0);
-  EXPECT_EQ(sparse->bytes, 160.0);
-  // Idle, recovery only over 2 columns: 10*2 = 20 flops; 8 * 4*2 = 64.
-  const telemetry::ProfileNode* idle =
-      top_node("resipe_core.events.idle_times");
-  ASSERT_NE(idle, nullptr);
-  EXPECT_EQ(idle->count, 1u);
-  EXPECT_EQ(idle->flops, 20.0);
-  EXPECT_EQ(idle->bytes, 64.0);
+  // S1 over 2 rows: 4*2 = 8 flops; bytes 8 * 2*2 = 32.
+  const telemetry::ProfileNode* s1 =
+      top_node("resipe_core.fast_mvm.wordline_batch");
+  ASSERT_NE(s1, nullptr);
+  EXPECT_EQ(s1->count, 1u);
+  EXPECT_EQ(s1->flops, 8.0);
+  EXPECT_EQ(s1->bytes, 32.0);
+  // Voltage stage over 2 rows and 2 columns: 2*2*2 + 10*2 = 28 flops,
+  // bytes 8 * (2*2 + 2*2 + 3*2 + 3*2) = 160; over no rows 10*2 = 20
+  // flops, 8 * (3*2 + 3*2) = 96 bytes.
+  const telemetry::ProfileNode* rest =
+      top_node("resipe_core.fast_mvm.mvm_voltages_batch");
+  ASSERT_NE(rest, nullptr);
+  EXPECT_EQ(rest->count, 2u);
+  EXPECT_EQ(rest->flops, 28.0 + 20.0);
+  EXPECT_EQ(rest->bytes, 160.0 + 96.0);
 #endif
 }
 
