@@ -33,6 +33,7 @@
 // telemetry::set_enabled.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -40,6 +41,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <span>
 
 #if defined(RESIPE_SIMD_FORCE_SCALAR)
 // Explicit scalar build: never touch vector intrinsics.
@@ -754,6 +756,24 @@ inline void at_width(bool vector, F&& f) {
   } else {
     f(vscalar{});
   }
+}
+
+/// Maps x to y through f(V) -> V, lane by lane: whole vectors load and
+/// store in place, so y may be x itself, and the tail runs through
+/// zero-padded lanes of which only x's are stored back.
+template <typename V, typename F>
+inline void map_lanes(std::span<const double> x, std::span<double> y,
+                      F&& f) {
+  constexpr std::size_t W = lanes<V>;
+  std::size_t i = 0;
+  for (; i + W <= x.size(); i += W) {
+    f(V::loadu(x.data() + i)).storeu(y.data() + i);
+  }
+  if (i == x.size()) return;
+  alignas(kAlignment) double lane[W] = {};
+  std::copy(x.begin() + i, x.end(), lane);
+  f(V::load(lane)).store(lane);
+  std::copy(lane, lane + (x.size() - i), y.begin() + i);
 }
 
 /// ISA the build selected at compile time.

@@ -60,15 +60,21 @@ WorkCost fast_mvm_batch_cost(std::size_t rows, std::size_t cols,
                              std::size_t n);
 
 /// The two stages of FastMvm::mvm_times_batch, which sum to
-/// fast_mvm_batch_cost exactly: wordline_batch is the S1 ramp and the
-/// t_in/v_wl staging (4*n*rows flops, 8 * 2*n*rows bytes);
-/// mvm_voltages_batch is the rest (the current sums, S2 recovery, the
-/// matrix pass, the v_wl re-reads and the per-column traffic).  Both
-/// book the model over the rows their row list holds, so a list of
-/// active rows costs its length and an empty one S2 recovery alone.
+/// fast_mvm_batch_cost exactly: S1 (FastMvm::wordline, booked over the
+/// n * rows times it converts) is the ramp and the t_in/v_wl staging
+/// (4*n*rows flops, 8 * 2*n*rows bytes); mvm_voltages_batch is the rest
+/// (the current sums, S2 recovery, the matrix pass, the v_wl re-reads
+/// and the per-column traffic), booked over the rows its row list
+/// holds, so a list of active rows costs its length and an empty one S2
+/// recovery alone.
 WorkCost fast_mvm_wordline_cost(std::size_t rows, std::size_t n);
 WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
                                 std::size_t n);
+
+/// FastMvm::driven_rows over `rows` rows and n samples: the nonzero
+/// test, 1 flop per voltage; bytes read every voltage and write one row
+/// index per row (at double width, conservatively): 8 * (n*rows + rows).
+WorkCost fast_mvm_driven_rows_cost(std::size_t rows, std::size_t n);
 
 /// ResipeTile::execute (faithful per-cell model), one MVM:
 ///   GD decode 6 flops/row, column drives 4 flops/cell, COG conversion

@@ -12,13 +12,16 @@
 // so one MVM costs one multiply and one add per cell plus one log per
 // column for the S2 inversion.
 //
-// Every MVM is the same two stages: S1 (the GD ramp sets the wordline
-// voltages) and the voltage stage (the column current sums, then the S2
-// inversion to output spike times).  Each stage takes n samples and the
+// Every MVM is the same two stages: S1 (the GD ramp turns each input
+// spike time into a wordline voltage) and the voltage stage (the column
+// current sums, then the S2 inversion to output spike times).  S1 is
+// pointwise and depends only on the circuit parameters, so `wordline`
+// runs it once over a layer's inputs for every tile that shares them.
+// The voltage stage takes n samples, read at a row stride, and the
 // ascending list of rows to visit: mvm_times and mvm_times_batch visit
-// every row, wordline_batch and mvm_voltages_batch the rows their
-// caller lists, which may be none.  A row left out must be silent, so
-// it would add a signed zero to every sum.
+// every row, mvm_voltages_batch the rows its caller lists, which may be
+// none.  A row left out must be at +-0 V in every sample, so it would
+// add a signed zero to every sum; driven_rows lists the other rows.
 //
 // Each stage is one body, templated on the vector type and instantiated
 // at simd::vdouble and at simd::vscalar (width 1).  Columns sit in the
@@ -36,7 +39,7 @@
 //
 // Because every entry point runs the same bodies, batch == single
 // holds bitwise at either width, and so does a call over a row list
-// against the full call on an input silent outside the list.
+// against the full call on voltages that are +-0 outside the list.
 #pragma once
 
 #include <cstddef>
@@ -116,34 +119,43 @@ class FastMvm {
   /// Batched mvm_times: `t_in` is row-major [n, rows], `t_out` is
   /// row-major [n, cols].  Bit-identical per sample to n calls of
   /// mvm_times — both run the same two stages — but each load of a
-  /// conductance row feeds several samples.  Exactly wordline_batch
-  /// followed by mvm_voltages_batch over every row.
+  /// conductance row feeds several samples.  Exactly wordline followed
+  /// by mvm_voltages_batch over every row at stride rows().
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
 
-  /// The S1 stage of mvm_times_batch over the listed rows: the wordline
-  /// voltages of n samples (`t_in` row-major [n, rows]) on the active
-  /// kernel path, written to `v_wl` as row-major [n, rows]; unlisted
-  /// rows of `v_wl` keep whatever they held.  `rows` must be strictly
-  /// ascending and in range, else throws.  The voltages depend only on
-  /// the circuit parameters and the input, so they can feed
-  /// mvm_voltages_batch of every FastMvm with the same rows and
-  /// parameters — the tiles sharing a row window.
-  void wordline_batch(std::span<const double> t_in, std::size_t n,
-                      std::span<const std::uint32_t> rows,
-                      aligned_vector& v_wl) const;
+  /// S1 on the active kernel path: v[i] receives the wordline voltage of
+  /// spike time t[i] (a zero for t = 0, and +0.0 for a time outside
+  /// [0, slice_length], kNoSpike and NaN included).  Pointwise, so a
+  /// time gives the same voltage in any span, and `v` may be `t`
+  /// itself.  The voltages depend only on `params`, so they feed
+  /// mvm_voltages_batch of every FastMvm built with the same parameters.
+  static void wordline(const circuits::CircuitParams& params,
+                       std::span<const double> t, std::span<double> v);
 
   /// The current-sum + S2 stage of mvm_times_batch over the listed rows
-  /// (strictly ascending and in range, else throws), fed wordline
-  /// voltages from wordline_batch over the same rows of this FastMvm or
-  /// of one with the same rows and circuit parameters; `t_out` is
-  /// row-major [n, cols].  When every unlisted row is silent in every
-  /// sample, the output is bit-identical to mvm_times_batch on the full
-  /// input: a silent row would add a signed zero to each current sum.
-  /// An empty list runs S2 alone, O(cols) per sample.
-  void mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
+  /// (strictly ascending and in range, else throws), for n samples of
+  /// wordline voltages read at a row stride: sample s's voltage of row r
+  /// is v_wl[s * stride + r], so a row window of a wider input is read
+  /// in place.  Throws unless stride >= rows() and v_wl holds the
+  /// (n - 1) * stride + rows() values that reach; `t_out` is row-major
+  /// [n, cols].  When every unlisted row is at +-0 V in every sample,
+  /// the output is bit-identical to mvm_times_batch on the full input:
+  /// such a row would add a signed zero to each current sum.  An empty
+  /// list runs S2 alone, O(cols) per sample.
+  void mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
+                          std::size_t stride,
                           std::span<const std::uint32_t> rows,
                           std::span<double> t_out) const;
+
+  /// The row list of mvm_voltages_batch over the same voltages: `rows`
+  /// receives, ascending, the rows whose voltage is nonzero in some of
+  /// the n samples.  Every other row is at +-0 V in every sample, so the
+  /// call over this list gives the full call's bits.  One pass over the
+  /// [n, rows] block; throws as mvm_voltages_batch does on the layout.
+  void driven_rows(std::span<const double> v_wl, std::size_t n,
+                   std::size_t stride,
+                   std::vector<std::uint32_t>& rows) const;
 
   /// The ideal Eq.(6) linear-model times for the same inputs.
   void ideal_times(std::span<const double> t_in,
@@ -156,29 +168,24 @@ class FastMvm {
   void precompute();
   /// Throws unless `rows` is strictly ascending and in range.
   void check_rows(std::span<const std::uint32_t> rows) const;
-
-  /// S1: the wordline voltages of n samples (`t_in` row-major
-  /// [n, rows]) into `v_wl` [n, rows], for the listed rows only; the
-  /// other rows of `v_wl` keep whatever they held.
-  template <class V>
-  void wordline_stage(const double* t_in, std::size_t n,
-                      std::span<const std::uint32_t> rows,
-                      double* v_wl) const;
+  /// Throws unless stride >= rows() and v_wl holds n samples at it.
+  void check_voltages(std::span<const double> v_wl, std::size_t n,
+                      std::size_t stride) const;
 
   /// Current sums over the listed rows, then S2: n samples from `v_wl`
-  /// [n, rows] into `t_out` row-major [n, cols].  Books the silent
-  /// outputs; the caller books the MACs.
+  /// at row stride `stride` into `t_out` row-major [n, cols].  Books
+  /// the silent outputs; the caller books the MACs.
   template <class V>
-  void voltage_stage(const double* v_wl, std::size_t n,
+  void voltage_stage(const double* v_wl, std::size_t n, std::size_t stride,
                      std::span<const std::uint32_t> rows,
                      double* t_out) const;
 
   /// One register block of the voltage stage: kS samples from s0 by kC
   /// column vectors from c0.
   template <class V, std::size_t kS, std::size_t kC>
-  void column_block(const double* v_wl, std::size_t s0, std::size_t c0,
-                    std::span<const std::uint32_t> rows, double* t_out,
-                    std::size_t* silent) const;
+  void column_block(const double* v_wl, std::size_t stride, std::size_t s0,
+                    std::size_t c0, std::span<const std::uint32_t> rows,
+                    double* t_out, std::size_t* silent) const;
 
   /// S2 for the column vector at c: current sums -> threshold ->
   /// crossing -> spike times (kNoSpike past the slice, the comparator

@@ -14,9 +14,10 @@
 //      (level quantization + write-verify + process variation);
 //   3. at inference, activations are scaled to [0, 1] by a calibrated
 //      per-layer input scale, encoded as ramp-coherent spike times
-//      (scaled by a calibrated alpha), run through each block's
-//      FastMvm, and read back per physical column as the raw
-//      current-sum via the per-column trim
+//      (scaled by a calibrated alpha) and turned into wordline voltages
+//      by S1 once per activation, run through each block's FastMvm,
+//      and read back per physical column as the raw current-sum via
+//      the per-column trim
 //        sum_i(V_i G_ij) = V_cog,j * g_total_j / k_j
 //      (g_total and k are programming-time constants — a per-column
 //      digital gain calibration, standard practice in PIM macros);
@@ -40,7 +41,6 @@
 #include "resipe/nn/model.hpp"
 #include "resipe/reliability/config.hpp"
 #include "resipe/resipe/events/config.hpp"
-#include "resipe/resipe/events/event_queue.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/serve/config.hpp"
@@ -107,9 +107,9 @@ struct EngineConfig {
 
   /// Event-driven execution (see resipe/events/ and DESIGN.md §15):
   /// selects the row list of ProgrammedMatrix's one forward loop.
-  /// Disabled by default: every block visits every row.  Enabled, the
-  /// batch's spikes are indexed once and each row window visits only
-  /// the rows that spike in some sample — with logits bit-identical to
+  /// Disabled by default: every block visits every row.  Enabled, each
+  /// row window visits only the rows whose wordline voltage is nonzero
+  /// in some sample of the batch — with logits bit-identical to
   /// the dense run at any thread count (pinned by the
   /// sparse_dense_identity contract and tests/test_events.cpp).  Like
   /// `serve`, the flag cannot affect logits, so it is excluded from
@@ -190,43 +190,41 @@ class ProgrammedMatrix {
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 
-  /// Reusable scratch for forward_batch and forward_times_batch.  Hoist
-  /// one per worker (e.g. thread_local) so steady-state batched
+  /// Reusable scratch for forward_batch and forward_voltages_batch.
+  /// Hoist one per worker (e.g. thread_local) so steady-state batched
   /// inference never allocates.
   struct BatchWorkspace {
-    std::vector<double> t_in;       // [n, in] encoded spike times
-    std::vector<double> t_rows;     // [n, block.rows] staged input
+    std::vector<double> v_in;       // [n, in] wordline voltages
     std::vector<double> t_out;      // [n, block.slots] block spike times
     std::vector<double> recovered;  // [n, physical cols] current-sums
-    FastMvm::BatchScratch mvm;      // the row window's wordline voltages
     std::vector<std::uint32_t> rows;  // events: the row window's row list
-    events::EventQueue queue;       // events: rows spiking in the batch
   };
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
   /// forward() is this at n = 1, so batch and single calls are
-  /// bit-identical per sample.  Every block runs once over the whole
-  /// batch: each row window's wordline voltages once
-  /// (FastMvm::wordline_batch), then every column block of the window
-  /// from them (FastMvm::mvm_voltages_batch), both over the window's
-  /// row list; all scratch lives in `ws`.
+  /// bit-identical per sample.  The batch is encoded to wordline
+  /// voltages once; every block then runs once over the whole batch,
+  /// reading its row window's voltages in place
+  /// (FastMvm::mvm_voltages_batch at the input's row stride) over the
+  /// window's row list; all scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
 
-  /// The encode step of every forward: t[i] receives the spike time of
-  /// x[i], clamp-normalized to [0, 1] by the input scale, scaled by
-  /// alpha and run through one SpikeCodec::encode_times call.  The
-  /// spans may have any (equal) length.  Encoding is pointwise, so a
-  /// value encodes to the same time in any span, which lets a conv
-  /// step encode each activation once and gather times.
-  void encode(std::span<const double> x, std::span<double> t) const;
+  /// The encode step of every forward: v[i] receives the wordline
+  /// voltage of x[i], clamp-normalized to [0, 1] by the input scale,
+  /// scaled by alpha, run through one SpikeCodec::encode_times call and
+  /// then through S1 (FastMvm::wordline).  The spans may have any
+  /// (equal) length.  Encoding is pointwise, so a value encodes to the
+  /// same voltage in any span, which lets a conv step encode each
+  /// activation once and gather voltages.
+  void encode(std::span<const double> x, std::span<double> v) const;
 
-  /// forward_batch from spike times: t is row-major [n, in] as encode()
-  /// writes it, y row-major [n, out].  forward_batch(x) is encode(x)
-  /// followed by this, bit for bit, and both book the
+  /// forward_batch from wordline voltages: v is row-major [n, in] as
+  /// encode() writes it, y row-major [n, out].  forward_batch(x) is
+  /// encode(x) followed by this, bit for bit, and both book the
   /// resipe_core.matrix.forward_batch span.
-  void forward_times_batch(std::span<const double> t, std::size_t n,
-                           std::span<double> y, BatchWorkspace& ws) const;
+  void forward_voltages_batch(std::span<const double> v, std::size_t n,
+                              std::span<double> y, BatchWorkspace& ws) const;
 
   /// Analytic voltage-domain forward (no time quantization, no slice
   /// clamping) — the noise-free reference used by calibration; also
@@ -272,18 +270,18 @@ class ProgrammedMatrix {
     std::unique_ptr<FastMvm> mvm;
   };
 
-  /// forward, forward_probed and forward_batch: encode() into ws.t_in,
-  /// then run_times.  `probe`, when set, also counts encode clamps.
+  /// forward, forward_probed and forward_batch: encode() into ws.v_in,
+  /// then run_voltages.  `probe`, when set, also counts encode clamps.
   void run(std::span<const double> x, std::size_t n, std::span<double> y,
            BatchWorkspace& ws, ProbeStats* probe) const;
-  /// The one forward core from spike times: run every block once over
-  /// the whole batch and its row window's row list (every row, or with
-  /// config_.events on the rows that spike in some sample), recover,
-  /// decode.  `probe`, when set, also counts column outcomes.  Never
-  /// writes ws.t_in, so `t` may be it.
-  void run_times(std::span<const double> t, std::size_t n,
-                 std::span<double> y, BatchWorkspace& ws,
-                 ProbeStats* probe) const;
+  /// The one forward core from wordline voltages: run every block once
+  /// over the whole batch, reading its row window in place, over the
+  /// window's row list (every row, or with config_.events on the rows
+  /// driven in some sample), recover, decode.  `probe`, when set, also
+  /// counts column outcomes.  Never writes ws.v_in, so `v` may be it.
+  void run_voltages(std::span<const double> v, std::size_t n,
+                    std::span<double> y, BatchWorkspace& ws,
+                    ProbeStats* probe) const;
   /// Adds one block's recovered current-sums
   /// (sum_i V_i G_ij = V_cog * g_total / k) into rec[0, block.cols),
   /// reading each data column's spike time from its physical slot in
@@ -326,7 +324,7 @@ class ProgrammedMatrix {
 /// Extracts one im2col patch (layout matching conv_weight_matrix) for
 /// conv lowering, with 0 at padding positions.  Calibration, the eval
 /// diagnostics and replays of a conv step use it; the forward gathers
-/// the same layout from encoded spike times.
+/// the same layout from encoded wordline voltages.
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,

@@ -36,6 +36,12 @@ WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
           8.0 * (r * c + s * r * c + 3.0 * c + 3.0 * s * c)};
 }
 
+WorkCost fast_mvm_driven_rows_cost(std::size_t rows, std::size_t n) {
+  const double r = static_cast<double>(rows);
+  const double s = static_cast<double>(n);
+  return {s * r, 8.0 * (s * r + r)};
+}
+
 WorkCost tile_execute_cost(std::size_t rows, std::size_t cols) {
   const double r = static_cast<double>(rows);
   const double c = static_cast<double>(cols);

@@ -2,29 +2,19 @@
 
 #include <algorithm>
 
-#include "resipe/common/error.hpp"
 #include "resipe/perf/work_model.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::resipe_core::events {
 
-void EventQueue::build(std::span<const double> t_in, double slice_length,
-                       std::size_t n) {
-  RESIPE_REQUIRE(n > 0 && t_in.size() % n == 0,
-                 "EventQueue: " << t_in.size()
-                                << " spike times do not split into " << n
-                                << " samples");
+void EventQueue::build(std::span<const double> t_in, double slice_length) {
   RESIPE_TELEM_WORK("resipe_core.events.queue_build",
                     perf::event_queue_build_cost(t_in.size()));
-  const std::size_t rows = t_in.size() / n;
   active_rows_.clear();
-  total_rows_ = rows;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (carries_spike(t_in[s * rows + r], slice_length)) {
-        active_rows_.push_back(static_cast<std::uint32_t>(r));
-        break;
-      }
+  total_rows_ = t_in.size();
+  for (std::size_t r = 0; r < t_in.size(); ++r) {
+    if (carries_spike(t_in[r], slice_length)) {
+      active_rows_.push_back(static_cast<std::uint32_t>(r));
     }
   }
   RESIPE_TELEM_COUNT("resipe_core.events.queued", active_rows_.size());

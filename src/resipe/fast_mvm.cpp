@@ -33,11 +33,28 @@ void with_count(std::size_t k, F&& f) {
   }(std::make_index_sequence<kMax>{});
 }
 
-/// Wordline-voltage buffer of mvm_times, one per thread.  Calls only
-/// grow it, so calls alternating between tile shapes never re-zero it.
-FastMvm::aligned_vector& single_v_wl() {
-  thread_local FastMvm::aligned_vector v_wl;
-  return v_wl;
+/// S1, the GD ramp: the wordline voltage of each spike time, one lane
+/// each, so `v` may be `t`.
+template <class V>
+void wordline_stage(const circuits::CircuitParams& p,
+                    std::span<const double> t, std::span<double> v) {
+  const bool linear = p.model == circuits::TransferModel::kLinear;
+  const V v_s(p.v_s);
+  const V zero(0.0);
+  const V one(1.0);
+  const V slice(p.slice_length);
+  const V tau(p.tau_gd());
+  simd::map_lanes<V>(t, v, [&](V t_in) {
+    // Valid when 0 <= t <= slice; NaN and kNoSpike fail both compares.
+    const auto valid = (t_in >= zero) & (t_in <= slice);
+    // The linear ramp saturates at v_s like the real GD output
+    // (CircuitParams::ramp_voltage clamps); without the clamp a fast
+    // ramp (tau_gd < slice) would feed the crossbar voltages the
+    // circuit cannot produce and diverge from ResipeTile.
+    const V volts = linear ? simd::min(v_s * t_in / tau, v_s)
+                           : v_s * (one - simd::exp(zero - t_in / tau));
+    return simd::select(valid, volts, zero);
+  });
 }
 
 }  // namespace
@@ -123,63 +140,32 @@ void FastMvm::check_rows(std::span<const std::uint32_t> rows) const {
   }
 }
 
-// --- the two stages ------------------------------------------------------
+void FastMvm::check_voltages(std::span<const double> v_wl, std::size_t n,
+                             std::size_t stride) const {
+  RESIPE_REQUIRE(stride >= rows_ &&
+                     (n == 0 || v_wl.size() >= (n - 1) * stride + rows_),
+                 "FastMvm voltages: " << n << " samples of " << rows_
+                                      << " rows at stride " << stride
+                                      << " from " << v_wl.size()
+                                      << " voltages");
+}
+
+// --- the voltage stage ---------------------------------------------------
 //
-// Every entry point is a call of these two stages, each one body at two
-// widths.  The vscalar instance is the reference (libm, so the scalar
-// build and RESIPE_SIMD=scalar reproduce historical results exactly),
-// and the vdouble instance differs from it only in its exp/log.
+// Every entry point is a call of S1 (wordline_stage, above) and this
+// stage, each one body at two widths.  The vscalar instance is the
+// reference (libm, so the scalar build and RESIPE_SIMD=scalar reproduce
+// historical results exactly), and the vdouble instance differs from it
+// only in its exp/log.
 //
-// Skipping a row is exact at either width.  A silent row's wordline
-// voltage is +0.0 or -0.0: invalid times are zeroed by the validity
-// test, and t = 0 (the encoding of input value 0) gives
+// Skipping a row is exact at either width.  A row may be left out only
+// when its wordline voltage is +0.0 or -0.0 in every sample: S1 zeroes
+// invalid times, and t = 0 (the encoding of input value 0) gives
 // v_s * (1 - exp(-0)) = +0.0 because exp(+-0.0) == 1.0 exactly on every
 // backend (see common/simd.hpp).  Its products with g >= 0 are signed
 // zeros, and adding one leaves an accumulator that starts at +0.0
 // bitwise unchanged, so every current sum is what the dense walk
 // produces.
-
-template <class V>
-void FastMvm::wordline_stage(const double* t_in, std::size_t n,
-                             std::span<const std::uint32_t> rows,
-                             double* v_wl) const {
-  constexpr std::size_t W = simd::lanes<V>;
-  const bool linear = params_.model == circuits::TransferModel::kLinear;
-  const V v_s(params_.v_s);
-  const V zero(0.0);
-  const V one(1.0);
-  const V slice(params_.slice_length);
-  const V tau(params_.tau_gd());
-  // W consecutive rows load and store in place; any other chunk goes
-  // through lanes, whose unused tail computes on finite stale values
-  // and is never stored.
-  alignas(simd::kAlignment) double lane[W] = {};
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* t_s = t_in + s * rows_;
-    double* v = v_wl + s * rows_;
-    for (std::size_t i = 0; i < rows.size(); i += W) {
-      const std::size_t m = std::min(W, rows.size() - i);
-      const std::uint32_t r0 = rows[i];
-      const bool run = m == W && rows[i + W - 1] - r0 == W - 1;
-      for (std::size_t j = 0; !run && j < m; ++j) lane[j] = t_s[rows[i + j]];
-      const V t = run ? V::loadu(t_s + r0) : V::load(lane);
-      // Valid when 0 <= t <= slice; NaN and kNoSpike fail both compares.
-      const auto valid = (t >= zero) & (t <= slice);
-      // The linear ramp saturates at v_s like the real GD output
-      // (CircuitParams::ramp_voltage clamps); without the clamp a fast
-      // ramp (tau_gd < slice) would feed the crossbar voltages the
-      // circuit cannot produce and diverge from ResipeTile.
-      const V volts = linear ? simd::min(v_s * t / tau, v_s)
-                             : v_s * (one - simd::exp(zero - t / tau));
-      if (run) {
-        simd::select(valid, volts, zero).storeu(v + r0);
-        continue;
-      }
-      simd::select(valid, volts, zero).store(lane);
-      for (std::size_t j = 0; j < m; ++j) v[rows[i + j]] = lane[j];
-    }
-  }
-}
 
 template <class V>
 V FastMvm::recover(V weighted, std::size_t c, std::size_t* silent) const {
@@ -213,8 +199,8 @@ V FastMvm::recover(V weighted, std::size_t c, std::size_t* silent) const {
 }
 
 template <class V, std::size_t kS, std::size_t kC>
-void FastMvm::column_block(const double* v_wl, std::size_t s0,
-                           std::size_t c0,
+void FastMvm::column_block(const double* v_wl, std::size_t stride,
+                           std::size_t s0, std::size_t c0,
                            std::span<const std::uint32_t> rows,
                            double* t_out, std::size_t* silent) const {
   constexpr std::size_t W = simd::lanes<V>;
@@ -222,13 +208,13 @@ void FastMvm::column_block(const double* v_wl, std::size_t s0,
   for (auto& sample : acc) {
     for (V& a : sample) a = V(0.0);
   }
-  const double* v = v_wl + s0 * rows_;
+  const double* v = v_wl + s0 * stride;
   for (const std::uint32_t r : rows) {
     const double* g_r = g_.data() + r * cols_pad_ + c0;
     V g[kC];
     for (std::size_t j = 0; j < kC; ++j) g[j] = V::load(g_r + j * W);
     for (std::size_t s = 0; s < kS; ++s) {
-      const V v_r(v[s * rows_ + r]);
+      const V v_r(v[s * stride + r]);
       for (std::size_t j = 0; j < kC; ++j) acc[s][j] = acc[s][j] + v_r * g[j];
     }
   }
@@ -251,6 +237,7 @@ void FastMvm::column_block(const double* v_wl, std::size_t s0,
 
 template <class V>
 void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
+                            std::size_t stride,
                             std::span<const std::uint32_t> rows,
                             double* t_out) const {
   constexpr std::size_t W = simd::lanes<V>;
@@ -265,7 +252,7 @@ void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
       with_count<kBlockSamples>(ns, [&](auto kS) {
         with_count<kBlockVectors>(nc, [&](auto kC) {
           column_block<V, decltype(kS)::value, decltype(kC)::value>(
-              v_wl, s0, c0, rows, t_out, &silent);
+              v_wl, stride, s0, c0, rows, t_out, &silent);
         });
       });
     }
@@ -285,12 +272,14 @@ void FastMvm::mvm_times(std::span<const double> t_in,
                      perf::fast_mvm_cost(rows_, cols_));
   RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
                  "FastMvm vector size mismatch");
-  aligned_vector& v_wl = single_v_wl();
+  // One buffer per thread that calls only grow, so calls alternating
+  // between tile shapes never re-zero it.
+  thread_local aligned_vector v_wl;
   v_wl.resize(std::max(v_wl.size(), rows_));
   simd::at_width(simd::enabled(), [&](auto v) {
     using V = decltype(v);
-    wordline_stage<V>(t_in.data(), 1, all_rows_, v_wl.data());
-    voltage_stage<V>(v_wl.data(), 1, all_rows_, t_out.data());
+    wordline_stage<V>(params_, t_in, {v_wl.data(), rows_});
+    voltage_stage<V>(v_wl.data(), 1, rows_, all_rows_, t_out.data());
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
 }
@@ -306,38 +295,59 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
   scratch.v_wl.resize(n * rows_);
   simd::at_width(simd::enabled(), [&](auto v) {
     using V = decltype(v);
-    wordline_stage<V>(t_in.data(), n, all_rows_, scratch.v_wl.data());
-    voltage_stage<V>(scratch.v_wl.data(), n, all_rows_, t_out.data());
+    wordline_stage<V>(params_, t_in, scratch.v_wl);
+    voltage_stage<V>(scratch.v_wl.data(), n, rows_, all_rows_, t_out.data());
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
 }
 
-void FastMvm::wordline_batch(std::span<const double> t_in, std::size_t n,
-                             std::span<const std::uint32_t> rows,
-                             aligned_vector& v_wl) const {
-  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.wordline_batch",
-                     perf::fast_mvm_wordline_cost(rows.size(), n));
-  RESIPE_REQUIRE(t_in.size() == n * rows_, "FastMvm wordline size mismatch");
-  check_rows(rows);
-  v_wl.resize(n * rows_);
-  simd::at_width(simd::enabled(), [&](auto v) {
-    wordline_stage<decltype(v)>(t_in.data(), n, rows, v_wl.data());
+void FastMvm::wordline(const circuits::CircuitParams& params,
+                       std::span<const double> t, std::span<double> v) {
+  RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.wordline",
+                     perf::fast_mvm_wordline_cost(t.size(), 1));
+  RESIPE_REQUIRE(t.size() == v.size(), "FastMvm wordline size mismatch");
+  simd::at_width(simd::enabled(), [&](auto vec) {
+    wordline_stage<decltype(vec)>(params, t, v);
   });
 }
 
-void FastMvm::mvm_voltages_batch(const aligned_vector& v_wl, std::size_t n,
+void FastMvm::mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
+                                 std::size_t stride,
                                  std::span<const std::uint32_t> rows,
                                  std::span<double> t_out) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_voltages_batch",
                      perf::fast_mvm_voltages_cost(rows.size(), cols_, n));
-  RESIPE_REQUIRE(v_wl.size() == n * rows_ && t_out.size() == n * cols_,
-                 "FastMvm voltage batch size mismatch");
+  check_voltages(v_wl, n, stride);
+  RESIPE_REQUIRE(t_out.size() == n * cols_,
+                 "FastMvm voltage batch: " << t_out.size() << " outputs for "
+                                           << n << " samples");
   check_rows(rows);
   if (n == 0) return;
   simd::at_width(simd::enabled(), [&](auto v) {
-    voltage_stage<decltype(v)>(v_wl.data(), n, rows, t_out.data());
+    voltage_stage<decltype(v)>(v_wl.data(), n, stride, rows, t_out.data());
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows.size() * cols_);
+}
+
+void FastMvm::driven_rows(std::span<const double> v_wl, std::size_t n,
+                          std::size_t stride,
+                          std::vector<std::uint32_t>& rows) const {
+  RESIPE_TELEM_WORK("resipe_core.fast_mvm.driven_rows",
+                    perf::fast_mvm_driven_rows_cost(rows_, n));
+  check_voltages(v_wl, n, stride);
+  // Flag the rows driven in some sample, sample by sample so the inner
+  // loop runs along contiguous voltages, then compact the flags into
+  // row indices in place (an index never passes the flag it reads).
+  rows.assign(rows_, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* v = v_wl.data() + s * stride;
+    for (std::size_t r = 0; r < rows_; ++r) rows[r] |= v[r] != 0.0;
+  }
+  std::size_t listed = 0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    if (rows[r] != 0) rows[listed++] = static_cast<std::uint32_t>(r);
+  }
+  rows.resize(listed);
 }
 
 void FastMvm::add_current_sums(std::span<const double> t_slots,

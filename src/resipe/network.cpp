@@ -375,14 +375,15 @@ void ProgrammedMatrix::recover(const Block& block, const double* t_slots,
 }
 
 void ProgrammedMatrix::encode(std::span<const double> x,
-                              std::span<double> t) const {
-  RESIPE_REQUIRE(x.size() == t.size(), "encode span size mismatch");
-  // Normalize into the codec's [0, 1] domain in place, then encode the
-  // whole span through the codec's batch kernel.
+                              std::span<double> v) const {
+  RESIPE_REQUIRE(x.size() == v.size(), "encode span size mismatch");
+  // Normalize into the codec's [0, 1] domain in place, then run the
+  // whole span through the codec's batch kernel and S1, also in place.
   for (std::size_t i = 0; i < x.size(); ++i) {
-    t[i] = alpha_ * std::clamp(x[i] / input_scale_, 0.0, 1.0);
+    v[i] = alpha_ * std::clamp(x[i] / input_scale_, 0.0, 1.0);
   }
-  codec_.encode_times(t, t);
+  codec_.encode_times(v, v);
+  FastMvm::wordline(config_.circuit, v, v);
 }
 
 void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
@@ -396,58 +397,50 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
       if (ratio < 0.0 || ratio > 1.0) ++probe->inputs_clamped;
     }
   }
-  ws.t_in.resize(n * in_);
-  encode(x, ws.t_in);
-  run_times(ws.t_in, n, y, ws, probe);
+  ws.v_in.resize(n * in_);
+  encode(x, ws.v_in);
+  run_voltages(ws.v_in, n, y, ws, probe);
 }
 
-void ProgrammedMatrix::run_times(std::span<const double> t, std::size_t n,
-                                 std::span<double> y, BatchWorkspace& ws,
-                                 ProbeStats* probe) const {
-  RESIPE_REQUIRE(t.size() == n * in_ && y.size() == n * out_,
+void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
+                                    std::span<double> y, BatchWorkspace& ws,
+                                    ProbeStats* probe) const {
+  RESIPE_REQUIRE(v.size() == n * in_ && y.size() == n * out_,
                  "forward size mismatch");
   if (n == 0) return;
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
   const std::size_t cols = mapping_.cols;
-  // With events on, each row window visits only the rows that spike in
-  // some sample.  Any other row holds its wordline at 0 V in every
-  // sample, so leaving it out changes no current sum (see the note
-  // above FastMvm's stages); a window silent across the batch runs the
-  // voltage stage over no rows.
+  // With events on, each row window visits only the rows driven in some
+  // sample.  Any other row is at +-0 V in every sample, so leaving it
+  // out changes no current sum (see the note above FastMvm's voltage
+  // stage); a window silent across the batch runs the voltage stage
+  // over no rows.
   const bool events = config_.events.enabled;
-  if (events) ws.queue.build(t, config_.circuit.slice_length, n);
 
   // Every block accumulates in the same order, so each sample's column
   // sums do not depend on the row lists.
   ws.recovered.assign(n * cols, 0.0);
-  std::uint64_t woken = 0, skipped = 0, delivered = 0, rows_skipped = 0;
-  // Row window whose row list `rows` and wordline voltages ws.mvm.v_wl
-  // hold; blocks are stored window by window, so each window's S1 runs
-  // once per batch.
+  std::uint64_t listed = 0, woken = 0, skipped = 0, delivered = 0,
+                rows_skipped = 0;
+  // Row window whose row list `rows` holds; blocks are stored window by
+  // window, so each window's list is built once per batch.
   std::size_t window = in_;
   std::span<const std::uint32_t> rows;
   const bool vector = simd::enabled();
   for (const Block& block : blocks_) {
+    // Sample s's voltage of the block's row r is v[s * in_ + row0 + r].
+    const std::span<const double> v_block = v.subspan(block.row0);
     if (block.row0 != window) {
       window = block.row0;
-      ws.t_rows.resize(n * block.rows);
-      for (std::size_t s = 0; s < n; ++s) {
-        const double* src = t.data() + s * in_ + block.row0;
-        std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
-      }
       rows = block.mvm->all_rows();
       if (events) {
-        const auto spiking = ws.queue.rows_in_range(block.row0, block.rows);
-        ws.rows.resize(spiking.size());
-        for (std::size_t i = 0; i < spiking.size(); ++i) {
-          ws.rows[i] = static_cast<std::uint32_t>(spiking[i] - block.row0);
-        }
+        block.mvm->driven_rows(v_block, n, in_, ws.rows);
         rows = ws.rows;
+        listed += rows.size();
       }
-      block.mvm->wordline_batch(ws.t_rows, n, rows, ws.mvm.v_wl);
     }
     ws.t_out.resize(n * block.slots);
-    block.mvm->mvm_voltages_batch(ws.mvm.v_wl, n, rows, ws.t_out);
+    block.mvm->mvm_voltages_batch(v_block, n, in_, rows, ws.t_out);
     if (rows.empty()) {
       ++skipped;
     } else {
@@ -461,6 +454,7 @@ void ProgrammedMatrix::run_times(std::span<const double> t, std::size_t n,
     }
   }
   if (events) {
+    RESIPE_TELEM_COUNT("resipe_core.events.queued", listed);
     RESIPE_TELEM_COUNT("resipe_core.events.delivered", delivered);
     RESIPE_TELEM_COUNT("resipe_core.events.groups_woken", woken);
     RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped", skipped);
@@ -523,11 +517,12 @@ void ProgrammedMatrix::forward_batch(std::span<const double> x, std::size_t n,
   run(x, n, y, ws, nullptr);
 }
 
-void ProgrammedMatrix::forward_times_batch(std::span<const double> t,
-                                           std::size_t n, std::span<double> y,
-                                           BatchWorkspace& ws) const {
+void ProgrammedMatrix::forward_voltages_batch(std::span<const double> v,
+                                              std::size_t n,
+                                              std::span<double> y,
+                                              BatchWorkspace& ws) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
-  run_times(t, n, y, ws, nullptr);
+  run_voltages(v, n, y, ws, nullptr);
 }
 
 double ProgrammedMatrix::forward_analytic(std::span<const double> x,
@@ -595,11 +590,10 @@ namespace {
 
 /// The im2col patch at output (r, c) of one [cin, h, w] plane, in
 /// conv_weight_matrix's (ic, kr, kc) layout; positions in the padding
-/// read `fill`.
+/// read 0.
 void gather_patch(const double* plane, std::size_t cin, std::size_t h,
                   std::size_t w, std::size_t k, std::size_t stride,
-                  std::size_t pad, std::size_t r, std::size_t c, double fill,
-                  double* out) {
+                  std::size_t pad, std::size_t r, std::size_t c, double* out) {
   const auto sh = static_cast<std::ptrdiff_t>(h);
   const auto sw = static_cast<std::ptrdiff_t>(w);
   const std::ptrdiff_t top = static_cast<std::ptrdiff_t>(r * stride) -
@@ -610,13 +604,13 @@ void gather_patch(const double* plane, std::size_t cin, std::size_t h,
     for (std::size_t kr = 0; kr < k; ++kr) {
       const std::ptrdiff_t ir = top + static_cast<std::ptrdiff_t>(kr);
       if (ir < 0 || ir >= sh) {
-        out = std::fill_n(out, k, fill);
+        out = std::fill_n(out, k, 0.0);
         continue;
       }
       const double* row = plane + ir * sw;
       for (std::size_t kc = 0; kc < k; ++kc) {
         const std::ptrdiff_t icol = left + static_cast<std::ptrdiff_t>(kc);
-        *out++ = (icol < 0 || icol >= sw) ? fill : row[icol];
+        *out++ = (icol < 0 || icol >= sw) ? 0.0 : row[icol];
       }
     }
   }
@@ -637,7 +631,7 @@ void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                      << ", k " << k << ", patch " << patch.size());
   const std::size_t plane = shape[1] * shape[2] * shape[3];
   gather_patch(x.data().data() + img * plane, cin, shape[2], shape[3], k,
-               stride, pad, r, c, 0.0, patch.data());
+               stride, pad, r, c, patch.data());
 }
 
 std::vector<double> conv_weight_matrix(const nn::Conv2d& conv) {
@@ -765,9 +759,11 @@ nn::Tensor ResipeNetwork::run_dense(const Step& step,
   nn::Tensor y({n, out});
   const double* x_data = x.data().data();
   double* y_data = y.data().data();
+  // One contiguous chunk per thread, so each matrix runs batched.
   // Images are independent and write disjoint output slices, so the
   // decomposition (and thread count) cannot change the results.
-  parallel_for_chunked(n, 0, [&](std::size_t b, std::size_t e) {
+  const std::size_t grain = (n + default_threads() - 1) / default_threads();
+  parallel_for_chunked(n, grain, [&](std::size_t b, std::size_t e) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
     step.matrix->forward_batch(
         std::span<const double>(x_data + b * in, (e - b) * in), e - b,
@@ -791,32 +787,29 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   const double* x_data = x.data().data();
   double* y_data = y.data().data();
   // Encoding is pointwise, so encoding each activation once and then
-  // gathering its time into every patch that holds it gives the bits of
-  // encoding every gathered patch element.  Padding holds the value 0,
-  // so it gathers the time the codec gives 0.
-  const double zero = 0.0;
-  double t_pad = 0.0;
-  step.matrix->encode(std::span<const double>(&zero, 1),
-                      std::span<double>(&t_pad, 1));
+  // gathering its voltage into every patch that holds it gives the bits
+  // of encoding every gathered patch element.  Padding holds the value
+  // 0, which the codec encodes to t = +0.0 and S1 to +0.0 V, the 0 the
+  // gather fills in.
   // One image per work item; each output row of ow patches runs as one
   // batched MVM.  Images write disjoint y slices.
   parallel_for(n, [&](std::size_t img) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
-    thread_local std::vector<double> t_img;
+    thread_local std::vector<double> v_img;
     thread_local std::vector<double> patches;
     thread_local std::vector<double> out_row;
-    t_img.resize(plane);
+    v_img.resize(plane);
     patches.resize(ow * in);
     out_row.resize(ow * step.cout);
     step.matrix->encode(
-        std::span<const double>(x_data + img * plane, plane), t_img);
+        std::span<const double>(x_data + img * plane, plane), v_img);
     double* y_img = y_data + img * step.cout * oh * ow;
     for (std::size_t r = 0; r < oh; ++r) {
       for (std::size_t c = 0; c < ow; ++c) {
-        gather_patch(t_img.data(), step.cin, h, w, step.k, step.stride,
-                     step.pad, r, c, t_pad, patches.data() + c * in);
+        gather_patch(v_img.data(), step.cin, h, w, step.k, step.stride,
+                     step.pad, r, c, patches.data() + c * in);
       }
-      step.matrix->forward_times_batch(patches, ow, out_row, ws);
+      step.matrix->forward_voltages_batch(patches, ow, out_row, ws);
       for (std::size_t oc = 0; oc < step.cout; ++oc) {
         double* y_row = y_img + (oc * oh + r) * ow;
         for (std::size_t c = 0; c < ow; ++c) {

@@ -66,23 +66,6 @@ perf::WorkCost scaled(perf::WorkCost c, std::size_t n) {
   }
 }
 
-/// Maps x to y through f(V) -> V, V-wide: whole chunks load and store
-/// in place, so y may alias x, and the tail runs through zero-padded
-/// lanes.
-template <class V, class F>
-void map_lanes(std::span<const double> x, std::span<double> y, F&& f) {
-  constexpr std::size_t W = simd::lanes<V>;
-  std::size_t i = 0;
-  for (; i + W <= x.size(); i += W) {
-    f(V::loadu(x.data() + i)).storeu(y.data() + i);
-  }
-  if (i == x.size()) return;
-  alignas(simd::kAlignment) double lane[W] = {};
-  std::copy(x.begin() + i, x.end(), lane);
-  f(V::load(lane)).store(lane);
-  std::copy(lane, lane + (x.size() - i), y.begin() + i);
-}
-
 }  // namespace
 
 SpikeCodec::SpikeCodec(const circuits::CircuitParams& params, bool quantize)
@@ -150,7 +133,7 @@ void SpikeCodec::encode_times(std::span<const double> values,
     const V tau(params_.tau_gd());
     const V t_full(t_full_);
     const V clock(params_.clock_period);
-    map_lanes<V>(values, times, [&](V x) {
+    simd::map_lanes<V>(values, times, [&](V x) {
       // One input cannot be clipped on both sides, so the counts add.
       clipped += simd::mask_count(x < zero) + simd::mask_count(x > one);
       const V v = simd::min(simd::max(x, zero), one) * v_full;
@@ -169,7 +152,7 @@ void SpikeCodec::encode_times(std::span<const double> values,
     // compose with &, so count q == t as <= and >=; zero padding lanes
     // snap 0 to 0 and never inflate the count.  A second pass is faster
     // than fusing the snap into the first one.
-    map_lanes<V>(times, times, [&](V t) {
+    simd::map_lanes<V>(times, times, [&](V t) {
       const V q = simd::min(simd::round(t / clock) * clock, t_full);
       snapped += simd::lanes<V> - simd::mask_count((q <= t) & (q >= t));
       return q;
@@ -194,7 +177,7 @@ void SpikeCodec::decode_values(std::span<const double> times,
     const V tau(params_.tau_gd());
     const V t_full(t_full_);
     const V no_spike(std::numeric_limits<double>::infinity());
-    map_lanes<V>(times, values, [&](V t_raw) {
+    simd::map_lanes<V>(times, values, [&](V t_raw) {
       // Spike::valid(): t >= 0 and t != inf.  NaN and inf fail the
       // window compare, negatives fail the sign compare.
       const auto valid = (t_raw >= zero) & (t_raw < no_spike);

@@ -11,7 +11,6 @@
 #include "resipe/common/simd.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/nn/model.hpp"
-#include "resipe/resipe/events/event_queue.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
 #include "resipe/resipe/tile.hpp"
@@ -28,7 +27,6 @@ namespace {
 using circuits::Spike;
 using resipe_core::EngineConfig;
 using resipe_core::FastMvm;
-using resipe_core::events::EventQueue;
 using resipe_core::ProgrammedMatrix;
 using resipe_core::ResipeNetwork;
 using resipe_core::ResipeTile;
@@ -346,22 +344,21 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
     }
     return true;
   };
-  // The row-list stages over the rows that spike in any of the given
-  // samples, as the forward loop runs them.
-  const double slice = spec.config.circuit.slice_length;
-  std::vector<std::uint32_t> spiking;
+  // S1, then the voltage stage over the rows driven in any of the
+  // given samples, as the forward loop runs them.
+  std::vector<double> v_wl;
+  std::vector<std::uint32_t> driven;
   std::vector<double> out;
   const auto run_listed = [&](std::span<const double> samples,
                               std::size_t m) {
-    EventQueue queue;
-    queue.build(samples, slice, m);
-    spiking.assign(queue.active_rows().begin(), queue.active_rows().end());
-    fast.wordline_batch(samples, m, spiking, scratch.v_wl);
+    v_wl.resize(samples.size());
+    FastMvm::wordline(spec.config.circuit, samples, v_wl);
+    fast.driven_rows(v_wl, m, rows, driven);
     out.assign(m * cols, 0.0);
-    fast.mvm_voltages_batch(scratch.v_wl, m, spiking, out);
+    fast.mvm_voltages_batch(v_wl, m, rows, driven, out);
   };
 
-  // Per sample: single, and the row list of its spiking rows (empty
+  // Per sample: single, and the row list of its driven rows (empty
   // for the all-silent last sample).
   for (std::size_t s = 0; s <= n; ++s) {
     const auto sample = std::span<const double>(t_in).subspan(s * rows, rows);
@@ -375,7 +372,7 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
       return ContractResult::fail(failure);
     }
   }
-  // The whole batch over the rows that spike in any sample.
+  // The whole batch over the rows driven in any sample.
   run_listed(t_in, n + 1);
   if (!matches("batch row-list vs batched FastMvm", 0, out)) {
     return ContractResult::fail(failure);
@@ -569,13 +566,13 @@ ContractResult check_matrix_batch(const CaseSpec& spec) {
   ProgrammedMatrix::BatchWorkspace ws;
   fx.matrix->forward_batch(batch, n, y_batch, ws);
 
-  // forward_batch is encode() followed by forward_times_batch.
-  std::vector<double> t(n * spec.inputs), y_times(n * spec.classes, 0.0);
-  fx.matrix->encode(batch, t);
-  fx.matrix->forward_times_batch(t, n, y_times, ws);
-  if (!bit_identical(y_batch, y_times)) {
+  // forward_batch is encode() followed by forward_voltages_batch.
+  std::vector<double> v(n * spec.inputs), y_volts(n * spec.classes, 0.0);
+  fx.matrix->encode(batch, v);
+  fx.matrix->forward_voltages_batch(v, n, y_volts, ws);
+  if (!bit_identical(y_batch, y_volts)) {
     return ContractResult::fail(
-        "encode + forward_times_batch differs from forward_batch");
+        "encode + forward_voltages_batch differs from forward_batch");
   }
 
   ProgrammedMatrix::ProbeStats stats;
@@ -803,8 +800,31 @@ ContractResult check_serving_trace_identity(const CaseSpec& spec) {
   };
 
   serve::ServingStats stats_plain, stats_traced;
-  serve::EventJournal journal;
   const std::vector<serve::Response> plain = run_arm(nullptr, stats_plain);
+
+  // The journal is sized to the trace, not to the 2^20-slot default
+  // whose allocation dominated every fuzz run.  Tracing must not steer,
+  // so the traced arm replays the plain arm's schedule, whose responses
+  // bound its events.  A request records per attempt an admit, a
+  // dispatch, an attempt-done and at most one retry, plus one final
+  // admit shed in the queue and one terminal event; each batch carries
+  // at least one dispatch and records one batch-form.  Each probe round
+  // records a probe and at most one transition per chip, and rounds run
+  // every canary period until the last event: the last completion, or
+  // a stale batch timeout one batch window after it.  A journal that
+  // still overflows counts drops, which fails the audit below.
+  std::size_t capacity = 0;
+  double horizon = 0.0;
+  for (const serve::Response& r : plain) {
+    capacity += 5 * r.attempts + 2;
+    horizon = std::max(horizon, r.completion);
+  }
+  constexpr std::size_t kChips = 2;  // the pool run_arm builds
+  const double rounds = std::min(
+      std::floor((horizon + scfg.batch_window) / scfg.health.canary_period),
+      double{1 << 20});
+  capacity += 2 * kChips * (static_cast<std::size_t>(rounds) + 2);
+  serve::EventJournal journal(std::min(capacity, std::size_t{1} << 20));
   const std::vector<serve::Response> traced =
       run_arm(&journal, stats_traced);
 
@@ -1329,9 +1349,10 @@ const std::vector<Contract>& contract_registry() {
        "exactness", check_fast_vs_tile},
       {"fast_batch_vs_single",
        "FastMvm::mvm_times_batch is bit-identical per sample to "
-       "mvm_times and to the row-list stages over each sample's spiking "
-       "rows (none on an all-silent sample), and over the whole batch to "
-       "the row-list stages over the rows spiking in any sample",
+       "mvm_times and to S1 then the voltage stage over each sample's "
+       "driven rows (none on an all-silent sample), and over the whole "
+       "batch to S1 then the voltage stage over the rows driven in any "
+       "sample",
        check_fast_batch},
       {"perm_columns",
        "permuting crossbar columns permutes output spike times "
@@ -1346,7 +1367,7 @@ const std::vector<Contract>& contract_registry() {
        "clean-path analog MVM stays inside the fidelity-model error "
        "bound vs the digital reference", check_analog_vs_digital},
       {"matrix_batch_vs_single",
-       "ProgrammedMatrix forward_batch, encode + forward_times_batch and "
+       "ProgrammedMatrix forward_batch, encode + forward_voltages_batch and "
        "forward_probed are bit-identical to forward", check_matrix_batch},
       {"threads_identical",
        "network logits are bit-identical at 1, 2 and 8 threads",

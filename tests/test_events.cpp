@@ -113,28 +113,40 @@ TEST(EventQueue, AllSilentAndEmptyInputs) {
   EXPECT_EQ(q.activity(), 0.0);
 }
 
-TEST(EventQueue, BatchBuildKeepsRowsSpikingInAnySample) {
-  events::EventQueue q;
-  const double slice = 100e-9;
-  // Three samples of 5 rows: row 1 spikes in the first, row 3 in the
-  // second, row 4 in all three; the third sample is otherwise silent.
-  const std::vector<double> t = {0.0, 20e-9, kInf, 0.0,  5e-9,
-                                 kNaN, 0.0,  0.0,  9e-9, 1e-9,
-                                 0.0,  0.0,  0.0,  0.0,  slice};
-  q.build(t, slice, 3);
-  EXPECT_EQ(q.total_rows(), 5u);
-  ASSERT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.active_rows()[0], 1u);
-  EXPECT_EQ(q.active_rows()[1], 3u);
-  EXPECT_EQ(q.active_rows()[2], 4u);
-  RESIPE_EXPECT_ULP(q.activity(), 3.0 / 5.0, 0);
-  // At n = 1 the queue is the first sample's alone.
-  q.build(std::span<const double>(t).first(5), slice);
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.active_rows()[0], 1u);
-  EXPECT_EQ(q.active_rows()[1], 4u);
-  EXPECT_THROW(q.build(t, slice, 4), Error);  // 15 times, 4 samples
-  EXPECT_THROW(q.build(t, slice, 0), Error);
+// --- the voltage row list -------------------------------------------
+
+TEST(DrivenRows, ListsWindowRowsNonzeroInAnySample) {
+  // Three samples of a 9-wide input, read as the row window [2, 7) at
+  // stride 9, with every input outside the window driven.  Window row 0
+  // is +0.0 or -0.0 in every sample and row 2 +0.0; row 1 is driven in
+  // the first sample, row 3 only in the last, row 4 in all three.
+  constexpr double kV = 0.25;
+  // clang-format off
+  const std::vector<double> v = {
+      kV, kV,  0.0, kV,  0.0, 0.0,  kV, kV, kV,
+      kV, kV, -0.0, 0.0, 0.0, 0.0,  kV, kV, kV,
+      kV, kV,  0.0, 0.0, 0.0, -kV, 1e-300, kV, kV};
+  // clang-format on
+  const circuits::CircuitParams p;
+  const FastMvm window(p, 5, 1, std::vector<double>(5, 1e-5));
+  const auto in_window = std::span<const double>(v).subspan(2);
+  std::vector<std::uint32_t> rows = {7, 7, 7};  // stale contents
+  window.driven_rows(in_window, 3, 9, rows);
+  EXPECT_EQ(rows, (std::vector<std::uint32_t>{1, 3, 4}));
+  // The first sample alone: its driven rows, window-relative.
+  window.driven_rows(in_window, 1, 9, rows);
+  EXPECT_EQ(rows, (std::vector<std::uint32_t>{1, 4}));
+  // No samples, and a window silent in every sample, list nothing.
+  window.driven_rows(v, 0, 9, rows);
+  EXPECT_TRUE(rows.empty());
+  const FastMvm first_row(p, 1, 1, {1e-5});
+  first_row.driven_rows(in_window, 2, 9, rows);
+  EXPECT_TRUE(rows.empty());
+  // A stride below the window, or a block past the voltages, throws.
+  EXPECT_THROW(window.driven_rows(v, 3, 4, rows), Error);
+  EXPECT_THROW(
+      window.driven_rows(std::span<const double>(v).subspan(5), 3, 9, rows),
+      Error);
 }
 
 // --- FastMvm row-list stages ------------------------------------------
@@ -160,49 +172,66 @@ class SparseKernels : public ::testing::Test {
     return t;
   }
 
-  // The rows of `t` ([n, kRows]) that spike in any sample.
-  static std::vector<std::uint32_t> wake_set(std::span<const double> t,
-                                             double slice,
-                                             std::size_t n = 1) {
-    events::EventQueue q;
-    q.build(t, slice, n);
-    return {q.active_rows().begin(), q.active_rows().end()};
+  // S1 over spike times `t` ([n, kRows]): the voltages the row list
+  // and the voltage stage read.
+  static std::vector<double> volts(const FastMvm& mvm,
+                                   std::span<const double> t) {
+    std::vector<double> v(t.size());
+    FastMvm::wordline(mvm.params(), t, v);
+    return v;
   }
 
-  // wordline_batch then mvm_voltages_batch over `rows`, as the forward
-  // loop runs them.
+  // The rows of voltages `v` ([n, kRows]) driven in any sample.
+  static std::vector<std::uint32_t> wake_set(const FastMvm& mvm,
+                                             std::span<const double> v,
+                                             std::size_t n = 1) {
+    std::vector<std::uint32_t> rows;
+    mvm.driven_rows(v, n, kRows, rows);
+    return rows;
+  }
+
+  // S1 then the voltage stage over `rows`, as the forward loop runs
+  // them, with sample s's voltages at s * stride of a buffer whose other
+  // entries are NaN: reading one would poison the output.
   static std::vector<double> run_listed(const FastMvm& mvm,
                                         std::span<const double> t,
                                         std::size_t n,
-                                        std::span<const std::uint32_t> rows) {
-    FastMvm::aligned_vector v_wl;
-    mvm.wordline_batch(t, n, rows, v_wl);
+                                        std::span<const std::uint32_t> rows,
+                                        std::size_t stride = kRows) {
+    std::vector<double> v(n * stride, kNaN);
+    for (std::size_t s = 0; s < n; ++s) {
+      FastMvm::wordline(mvm.params(), t.subspan(s * kRows, kRows),
+                        std::span<double>(v).subspan(s * stride, kRows));
+    }
     std::vector<double> out(n * kCols);
-    mvm.mvm_voltages_batch(v_wl, n, rows, out);
+    mvm.mvm_voltages_batch(v, n, stride, rows, out);
     return out;
   }
 
-  // Per sample and over the whole batch: the row list of the spiking
-  // rows gives mvm_times' and mvm_times_batch's bits.
+  // Per sample and over the whole batch, at the packed stride and a
+  // wider one: the row list of the driven rows gives mvm_times' and
+  // mvm_times_batch's bits.
   void expect_listed_matches_dense(const FastMvm& mvm,
                                    std::initializer_list<double> activities) {
-    const double slice = mvm.params().slice_length;
     std::vector<double> batch;
     for (const double activity : activities) {
       const auto t = make_input(activity);
       batch.insert(batch.end(), t.begin(), t.end());
       std::vector<double> dense(kCols);
       mvm.mvm_times(t, dense);
-      EXPECT_TRUE(bit_identical(dense, run_listed(mvm, t, 1,
-                                                  wake_set(t, slice))))
+      const auto rows = wake_set(mvm, volts(mvm, t));
+      EXPECT_TRUE(bit_identical(dense, run_listed(mvm, t, 1, rows)))
           << "activity " << activity;
     }
     const std::size_t n = activities.size();
     std::vector<double> dense(n * kCols);
     FastMvm::BatchScratch scratch;
     mvm.mvm_times_batch(batch, n, dense, scratch);
-    EXPECT_TRUE(bit_identical(
-        dense, run_listed(mvm, batch, n, wake_set(batch, slice, n))));
+    const auto rows = wake_set(mvm, volts(mvm, batch), n);
+    for (const std::size_t stride : {kRows, kRows + 5}) {
+      EXPECT_TRUE(bit_identical(dense, run_listed(mvm, batch, n, rows, stride)))
+          << "stride " << stride;
+    }
   }
 
   static constexpr std::size_t kRows = 37;  // deliberately not lane-aligned
@@ -244,12 +273,10 @@ TEST_F(SparseKernels, IdleMatchesDenseAllSilentBitwise) {
 TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
   const circuits::CircuitParams p;
   const FastMvm mvm(p, kRows, kCols, g_);
-  const std::vector<double> t(kRows, 10e-9);
-  FastMvm::aligned_vector v_wl;
-  mvm.wordline_batch(t, 1, std::vector<std::uint32_t>{0, 1}, v_wl);
+  const std::vector<double> v(2 * kRows + 1, 0.1);
   std::vector<double> out(kCols);
-  // Strictly ascending and in range, on either kernel path and in both
-  // stages: a repeated row would be summed twice.
+  // Strictly ascending and in range, on either kernel path: a repeated
+  // row would be summed twice.
   for (const bool scalar : {false, true}) {
     std::optional<simd::ForceScalarGuard> guard;
     if (scalar) guard.emplace();
@@ -257,14 +284,20 @@ TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
          {std::vector<std::uint32_t>{kRows},  // out of range
           std::vector<std::uint32_t>{1, 3, 3, 5},  // duplicate
           std::vector<std::uint32_t>{1, 9, 2}}) {  // unsorted
-      EXPECT_THROW(mvm.wordline_batch(t, 1, bad, v_wl), Error);
-      EXPECT_THROW(mvm.mvm_voltages_batch(v_wl, 1, bad, out), Error);
+      EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, bad, out), Error);
     }
   }
-  // Size mismatches.
-  EXPECT_THROW(mvm.wordline_batch(std::vector<double>{1e-9}, 1, {}, v_wl),
-               Error);
-  EXPECT_THROW(mvm.mvm_voltages_batch(v_wl, 2, {}, out), Error);
+  // Two samples at stride kRows + 1 read exactly the 2 * kRows + 1
+  // voltages; a wider stride reads past them, a narrower one than the
+  // row count would overlap the samples, and the output must hold n
+  // rows of columns.
+  std::vector<double> out2(2 * kCols);
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 1, {}, out2));
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 2, {}, out2), Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows - 1, {}, out2), Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows, {}, out), Error);
+  std::vector<double> one(1);
+  EXPECT_THROW(FastMvm::wordline(p, v, one), Error);
 }
 
 // --- ProgrammedMatrix / ResipeNetwork bit-identity ---------------------
@@ -698,18 +731,17 @@ TEST(EventPerf, SpansBookEventKernels) {
   EXPECT_EQ(counter("resipe_core.events.delivered"), 4u);
   EXPECT_EQ(counter("resipe_core.events.rows_skipped"),
             2u * (31u + 31u + 6u));
-  std::uint64_t build_calls = 0, wordline_calls = 0, voltage_calls = 0;
+  std::uint64_t list_calls = 0, wordline_calls = 0, voltage_calls = 0;
   const perf::RooflineReport work = perf::build_roofline_report(
       telemetry::CallProfile::this_thread(), perf::MachineProfile{});
   for (const auto& k : work.kernels) {
-    if (k.name == "resipe_core.events.queue_build") build_calls = k.calls;
-    if (k.name == "resipe_core.fast_mvm.wordline_batch")
-      wordline_calls = k.calls;
+    if (k.name == "resipe_core.fast_mvm.driven_rows") list_calls = k.calls;
+    if (k.name == "resipe_core.fast_mvm.wordline") wordline_calls = k.calls;
     if (k.name == "resipe_core.fast_mvm.mvm_voltages_batch")
       voltage_calls = k.calls;
   }
-  EXPECT_EQ(build_calls, 1u);     // one queue per batch
-  EXPECT_EQ(wordline_calls, 3u);  // one per row window
+  EXPECT_EQ(list_calls, 3u);      // one per row window
+  EXPECT_EQ(wordline_calls, 1u);  // S1 once, in the batch's encode
   EXPECT_EQ(voltage_calls, 6u);   // one per block
   // MACs are the work model's count, the same on both kernel paths:
   // 3 samples x 1 listed row over the 32 + 8 columns of each of the two

@@ -4,16 +4,39 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/parallel.hpp"
 #include "resipe/eval/fidelity.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::resipe_core {
 namespace {
+
+// Calls and booked flops of every span named `name` in a call tree.
+struct SpanTotals {
+  std::uint64_t calls = 0;
+  double flops = 0.0;
+};
+
+[[maybe_unused]] SpanTotals span_totals(const telemetry::ProfileNode& node,
+                                        const char* name) {
+  SpanTotals sum;
+  for (const auto& c : node.children) {
+    if (std::strcmp(c->name, name) == 0) {
+      sum.calls += c->count;
+      sum.flops += c->flops;
+    }
+    const SpanTotals below = span_totals(*c, name);
+    sum.calls += below.calls;
+    sum.flops += below.flops;
+  }
+  return sum;
+}
 
 TEST(EngineConfig, IdealPresetIsNoiseless) {
   const EngineConfig cfg = EngineConfig::ideal();
@@ -195,6 +218,38 @@ TEST_F(MlpThroughHardware, TileAccounting) {
   EXPECT_EQ(hw.programmed_layers(), 2u);
   // 16x12 diff -> 24 phys cols -> 1 block; 12x4 -> 8 cols -> 1 block.
   EXPECT_EQ(hw.tile_count(), 2u);
+
+  // A dense step hands each thread one contiguous chunk: at one thread
+  // a 5-sample batch reaches each matrix in one call, and the logits do
+  // not depend on how the batch is cut.
+  struct RestoreThreads {
+    ~RestoreThreads() { set_default_threads(0); }
+  } restore;
+  const nn::Tensor batch(
+      {5, 1, 4, 4},
+      std::vector<double>(calib_.data().begin(), calib_.data().begin() + 80));
+  set_default_threads(1);
+#if !defined(RESIPE_TELEMETRY_DISABLED)
+  telemetry::set_enabled(true);
+  telemetry::CallProfile::this_thread().reset();
+#endif
+  const nn::Tensor ref = hw.forward(batch);
+#if !defined(RESIPE_TELEMETRY_DISABLED)
+  EXPECT_EQ(span_totals(telemetry::CallProfile::this_thread().root(),
+                        "resipe_core.matrix.forward_batch")
+                .calls,
+            2u);
+  telemetry::set_enabled(false);
+  telemetry::CallProfile::this_thread().reset();
+#endif
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    const nn::Tensor again = hw.forward(batch);
+    EXPECT_EQ(std::memcmp(ref.data().data(), again.data().data(),
+                          ref.size() * sizeof(double)),
+              0)
+        << "threads " << threads;
+  }
 }
 
 // The at()-indexed im2col the direct-indexed gather replaced: layout
@@ -311,18 +366,24 @@ TEST(ResipeNetworkConv, CodecEncodesEachConvActivationOncePerImage) {
   const ResipeNetwork hw(model, EngineConfig{}, batch);
 
   telemetry::MetricRegistry::instance().reset_values();
+  telemetry::CallProfile::this_thread().reset();
   hw.forward(batch);
-  // Each conv step encodes its n*cin*h*w activations once plus the one
-  // value 0 it derives the padding time from (not n*oh*ow*cin*k*k patch
-  // elements); a dense step encodes its n*in inputs.
-  const std::uint64_t want = (3 * 2 * 8 * 8 + 1) + (3 * 3 * 4 * 4 + 1) +
-                             3 * 4;
+  // Each conv step encodes its n*cin*h*w activations once (not
+  // n*oh*ow*cin*k*k patch elements; padding gathers the +0.0 V that
+  // value 0 encodes to); a dense step encodes its n*in inputs.
+  const std::uint64_t want = 3 * 2 * 8 * 8 + 3 * 3 * 4 * 4 + 3 * 4;
   EXPECT_EQ(telemetry::MetricRegistry::instance()
                 .counter("resipe_core.spike_codec.encoded")
                 .value(),
             want);
+  // S1 runs in the encode, once per encoded activation at 4 flops each.
+  const SpanTotals s1 =
+      span_totals(telemetry::CallProfile::this_thread().root(),
+                  "resipe_core.fast_mvm.wordline");
+  EXPECT_EQ(s1.flops, 4.0 * static_cast<double>(want));
   telemetry::set_enabled(false);
   telemetry::MetricRegistry::instance().reset_values();
+  telemetry::CallProfile::this_thread().reset();
 #endif
 }
 

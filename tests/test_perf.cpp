@@ -114,22 +114,31 @@ TEST(WorkModel, SparseAndIdleBookingsHandCount) {
   PerfSwitchGuard guard;
   const std::vector<double> t_in(3, 1e-9);
   const std::vector<std::uint32_t> active = {0, 2};
-  resipe_core::FastMvm::aligned_vector v_wl;
+  std::vector<double> v_wl(3);
   std::vector<double> t_out(2);
-  // The row-list stages book the work model over the listed rows: two
-  // of three here, then none (S2 alone, as for a window silent across
-  // the batch).
-  mvm.wordline_batch(t_in, 1, active, v_wl);
-  mvm.mvm_voltages_batch(v_wl, 1, active, t_out);
-  mvm.mvm_voltages_batch(v_wl, 1, {}, t_out);
+  // S1 books every time it converts; the voltage stage books the work
+  // model over the listed rows: two of three here, then none (S2 alone,
+  // as for a window silent across the batch).
+  resipe_core::FastMvm::wordline(mvm.params(), t_in, v_wl);
+  std::vector<std::uint32_t> driven;
+  mvm.driven_rows(v_wl, 1, 3, driven);
+  mvm.mvm_voltages_batch(v_wl, 1, 3, active, t_out);
+  mvm.mvm_voltages_batch(v_wl, 1, 3, {}, t_out);
 
-  // S1 over 2 rows: 4*2 = 8 flops; bytes 8 * 2*2 = 32.
-  const telemetry::ProfileNode* s1 =
-      top_node("resipe_core.fast_mvm.wordline_batch");
+  // S1 over 3 times: 4*3 = 12 flops; bytes 8 * 2*3 = 48.
+  const telemetry::ProfileNode* s1 = top_node("resipe_core.fast_mvm.wordline");
   ASSERT_NE(s1, nullptr);
   EXPECT_EQ(s1->count, 1u);
-  EXPECT_EQ(s1->flops, 8.0);
-  EXPECT_EQ(s1->bytes, 32.0);
+  EXPECT_EQ(s1->flops, 12.0);
+  EXPECT_EQ(s1->bytes, 48.0);
+  // The row list tests the 3 voltages: 3 flops; bytes 8 * (3 + 3) = 48.
+  const telemetry::ProfileNode* list =
+      top_node("resipe_core.fast_mvm.driven_rows");
+  ASSERT_NE(list, nullptr);
+  EXPECT_EQ(driven.size(), 3u);
+  EXPECT_EQ(list->count, 1u);
+  EXPECT_EQ(list->flops, 3.0);
+  EXPECT_EQ(list->bytes, 48.0);
   // Voltage stage over 2 rows and 2 columns: 2*2*2 + 10*2 = 28 flops,
   // bytes 8 * (2*2 + 2*2 + 3*2 + 3*2) = 160; over no rows 10*2 = 20
   // flops, 8 * (3*2 + 3*2) = 96 bytes.
