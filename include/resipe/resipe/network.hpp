@@ -146,7 +146,8 @@ class ProgrammedMatrix {
   std::size_t mvms_per_forward() const { return row_blocks_; }
 
   /// Sets the activation normalization scale (max activation expected
-  /// at this layer's input; inputs are clamped to [0, scale]).
+  /// at this layer's input; inputs are clamped to [0, scale]).  It must
+  /// be finite and positive.
   void set_input_scale(double scale);
   double input_scale() const { return input_scale_; }
 
@@ -353,7 +354,8 @@ class ResipeNetwork {
   /// Lowers `model` (trained, borrowed for the lifetime of this
   /// object) onto virtual tiles.  `calibration` is a representative
   /// input batch used to set per-layer scales; it is run through the
-  /// software model once.
+  /// software model once.  A non-finite calibration value is rejected
+  /// with its flat index and image.
   ResipeNetwork(nn::Sequential& model, const EngineConfig& config,
                 const nn::Tensor& calibration);
 

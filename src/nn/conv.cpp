@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
+#include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
 
@@ -41,34 +44,56 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t oh = out_size(h);
   const std::size_t ow = out_size(w);
   Tensor y({n, cout_, oh, ow});
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t oc = 0; oc < cout_; ++oc) {
-      const double bias = b_.at(0, oc);
-      for (std::size_t r = 0; r < oh; ++r) {
-        for (std::size_t c = 0; c < ow; ++c) {
-          double acc = bias;
+  // Output columns [lo, hi) read input column c * stride + kc - pad
+  // inside the image; the rest read padding.
+  std::vector<std::size_t> lo(k_), hi(k_);
+  for (std::size_t kc = 0; kc < k_; ++kc) {
+    hi[kc] = w + pad_ > kc
+                 ? std::min(ow, (w + pad_ - kc + stride_ - 1) / stride_)
+                 : 0;
+    lo[kc] = std::min(hi[kc],
+                      kc >= pad_ ? 0 : (pad_ - kc + stride_ - 1) / stride_);
+  }
+  const double* xd = x.data().data();
+  const double* wd = w_.data().data();
+  const double* bd = b_.data().data();
+  double* yd = y.data().data();
+  // One output row (img, oc, r) at a time: it starts at the bias and
+  // adds x * w for (ic, kr, kc) ascending.  Padding is skipped, never
+  // added as 0 * w, which would turn a -0.0 sum into +0.0 and 0 * inf
+  // into NaN.
+  const auto convolve = [&](std::size_t b, std::size_t e) {
+    for (std::size_t img = b; img < e; ++img) {
+      const double* plane = xd + img * cin_ * h * w;
+      for (std::size_t oc = 0; oc < cout_; ++oc) {
+        const double* kernel = wd + oc * cin_ * k_ * k_;
+        for (std::size_t r = 0; r < oh; ++r) {
+          double* yr = yd + ((img * cout_ + oc) * oh + r) * ow;
+          std::fill_n(yr, ow, bd[oc]);
           for (std::size_t ic = 0; ic < cin_; ++ic) {
             for (std::size_t kr = 0; kr < k_; ++kr) {
-              const std::ptrdiff_t ir = static_cast<std::ptrdiff_t>(
-                                            r * stride_ + kr) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ir < 0 || ir >= static_cast<std::ptrdiff_t>(h)) continue;
+              // Row index in padded coordinates.
+              const std::size_t pr = r * stride_ + kr;
+              if (pr < pad_ || pr >= h + pad_) continue;
+              const double* xr = plane + (ic * h + pr - pad_) * w;
+              const double* wr = kernel + (ic * k_ + kr) * k_;
               for (std::size_t kc = 0; kc < k_; ++kc) {
-                const std::ptrdiff_t icol = static_cast<std::ptrdiff_t>(
-                                                c * stride_ + kc) -
-                                            static_cast<std::ptrdiff_t>(pad_);
-                if (icol < 0 || icol >= static_cast<std::ptrdiff_t>(w))
-                  continue;
-                acc += x.at(img, ic, static_cast<std::size_t>(ir),
-                            static_cast<std::size_t>(icol)) *
-                       w_.at(oc, ic, kr, kc);
+                const double wv = wr[kc];
+                for (std::size_t c = lo[kc]; c < hi[kc]; ++c) {
+                  yr[c] += xr[c * stride_ + kc - pad_] * wv;
+                }
               }
             }
           }
-          y.at(img, oc, r, c) = acc;
         }
       }
     }
+  };
+  // A training pass stays on the caller, like the rest of training.
+  if (train) {
+    convolve(0, n);
+  } else {
+    detail::for_image_chunks(n, cout_ * oh * ow * cin_ * k_ * k_, convolve);
   }
   return y;
 }

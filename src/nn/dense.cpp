@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
 
@@ -25,13 +27,29 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) y.at(i, j) = b_.at(0, j);
-    for (std::size_t k = 0; k < in_; ++k) {
-      const double xv = x.at(i, k);
-      if (xv == 0.0) continue;
-      for (std::size_t j = 0; j < out_; ++j) y.at(i, j) += xv * w_.at(k, j);
+  const double* xd = x.data().data();
+  const double* wd = w_.data().data();
+  const double* bd = b_.data().data();
+  double* yd = y.data().data();
+  // Each output starts at the bias and adds x_k * w_kj for k ascending,
+  // skipping the inputs that are exactly zero.
+  const auto affine = [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      double* yr = yd + i * out_;
+      std::copy_n(bd, out_, yr);
+      for (std::size_t k = 0; k < in_; ++k) {
+        const double xv = xd[i * in_ + k];
+        if (xv == 0.0) continue;
+        const double* wr = wd + k * out_;
+        for (std::size_t j = 0; j < out_; ++j) yr[j] += xv * wr[j];
+      }
     }
+  };
+  // A training pass stays on the caller, like the rest of training.
+  if (train) {
+    affine(0, n);
+  } else {
+    detail::for_image_chunks(n, in_ * out_, affine);
   }
   return y;
 }

@@ -326,7 +326,8 @@ std::size_t ProgrammedMatrix::degraded_outputs() const {
 }
 
 void ProgrammedMatrix::set_input_scale(double scale) {
-  RESIPE_REQUIRE(scale > 0.0, "input scale must be positive");
+  RESIPE_REQUIRE(std::isfinite(scale) && scale > 0.0,
+                 "input scale must be finite and positive, got " << scale);
   input_scale_ = scale;
 }
 
@@ -539,23 +540,31 @@ double ProgrammedMatrix::forward_analytic(std::span<const double> x,
     v_in[i] = alpha_ * xn * codec_.v_full();
   }
   recovered.assign(mapping_.cols, 0.0);
+  thread_local std::vector<double> sums;
   double v_max = 0.0;
-  for (const Block& block : blocks_) {
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const Block& block = blocks_[b];
+    if (b == 0 || block.row0 != blocks_[b - 1].row0) {
+      // Every column's current-sum over this row window, from the
+      // mapped layout's target conductances (pre-variation; close
+      // enough for range calibration), walked row by row along
+      // g_targets: each column still adds its rows in ascending order.
+      // A 0 V row is skipped: no term is negative, so each sum starts at
+      // +0.0, never holds -0.0, and adding a signed zero leaves it as is.
+      sums.assign(mapping_.cols, 0.0);
+      for (std::size_t r = block.row0; r < block.row0 + block.rows; ++r) {
+        const double v = v_in[r];
+        if (v == 0.0) continue;
+        const double* g = mapping_.g_targets.data() + r * mapping_.cols;
+        for (std::size_t c = 0; c < mapping_.cols; ++c) sums[c] += v * g[c];
+      }
+    }
     const bool remapped = !block.slot_of_col.empty();
     for (std::size_t c = 0; c < block.cols; ++c) {
       const std::size_t s = remapped ? block.slot_of_col[c] : c;
       const double g_total = block.mvm->g_total(s);
       if (g_total <= 0.0) continue;
-      double sum = 0.0;
-      for (std::size_t r = 0; r < block.rows; ++r) {
-        // Row-major within the block: conductances live in the FastMvm;
-        // recompute the current-sum from the mapped layout instead.
-        sum += v_in[block.row0 + r] *
-               mapping_.g_targets[(block.row0 + r) * mapping_.cols +
-                                  (block.col0 + c)];
-      }
-      // The analytic pass uses target conductances (pre-variation);
-      // close enough for range calibration.
+      const double sum = sums[block.col0 + c];
       const double k = block.mvm->k(s);
       v_max = std::max(v_max, k * sum / g_total);
       recovered[block.col0 + c] += sum;
@@ -668,6 +677,17 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
                              const nn::Tensor& calibration)
     : model_(model), config_(config) {
   config_.validate();
+  // A non-finite calibration value would give some layer an infinite
+  // input scale (+-Inf) or vanish from abs_max (NaN).
+  const std::span<const double> cd = calibration.data();
+  const auto at = static_cast<std::size_t>(
+      std::find_if(cd.begin(), cd.end(),
+                   [](double v) { return !std::isfinite(v); }) -
+      cd.begin());
+  RESIPE_REQUIRE(at == cd.size(),
+                 "calibration batch holds " << cd[at] << " at flat index "
+                     << at << " (image "
+                     << at / (cd.size() / calibration.dim(0)) << ")");
   Rng rng(config_.program_seed);
   nn::Tensor h = calibration;
   constexpr std::size_t kMaxCalibVectors = 512;

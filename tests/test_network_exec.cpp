@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "resipe/common/error.hpp"
@@ -132,6 +134,10 @@ TEST(ProgrammedMatrix, AlphaSetterValidates) {
   EXPECT_THROW(pm.set_time_scale(0.0), Error);
   EXPECT_THROW(pm.set_time_scale(1.5), Error);
   EXPECT_THROW(pm.set_input_scale(-1.0), Error);
+  EXPECT_THROW(pm.set_input_scale(std::numeric_limits<double>::infinity()),
+               Error);
+  EXPECT_THROW(pm.set_input_scale(std::numeric_limits<double>::quiet_NaN()),
+               Error);
   EXPECT_NO_THROW(pm.set_time_scale(0.5));
 }
 
@@ -210,6 +216,30 @@ TEST_F(MlpThroughHardware, ExactEngineStaysClose) {
   const double scale = std::max(ref.abs_max(), 1e-9);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(out[i], ref[i], 0.12 * scale) << "logit " << i;
+  }
+}
+
+TEST_F(MlpThroughHardware, RejectsANonFiniteCalibrationBatch) {
+  // +Inf would become some layer's input scale; NaN would drop out of
+  // abs_max.  Either is named by flat index and image.
+  const struct {
+    double value;
+    std::size_t index;
+    const char* where;
+  } cases[] = {
+      {std::numeric_limits<double>::infinity(), 5, "flat index 5 (image 0)"},
+      {std::numeric_limits<double>::quiet_NaN(), 37,
+       "flat index 37 (image 2)"}};
+  for (const auto& c : cases) {
+    nn::Tensor calib = calib_;
+    calib[c.index] = c.value;
+    try {
+      const ResipeNetwork hw(model_, EngineConfig{}, calib);
+      ADD_FAILURE() << "calibration with " << c.value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.where), std::string::npos)
+          << e.what();
+    }
   }
 }
 

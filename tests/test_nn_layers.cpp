@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
@@ -20,11 +21,10 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 }
 
 // Half-integer steps make many window ties; -0.0, +-inf and NaN are
-// sprinkled in.  [n, 4, 64, 64] holds enough elements per image that
-// an eval forward splits the batch into one-image chunks.
-Tensor awkward_batch(std::size_t n, std::uint64_t seed) {
+// sprinkled in.
+Tensor awkward_batch(std::vector<std::size_t> shape, std::uint64_t seed) {
   Rng rng(seed);
-  Tensor x({n, 4, 64, 64});
+  Tensor x(std::move(shape));
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double specials[] = {-0.0, kInf, -kInf,
                              std::numeric_limits<double>::quiet_NaN()};
@@ -33,6 +33,12 @@ Tensor awkward_batch(std::size_t n, std::uint64_t seed) {
     if (rng.bernoulli(0.05)) v = specials[rng.uniform_int(0, 3)];
   }
   return x;
+}
+
+// [n, 4, 64, 64] holds enough elements per image that an eval forward
+// splits the batch into one-image chunks.
+Tensor awkward_batch(std::size_t n, std::uint64_t seed) {
+  return awkward_batch({n, 4, 64, 64}, seed);
 }
 
 // Eval forwards run images on the pool; a training forward runs on the
@@ -59,6 +65,90 @@ void expect_backward_before_train(Layer& layer, const Tensor& grad) {
               std::string::npos)
         << e.what();
   }
+}
+
+// Equal bit for bit, except that any two NaNs match: a NaN's payload
+// depends on which operand of an add the compiler puts first.
+bool same_values(const Tensor& a, const Tensor& b) {
+  if (!a.same_shape(b)) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double u = a[i], v = b[i];
+    if (std::isnan(u) && std::isnan(v)) continue;
+    if (std::memcmp(&u, &v, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+// The accumulation-order references, one output at a time through
+// Tensor::at.  A conv output starts at the bias and adds x * w for
+// (ic, kr, kc) ascending, skipping padding; a dense output starts at
+// the bias and adds x_k * w_kj for k ascending, skipping x_k == 0.
+Tensor reference_conv(const Conv2d& conv, const Tensor& x) {
+  const std::size_t n = x.dim(0);
+  const std::size_t h = x.dim(2);
+  const std::size_t w = x.dim(3);
+  const std::size_t k = conv.kernel();
+  const std::size_t stride = conv.stride();
+  const auto pad = static_cast<std::ptrdiff_t>(conv.pad());
+  const std::size_t oh = conv.out_size(h);
+  const std::size_t ow = conv.out_size(w);
+  Tensor y({n, conv.out_channels(), oh, ow});
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oc = 0; oc < conv.out_channels(); ++oc) {
+      for (std::size_t r = 0; r < oh; ++r) {
+        for (std::size_t c = 0; c < ow; ++c) {
+          double acc = conv.bias().at(0, oc);
+          for (std::size_t ic = 0; ic < conv.in_channels(); ++ic) {
+            for (std::size_t kr = 0; kr < k; ++kr) {
+              const std::ptrdiff_t ir =
+                  static_cast<std::ptrdiff_t>(r * stride + kr) - pad;
+              if (ir < 0 || ir >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kc = 0; kc < k; ++kc) {
+                const std::ptrdiff_t icol =
+                    static_cast<std::ptrdiff_t>(c * stride + kc) - pad;
+                if (icol < 0 || icol >= static_cast<std::ptrdiff_t>(w))
+                  continue;
+                acc += x.at(img, ic, static_cast<std::size_t>(ir),
+                            static_cast<std::size_t>(icol)) *
+                       conv.weights().at(oc, ic, kr, kc);
+              }
+            }
+          }
+          y.at(img, oc, r, c) = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+Tensor reference_dense(const Dense& d, const Tensor& x) {
+  Tensor y({x.dim(0), d.out_features()});
+  for (std::size_t i = 0; i < x.dim(0); ++i) {
+    for (std::size_t j = 0; j < d.out_features(); ++j)
+      y.at(i, j) = d.bias().at(0, j);
+    for (std::size_t k = 0; k < d.in_features(); ++k) {
+      const double xv = x.at(i, k);
+      if (xv == 0.0) continue;
+      for (std::size_t j = 0; j < d.out_features(); ++j)
+        y.at(i, j) += xv * d.weights().at(k, j);
+    }
+  }
+  return y;
+}
+
+// `layer`'s eval forward at 1, 2 and 8 threads and its training forward
+// must each equal `want`.
+void expect_forwards_match(Layer& layer, const Tensor& x, const Tensor& want) {
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    EXPECT_TRUE(same_values(layer.forward(x, /*train=*/false), want))
+        << layer.describe() << " input " << x.shape_str() << " at "
+        << threads << " threads";
+  }
+  set_default_threads(0);
+  EXPECT_TRUE(same_values(layer.forward(x, /*train=*/true), want))
+      << layer.describe() << " input " << x.shape_str() << ", training";
 }
 
 TEST(Dense, ForwardMatchesHandComputation) {
@@ -137,6 +227,70 @@ TEST(Conv2d, StrideReducesOutput) {
   Conv2d conv(1, 1, 3, 2, 0, rng);
   EXPECT_EQ(conv.out_size(7), 3u);
   EXPECT_THROW(conv.out_size(1), Error);
+}
+
+TEST(Conv2d, EvalForwardMatchesTrainingForwardAtAnyThreadCount) {
+  for (const std::size_t n : {1, 5}) {
+    Rng eval_rng(n), train_rng(n);
+    Conv2d eval_conv(4, 3, 3, 1, 1, eval_rng);
+    Conv2d train_conv(4, 3, 3, 1, 1, train_rng);
+    expect_eval_matches_train(eval_conv, train_conv, awkward_batch(n, n));
+  }
+}
+
+TEST(Conv2d, ForwardMatchesIndexedReferenceBitForBit) {
+  // A non-square input, and a 1-pixel-wide one on which some kernel
+  // columns reach no output column.
+  const std::vector<std::vector<std::size_t>> shapes = {{3, 2, 7, 11},
+                                                        {2, 2, 4, 1}};
+  std::uint64_t seed = 1;
+  for (const auto& shape : shapes) {
+    for (const std::size_t k : {1, 3, 5}) {
+      for (const std::size_t stride : {1, 2, 3}) {
+        for (const std::size_t pad : {0, 1, 2}) {
+          if (shape[2] + 2 * pad < k || shape[3] + 2 * pad < k) continue;
+          Rng rng(++seed);
+          Conv2d conv(2, 3, k, stride, pad, rng);
+          // An output that reads only padding keeps this -0.0 bias;
+          // adding 0 * w there would make it +0.0.
+          conv.bias().at(0, 1) = -0.0;
+          const Tensor x = awkward_batch(shape, seed);
+          expect_forwards_match(conv, x, reference_conv(conv, x));
+        }
+      }
+    }
+  }
+}
+
+TEST(Dense, EvalForwardMatchesTrainingForwardAtAnyThreadCount) {
+  for (const std::size_t n : {1, 5, 40}) {
+    Rng eval_rng(n), train_rng(n);
+    Dense eval_dense(64, 48, eval_rng), train_dense(64, 48, train_rng);
+    const Tensor x = awkward_batch({n, 64}, n);
+    expect_eval_matches_train(eval_dense, train_dense, x);
+  }
+}
+
+TEST(Dense, ForwardMatchesIndexedReferenceBitForBit) {
+  Rng rng(5);
+  Dense d(24, 7, rng);
+  d.bias().at(0, 2) = -0.0;
+  d.weights().at(3, 4) = std::numeric_limits<double>::infinity();
+  Tensor x = awkward_batch({9, 24}, 5);
+  // Row 0 all +0.0, row 1 all -0.0 (zero skips keep the -0.0 bias and
+  // never meet 0 * inf), row 2 holds a NaN.
+  for (std::size_t k = 0; k < 24; ++k) {
+    x.at(0, k) = 0.0;
+    x.at(1, k) = -0.0;
+  }
+  x.at(2, 5) = std::numeric_limits<double>::quiet_NaN();
+  const Tensor want = reference_dense(d, x);
+  expect_forwards_match(d, x, want);
+  for (const std::size_t row : {0, 1}) {
+    EXPECT_TRUE(std::signbit(want.at(row, 2))) << "row " << row;
+    EXPECT_FALSE(std::isnan(want.at(row, 4))) << "row " << row;
+  }
+  EXPECT_TRUE(std::isnan(want.at(2, 0)));
 }
 
 TEST(MaxPool2d, SelectsWindowMaxima) {
