@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "resipe/common/simd.hpp"
 #include "resipe/introspect/inspect.hpp"
 #include "resipe/resipe/network.hpp"
+#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::bench {
 
@@ -68,53 +70,55 @@ class BenchReport {
   /// Prints the BENCH_JSON line (and optional file); returns 0 so mains
   /// can `return report.emit();`.
   int emit() {
+    using telemetry::json_string;
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    std::string json = "{\"bench\":\"" + escape(name_) + "\"";
-    json += ",\"git_sha\":\"" + escape(git_sha()) + "\"";
+    std::ostringstream os;
+    os << "{\"bench\":";
+    json_string(os, name_);
+    os << ",\"git_sha\":";
+    json_string(os, git_sha());
     if (config_hash_.empty()) {
       config_hash_ =
           introspect::engine_config_hash(resipe_core::EngineConfig{});
     }
-    json += ",\"config_hash\":\"" + escape(config_hash_) + "\"";
-    json += ",\"threads\":" + std::to_string(default_threads());
+    os << ",\"config_hash\":";
+    json_string(os, config_hash_);
+    os << ",\"threads\":" << std::to_string(default_threads());
     // The ISA the kernels actually ran with (honors RESIPE_SIMD=scalar)
     // and the build's vector flags: numbers from different ISAs are not
     // comparable, and bench_diff keys its baselines on this stamp.
-    json += ",\"simd_isa\":\"" + escape(simd::active_isa()) + "\"";
-    json += ",\"march\":\"" + escape(simd::march_flags()) + "\"";
+    os << ",\"simd_isa\":";
+    json_string(os, simd::active_isa());
+    os << ",\"march\":";
+    json_string(os, simd::march_flags());
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.6f", wall_s);
-    json += ",\"wall_time_s\":";
-    json += buf;
-    json += ",\"figures\":{";
-    bool first = true;
+    os << ",\"wall_time_s\":" << buf << ",\"figures\":{";
+    const char* sep = "";
     for (const auto& [key, value] : numbers_) {
-      if (!first) json += ",";
-      first = false;
       std::snprintf(buf, sizeof buf, "%.17g", value);
-      json += "\"";
-      json += escape(key);
-      json += "\":";
-      json += buf;
+      os << sep;
+      json_string(os, key);
+      os << ':' << buf;
+      sep = ",";
     }
     for (const auto& [key, value] : strings_) {
-      if (!first) json += ",";
-      first = false;
-      json += "\"";
-      json += escape(key);
-      json += "\":\"";
-      json += escape(value);
-      json += "\"";
+      os << sep;
+      json_string(os, key);
+      os << ':';
+      json_string(os, value);
+      sep = ",";
     }
-    json += "}}";
+    os << "}}";
+    const std::string json = os.str();
     std::printf("BENCH_JSON %s\n", json.c_str());
     if (!json_path_.empty()) {
-      std::ofstream os(json_path_);
-      if (os.good()) {
-        os << json << "\n";
+      std::ofstream file(json_path_);
+      if (file.good()) {
+        file << json << "\n";
       } else {
         std::fprintf(stderr, "bench_report: cannot write %s\n",
                      json_path_.c_str());
@@ -138,20 +142,6 @@ class BenchReport {
 #else
     return "unknown";
 #endif
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-      if (ch == '"' || ch == '\\') out.push_back('\\');
-      if (ch == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(ch);
-    }
-    return out;
   }
 
   std::string name_;

@@ -43,11 +43,15 @@
 //                    default = RESIPE_THREADS, else hardware threads).
 //                    Results are bit-identical for every value.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "resipe/common/csv.hpp"
@@ -82,12 +86,40 @@ const char* arg_value(int argc, char** argv, const char* name,
   return fallback;
 }
 
+/// Parses the whole of `token` as a T: false on trailing bytes, a sign
+/// an unsigned T cannot hold, a value outside T's range, or a
+/// non-finite floating-point value.
+template <typename T>
+bool parse_number(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(out)) return false;
+  }
+  return ec == std::errc() && ptr == end;
+}
+
+/// A flag whose value is not a number of its type; main names both,
+/// prints usage and exits 2.
+struct BadFlag {
+  const char* flag;
+  std::string token;
+};
+
+template <typename T>
+T number_arg(int argc, char** argv, const char* name, T fallback) {
+  const char* token = arg_value(argc, argv, name, nullptr);
+  T value = fallback;
+  if (token != nullptr && !parse_number(token, value)) {
+    throw BadFlag{name, token};
+  }
+  return value;
+}
+
 int cmd_characterize(int argc, char** argv) {
   eval::CharacterizationConfig cfg;
-  cfg.rows = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--rows", "32")));
-  cfg.samples = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--samples", "100")));
+  cfg.rows = number_arg<std::size_t>(argc, argv, "--rows", 32);
+  cfg.samples = number_arg<std::size_t>(argc, argv, "--samples", 100);
   const auto result = eval::characterize(cfg);
   std::printf("characterized %zu samples on a %zu-row column\n",
               result.random_samples.size(), cfg.rows);
@@ -140,13 +172,10 @@ int cmd_chip(int argc, char** argv) {
 }
 
 int cmd_mvm(int argc, char** argv) {
-  const auto rows = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--rows", "8")));
-  const auto cols = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--cols", "4")));
-  const double sigma = std::atof(arg_value(argc, argv, "--sigma", "0"));
-  const auto seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "7")));
+  const auto rows = number_arg<std::size_t>(argc, argv, "--rows", 8);
+  const auto cols = number_arg<std::size_t>(argc, argv, "--cols", 4);
+  const double sigma = number_arg<double>(argc, argv, "--sigma", 0.0);
+  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 7);
   if (rows == 0 || cols == 0) {
     std::fprintf(stderr, "--rows/--cols must be positive\n");
     return 2;
@@ -187,7 +216,7 @@ int cmd_mvm(int argc, char** argv) {
 
 int cmd_yield(int argc, char** argv) {
   eval::YieldConfig cfg;
-  cfg.rmse_bound = std::atof(arg_value(argc, argv, "--bound", "0.05"));
+  cfg.rmse_bound = number_arg<double>(argc, argv, "--bound", 0.05);
   const auto points = eval::mvm_yield(resipe_core::EngineConfig{}, cfg);
   std::cout << eval::render_yield(points, cfg.rmse_bound);
   return 0;
@@ -213,7 +242,9 @@ int cmd_reliability(int argc, char** argv) {
     while (pos < rates.size()) {
       std::size_t next = rates.find(',', pos);
       if (next == std::string::npos) next = rates.size();
-      const double r = std::atof(rates.substr(pos, next - pos).c_str());
+      const std::string token = rates.substr(pos, next - pos);
+      double r = 0.0;
+      if (!parse_number(token, r)) throw BadFlag{"--rates", token};
       if (r < 0.0 || r > 1.0) {
         std::fprintf(stderr, "defect rate out of [0, 1]: %f\n", r);
         return 2;
@@ -226,12 +257,9 @@ int cmd_reliability(int argc, char** argv) {
       return 2;
     }
   }
-  cfg.spare_cols = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--spares", "4")));
-  cfg.cluster_fraction =
-      std::atof(arg_value(argc, argv, "--cluster", "0.25"));
-  cfg.mc_seeds = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--seeds", "2")));
+  cfg.spare_cols = number_arg<std::size_t>(argc, argv, "--spares", 4);
+  cfg.cluster_fraction = number_arg<double>(argc, argv, "--cluster", 0.25);
+  cfg.mc_seeds = number_arg<std::size_t>(argc, argv, "--seeds", 2);
   if (cfg.mc_seeds == 0) {
     std::fprintf(stderr, "--seeds must be positive\n");
     return 2;
@@ -256,15 +284,11 @@ int cmd_inspect(int argc, char** argv) {
     std::fprintf(stderr, "inspect supports --net mlp1|mlp2|cnn1\n");
     return 2;
   }
-  const auto train_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--train", "256")));
-  const auto test_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--images", "64")));
-  const auto epochs = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--epochs", "3")));
-  const double sigma = std::atof(arg_value(argc, argv, "--sigma", "0.1"));
-  const auto seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "42")));
+  const auto train_n = number_arg<std::size_t>(argc, argv, "--train", 256);
+  const auto test_n = number_arg<std::size_t>(argc, argv, "--images", 64);
+  const auto epochs = number_arg<std::size_t>(argc, argv, "--epochs", 3);
+  const double sigma = number_arg<double>(argc, argv, "--sigma", 0.1);
+  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 42);
   const std::string out = arg_value(argc, argv, "--out", "");
   if (train_n == 0 || test_n == 0) {
     std::fprintf(stderr, "--train/--images must be positive\n");
@@ -325,18 +349,12 @@ int cmd_profile(int argc, char** argv) {
     std::fprintf(stderr, "profile supports --net mlp1|mlp2|cnn1\n");
     return 2;
   }
-  const auto train_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--train", "128")));
-  const auto test_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--images", "32")));
-  const auto epochs = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--epochs", "2")));
-  const auto reps = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--reps", "3")));
-  const auto seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "42")));
-  const double calib_ms =
-      std::atof(arg_value(argc, argv, "--calib-ms", "60"));
+  const auto train_n = number_arg<std::size_t>(argc, argv, "--train", 128);
+  const auto test_n = number_arg<std::size_t>(argc, argv, "--images", 32);
+  const auto epochs = number_arg<std::size_t>(argc, argv, "--epochs", 2);
+  const auto reps = number_arg<std::size_t>(argc, argv, "--reps", 3);
+  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 42);
+  const double calib_ms = number_arg<double>(argc, argv, "--calib-ms", 60.0);
   const std::string out = arg_value(argc, argv, "--out", "");
   const std::string folded = arg_value(argc, argv, "--folded", "");
   if (train_n == 0 || test_n == 0 || reps == 0) {
@@ -527,6 +545,11 @@ void usage() {
       stderr);
 }
 
+void bad_value(const char* flag, const char* token) {
+  std::fprintf(stderr, "error: bad value '%s' for '%s'\n", token, flag);
+  usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -552,7 +575,11 @@ int main(int argc, char** argv) {
     } else if (i + 1 < argc && std::strcmp(argv[i], "--metrics") == 0) {
       metrics_path = argv[++i];
     } else if (i + 1 < argc && std::strcmp(argv[i], "--threads") == 0) {
-      const int n = std::atoi(argv[++i]);
+      int n = 0;
+      if (!parse_number(argv[++i], n)) {
+        bad_value("--threads", argv[i]);
+        return 2;
+      }
       if (n < 1) {
         std::fprintf(stderr, "--threads must be >= 1\n");
         return 2;
@@ -624,6 +651,9 @@ int main(int argc, char** argv) {
     else if (cmd == "inspect") rc = cmd_inspect(nargs, args.data());
     else if (cmd == "profile") rc = cmd_profile(nargs, args.data());
     else if (cmd == "quickstart") rc = cmd_quickstart();
+  } catch (const BadFlag& e) {
+    bad_value(e.flag, e.token.c_str());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -7,6 +7,8 @@
 // serialized explicitly, so a repro keeps working even after the
 // generator's sampling schema moves on.  64-bit seeds are emitted as
 // JSON strings (a double-typed number would corrupt them past 2^53).
+// The writer and the reader walk one field list, so a key's name,
+// position, type and quoting are stated once.
 #pragma once
 
 #include <string>
@@ -26,9 +28,13 @@ struct ReproRecord {
 /// Serializes a record to a flat JSON object (stable key order).
 std::string repro_to_json(const ReproRecord& record);
 
-/// Parses a record written by repro_to_json.  Unknown keys throw
-/// (a repro that silently drops fields would replay the wrong case);
-/// missing keys keep the field's default.
+/// Parses a record written by repro_to_json.  Reads that would replay
+/// a different case throw resipe::Error naming the key: an unknown or
+/// duplicate key, a value of the wrong JSON type, an integer that is
+/// not whole or does not fit its field's type (a negative count, say),
+/// an unknown mapping or transfer-model name, and bytes after the
+/// closing brace.  Missing keys keep the field's default, so records
+/// that predate a key (schema v1 has 72 of today's 89) still load.
 ReproRecord repro_from_json(const std::string& json);
 
 /// A paste-ready C++ snippet reconstructing the case and running the

@@ -1,11 +1,17 @@
 #include "resipe/verify/serialize.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "resipe/common/error.hpp"
+#include "resipe/telemetry/trace.hpp"
 
 namespace resipe::verify {
 namespace {
@@ -13,500 +19,358 @@ namespace {
 using circuits::TransferModel;
 using crossbar::SignedMapping;
 
-// --- writing -----------------------------------------------------------
+/// A 64-bit seed, written as a JSON string: a double-typed JSON reader
+/// would round it past 2^53.  A wrapper rather than an overload on
+/// std::uint64_t, which is std::size_t on LP64.
+template <typename T>
+struct Seed {
+  T& value;
+};
 
-std::string num(double v) {
+// The record format, listed once: calls f(key, member) for every key in
+// file order.  The writer instantiates it on a const record, the reader
+// on a mutable one.
+template <typename Record, typename F>
+void each_field(Record& record, F&& f) {
+  auto& s = record.spec;
+  auto& cfg = s.config;
+  auto& circuit = cfg.circuit;
+  auto& device = cfg.device;
+  auto& rel = cfg.reliability;
+  auto& insp = cfg.introspect;
+  auto& serve = cfg.serve;
+  f("schema_version", s.descriptor.schema_version);
+  f("seed", Seed{s.descriptor.seed});
+  f("contract", record.contract);
+  f("detail", record.detail);
+  f("rows", s.rows);
+  f("cols", s.cols);
+  f("inputs", s.inputs);
+  f("layers", s.layers);
+  f("classes", s.classes);
+  f("batch", s.batch);
+  f("tile_rows", cfg.tile_rows);
+  f("tile_cols", cfg.tile_cols);
+  f("mapping", cfg.mapping);
+  f("quantize_spikes", cfg.quantize_spikes);
+  f("calibration_headroom", cfg.calibration_headroom);
+  f("input_scale_margin", cfg.input_scale_margin);
+  f("program_seed", Seed{cfg.program_seed});
+  f("model_wire_ir_drop", cfg.model_wire_ir_drop);
+  f("wire_r_wordline", cfg.wires.r_wordline_segment);
+  f("wire_r_bitline", cfg.wires.r_bitline_segment);
+  f("retention_time", cfg.retention_time);
+  f("circuit_v_s", circuit.v_s);
+  f("circuit_r_gd", circuit.r_gd);
+  f("circuit_c_gd", circuit.c_gd);
+  f("circuit_c_cog", circuit.c_cog);
+  f("circuit_slice_length", circuit.slice_length);
+  f("circuit_comp_stage", circuit.comp_stage);
+  f("circuit_spike_width", circuit.spike_width);
+  f("circuit_clock_period", circuit.clock_period);
+  f("circuit_comparator_offset", circuit.comparator_offset);
+  f("circuit_comparator_delay", circuit.comparator_delay);
+  f("circuit_comparator_offset_sigma", circuit.comparator_offset_sigma);
+  f("circuit_model", circuit.model);
+  f("device_r_lrs", device.r_lrs);
+  f("device_r_hrs", device.r_hrs);
+  f("device_levels", device.levels);
+  f("device_write_verify_tolerance", device.write_verify_tolerance);
+  f("device_variation_sigma", device.variation_sigma);
+  f("device_read_noise_sigma", device.read_noise_sigma);
+  f("device_stuck_lrs_rate", device.stuck_lrs_rate);
+  f("device_stuck_hrs_rate", device.stuck_hrs_rate);
+  f("device_drift_nu", device.drift_nu);
+  f("device_drift_t0", device.drift_t0);
+  f("device_transistor_r_on", device.transistor_r_on);
+  f("rel_enabled", rel.enabled);
+  f("rel_stuck_lrs_rate", rel.faults.stuck_lrs_rate);
+  f("rel_stuck_hrs_rate", rel.faults.stuck_hrs_rate);
+  f("rel_cluster_fraction", rel.faults.cluster_fraction);
+  f("rel_cluster_size", rel.faults.cluster_size);
+  f("rel_read_disturb_rate", rel.read_disturb_rate);
+  f("rel_expected_mvms", rel.expected_mvms);
+  f("rel_endurance_cycles", rel.endurance_cycles);
+  f("rel_wear_cycles", rel.wear_cycles);
+  f("rel_mapper_rail_tolerance", rel.mapper.rail_tolerance);
+  f("rel_mapper_reads_per_cell", rel.mapper.reads_per_cell);
+  f("rel_mapper_miss_rate", rel.mapper.miss_rate);
+  f("rel_mapper_false_alarm_rate", rel.mapper.false_alarm_rate);
+  f("rel_mit_enabled", rel.mitigation.enabled);
+  f("rel_mit_spare_cols", rel.mitigation.spare_cols);
+  f("rel_mit_remap_columns", rel.mitigation.remap_columns);
+  f("rel_mit_compensate_pairs", rel.mitigation.compensate_pairs);
+  f("rel_mit_write_verify_retries", rel.mitigation.write_verify_retries);
+  f("rel_mit_degrade_threshold", rel.mitigation.degrade_threshold);
+  f("rel_fault_seed", Seed{rel.fault_seed});
+  f("insp_enabled", insp.enabled);
+  f("insp_max_probe_vectors", insp.max_probe_vectors);
+  f("insp_max_attribution_vectors", insp.max_attribution_vectors);
+  f("insp_attribute_error", insp.attribute_error);
+  f("insp_accuracy_attribution", insp.accuracy_attribution);
+  f("insp_energy_ledger", insp.energy_ledger);
+  f("insp_spike_time_bins", insp.spike_time_bins);
+  f("insp_activity_threshold", insp.activity_threshold);
+  f("serve_queue_capacity", serve.queue_capacity);
+  f("serve_batch_max", serve.batch_max);
+  f("serve_batch_window", serve.batch_window);
+  f("serve_default_deadline", serve.default_deadline);
+  f("serve_retry_max", serve.retry_max);
+  f("serve_backoff_base", serve.backoff_base);
+  f("serve_backoff_multiplier", serve.backoff_multiplier);
+  f("serve_backoff_max", serve.backoff_max);
+  f("serve_backoff_jitter", serve.backoff_jitter);
+  f("serve_canary_period", serve.health.canary_period);
+  f("serve_canary_images", serve.health.canary_images);
+  f("serve_max_canary_mismatch", serve.health.max_canary_mismatch);
+  f("serve_logit_rmse_limit", serve.health.logit_rmse_limit);
+  f("serve_quarantine_after", serve.health.quarantine_after);
+  f("serve_readmit_after", serve.health.readmit_after);
+  f("serve_seed", Seed{serve.seed});
+  f("events_enabled", cfg.events.enabled);
+}
+
+template <typename E>
+using Names = std::pair<E, std::string_view>[];
+
+constexpr Names<SignedMapping> kMappingNames = {
+    {SignedMapping::kDifferentialPair, "differential_pair"},
+    {SignedMapping::kComplementaryPair, "complementary_pair"},
+    {SignedMapping::kOffsetColumn, "offset_column"}};
+constexpr Names<TransferModel> kModelNames = {
+    {TransferModel::kExact, "exact"}, {TransferModel::kLinear, "linear"}};
+
+const auto& names(SignedMapping) { return kMappingNames; }
+const auto& names(TransferModel) { return kModelNames; }
+
+template <typename T>
+concept Integer = std::integral<T> && !std::same_as<T, bool>;
+
+// --- writing: one overload per field type --------------------------------
+
+void write(std::ostream& os, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  os << buf;
 }
 
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
+void write(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+
+template <Integer T>
+void write(std::ostream& os, T v) {
+  os << std::to_string(v);
+}
+
+void write(std::ostream& os, const std::string& v) {
+  telemetry::json_string(os, v);
+}
+
+void write(std::ostream& os, const std::vector<std::size_t>& v) {
+  os << '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    os << (i ? ", " : "");
+    write(os, v[i]);
   }
-  out += '"';
-  return out;
+  os << ']';
 }
 
-const char* mapping_name(SignedMapping m) {
-  switch (m) {
-    case SignedMapping::kComplementaryPair:
-      return "complementary_pair";
-    case SignedMapping::kOffsetColumn:
-      return "offset_column";
-    default:
-      return "differential_pair";
+void write(std::ostream& os, Seed<const std::uint64_t> seed) {
+  os << '"' << std::to_string(seed.value) << '"';
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+void write(std::ostream& os, E v) {
+  for (const auto& [value, name] : names(v)) {
+    if (value == v) return telemetry::json_string(os, name);
   }
+  RESIPE_ASSERT(false, "unnamed enum value in repro record");
 }
 
-SignedMapping mapping_from(const std::string& s) {
-  if (s == "complementary_pair") return SignedMapping::kComplementaryPair;
-  if (s == "offset_column") return SignedMapping::kOffsetColumn;
-  RESIPE_REQUIRE(s == "differential_pair",
-                 "unknown mapping strategy '" << s << "' in repro record");
-  return SignedMapping::kDifferentialPair;
-}
-
-// --- minimal flat-JSON scanner -----------------------------------------
+// --- reading -------------------------------------------------------------
 //
-// Accepts exactly the subset repro_to_json emits: one object whose
-// values are numbers, booleans, strings or arrays of numbers.  No
-// external JSON dependency — the container bakes none in.
+// A strict scanner for the flat JSON repro_to_json emits: one object
+// whose values are numbers, booleans, strings or arrays of integers.  No
+// external JSON dependency.
 
 class Scanner {
  public:
   explicit Scanner(const std::string& text) : s_(text) {}
 
-  void expect(char c) {
-    skip_ws();
-    RESIPE_REQUIRE(i_ < s_.size() && s_[i_] == c,
-                   "repro JSON: expected '" << c << "' at offset " << i_);
-    ++i_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
+  /// Throws resipe::Error naming the problem, the offending text, the
+  /// offset and the last key read.
+  void require(bool ok, const char* what, std::string_view text = {}) const {
+    RESIPE_REQUIRE(ok, "repro JSON: " << what << (text.empty() ? "" : " '")
+                                      << text << (text.empty() ? "" : "'")
+                                      << " at offset " << i_
+                                      << (key_.empty() ? "" : " after key '")
+                                      << key_ << (key_.empty() ? "" : "'"));
   }
 
   char peek() {
-    skip_ws();
+    while (i_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
     return i_ < s_.size() ? s_[i_] : '\0';
+  }
+
+  void expect(char c) {
+    require(peek() == c, "expected", std::string_view(&c, 1));
+    ++i_;
+  }
+
+  void expect_end() {
+    peek();
+    require(i_ == s_.size(), "trailing bytes",
+            std::string_view(s_).substr(i_, 16));
+  }
+
+  /// Reads `"key":` and remembers the key for later messages.
+  const std::string& key() {
+    key_ = string_value();
+    expect(':');
+    return key_;
   }
 
   std::string string_value() {
     expect('"');
     std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\' && i_ < s_.size()) {
-        c = s_[i_++];
-        if (c == 'n') c = '\n';
+    for (;;) {
+      require(i_ < s_.size(), "unterminated string");
+      const char c = s_[i_++];
+      if (c == '"') return out;
+      if (c != '\\') {
+        out += c;
+        continue;
       }
-      out += c;
+      constexpr std::string_view kFrom = "\"\\/bfnrt";
+      constexpr std::string_view kTo = "\"\\/\b\f\n\r\t";
+      const char e = i_ < s_.size() ? s_[i_++] : '\0';
+      if (const auto k = kFrom.find(e); k != std::string_view::npos) {
+        out += kTo[k];
+      } else {
+        require(e == 'u', "bad escape in string");
+        const auto code = parse<unsigned>(std::string_view(s_).substr(i_, 4),
+                                          "bad \\u escape", 16);
+        require(code < 0x80, "\\u escape beyond ASCII");
+        out += static_cast<char>(code);
+        i_ += 4;
+      }
     }
-    expect('"');
-    return out;
   }
 
-  /// A bare token: number, true, false.
-  std::string token() {
-    skip_ws();
+  /// A bare value: number, true or false.
+  std::string_view token() {
+    peek();
     const std::size_t start = i_;
-    while (i_ < s_.size() && (std::isalnum(static_cast<unsigned char>(s_[i_])) ||
-                              s_[i_] == '+' || s_[i_] == '-' ||
-                              s_[i_] == '.')) {
+    while (i_ < s_.size() &&
+           (std::isalnum(static_cast<unsigned char>(s_[i_])) ||
+            s_[i_] == '+' || s_[i_] == '-' || s_[i_] == '.')) {
       ++i_;
     }
-    RESIPE_REQUIRE(i_ > start, "repro JSON: expected a value at offset " << i_);
-    return s_.substr(start, i_ - start);
+    require(i_ > start, "expected a bare value");
+    return std::string_view(s_).substr(start, i_ - start);
+  }
+
+  /// The whole of `t` as a T, which must hold it exactly.
+  template <typename T, typename... Base>
+  T parse(std::string_view t, const char* what, Base... base) const {
+    T v{};
+    const auto [end, ec] =
+        std::from_chars(t.data(), t.data() + t.size(), v, base...);
+    require(!t.empty() && ec == std::errc() && end == t.data() + t.size(),
+            what, t);
+    return v;
   }
 
  private:
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_]))) {
-      ++i_;
-    }
-  }
-
   const std::string& s_;
   std::size_t i_ = 0;
+  std::string key_;
 };
 
-double to_double(const std::string& t) {
-  char* end = nullptr;
-  const double v = std::strtod(t.c_str(), &end);
-  RESIPE_REQUIRE(end && *end == '\0', "repro JSON: bad number '" << t << "'");
-  return v;
+// --- reading: one overload per field type --------------------------------
+
+void read(Scanner& sc, double& v) {
+  v = sc.parse<double>(sc.token(), "bad number");
 }
 
-std::uint64_t to_u64(const std::string& t) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(t.c_str(), &end, 10);
-  RESIPE_REQUIRE(end && *end == '\0',
-                 "repro JSON: bad integer '" << t << "'");
-  return v;
+void read(Scanner& sc, bool& v) {
+  const std::string_view t = sc.token();
+  sc.require(t == "true" || t == "false", "bad boolean", t);
+  v = t == "true";
 }
 
-bool to_bool(const std::string& t) {
-  RESIPE_REQUIRE(t == "true" || t == "false",
-                 "repro JSON: bad boolean '" << t << "'");
-  return t == "true";
+template <Integer T>
+void read(Scanner& sc, T& v) {
+  v = sc.parse<T>(sc.token(), "bad integer");
+}
+
+void read(Scanner& sc, std::string& v) { v = sc.string_value(); }
+
+void read(Scanner& sc, std::vector<std::size_t>& v) {
+  sc.expect('[');
+  v.clear();
+  while (sc.peek() != ']') {
+    if (!v.empty()) sc.expect(',');
+    read(sc, v.emplace_back());
+  }
+  sc.expect(']');
+}
+
+void read(Scanner& sc, Seed<std::uint64_t> seed) {
+  seed.value = sc.parse<std::uint64_t>(sc.string_value(), "bad seed");
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+void read(Scanner& sc, E& v) {
+  const std::string s = sc.string_value();
+  for (const auto& [value, name] : names(v)) {
+    if (name == s) {
+      v = value;
+      return;
+    }
+  }
+  sc.require(false, "unknown name", s);
 }
 
 }  // namespace
 
 std::string repro_to_json(const ReproRecord& record) {
-  const CaseSpec& s = record.spec;
-  const auto& cfg = s.config;
   std::ostringstream os;
   os << "{\n";
-  const auto field = [&os](const char* key, const std::string& value,
-                           bool last = false) {
-    os << "  \"" << key << "\": " << value << (last ? "\n" : ",\n");
-  };
-  field("schema_version", std::to_string(s.descriptor.schema_version));
-  field("seed", quoted(std::to_string(s.descriptor.seed)));
-  field("contract", quoted(record.contract));
-  field("detail", quoted(record.detail));
-  field("rows", std::to_string(s.rows));
-  field("cols", std::to_string(s.cols));
-  field("inputs", std::to_string(s.inputs));
-  {
-    std::string arr = "[";
-    for (std::size_t i = 0; i < s.layers.size(); ++i) {
-      arr += (i ? ", " : "") + std::to_string(s.layers[i]);
-    }
-    arr += "]";
-    field("layers", arr);
-  }
-  field("classes", std::to_string(s.classes));
-  field("batch", std::to_string(s.batch));
-  field("tile_rows", std::to_string(cfg.tile_rows));
-  field("tile_cols", std::to_string(cfg.tile_cols));
-  field("mapping", quoted(mapping_name(cfg.mapping)));
-  field("quantize_spikes", cfg.quantize_spikes ? "true" : "false");
-  field("calibration_headroom", num(cfg.calibration_headroom));
-  field("input_scale_margin", num(cfg.input_scale_margin));
-  field("program_seed", quoted(std::to_string(cfg.program_seed)));
-  field("model_wire_ir_drop", cfg.model_wire_ir_drop ? "true" : "false");
-  field("wire_r_wordline", num(cfg.wires.r_wordline_segment));
-  field("wire_r_bitline", num(cfg.wires.r_bitline_segment));
-  field("retention_time", num(cfg.retention_time));
-  field("circuit_v_s", num(cfg.circuit.v_s));
-  field("circuit_r_gd", num(cfg.circuit.r_gd));
-  field("circuit_c_gd", num(cfg.circuit.c_gd));
-  field("circuit_c_cog", num(cfg.circuit.c_cog));
-  field("circuit_slice_length", num(cfg.circuit.slice_length));
-  field("circuit_comp_stage", num(cfg.circuit.comp_stage));
-  field("circuit_spike_width", num(cfg.circuit.spike_width));
-  field("circuit_clock_period", num(cfg.circuit.clock_period));
-  field("circuit_comparator_offset", num(cfg.circuit.comparator_offset));
-  field("circuit_comparator_delay", num(cfg.circuit.comparator_delay));
-  field("circuit_comparator_offset_sigma",
-        num(cfg.circuit.comparator_offset_sigma));
-  field("circuit_model",
-        quoted(cfg.circuit.model == TransferModel::kLinear ? "linear"
-                                                           : "exact"));
-  field("device_r_lrs", num(cfg.device.r_lrs));
-  field("device_r_hrs", num(cfg.device.r_hrs));
-  field("device_levels", std::to_string(cfg.device.levels));
-  field("device_write_verify_tolerance",
-        num(cfg.device.write_verify_tolerance));
-  field("device_variation_sigma", num(cfg.device.variation_sigma));
-  field("device_read_noise_sigma", num(cfg.device.read_noise_sigma));
-  field("device_stuck_lrs_rate", num(cfg.device.stuck_lrs_rate));
-  field("device_stuck_hrs_rate", num(cfg.device.stuck_hrs_rate));
-  field("device_drift_nu", num(cfg.device.drift_nu));
-  field("device_drift_t0", num(cfg.device.drift_t0));
-  field("device_transistor_r_on", num(cfg.device.transistor_r_on));
-  field("rel_enabled", cfg.reliability.enabled ? "true" : "false");
-  field("rel_stuck_lrs_rate", num(cfg.reliability.faults.stuck_lrs_rate));
-  field("rel_stuck_hrs_rate", num(cfg.reliability.faults.stuck_hrs_rate));
-  field("rel_cluster_fraction",
-        num(cfg.reliability.faults.cluster_fraction));
-  field("rel_cluster_size",
-        std::to_string(cfg.reliability.faults.cluster_size));
-  field("rel_read_disturb_rate", num(cfg.reliability.read_disturb_rate));
-  field("rel_expected_mvms", num(cfg.reliability.expected_mvms));
-  field("rel_endurance_cycles", num(cfg.reliability.endurance_cycles));
-  field("rel_wear_cycles", num(cfg.reliability.wear_cycles));
-  field("rel_mapper_rail_tolerance",
-        num(cfg.reliability.mapper.rail_tolerance));
-  field("rel_mapper_reads_per_cell",
-        std::to_string(cfg.reliability.mapper.reads_per_cell));
-  field("rel_mapper_miss_rate", num(cfg.reliability.mapper.miss_rate));
-  field("rel_mapper_false_alarm_rate",
-        num(cfg.reliability.mapper.false_alarm_rate));
-  field("rel_mit_enabled",
-        cfg.reliability.mitigation.enabled ? "true" : "false");
-  field("rel_mit_spare_cols",
-        std::to_string(cfg.reliability.mitigation.spare_cols));
-  field("rel_mit_remap_columns",
-        cfg.reliability.mitigation.remap_columns ? "true" : "false");
-  field("rel_mit_compensate_pairs",
-        cfg.reliability.mitigation.compensate_pairs ? "true" : "false");
-  field("rel_mit_write_verify_retries",
-        std::to_string(cfg.reliability.mitigation.write_verify_retries));
-  field("rel_mit_degrade_threshold",
-        num(cfg.reliability.mitigation.degrade_threshold));
-  field("rel_fault_seed", quoted(std::to_string(cfg.reliability.fault_seed)));
-  field("insp_enabled", cfg.introspect.enabled ? "true" : "false");
-  field("insp_max_probe_vectors",
-        std::to_string(cfg.introspect.max_probe_vectors));
-  field("insp_max_attribution_vectors",
-        std::to_string(cfg.introspect.max_attribution_vectors));
-  field("insp_attribute_error",
-        cfg.introspect.attribute_error ? "true" : "false");
-  field("insp_accuracy_attribution",
-        cfg.introspect.accuracy_attribution ? "true" : "false");
-  field("insp_energy_ledger",
-        cfg.introspect.energy_ledger ? "true" : "false");
-  field("insp_spike_time_bins",
-        std::to_string(cfg.introspect.spike_time_bins));
-  field("insp_activity_threshold", num(cfg.introspect.activity_threshold));
-  field("serve_queue_capacity", std::to_string(cfg.serve.queue_capacity));
-  field("serve_batch_max", std::to_string(cfg.serve.batch_max));
-  field("serve_batch_window", num(cfg.serve.batch_window));
-  field("serve_default_deadline", num(cfg.serve.default_deadline));
-  field("serve_retry_max", std::to_string(cfg.serve.retry_max));
-  field("serve_backoff_base", num(cfg.serve.backoff_base));
-  field("serve_backoff_multiplier", num(cfg.serve.backoff_multiplier));
-  field("serve_backoff_max", num(cfg.serve.backoff_max));
-  field("serve_backoff_jitter", num(cfg.serve.backoff_jitter));
-  field("serve_canary_period", num(cfg.serve.health.canary_period));
-  field("serve_canary_images",
-        std::to_string(cfg.serve.health.canary_images));
-  field("serve_max_canary_mismatch",
-        num(cfg.serve.health.max_canary_mismatch));
-  field("serve_logit_rmse_limit", num(cfg.serve.health.logit_rmse_limit));
-  field("serve_quarantine_after",
-        std::to_string(cfg.serve.health.quarantine_after));
-  field("serve_readmit_after",
-        std::to_string(cfg.serve.health.readmit_after));
-  field("serve_seed", quoted(std::to_string(cfg.serve.seed)));
-  field("events_enabled", cfg.events.enabled ? "true" : "false",
-        /*last=*/true);
-  os << "}\n";
+  const char* sep = "";
+  each_field(record, [&](const char* key, const auto& value) {
+    os << sep << "  \"" << key << "\": ";
+    write(os, value);
+    sep = ",\n";
+  });
+  os << "\n}\n";
   return os.str();
 }
 
 ReproRecord repro_from_json(const std::string& json) {
   ReproRecord record;
-  CaseSpec& s = record.spec;
-  auto& cfg = s.config;
   Scanner sc(json);
+  std::set<std::string> seen;
   sc.expect('{');
-  bool first = true;
   while (sc.peek() != '}') {
-    if (!first) sc.expect(',');
-    first = false;
-    const std::string key = sc.string_value();
-    sc.expect(':');
-
-    if (key == "layers") {
-      sc.expect('[');
-      s.layers.clear();
-      while (sc.peek() != ']') {
-        if (!s.layers.empty()) sc.expect(',');
-        s.layers.push_back(static_cast<std::size_t>(to_u64(sc.token())));
-      }
-      sc.expect(']');
-      continue;
-    }
-
-    std::string v;
-    if (sc.peek() == '"') {
-      v = sc.string_value();
-    } else {
-      v = sc.token();
-    }
-
-    if (key == "schema_version") {
-      s.descriptor.schema_version = static_cast<std::uint32_t>(to_u64(v));
-    } else if (key == "seed") {
-      s.descriptor.seed = to_u64(v);
-    } else if (key == "contract") {
-      record.contract = v;
-    } else if (key == "detail") {
-      record.detail = v;
-    } else if (key == "rows") {
-      s.rows = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "cols") {
-      s.cols = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "inputs") {
-      s.inputs = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "classes") {
-      s.classes = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "batch") {
-      s.batch = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "tile_rows") {
-      cfg.tile_rows = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "tile_cols") {
-      cfg.tile_cols = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "mapping") {
-      cfg.mapping = mapping_from(v);
-    } else if (key == "quantize_spikes") {
-      cfg.quantize_spikes = to_bool(v);
-    } else if (key == "calibration_headroom") {
-      cfg.calibration_headroom = to_double(v);
-    } else if (key == "input_scale_margin") {
-      cfg.input_scale_margin = to_double(v);
-    } else if (key == "program_seed") {
-      cfg.program_seed = to_u64(v);
-    } else if (key == "model_wire_ir_drop") {
-      cfg.model_wire_ir_drop = to_bool(v);
-    } else if (key == "wire_r_wordline") {
-      cfg.wires.r_wordline_segment = to_double(v);
-    } else if (key == "wire_r_bitline") {
-      cfg.wires.r_bitline_segment = to_double(v);
-    } else if (key == "retention_time") {
-      cfg.retention_time = to_double(v);
-    } else if (key == "circuit_v_s") {
-      cfg.circuit.v_s = to_double(v);
-    } else if (key == "circuit_r_gd") {
-      cfg.circuit.r_gd = to_double(v);
-    } else if (key == "circuit_c_gd") {
-      cfg.circuit.c_gd = to_double(v);
-    } else if (key == "circuit_c_cog") {
-      cfg.circuit.c_cog = to_double(v);
-    } else if (key == "circuit_slice_length") {
-      cfg.circuit.slice_length = to_double(v);
-    } else if (key == "circuit_comp_stage") {
-      cfg.circuit.comp_stage = to_double(v);
-    } else if (key == "circuit_spike_width") {
-      cfg.circuit.spike_width = to_double(v);
-    } else if (key == "circuit_clock_period") {
-      cfg.circuit.clock_period = to_double(v);
-    } else if (key == "circuit_comparator_offset") {
-      cfg.circuit.comparator_offset = to_double(v);
-    } else if (key == "circuit_comparator_delay") {
-      cfg.circuit.comparator_delay = to_double(v);
-    } else if (key == "circuit_comparator_offset_sigma") {
-      cfg.circuit.comparator_offset_sigma = to_double(v);
-    } else if (key == "circuit_model") {
-      RESIPE_REQUIRE(v == "exact" || v == "linear",
-                     "unknown transfer model '" << v << "' in repro record");
-      cfg.circuit.model =
-          v == "linear" ? TransferModel::kLinear : TransferModel::kExact;
-    } else if (key == "device_r_lrs") {
-      cfg.device.r_lrs = to_double(v);
-    } else if (key == "device_r_hrs") {
-      cfg.device.r_hrs = to_double(v);
-    } else if (key == "device_levels") {
-      cfg.device.levels = static_cast<int>(to_u64(v));
-    } else if (key == "device_write_verify_tolerance") {
-      cfg.device.write_verify_tolerance = to_double(v);
-    } else if (key == "device_variation_sigma") {
-      cfg.device.variation_sigma = to_double(v);
-    } else if (key == "device_read_noise_sigma") {
-      cfg.device.read_noise_sigma = to_double(v);
-    } else if (key == "device_stuck_lrs_rate") {
-      cfg.device.stuck_lrs_rate = to_double(v);
-    } else if (key == "device_stuck_hrs_rate") {
-      cfg.device.stuck_hrs_rate = to_double(v);
-    } else if (key == "device_drift_nu") {
-      cfg.device.drift_nu = to_double(v);
-    } else if (key == "device_drift_t0") {
-      cfg.device.drift_t0 = to_double(v);
-    } else if (key == "device_transistor_r_on") {
-      cfg.device.transistor_r_on = to_double(v);
-    } else if (key == "rel_enabled") {
-      cfg.reliability.enabled = to_bool(v);
-    } else if (key == "rel_stuck_lrs_rate") {
-      cfg.reliability.faults.stuck_lrs_rate = to_double(v);
-    } else if (key == "rel_stuck_hrs_rate") {
-      cfg.reliability.faults.stuck_hrs_rate = to_double(v);
-    } else if (key == "rel_cluster_fraction") {
-      cfg.reliability.faults.cluster_fraction = to_double(v);
-    } else if (key == "rel_cluster_size") {
-      cfg.reliability.faults.cluster_size =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_read_disturb_rate") {
-      cfg.reliability.read_disturb_rate = to_double(v);
-    } else if (key == "rel_expected_mvms") {
-      cfg.reliability.expected_mvms = to_double(v);
-    } else if (key == "rel_endurance_cycles") {
-      cfg.reliability.endurance_cycles = to_double(v);
-    } else if (key == "rel_wear_cycles") {
-      cfg.reliability.wear_cycles = to_double(v);
-    } else if (key == "rel_mapper_rail_tolerance") {
-      cfg.reliability.mapper.rail_tolerance = to_double(v);
-    } else if (key == "rel_mapper_reads_per_cell") {
-      cfg.reliability.mapper.reads_per_cell =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_mapper_miss_rate") {
-      cfg.reliability.mapper.miss_rate = to_double(v);
-    } else if (key == "rel_mapper_false_alarm_rate") {
-      cfg.reliability.mapper.false_alarm_rate = to_double(v);
-    } else if (key == "rel_mit_enabled") {
-      cfg.reliability.mitigation.enabled = to_bool(v);
-    } else if (key == "rel_mit_spare_cols") {
-      cfg.reliability.mitigation.spare_cols =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_mit_remap_columns") {
-      cfg.reliability.mitigation.remap_columns = to_bool(v);
-    } else if (key == "rel_mit_compensate_pairs") {
-      cfg.reliability.mitigation.compensate_pairs = to_bool(v);
-    } else if (key == "rel_mit_write_verify_retries") {
-      cfg.reliability.mitigation.write_verify_retries =
-          static_cast<int>(to_u64(v));
-    } else if (key == "rel_mit_degrade_threshold") {
-      cfg.reliability.mitigation.degrade_threshold = to_double(v);
-    } else if (key == "rel_fault_seed") {
-      cfg.reliability.fault_seed = to_u64(v);
-    } else if (key == "insp_enabled") {
-      cfg.introspect.enabled = to_bool(v);
-    } else if (key == "insp_max_probe_vectors") {
-      cfg.introspect.max_probe_vectors =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_max_attribution_vectors") {
-      cfg.introspect.max_attribution_vectors =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_attribute_error") {
-      cfg.introspect.attribute_error = to_bool(v);
-    } else if (key == "insp_accuracy_attribution") {
-      cfg.introspect.accuracy_attribution = to_bool(v);
-    } else if (key == "insp_energy_ledger") {
-      cfg.introspect.energy_ledger = to_bool(v);
-    } else if (key == "insp_spike_time_bins") {
-      cfg.introspect.spike_time_bins = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_activity_threshold") {
-      cfg.introspect.activity_threshold = to_double(v);
-    } else if (key == "serve_queue_capacity") {
-      cfg.serve.queue_capacity = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_batch_max") {
-      cfg.serve.batch_max = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_batch_window") {
-      cfg.serve.batch_window = to_double(v);
-    } else if (key == "serve_default_deadline") {
-      cfg.serve.default_deadline = to_double(v);
-    } else if (key == "serve_retry_max") {
-      cfg.serve.retry_max = static_cast<int>(to_u64(v));
-    } else if (key == "serve_backoff_base") {
-      cfg.serve.backoff_base = to_double(v);
-    } else if (key == "serve_backoff_multiplier") {
-      cfg.serve.backoff_multiplier = to_double(v);
-    } else if (key == "serve_backoff_max") {
-      cfg.serve.backoff_max = to_double(v);
-    } else if (key == "serve_backoff_jitter") {
-      cfg.serve.backoff_jitter = to_double(v);
-    } else if (key == "serve_canary_period") {
-      cfg.serve.health.canary_period = to_double(v);
-    } else if (key == "serve_canary_images") {
-      cfg.serve.health.canary_images = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_max_canary_mismatch") {
-      cfg.serve.health.max_canary_mismatch = to_double(v);
-    } else if (key == "serve_logit_rmse_limit") {
-      cfg.serve.health.logit_rmse_limit = to_double(v);
-    } else if (key == "serve_quarantine_after") {
-      cfg.serve.health.quarantine_after =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_readmit_after") {
-      cfg.serve.health.readmit_after = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_seed") {
-      cfg.serve.seed = to_u64(v);
-    } else if (key == "events_enabled") {
-      cfg.events.enabled = to_bool(v);
-    } else {
-      RESIPE_REQUIRE(false, "unknown key '" << key << "' in repro record");
-    }
+    if (!seen.empty()) sc.expect(',');
+    const std::string& key = sc.key();
+    RESIPE_REQUIRE(seen.insert(key).second,
+                   "duplicate key '" << key << "' in repro record");
+    bool known = false;
+    each_field(record, [&](std::string_view name, auto&& member) {
+      if (known || name != key) return;
+      known = true;
+      read(sc, member);
+    });
+    RESIPE_REQUIRE(known, "unknown key '" << key << "' in repro record");
   }
   sc.expect('}');
+  sc.expect_end();
   return record;
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regression tests for resipe_cli argument hardening.
 
-Unknown commands, unknown per-command options, and flags missing their
-value must all fail fast with a usage message and exit code 2 — never
-fall through to a default run.  Run as:
+Unknown commands, unknown per-command options, flags missing their
+value and numeric flags whose whole value does not parse as the flag's
+type must all fail fast with a usage message and exit code 2 — never
+fall through to a default or coerced run.  Run as:
 
     test_cli.py /path/to/resipe_cli
 """
@@ -71,6 +72,34 @@ def main():
         "global flag missing value exits 2",
         r.returncode == 2 and "missing value" in r.stderr,
     )
+
+    # Numeric flag values must be whole numbers of the flag's type: a
+    # trailing byte, a sign on an unsigned flag or a non-number names
+    # the flag and the token instead of running with a coerced value.
+    for args, flag, token in [
+        (("mvm", "--rows", "8", "--cols", "4", "--sigma", "abc"),
+         "--sigma", "abc"),
+        (("--threads", "2x", "compare"), "--threads", "2x"),
+        (("mvm", "--rows", "8x", "--cols", "4"), "--rows", "8x"),
+        (("mvm", "--rows", "8", "--cols", "4", "--seed", "-5"),
+         "--seed", "-5"),
+        (("mvm", "--rows", "-3", "--cols", "4"), "--rows", "-3"),
+        (("characterize", "--rows", "abc"), "--rows", "abc"),
+        (("reliability", "--rates", "0.1,abc"), "--rates", "abc"),
+        (("yield", "--bound", "nan"), "--bound", "nan"),
+    ]:
+        r = run(cli, *args)
+        check(
+            f"bad value {token!r} for {flag} exits 2",
+            r.returncode == 2
+            and f"bad value '{token}' for '{flag}'" in r.stderr
+            and "usage:" in r.stderr,
+        )
+
+    # Well-formed numeric flags still parse.
+    r = run(cli, "mvm", "--rows", "8", "--cols", "4", "--sigma", "0.05",
+            "--seed", "5")
+    check("numeric flags parse", r.returncode == 0 and "bitline" in r.stdout)
 
     # A well-formed invocation still works (cheap command).
     r = run(cli, "yield", "--bound", "0.02")

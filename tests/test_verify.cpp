@@ -5,6 +5,7 @@
 // and thread-determinism contracts double as bit-identity checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
+#include "resipe/common/rng.hpp"
 #include "resipe/nn/model.hpp"
 #include "resipe/resipe/network.hpp"
 #include "resipe/verify/contracts.hpp"
@@ -163,27 +165,143 @@ TEST(Serialize, RejectsUnknownKeys) {
                Error);
 }
 
+TEST(Serialize, DetailWithControlBytesRoundTrips) {
+  ReproRecord record{case_for_seed(3), "fast_vs_tile",
+                     "quote \" backslash \\ newline \n tab \t cr \r soh \x01"};
+  const std::string json = repro_to_json(record);
+  EXPECT_EQ(json.find('\t'), std::string::npos) << "raw tab written";
+  EXPECT_EQ(json.find('\r'), std::string::npos) << "raw CR written";
+  const ReproRecord parsed = repro_from_json(json);
+  EXPECT_EQ(parsed.detail, record.detail);
+  EXPECT_EQ(repro_to_json(parsed), json);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<std::filesystem::path> corpus_files() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RESIPE_CORPUS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// `text` with its first `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+TEST(Serialize, RejectsMalformedRecords) {
+  const std::string base =
+      read_file(std::filesystem::path(RESIPE_CORPUS_DIR) / "case_seed40.json");
+  ASSERT_NO_THROW(repro_from_json(base));
+  const struct {
+    std::string json;
+    std::string named;  // must appear in the error message
+  } cases[] = {
+      {replaced(base, "\"batch\": 4,", "\"batch\": 4, \"batch\": 4,"),
+       "duplicate key 'batch'"},
+      {replaced(base, "\"batch\": 4,", "\"batch\": -1,"), "'batch'"},
+      {replaced(base, "\"device_levels\": 8,",
+                "\"device_levels\": 4294967304,"),
+       "'device_levels'"},
+      {replaced(base, "\"classes\": 6,",
+                "\"classes\": 18446744073709551617,"),
+       "'classes'"},
+      {replaced(base, "\"seed\": \"40\",", "\"seed\": \"-1\","), "'seed'"},
+      {replaced(base, "\"batch\": 4,", "\"batch\": \"4\","), "'batch'"},
+      {base + "{}", "trailing bytes"},
+  };
+  for (const auto& c : cases) {
+    try {
+      repro_from_json(c.json);
+      ADD_FAILURE() << "accepted a record that should name " << c.named;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+          << e.what();
+    }
+  }
+  // An int field may be negative (validate() judges it, not the reader).
+  EXPECT_EQ(repro_from_json(replaced(base, "\"device_levels\": 8,",
+                                     "\"device_levels\": -8,"))
+                .spec.config.device.levels,
+            -8);
+}
+
+// Byte mutations of every corpus record: each one is rejected with
+// resipe::Error or parses to a record that writes and re-reads to the
+// same bytes.  Any other exception type fails the test.
+TEST(Serialize, MutatedCorpusIsRejectedOrRoundTrips) {
+  constexpr int kMutationsPerFile = 400;
+  const std::string inserts = "0123456789-+.eE\"\\,:{}[] \nnatrufl\x01\x7f";
+  Rng rng(0x5E71A1);
+  std::size_t accepted = 0, rejected = 0;
+  for (const auto& path : corpus_files()) {
+    const std::string original = read_file(path);
+    for (int m = 0; m < kMutationsPerFile; ++m) {
+      std::string text = original;
+      const auto edits = rng.uniform_int(1, 3);
+      for (std::int64_t e = 0; e < edits && !text.empty(); ++e) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+        const char byte = inserts[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(inserts.size()) - 1))];
+        switch (rng.uniform_int(0, 3)) {
+          case 0:
+            text[at] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
+            break;
+          case 1:
+            text.erase(at, 1);
+            break;
+          case 2:
+            text.insert(at, 1, byte);
+            break;
+          default:
+            text.resize(at);
+        }
+      }
+      try {
+        const std::string json = repro_to_json(repro_from_json(text));
+        EXPECT_EQ(repro_to_json(repro_from_json(json)), json)
+            << path.filename() << " mutation " << m;
+        ++accepted;
+      } catch (const Error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << path.filename() << " mutation " << m
+                      << " threw a non-resipe exception: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, accepted);
+}
+
 TEST(Corpus, EveryCommittedCaseReplaysClean) {
-  const std::filesystem::path dir(RESIPE_CORPUS_DIR);
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::size_t records = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    ++records;
-    std::ifstream in(entry.path());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const ReproRecord record = repro_from_json(buf.str());
+  ASSERT_TRUE(std::filesystem::is_directory(RESIPE_CORPUS_DIR));
+  const auto files = corpus_files();
+  for (const auto& path : files) {
+    const ReproRecord record = repro_from_json(read_file(path));
     for (const auto& contract : contract_registry()) {
       if (record.contract != "all" && record.contract != contract.name) {
         continue;
       }
       const ContractResult r = contract.check(record.spec);
-      EXPECT_FALSE(r.violated()) << entry.path().filename() << " "
-                                 << contract.name << ": " << r.detail;
+      EXPECT_FALSE(r.violated()) << path.filename() << " " << contract.name
+                                 << ": " << r.detail;
     }
   }
-  EXPECT_GE(records, 10u) << "corpus went missing";
+  EXPECT_GE(files.size(), 10u) << "corpus went missing";
 }
 
 TEST(Fuzzer, ReportAggregatesAndBenchLineIsStable) {
