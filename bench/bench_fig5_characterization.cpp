@@ -8,7 +8,10 @@
 //     non-linearity;
 //   * the 2.5 mS and 3.2 mS sweeps fall below Curve 1 and flatten at
 //     large t_in*G (Ccog saturation).
+//
+// `--csv FILE` also writes every sample point as CSV.
 #include <cstdio>
+#include <string>
 
 #include "bench_report.hpp"
 #include "resipe/common/csv.hpp"
@@ -17,7 +20,9 @@
 
 int main(int argc, char** argv) {
   using namespace resipe;
-  bench::BenchReport report("fig5_characterization", argc, argv);
+  bench::BenchReport report("fig5_characterization", argc, argv,
+                            {{"--csv", "FILE"}});
+  const std::string csv_path = report.text("--csv");
 
   eval::CharacterizationConfig cfg;
   const auto result = eval::characterize(cfg);
@@ -70,7 +75,7 @@ int main(int argc, char** argv) {
               "%zu / %zu\n",
               below, high_g);
 
-  if (argc > 1 && argv[1][0] != '-') {
+  if (!csv_path.empty()) {
     CsvWriter csv;
     std::vector<double> t_in, g, x, y, y_lin;
     for (const auto& p : result.random_samples) {
@@ -85,8 +90,8 @@ int main(int argc, char** argv) {
     csv.add_column("strength_sS", x);
     csv.add_column("t_out_s", y);
     csv.add_column("t_out_linear_s", y_lin);
-    csv.write_file(argv[1]);
-    std::printf("\nwrote %s\n", argv[1]);
+    csv.write_file(csv_path);
+    std::printf("\nwrote %s\n", csv_path.c_str());
   }
 
   report.add("samples", static_cast<double>(result.random_samples.size()));

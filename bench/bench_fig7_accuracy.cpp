@@ -12,7 +12,6 @@
 //   --full  : all six networks, 2 Monte-Carlo seeds (default)
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -22,11 +21,9 @@
 int main(int argc, char** argv) {
   using namespace resipe;
 
-  bench::BenchReport report("fig7_accuracy", argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  bench::BenchReport report("fig7_accuracy", argc, argv,
+                            {{"--quick"}, {"--full"}});
+  const bool quick = report.has("--quick");
 
   eval::AccuracyConfig cfg;
   cfg.weight_cache_dir = ".";

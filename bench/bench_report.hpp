@@ -6,6 +6,12 @@
 // scraping tables.  Pass `--json FILE` (or set RESIPE_BENCH_JSON=FILE)
 // to additionally write the report to a file.
 //
+// The constructor reads `--json` and the bench's own flags through the
+// strict reader (resipe/common/flags.hpp): an unknown, repeated,
+// valueless or malformed flag prints `error: <message>` and the usage
+// line and exits 2 before the bench runs.  bench_fig5_characterization
+// writes its sample CSV with `--csv FILE`.
+//
 // Each line is stamped with the provenance the regression tracker keys
 // on: `git_sha` (RESIPE_GIT_SHA compile definition from CMake; the
 // RESIPE_GIT_SHA / GITHUB_SHA environment variables override it at run
@@ -14,9 +20,12 @@
 // `threads` (the resolved process-wide default).
 //
 //   int main(int argc, char** argv) {
-//     resipe::bench::BenchReport report("fig6_throughput", argc, argv);
+//     resipe::bench::BenchReport report("serving", argc, argv,
+//                                       {{"--quick"}, {"--seed", "K"}});
+//     const bool quick = report.has("--quick");
+//     const auto seed = report.number<std::uint64_t>("--seed", 42);
 //     ...
-//     report.add("resipe_throughput_ops", value);
+//     report.add("peak_served_rps", value);
 //     return report.emit();
 //   }
 #pragma once
@@ -24,13 +33,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "resipe/common/flags.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/simd.hpp"
 #include "resipe/introspect/inspect.hpp"
@@ -41,16 +54,39 @@ namespace resipe::bench {
 
 class BenchReport {
  public:
-  explicit BenchReport(std::string name, int argc = 0,
-                       char** argv = nullptr)
-      : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0) json_path_ = argv[i + 1];
+  /// Reads `--json FILE` and the bench's own `flags` from the command
+  /// line; exits 2 with the usage line on a malformed one.
+  BenchReport(std::string name, int argc, char** argv,
+              std::initializer_list<FlagSpec> flags = {})
+      : name_(std::move(name)),
+        start_(std::chrono::steady_clock::now()),
+        program_(argv[0]) {
+    spec_.insert(spec_.end(), flags);
+    try {
+      flags_.emplace(std::span<char* const>(argv + 1, argv + argc), spec_);
+    } catch (const FlagError& e) {
+      usage_error(e);
     }
+    json_path_ = flags_->text("--json");
     if (json_path_.empty()) {
       if (const char* env = std::getenv("RESIPE_BENCH_JSON")) {
         json_path_ = env;
       }
+    }
+  }
+
+  /// True when the switch `name` was given.
+  bool has(std::string_view name) const { return flags_->has(name); }
+  /// The value given for `name`, else "".
+  std::string text(std::string_view name) const { return flags_->text(name); }
+  /// The value given for `name` parsed whole as a T, else `fallback`;
+  /// exits 2 with the usage line on a malformed value.
+  template <typename T>
+  T number(std::string_view name, T fallback) const {
+    try {
+      return flags_->number(name, fallback);
+    } catch (const FlagError& e) {
+      usage_error(e);
     }
   }
 
@@ -129,6 +165,12 @@ class BenchReport {
   }
 
  private:
+  [[noreturn]] void usage_error(const FlagError& e) const {
+    std::fprintf(stderr, "error: %s\nusage: %s %s\n", e.what(), program_,
+                 flag_synopsis(spec_).c_str());
+    std::exit(2);
+  }
+
   static std::string git_sha() {
     // Run-time override first so CI stamps the exact commit even when
     // the build cache predates it.
@@ -146,6 +188,9 @@ class BenchReport {
 
   std::string name_;
   std::chrono::steady_clock::time_point start_;
+  const char* program_;
+  std::vector<FlagSpec> spec_{{"--json", "FILE"}};
+  std::optional<Flags> flags_;
   std::string json_path_;
   std::string config_hash_;
   std::vector<std::pair<std::string, double>> numbers_;

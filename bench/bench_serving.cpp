@@ -24,7 +24,6 @@
 //   bench_serving [--quick] [--duration S] [--train N] [--images N]
 //                 [--epochs N] [--seed K] [--json FILE]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,21 +43,6 @@
 namespace {
 
 using namespace resipe;
-
-const char* arg_value(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 struct RunResult {
   serve::ServingStats stats;
@@ -109,18 +93,17 @@ RunResult run_trace(serve::ChipPool& pool, const serve::ServeConfig& scfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchReport report("serving", argc, argv);
-  const bool quick = has_flag(argc, argv, "--quick");
-  const double duration =
-      std::atof(arg_value(argc, argv, "--duration", quick ? "0.02" : "0.1"));
-  const auto train_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--train", quick ? "128" : "256")));
-  const auto test_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--images", quick ? "64" : "128")));
-  const auto epochs = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--epochs", quick ? "2" : "3")));
-  const auto seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "42")));
+  bench::BenchReport report("serving", argc, argv,
+                            {{"--quick"}, {"--duration", "S"}, {"--train", "N"},
+                             {"--images", "N"}, {"--epochs", "N"},
+                             {"--seed", "K"}});
+  const bool quick = report.has("--quick");
+  const double duration = report.number("--duration", quick ? 0.02 : 0.1);
+  const auto train_n =
+      report.number<std::size_t>("--train", quick ? 128 : 256);
+  const auto test_n = report.number<std::size_t>("--images", quick ? 64 : 128);
+  const auto epochs = report.number<std::size_t>("--epochs", quick ? 2 : 3);
+  const auto seed = report.number<std::uint64_t>("--seed", 42);
   constexpr std::size_t kChips = 3;
 
   try {

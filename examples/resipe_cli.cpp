@@ -43,18 +43,16 @@
 //                    default = RESIPE_THREADS, else hardware threads).
 //                    Results are bit-identical for every value.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "resipe/common/csv.hpp"
+#include "resipe/common/flags.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/crossbar/mapping.hpp"
@@ -78,48 +76,10 @@ namespace {
 
 using namespace resipe;
 
-const char* arg_value(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-/// Parses the whole of `token` as a T: false on trailing bytes, a sign
-/// an unsigned T cannot hold, a value outside T's range, or a
-/// non-finite floating-point value.
-template <typename T>
-bool parse_number(std::string_view token, T& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(out)) return false;
-  }
-  return ec == std::errc() && ptr == end;
-}
-
-/// A flag whose value is not a number of its type; main names both,
-/// prints usage and exits 2.
-struct BadFlag {
-  const char* flag;
-  std::string token;
-};
-
-template <typename T>
-T number_arg(int argc, char** argv, const char* name, T fallback) {
-  const char* token = arg_value(argc, argv, name, nullptr);
-  T value = fallback;
-  if (token != nullptr && !parse_number(token, value)) {
-    throw BadFlag{name, token};
-  }
-  return value;
-}
-
-int cmd_characterize(int argc, char** argv) {
+int cmd_characterize(const Flags& flags) {
   eval::CharacterizationConfig cfg;
-  cfg.rows = number_arg<std::size_t>(argc, argv, "--rows", 32);
-  cfg.samples = number_arg<std::size_t>(argc, argv, "--samples", 100);
+  cfg.rows = flags.number<std::size_t>("--rows", 32);
+  cfg.samples = flags.number<std::size_t>("--samples", 100);
   const auto result = eval::characterize(cfg);
   std::printf("characterized %zu samples on a %zu-row column\n",
               result.random_samples.size(), cfg.rows);
@@ -127,8 +87,8 @@ int cmd_characterize(int argc, char** argv) {
               format_si(result.curve1(80e-12), "s").c_str(),
               format_si(result.curve2(80e-12), "s").c_str(),
               format_si(result.curve3(80e-12), "s").c_str());
-  const char* csv_path = arg_value(argc, argv, "--csv", "");
-  if (csv_path[0] != '\0') {
+  const std::string csv_path = flags.text("--csv");
+  if (!csv_path.empty()) {
     CsvWriter csv;
     std::vector<double> x, y;
     for (const auto& p : result.random_samples) {
@@ -138,18 +98,18 @@ int cmd_characterize(int argc, char** argv) {
     csv.add_column("strength_sS", x);
     csv.add_column("t_out_s", y);
     csv.write_file(csv_path);
-    std::printf("wrote %s\n", csv_path);
+    std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
 }
 
-int cmd_compare() {
+int cmd_compare(const Flags&) {
   std::cout << eval::compare_designs().render();
   return 0;
 }
 
-int cmd_chip(int argc, char** argv) {
-  const std::string tag = arg_value(argc, argv, "--net", "mlp2");
+int cmd_chip(const Flags& flags) {
+  const std::string tag = flags.text("--net", "mlp2");
   nn::BenchmarkNet net;
   if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
   else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
@@ -171,11 +131,11 @@ int cmd_chip(int argc, char** argv) {
   return 0;
 }
 
-int cmd_mvm(int argc, char** argv) {
-  const auto rows = number_arg<std::size_t>(argc, argv, "--rows", 8);
-  const auto cols = number_arg<std::size_t>(argc, argv, "--cols", 4);
-  const double sigma = number_arg<double>(argc, argv, "--sigma", 0.0);
-  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 7);
+int cmd_mvm(const Flags& flags) {
+  const auto rows = flags.number<std::size_t>("--rows", 8);
+  const auto cols = flags.number<std::size_t>("--cols", 4);
+  const double sigma = flags.number("--sigma", 0.0);
+  const auto seed = flags.number<std::uint64_t>("--seed", 7);
   if (rows == 0 || cols == 0) {
     std::fprintf(stderr, "--rows/--cols must be positive\n");
     return 2;
@@ -214,17 +174,17 @@ int cmd_mvm(int argc, char** argv) {
   return 0;
 }
 
-int cmd_yield(int argc, char** argv) {
+int cmd_yield(const Flags& flags) {
   eval::YieldConfig cfg;
-  cfg.rmse_bound = number_arg<double>(argc, argv, "--bound", 0.05);
+  cfg.rmse_bound = flags.number("--bound", 0.05);
   const auto points = eval::mvm_yield(resipe_core::EngineConfig{}, cfg);
   std::cout << eval::render_yield(points, cfg.rmse_bound);
   return 0;
 }
 
-int cmd_reliability(int argc, char** argv) {
+int cmd_reliability(const Flags& flags) {
   eval::FaultToleranceConfig cfg;
-  const std::string tag = arg_value(argc, argv, "--net", "mlp1");
+  const std::string tag = flags.text("--net", "mlp1");
   if (tag == "mlp1") cfg.net = nn::BenchmarkNet::kMlp1;
   else if (tag == "mlp2") cfg.net = nn::BenchmarkNet::kMlp2;
   else if (tag == "cnn1") cfg.net = nn::BenchmarkNet::kCnn1;
@@ -235,16 +195,15 @@ int cmd_reliability(int argc, char** argv) {
     std::fprintf(stderr, "unknown network '%s'\n", tag.c_str());
     return 2;
   }
-  const std::string rates = arg_value(argc, argv, "--rates", "");
+  const std::string rates = flags.text("--rates");
   if (!rates.empty()) {
     cfg.defect_rates.clear();
     std::size_t pos = 0;
     while (pos < rates.size()) {
       std::size_t next = rates.find(',', pos);
       if (next == std::string::npos) next = rates.size();
-      const std::string token = rates.substr(pos, next - pos);
-      double r = 0.0;
-      if (!parse_number(token, r)) throw BadFlag{"--rates", token};
+      const double r =
+          parse_flag<double>("--rates", rates.substr(pos, next - pos));
       if (r < 0.0 || r > 1.0) {
         std::fprintf(stderr, "defect rate out of [0, 1]: %f\n", r);
         return 2;
@@ -257,9 +216,9 @@ int cmd_reliability(int argc, char** argv) {
       return 2;
     }
   }
-  cfg.spare_cols = number_arg<std::size_t>(argc, argv, "--spares", 4);
-  cfg.cluster_fraction = number_arg<double>(argc, argv, "--cluster", 0.25);
-  cfg.mc_seeds = number_arg<std::size_t>(argc, argv, "--seeds", 2);
+  cfg.spare_cols = flags.number<std::size_t>("--spares", 4);
+  cfg.cluster_fraction = flags.number("--cluster", 0.25);
+  cfg.mc_seeds = flags.number<std::size_t>("--seeds", 2);
   if (cfg.mc_seeds == 0) {
     std::fprintf(stderr, "--seeds must be positive\n");
     return 2;
@@ -274,8 +233,8 @@ int cmd_reliability(int argc, char** argv) {
 // engine with every probe enabled, and prints / writes the per-layer
 // inspection report (spike health, fidelity-drift attribution, energy
 // ledger, provenance).
-int cmd_inspect(int argc, char** argv) {
-  const std::string tag = arg_value(argc, argv, "--net", "mlp1");
+int cmd_inspect(const Flags& flags) {
+  const std::string tag = flags.text("--net", "mlp1");
   nn::BenchmarkNet net;
   if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
   else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
@@ -284,12 +243,12 @@ int cmd_inspect(int argc, char** argv) {
     std::fprintf(stderr, "inspect supports --net mlp1|mlp2|cnn1\n");
     return 2;
   }
-  const auto train_n = number_arg<std::size_t>(argc, argv, "--train", 256);
-  const auto test_n = number_arg<std::size_t>(argc, argv, "--images", 64);
-  const auto epochs = number_arg<std::size_t>(argc, argv, "--epochs", 3);
-  const double sigma = number_arg<double>(argc, argv, "--sigma", 0.1);
-  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 42);
-  const std::string out = arg_value(argc, argv, "--out", "");
+  const auto train_n = flags.number<std::size_t>("--train", 256);
+  const auto test_n = flags.number<std::size_t>("--images", 64);
+  const auto epochs = flags.number<std::size_t>("--epochs", 3);
+  const double sigma = flags.number("--sigma", 0.1);
+  const auto seed = flags.number<std::uint64_t>("--seed", 42);
+  const std::string out = flags.text("--out");
   if (train_n == 0 || test_n == 0) {
     std::fprintf(stderr, "--train/--images must be positive\n");
     return 2;
@@ -339,8 +298,8 @@ int cmd_inspect(int argc, char** argv) {
 // work-annotated call tree, folded across every pool worker.  Verifies
 // on the way that switching telemetry on leaves the logits
 // bit-identical.
-int cmd_profile(int argc, char** argv) {
-  const std::string tag = arg_value(argc, argv, "--net", "mlp1");
+int cmd_profile(const Flags& flags) {
+  const std::string tag = flags.text("--net", "mlp1");
   nn::BenchmarkNet net;
   if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
   else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
@@ -349,14 +308,14 @@ int cmd_profile(int argc, char** argv) {
     std::fprintf(stderr, "profile supports --net mlp1|mlp2|cnn1\n");
     return 2;
   }
-  const auto train_n = number_arg<std::size_t>(argc, argv, "--train", 128);
-  const auto test_n = number_arg<std::size_t>(argc, argv, "--images", 32);
-  const auto epochs = number_arg<std::size_t>(argc, argv, "--epochs", 2);
-  const auto reps = number_arg<std::size_t>(argc, argv, "--reps", 3);
-  const auto seed = number_arg<std::uint64_t>(argc, argv, "--seed", 42);
-  const double calib_ms = number_arg<double>(argc, argv, "--calib-ms", 60.0);
-  const std::string out = arg_value(argc, argv, "--out", "");
-  const std::string folded = arg_value(argc, argv, "--folded", "");
+  const auto train_n = flags.number<std::size_t>("--train", 128);
+  const auto test_n = flags.number<std::size_t>("--images", 32);
+  const auto epochs = flags.number<std::size_t>("--epochs", 2);
+  const auto reps = flags.number<std::size_t>("--reps", 3);
+  const auto seed = flags.number<std::uint64_t>("--seed", 42);
+  const double calib_ms = flags.number("--calib-ms", 60.0);
+  const std::string out = flags.text("--out");
+  const std::string folded = flags.text("--folded");
   if (train_n == 0 || test_n == 0 || reps == 0) {
     std::fprintf(stderr, "--train/--images/--reps must be positive\n");
     return 2;
@@ -449,7 +408,7 @@ int cmd_profile(int argc, char** argv) {
 // characterization sweep (eval).  Mirrors examples/quickstart.cpp so
 // `resipe_cli --trace out.json quickstart` yields spans from every
 // subsystem.
-int cmd_quickstart() {
+int cmd_quickstart(const Flags&) {
   std::puts("=== quickstart workload ===\n");
   const circuits::CircuitParams params =
       circuits::CircuitParams::paper_defaults();
@@ -488,98 +447,115 @@ int cmd_quickstart() {
   return 0;
 }
 
-/// Known subcommands and their (value-taking) flags.  Checked centrally
-/// in main before dispatch: a typo'd subcommand or stray flag errors
-/// with usage text and a nonzero exit instead of being silently
-/// ignored and running with defaults.
-struct CommandSpec {
+/// Every command with its flags and its handler.  main reads the
+/// global flags and the command's through one Flags, so a typo'd
+/// command or a flag of another command exits 2 with usage instead of
+/// running with defaults.
+struct Command {
   const char* name;
-  std::vector<const char*> flags;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Flags&);
 };
 
-const std::vector<CommandSpec>& command_table() {
-  static const std::vector<CommandSpec> table = {
-      {"characterize", {"--rows", "--samples", "--csv"}},
-      {"compare", {}},
-      {"chip", {"--net"}},
-      {"mvm", {"--rows", "--cols", "--sigma", "--seed"}},
-      {"yield", {"--bound"}},
+constexpr FlagSpec kGlobalFlags[] = {
+    {"--trace", "FILE"}, {"--metrics", "FILE"}, {"--threads", "N"}};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"characterize",
+       {{"--rows", "N"}, {"--samples", "N"}, {"--csv", "FILE"}},
+       cmd_characterize},
+      {"compare", {}, cmd_compare},
+      {"chip", {{"--net", "mlp1|mlp2|cnn1|cnn2|cnn3|cnn4"}}, cmd_chip},
+      {"mvm",
+       {{"--rows", "N"}, {"--cols", "N"}, {"--sigma", "S"}, {"--seed", "K"}},
+       cmd_mvm},
+      {"yield", {{"--bound", "R"}}, cmd_yield},
       {"reliability",
-       {"--net", "--rates", "--spares", "--cluster", "--seeds"}},
+       {{"--net", "mlp1|mlp2|cnn1|cnn2|cnn3|cnn4"}, {"--rates", "R1,R2,..."},
+        {"--spares", "N"}, {"--cluster", "F"}, {"--seeds", "N"}},
+       cmd_reliability},
       {"inspect",
-       {"--net", "--images", "--train", "--epochs", "--sigma", "--seed",
-        "--out"}},
+       {{"--net", "mlp1|mlp2|cnn1"}, {"--images", "N"}, {"--train", "N"},
+        {"--epochs", "N"}, {"--sigma", "S"}, {"--seed", "K"},
+        {"--out", "FILE"}},
+       cmd_inspect},
       {"profile",
-       {"--net", "--images", "--train", "--epochs", "--reps", "--seed",
-        "--calib-ms", "--out", "--folded"}},
-      {"quickstart", {}},
+       {{"--net", "mlp1|mlp2|cnn1"}, {"--images", "N"}, {"--train", "N"},
+        {"--epochs", "N"}, {"--reps", "N"}, {"--seed", "K"},
+        {"--calib-ms", "MS"}, {"--out", "FILE"}, {"--folded", "FILE"}},
+       cmd_profile},
+      {"quickstart", {}, cmd_quickstart},
   };
   return table;
 }
 
 // Only ever printed on a usage *error*, so it goes to stderr: stdout
-// stays clean for the command's actual report.
+// stays clean for the command's actual report.  Each command's line
+// lists its flags from the table, wrapped at 76 columns.
 void usage() {
-  std::fputs(
-      "usage: resipe_cli [--trace FILE] [--metrics FILE] <command> "
-      "[options]\n"
-      "  characterize [--rows N] [--samples N] [--csv FILE]\n"
-      "  compare\n"
-      "  chip --net mlp1|mlp2|cnn1|cnn2|cnn3|cnn4\n"
-      "  mvm --rows N --cols N [--sigma S] [--seed K]\n"
-      "  yield [--bound R]\n"
-      "  reliability [--net NAME] [--rates R1,R2,...] [--spares N]\n"
-      "              [--cluster F] [--seeds N]\n"
-      "  inspect [--net mlp1|mlp2|cnn1] [--images N] [--train N]\n"
-      "          [--epochs N] [--sigma S] [--seed K] [--out FILE]\n"
-      "  profile [--net mlp1|mlp2|cnn1] [--images N] [--train N]\n"
-      "          [--epochs N] [--reps N] [--seed K] [--calib-ms MS]\n"
-      "          [--out FILE] [--folded FILE]\n"
-      "  quickstart\n"
+  std::string text = "usage: resipe_cli " + flag_synopsis(kGlobalFlags) +
+                     " <command> [options]\n";
+  for (const Command& c : commands()) {
+    std::string line = std::string("  ") + c.name;
+    const std::size_t indent = line.size();
+    for (const FlagSpec& f : c.flags) {
+      const std::string item = flag_synopsis({&f, 1});
+      if (line.size() + 1 + item.size() > 76) {
+        text += line + "\n";
+        line.assign(indent, ' ');
+      }
+      (line += ' ') += item;
+    }
+    text += line + "\n";
+  }
+  text +=
       "global options:\n"
       "  --trace FILE    write a Chrome trace-event JSON (Perfetto)\n"
       "  --metrics FILE  dump metrics (.csv -> CSV, else JSON)\n"
       "  --threads N     worker threads for parallel sweeps (overrides\n"
       "                  RESIPE_THREADS; 1 = serial; results are\n"
-      "                  bit-identical for every N)\n",
-      stderr);
-}
-
-void bad_value(const char* flag, const char* token) {
-  std::fprintf(stderr, "error: bad value '%s' for '%s'\n", token, flag);
-  usage();
+      "                  bit-identical for every N)\n";
+  std::fputs(text.c_str(), stderr);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Pull the global --trace / --metrics options out of argv; the
-  // remaining arguments keep their order for the subcommand parsers.
-  std::string trace_path;
-  std::string metrics_path;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  const auto is_global = [](const char* a) {
-    return std::strcmp(a, "--trace") == 0 ||
-           std::strcmp(a, "--metrics") == 0 ||
-           std::strcmp(a, "--threads") == 0;
+  // The command is the first token that is neither a global flag nor a
+  // global flag's value; the other tokens are read as flags.
+  std::vector<char*> args(argv + 1, argv + argc);
+  const auto is_global = [](std::string_view token) {
+    return std::any_of(std::begin(kGlobalFlags), std::end(kGlobalFlags),
+                       [&](const FlagSpec& f) { return f.name == token; });
   };
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && is_global(argv[i]) && i + 1 >= argc) {
-      std::fprintf(stderr, "error: missing value for '%s'\n", argv[i]);
+  std::size_t at = 0;
+  while (at < args.size() && is_global(args[at])) at += 2;
+  const Command* command = nullptr;
+  std::vector<FlagSpec> spec(std::begin(kGlobalFlags), std::end(kGlobalFlags));
+  std::string scope;
+  if (at < args.size()) {
+    for (const Command& c : commands()) {
+      if (std::strcmp(args[at], c.name) == 0) command = &c;
+    }
+    if (command == nullptr) {
+      std::fprintf(stderr, "error: unknown command '%s'\n", args[at]);
       usage();
       return 2;
     }
-    if (i + 1 < argc && std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = argv[++i];
-    } else if (i + 1 < argc && std::strcmp(argv[i], "--metrics") == 0) {
-      metrics_path = argv[++i];
-    } else if (i + 1 < argc && std::strcmp(argv[i], "--threads") == 0) {
-      int n = 0;
-      if (!parse_number(argv[++i], n)) {
-        bad_value("--threads", argv[i]);
-        return 2;
-      }
+    args.erase(args.begin() + static_cast<std::ptrdiff_t>(at));
+    spec.insert(spec.end(), command->flags.begin(), command->flags.end());
+    scope = "command '" + std::string(command->name) + "'";
+  }
+
+  std::string trace_path;
+  std::string metrics_path;
+  int rc = 2;
+  try {
+    const Flags flags(args, spec, scope);
+    if (command == nullptr) throw FlagError("missing command");
+    if (flags.has("--threads")) {
+      const int n = flags.number("--threads", 0);
       if (n < 1) {
         std::fprintf(stderr, "--threads must be >= 1\n");
         return 2;
@@ -589,70 +565,15 @@ int main(int argc, char** argv) {
       // subcommands and outranks the RESIPE_THREADS environment
       // variable.
       resipe::set_default_threads(static_cast<std::size_t>(n));
-    } else {
-      args.push_back(argv[i]);
     }
-  }
-  const int nargs = static_cast<int>(args.size());
-  if (nargs < 2) {
+    trace_path = flags.text("--trace");
+    metrics_path = flags.text("--metrics");
+    if (!trace_path.empty()) telemetry::TraceSession::instance().start();
+    if (!metrics_path.empty()) telemetry::set_enabled(true);
+    rc = command->run(flags);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     usage();
-    return 2;
-  }
-
-  if (!trace_path.empty()) telemetry::TraceSession::instance().start();
-  if (!metrics_path.empty()) telemetry::set_enabled(true);
-
-  const std::string cmd = args[1];
-  const CommandSpec* spec = nullptr;
-  for (const CommandSpec& c : command_table()) {
-    if (cmd == c.name) {
-      spec = &c;
-      break;
-    }
-  }
-  if (spec == nullptr) {
-    std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
-    usage();
-    return 2;
-  }
-  // Strict flag check: every remaining token must be a known
-  // value-taking flag of this command, followed by its value.
-  for (int i = 2; i < nargs; ++i) {
-    const char* tok = args[static_cast<std::size_t>(i)];
-    bool recognized = false;
-    for (const char* flag : spec->flags) {
-      if (std::strcmp(tok, flag) == 0) {
-        recognized = true;
-        break;
-      }
-    }
-    if (!recognized) {
-      std::fprintf(stderr, "error: unknown option '%s' for command '%s'\n",
-                   tok, spec->name);
-      usage();
-      return 2;
-    }
-    if (i + 1 >= nargs) {
-      std::fprintf(stderr, "error: missing value for '%s'\n", tok);
-      usage();
-      return 2;
-    }
-    ++i;  // skip the flag's value
-  }
-
-  int rc = 2;
-  try {
-    if (cmd == "characterize") rc = cmd_characterize(nargs, args.data());
-    else if (cmd == "compare") rc = cmd_compare();
-    else if (cmd == "chip") rc = cmd_chip(nargs, args.data());
-    else if (cmd == "mvm") rc = cmd_mvm(nargs, args.data());
-    else if (cmd == "yield") rc = cmd_yield(nargs, args.data());
-    else if (cmd == "reliability") rc = cmd_reliability(nargs, args.data());
-    else if (cmd == "inspect") rc = cmd_inspect(nargs, args.data());
-    else if (cmd == "profile") rc = cmd_profile(nargs, args.data());
-    else if (cmd == "quickstart") rc = cmd_quickstart();
-  } catch (const BadFlag& e) {
-    bad_value(e.flag, e.token.c_str());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

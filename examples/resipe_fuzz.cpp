@@ -2,8 +2,9 @@
 //
 // Generates seeded random engine configurations, checks every oracle
 // contract against each, shrinks any violation to a minimal reproducer
-// and (optionally) writes it as a committable JSON record.  Exit code
-// is the violation count (0 = clean), so CI can gate on it directly.
+// and (optionally) writes it as a committable JSON record.  Exits 0
+// when clean and 1 on any violation, so CI can gate on it directly, and
+// 2 on a malformed invocation, an unreadable record or an exception.
 //
 //   resipe_fuzz --cases 1000                     # nightly sweep
 //   resipe_fuzz --cases 500 --budget-s 120       # CI job
@@ -13,14 +14,12 @@
 //   resipe_fuzz --replay tests/corpus/x.json     # re-check a record
 //   resipe_fuzz --inject-bug fastmvm-row-drop    # harness self-test
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include <filesystem>
-
+#include "resipe/common/flags.hpp"
 #include "resipe/verify/contracts.hpp"
 #include "resipe/verify/fuzzer.hpp"
 #include "resipe/verify/generators.hpp"
@@ -29,8 +28,16 @@
 
 namespace {
 
-void usage(const char* argv0) {
-  std::printf(
+constexpr resipe::FlagSpec kFlags[] = {
+    {"--cases", "N"}, {"--budget-s", "S"}, {"--seed0", "N"},
+    {"--contract", "NAME"}, {"--emit-repro", "DIR"}, {"--no-shrink"},
+    {"--max-failures", "N"}, {"--replay", "FILE"}, {"--emit-corpus", "DIR"},
+    {"--snippet", "FILE"}, {"--inject-bug", "NAME"}, {"--list-contracts"},
+    {"--help"}, {"-h"}};
+
+void usage(std::FILE* out, const char* argv0) {
+  std::fprintf(
+      out,
       "usage: %s [options]\n"
       "  --cases N            generated cases (default 100)\n"
       "  --budget-s S         wall-clock budget in seconds (0 = off)\n"
@@ -105,58 +112,42 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string snippet_path;
   std::string corpus_dir;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
+  try {
+    const resipe::Flags flags({argv + 1, argv + argc}, kFlags);
+    if (flags.has("--help") || flags.has("-h")) {
+      usage(stdout, argv[0]);
+      return 0;
+    }
+    options.cases = flags.number("--cases", options.cases);
+    options.budget_s = flags.number("--budget-s", options.budget_s);
+    options.seed0 = flags.number("--seed0", options.seed0);
+    options.contract_filter = flags.text("--contract");
+    options.repro_dir = flags.text("--emit-repro");
+    options.shrink = !flags.has("--no-shrink");
+    options.max_failures =
+        flags.number("--max-failures", options.max_failures);
+    replay_path = flags.text("--replay");
+    corpus_dir = flags.text("--emit-corpus");
+    snippet_path = flags.text("--snippet");
+    if (flags.has("--inject-bug")) {
+      const std::string bug = flags.text("--inject-bug");
+      if (bug != "fastmvm-row-drop") {
+        throw resipe::FlagError("unknown bug '" + bug +
+                                "' for '--inject-bug'");
       }
-      return argv[++i];
-    };
-    if (arg == "--cases") {
-      options.cases = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--budget-s") {
-      options.budget_s = std::strtod(next(), nullptr);
-    } else if (arg == "--seed0") {
-      options.seed0 = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--contract") {
-      options.contract_filter = next();
-    } else if (arg == "--emit-repro") {
-      options.repro_dir = next();
-    } else if (arg == "--no-shrink") {
-      options.shrink = false;
-    } else if (arg == "--max-failures") {
-      options.max_failures = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--replay") {
-      replay_path = next();
-    } else if (arg == "--emit-corpus") {
-      corpus_dir = next();
-    } else if (arg == "--snippet") {
-      snippet_path = next();
-    } else if (arg == "--inject-bug") {
-      const std::string bug = next();
-      if (bug == "fastmvm-row-drop") {
-        resipe::verify::set_injected_bug(
-            resipe::verify::InjectedBug::kFastMvmRowDrop);
-      } else {
-        std::fprintf(stderr, "unknown bug '%s'\n", bug.c_str());
-        return 2;
-      }
-    } else if (arg == "--list-contracts") {
+      resipe::verify::set_injected_bug(
+          resipe::verify::InjectedBug::kFastMvmRowDrop);
+    }
+    if (flags.has("--list-contracts")) {
       for (const auto& c : resipe::verify::contract_registry()) {
         std::printf("%-24s %s\n", c.name.c_str(), c.description.c_str());
       }
       return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const resipe::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage(stderr, argv[0]);
+    return 2;
   }
 
   try {

@@ -26,11 +26,11 @@
 // Everything runs on the virtual clock, so the whole trace is
 // deterministic and bit-identical at any thread count.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "resipe/common/flags.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
@@ -47,58 +47,47 @@ namespace {
 
 using namespace resipe;
 
-const char* arg_value(int argc, char** argv, const char* name,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+constexpr FlagSpec kFlags[] = {
+    {"--chips", "N"}, {"--rate", "R"}, {"--duration", "S"},
+    {"--deadline", "S"}, {"--defects", "RATE"}, {"--train", "N"},
+    {"--images", "N"}, {"--epochs", "N"}, {"--seed", "K"},
+    {"--tenants", "N"}, {"--out", "FILE"}, {"--trace", "FILE"},
+    {"--events", "FILE"}, {"--slo-window", "S"}, {"--slo-latency", "S"},
+    {"--slo-latency-obj", "F"}, {"--slo-avail-obj", "F"}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto chips = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--chips", "3")));
-  const double rate = std::atof(arg_value(argc, argv, "--rate", "2000"));
-  const double duration =
-      std::atof(arg_value(argc, argv, "--duration", "0.05"));
-  const double deadline =
-      std::atof(arg_value(argc, argv, "--deadline", "0.01"));
-  const double defects = std::atof(arg_value(argc, argv, "--defects", "0"));
-  const auto train_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--train", "256")));
-  const auto test_n = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--images", "96")));
-  const auto epochs = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--epochs", "3")));
-  const auto seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "42")));
-  const auto tenants = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--tenants", "3")));
-  const std::string out = arg_value(argc, argv, "--out", "");
-  const std::string trace_out = arg_value(argc, argv, "--trace", "");
-  const std::string events_out = arg_value(argc, argv, "--events", "");
-  serve::SloConfig slo;
-  slo.window = std::atof(arg_value(argc, argv, "--slo-window", "0.01"));
-  // Default latency target: half the deadline — "answered comfortably",
-  // not "squeaked in".
-  slo.latency_target = std::atof(
-      arg_value(argc, argv, "--slo-latency",
-                std::to_string(deadline / 2.0).c_str()));
-  slo.latency_objective =
-      std::atof(arg_value(argc, argv, "--slo-latency-obj", "0.95"));
-  slo.availability_objective =
-      std::atof(arg_value(argc, argv, "--slo-avail-obj", "0.99"));
-  if (chips == 0 || rate <= 0.0 || duration <= 0.0 || deadline <= 0.0 ||
-      train_n == 0 || test_n == 0 || tenants == 0) {
-    std::fprintf(stderr,
-                 "--chips/--rate/--duration/--deadline/--train/--images/"
-                 "--tenants must be positive\n");
-    return 2;
-  }
-
   try {
+    const Flags flags({argv + 1, argv + argc}, kFlags);
+    const auto chips = flags.number<std::size_t>("--chips", 3);
+    const double rate = flags.number("--rate", 2000.0);
+    const double duration = flags.number("--duration", 0.05);
+    const double deadline = flags.number("--deadline", 0.01);
+    const double defects = flags.number("--defects", 0.0);
+    const auto train_n = flags.number<std::size_t>("--train", 256);
+    const auto test_n = flags.number<std::size_t>("--images", 96);
+    const auto epochs = flags.number<std::size_t>("--epochs", 3);
+    const auto seed = flags.number<std::uint64_t>("--seed", 42);
+    const auto tenants = flags.number<std::uint64_t>("--tenants", 3);
+    const std::string out = flags.text("--out");
+    const std::string trace_out = flags.text("--trace");
+    const std::string events_out = flags.text("--events");
+    serve::SloConfig slo;
+    slo.window = flags.number("--slo-window", 0.01);
+    // Default latency target: half the deadline — "answered comfortably",
+    // not "squeaked in".
+    slo.latency_target = flags.number("--slo-latency", deadline / 2.0);
+    slo.latency_objective = flags.number("--slo-latency-obj", 0.95);
+    slo.availability_objective = flags.number("--slo-avail-obj", 0.99);
+    if (chips == 0 || rate <= 0.0 || duration <= 0.0 || deadline <= 0.0 ||
+        train_n == 0 || test_n == 0 || tenants == 0) {
+      std::fprintf(stderr,
+                   "--chips/--rate/--duration/--deadline/--train/--images/"
+                   "--tenants must be positive\n");
+      return 2;
+    }
+
     // --- train a small model on synthetic digits.
     Rng data_rng(7);
     Rng train_rng = data_rng.split();
@@ -266,6 +255,10 @@ int main(int argc, char** argv) {
          << "}\n";
       std::printf("wrote %s\n", out.c_str());
     }
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\nusage: %s %s\n", e.what(), argv[0],
+                 flag_synopsis(kFlags).c_str());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

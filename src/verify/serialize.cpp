@@ -1,5 +1,6 @@
 #include "resipe/verify/serialize.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <concepts>
@@ -377,9 +378,17 @@ ReproRecord repro_from_json(const std::string& json) {
 std::string repro_snippet(const ReproRecord& record) {
   std::ostringstream os;
   os << "// Reproduces contract violation '" << record.contract << "'\n"
-     << "// case: " << record.spec.summary() << "\n"
-     << "// " << record.detail << "\n"
-     << "#include \"resipe/verify/contracts.hpp\"\n"
+     << "// case: " << record.spec.summary() << "\n";
+  // Every line of the detail stays a comment, so the snippet compiles;
+  // a lone CR ends a line for the compiler too.
+  const std::string_view detail = record.detail;
+  for (std::size_t begin = 0; begin <= detail.size();) {
+    const std::size_t end =
+        std::min(detail.find_first_of("\r\n", begin), detail.size());
+    os << "// " << detail.substr(begin, end - begin) << "\n";
+    begin = end + 1;
+  }
+  os << "#include \"resipe/verify/contracts.hpp\"\n"
      << "#include \"resipe/verify/serialize.hpp\"\n\n"
      << "const auto record = resipe::verify::repro_from_json(R\"json(\n"
      << repro_to_json(record)

@@ -160,6 +160,26 @@ TEST(Serialize, SnippetEmbedsReplayableRecord) {
   EXPECT_NE(snippet.find("repro_from_json"), std::string::npos);
 }
 
+// A multi-line detail stays commented out line by line: every line
+// before the first #include is a comment, and the embedded record is
+// repro_to_json's bytes.
+TEST(Serialize, SnippetCommentsEveryDetailLine) {
+  const ReproRecord record{case_for_seed(7), "fast_vs_tile",
+                           "max abs err 1e-3\nat column 2\r\nrow 4\rend\n"};
+  const std::string snippet = repro_snippet(record);
+  std::istringstream lines(snippet);
+  std::size_t comments = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("#include", 0) == 0) break;
+    EXPECT_EQ(line.rfind("//", 0), 0u) << "uncommented line: " << line;
+    ++comments;
+  }
+  EXPECT_EQ(comments, 2u + 6u);
+  EXPECT_NE(snippet.find("// at column 2\n"), std::string::npos);
+  EXPECT_NE(snippet.find("R\"json(\n" + repro_to_json(record) + ")json\""),
+            std::string::npos);
+}
+
 TEST(Serialize, RejectsUnknownKeys) {
   EXPECT_THROW(repro_from_json("{\"schema_version\": 1, \"bogus\": 2}"),
                Error);
