@@ -49,6 +49,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "resipe/common/csv.hpp"
@@ -75,6 +76,34 @@
 namespace {
 
 using namespace resipe;
+
+/// Every network a --net flag names.  A command's table entry lists the
+/// ones it takes as the flag's value name.
+constexpr std::pair<std::string_view, nn::BenchmarkNet> kNets[] = {
+    {"mlp1", nn::BenchmarkNet::kMlp1}, {"mlp2", nn::BenchmarkNet::kMlp2},
+    {"cnn1", nn::BenchmarkNet::kCnn1}, {"cnn2", nn::BenchmarkNet::kCnn2},
+    {"cnn3", nn::BenchmarkNet::kCnn3}, {"cnn4", nn::BenchmarkNet::kCnn4}};
+constexpr std::string_view kAllNets = "mlp1|mlp2|cnn1|cnn2|cnn3|cnn4";
+constexpr std::string_view kInspectNets = "mlp1|mlp2|cnn1";
+
+/// The network --net names (`fallback` when absent), which must be one
+/// of those the command's table entry lists ("mlp1|mlp2|cnn1"); any other
+/// name is a FlagError.
+nn::BenchmarkNet net_flag(const Flags& flags, std::string_view fallback) {
+  const std::string tag = flags.text("--net", std::string(fallback));
+  const std::string_view listed = flags.value_name("--net");
+  for (std::string_view rest = listed; !rest.empty();) {
+    const std::size_t bar = std::min(rest.find('|'), rest.size());
+    if (rest.substr(0, bar) == tag) {
+      for (const auto& [name, net] : kNets) {
+        if (name == tag) return net;
+      }
+    }
+    rest.remove_prefix(std::min(bar + 1, rest.size()));
+  }
+  throw FlagError("bad value '" + tag + "' for '--net' (takes " +
+                  std::string(listed) + ")");
+}
 
 int cmd_characterize(const Flags& flags) {
   eval::CharacterizationConfig cfg;
@@ -109,18 +138,7 @@ int cmd_compare(const Flags&) {
 }
 
 int cmd_chip(const Flags& flags) {
-  const std::string tag = flags.text("--net", "mlp2");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else if (tag == "cnn2") net = nn::BenchmarkNet::kCnn2;
-  else if (tag == "cnn3") net = nn::BenchmarkNet::kCnn3;
-  else if (tag == "cnn4") net = nn::BenchmarkNet::kCnn4;
-  else {
-    std::fprintf(stderr, "unknown network '%s'\n", tag.c_str());
-    return 2;
-  }
+  const nn::BenchmarkNet net = net_flag(flags, "mlp2");
   Rng rng(1);
   nn::Sequential model = nn::build_benchmark(net, rng);
   const std::vector<std::size_t> shape =
@@ -184,17 +202,7 @@ int cmd_yield(const Flags& flags) {
 
 int cmd_reliability(const Flags& flags) {
   eval::FaultToleranceConfig cfg;
-  const std::string tag = flags.text("--net", "mlp1");
-  if (tag == "mlp1") cfg.net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") cfg.net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") cfg.net = nn::BenchmarkNet::kCnn1;
-  else if (tag == "cnn2") cfg.net = nn::BenchmarkNet::kCnn2;
-  else if (tag == "cnn3") cfg.net = nn::BenchmarkNet::kCnn3;
-  else if (tag == "cnn4") cfg.net = nn::BenchmarkNet::kCnn4;
-  else {
-    std::fprintf(stderr, "unknown network '%s'\n", tag.c_str());
-    return 2;
-  }
+  cfg.net = net_flag(flags, "mlp1");
   const std::string rates = flags.text("--rates");
   if (!rates.empty()) {
     cfg.defect_rates.clear();
@@ -234,15 +242,7 @@ int cmd_reliability(const Flags& flags) {
 // inspection report (spike health, fidelity-drift attribution, energy
 // ledger, provenance).
 int cmd_inspect(const Flags& flags) {
-  const std::string tag = flags.text("--net", "mlp1");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else {
-    std::fprintf(stderr, "inspect supports --net mlp1|mlp2|cnn1\n");
-    return 2;
-  }
+  const nn::BenchmarkNet net = net_flag(flags, "mlp1");
   const auto train_n = flags.number<std::size_t>("--train", 256);
   const auto test_n = flags.number<std::size_t>("--images", 64);
   const auto epochs = flags.number<std::size_t>("--epochs", 3);
@@ -299,15 +299,7 @@ int cmd_inspect(const Flags& flags) {
 // on the way that switching telemetry on leaves the logits
 // bit-identical.
 int cmd_profile(const Flags& flags) {
-  const std::string tag = flags.text("--net", "mlp1");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else {
-    std::fprintf(stderr, "profile supports --net mlp1|mlp2|cnn1\n");
-    return 2;
-  }
+  const nn::BenchmarkNet net = net_flag(flags, "mlp1");
   const auto train_n = flags.number<std::size_t>("--train", 128);
   const auto test_n = flags.number<std::size_t>("--images", 32);
   const auto epochs = flags.number<std::size_t>("--epochs", 2);
@@ -466,22 +458,22 @@ const std::vector<Command>& commands() {
        {{"--rows", "N"}, {"--samples", "N"}, {"--csv", "FILE"}},
        cmd_characterize},
       {"compare", {}, cmd_compare},
-      {"chip", {{"--net", "mlp1|mlp2|cnn1|cnn2|cnn3|cnn4"}}, cmd_chip},
+      {"chip", {{"--net", kAllNets}}, cmd_chip},
       {"mvm",
        {{"--rows", "N"}, {"--cols", "N"}, {"--sigma", "S"}, {"--seed", "K"}},
        cmd_mvm},
       {"yield", {{"--bound", "R"}}, cmd_yield},
       {"reliability",
-       {{"--net", "mlp1|mlp2|cnn1|cnn2|cnn3|cnn4"}, {"--rates", "R1,R2,..."},
+       {{"--net", kAllNets}, {"--rates", "R1,R2,..."},
         {"--spares", "N"}, {"--cluster", "F"}, {"--seeds", "N"}},
        cmd_reliability},
       {"inspect",
-       {{"--net", "mlp1|mlp2|cnn1"}, {"--images", "N"}, {"--train", "N"},
+       {{"--net", kInspectNets}, {"--images", "N"}, {"--train", "N"},
         {"--epochs", "N"}, {"--sigma", "S"}, {"--seed", "K"},
         {"--out", "FILE"}},
        cmd_inspect},
       {"profile",
-       {{"--net", "mlp1|mlp2|cnn1"}, {"--images", "N"}, {"--train", "N"},
+       {{"--net", kInspectNets}, {"--images", "N"}, {"--train", "N"},
         {"--epochs", "N"}, {"--reps", "N"}, {"--seed", "K"},
         {"--calib-ms", "MS"}, {"--out", "FILE"}, {"--folded", "FILE"}},
        cmd_profile},

@@ -120,6 +120,16 @@ int main(int argc, char** argv) {
     }
     options.cases = flags.number("--cases", options.cases);
     options.budget_s = flags.number("--budget-s", options.budget_s);
+    // A run of no cases would pass vacuously, and a negative budget
+    // would read as none.
+    if (options.cases == 0) {
+      throw resipe::FlagError("bad value '" + flags.text("--cases") +
+                              "' for '--cases' (need at least 1 case)");
+    }
+    if (options.budget_s < 0.0) {
+      throw resipe::FlagError("bad value '" + flags.text("--budget-s") +
+                              "' for '--budget-s' (need >= 0; 0 is off)");
+    }
     options.seed0 = flags.number("--seed0", options.seed0);
     options.contract_filter = flags.text("--contract");
     options.repro_dir = flags.text("--emit-repro");

@@ -118,6 +118,13 @@ class Flags {
     return value != nullptr ? parse_flag<T>(name, *value) : fallback;
   }
 
+  /// The value name `name` was declared with ("N"; empty for a switch),
+  /// so a binary that lists a flag's choices there ("mlp1|mlp2") reads
+  /// them from one place.
+  std::string_view value_name(std::string_view name) const {
+    return declared_or_throw(name).value;
+  }
+
  private:
   const FlagSpec* declared(std::string_view name) const {
     for (const FlagSpec& f : spec_) {
@@ -128,11 +135,17 @@ class Flags {
 
   // Reading a flag the binary never declared is a bug in the binary,
   // not in its command line.
-  const std::string* lookup(std::string_view name) const {
-    if (declared(name) == nullptr) {
+  const FlagSpec& declared_or_throw(std::string_view name) const {
+    const FlagSpec* flag = declared(name);
+    if (flag == nullptr) {
       throw std::logic_error("flag '" + std::string(name) +
                              "' is read but not declared");
     }
+    return *flag;
+  }
+
+  const std::string* lookup(std::string_view name) const {
+    declared_or_throw(name);
     for (const auto& [flag, value] : given_) {
       if (flag == name) return &value;
     }

@@ -19,9 +19,40 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 namespace resipe {
+
+/// A non-owning reference to a callable of signature R(Args...).  It
+/// binds a lambda in place, where a std::function may copy a large
+/// capture to the heap, and stays valid while the callable lives: a
+/// parallel loop's body outlives the loop call.
+template <class Sig>
+class FunctionRef;
+
+template <class R, class... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f) noexcept  // implicit, as std::function's is
+      : object_(static_cast<const void*>(std::addressof(f))),
+        call_([](const void* object, Args... args) -> R {
+          return (*static_cast<std::add_pointer_t<std::remove_reference_t<F>>>(
+              const_cast<void*>(object)))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  const void* object_;
+  R (*call_)(const void*, Args...);
+};
 
 /// Machine parallelism: RESIPE_THREADS if set (clamped to >= 1), else
 /// std::thread::hardware_concurrency() (>= 1).  The env var is read
@@ -46,17 +77,16 @@ bool in_parallel_region() noexcept;
 /// at a time, so heavy-tailed arms load-balance.  The first exception
 /// thrown by any item is rethrown on the calling thread after the
 /// region drains; remaining items are abandoned.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body,
                   std::size_t threads = 0);
 
 /// Runs body(begin, end) over contiguous chunks of ~grain indices
 /// (grain == 0 picks n / (4 * threads), at least 1).  Use this when
 /// per-item work is tiny (per-image inference) so scheduling overhead
 /// amortizes, or when the body wants per-chunk scratch buffers.
-void parallel_for_chunked(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t threads = 0);
+void parallel_for_chunked(std::size_t n, std::size_t grain,
+                          FunctionRef<void(std::size_t, std::size_t)> body,
+                          std::size_t threads = 0);
 
 /// Callbacks a subsystem can register to bracket each thread's
 /// participation in a parallel region (the caller's slice included).

@@ -31,6 +31,15 @@ class Layer {
   /// just gradient caching; kept for future dropout-style layers).
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
+  /// Eval-mode forward into `y`, which must not alias `x`: y ends up
+  /// holding forward(x, false), bit for bit.  Dense, Conv2d, ReLU,
+  /// MaxPool2d and Flatten write into y's storage through the body their
+  /// forward runs, so a buffer reused across calls is not reallocated;
+  /// the default moves forward(x, false) into y.
+  virtual void forward_into(const Tensor& x, Tensor& y) {
+    y = forward(x, /*train=*/false);
+  }
+
   /// Backward pass: gradient w.r.t. this layer's output in, gradient
   /// w.r.t. its input out.  Accumulates parameter gradients.
   virtual Tensor backward(const Tensor& grad_out) = 0;
@@ -53,6 +62,7 @@ class Dense : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  void forward_into(const Tensor& x, Tensor& y) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param> params() override;
   std::string describe() const override;
@@ -66,6 +76,9 @@ class Dense : public Layer {
   const Tensor& bias() const { return b_; }
 
  private:
+  /// Both forwards: writes x W + b into y.
+  void run(const Tensor& x, Tensor& y, bool train) const;
+
   std::size_t in_;
   std::size_t out_;
   Tensor w_;   // [in, out]
@@ -83,6 +96,7 @@ class Conv2d : public Layer {
          std::size_t kernel, std::size_t stride, std::size_t pad, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  void forward_into(const Tensor& x, Tensor& y) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param> params() override;
   std::string describe() const override;
@@ -102,6 +116,9 @@ class Conv2d : public Layer {
   std::size_t out_size(std::size_t in) const;
 
  private:
+  /// Both forwards: writes the convolution of x into y.
+  void run(const Tensor& x, Tensor& y, bool train) const;
+
   std::size_t cin_;
   std::size_t cout_;
   std::size_t k_;
@@ -119,11 +136,15 @@ class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(std::size_t k);
   Tensor forward(const Tensor& x, bool train) override;
+  void forward_into(const Tensor& x, Tensor& y) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string describe() const override;
   std::size_t window() const { return k_; }
 
  private:
+  /// Both forwards: pools x into y (recording argmax when training).
+  void run(const Tensor& x, Tensor& y, bool train);
+
   std::size_t k_;
   Tensor cached_x_;
   std::vector<std::size_t> argmax_;  // flat input index per output elem
@@ -191,10 +212,14 @@ class BatchNorm2d : public Layer {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
+  void forward_into(const Tensor& x, Tensor& y) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string describe() const override;
 
  private:
+  /// Both forwards: writes max(x, 0) into y.
+  static void run(const Tensor& x, Tensor& y, bool train);
+
   Tensor cached_x_;
 };
 
@@ -216,10 +241,14 @@ class Dropout : public Layer {
 class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
+  void forward_into(const Tensor& x, Tensor& y) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string describe() const override;
 
  private:
+  /// Both forwards: copies x into y as [N, C*H*W].
+  static void run(const Tensor& x, Tensor& y);
+
   std::vector<std::size_t> in_shape_;
 };
 

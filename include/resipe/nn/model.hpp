@@ -1,6 +1,8 @@
 // Sequential network container.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +10,50 @@
 #include "resipe/nn/layers.hpp"
 
 namespace resipe::nn {
+
+namespace detail {
+
+/// The activation buffers of the walks on one thread: pair d belongs to
+/// the walk at nesting depth d.
+struct ActivationStack {
+  std::vector<std::unique_ptr<std::array<Tensor, 2>>> pairs;
+  std::size_t depth = 0;
+};
+
+/// The calling thread's stack.
+ActivationStack& activation_stack();
+
+}  // namespace detail
+
+/// Runs `count` eval-mode steps over `x`, where step(i, in, out) writes
+/// step i's output into `out`, and returns the last output.  The first
+/// step reads x in place, the last writes the returned tensor, and the
+/// steps between alternate between two buffers the calling thread keeps
+/// across walks, whose capacity only grows: once they have held a
+/// walk's largest shapes, a walk allocates only what it returns.  `in`
+/// and `out` are valid only during the step call.  A step may walk
+/// again on the same thread; the nested walk takes a pair of its own.
+template <class Step>
+Tensor walk_steps(const Tensor& x, std::size_t count, Step&& step) {
+  if (count == 0) return x;
+  detail::ActivationStack& stack = detail::activation_stack();
+  if (stack.depth == stack.pairs.size()) {
+    stack.pairs.push_back(std::make_unique<std::array<Tensor, 2>>());
+  }
+  std::array<Tensor, 2>& buffers = *stack.pairs[stack.depth];
+  const struct Leave {
+    std::size_t& depth;
+    ~Leave() { --depth; }
+  } leave{++stack.depth};
+  Tensor result;
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < count; ++i) {
+    Tensor& out = i + 1 == count ? result : buffers[i % 2];
+    step(i, *in, out);
+    in = &out;
+  }
+  return result;
+}
 
 /// A feed-forward stack of layers executed in order.
 class Sequential {
@@ -24,7 +70,9 @@ class Sequential {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Full forward pass.
+  /// Full forward pass.  Eval mode walks the layers' forward_into
+  /// through walk_steps, so it allocates only the returned tensor once
+  /// the thread's buffers have grown.
   Tensor forward(const Tensor& x, bool train = false);
 
   /// Backward pass through every layer (after a forward with

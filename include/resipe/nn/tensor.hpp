@@ -9,13 +9,44 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "resipe/common/rng.hpp"
 
 namespace resipe::nn {
+
+namespace detail {
+
+/// std::allocator whose value-construction default-initializes, so a
+/// vector of doubles grown by resize() leaves its new elements
+/// uninitialized for a caller that writes every one.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 /// Row-major dense tensor of doubles.
 class Tensor {
@@ -50,6 +81,17 @@ class Tensor {
   /// Returns a copy with a new shape of identical total size.
   Tensor reshaped(std::vector<std::size_t> shape) const;
 
+  /// Gives the tensor `shape` for a caller that then writes every
+  /// element: the storage keeps its capacity, which only grows, and
+  /// leaves new elements uninitialized, so a buffer reused across calls
+  /// neither reallocates nor zero-fills once it has reached its largest
+  /// shape.
+  void resize_for_overwrite(std::span<const std::size_t> shape);
+  void resize_for_overwrite(std::initializer_list<std::size_t> shape) {
+    resize_for_overwrite(std::span<const std::size_t>(shape.begin(),
+                                                      shape.size()));
+  }
+
   /// Fills with a constant.
   void fill(double v);
 
@@ -71,7 +113,7 @@ class Tensor {
 
  private:
   std::vector<std::size_t> shape_;
-  std::vector<double> data_;
+  std::vector<double, detail::DefaultInitAllocator<double>> data_;
 };
 
 /// Elementwise a += b (shapes must match).

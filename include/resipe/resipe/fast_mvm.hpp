@@ -74,6 +74,9 @@ class FastMvm {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// cols() rounded up to the native vector width: the output row
+  /// stride at which the voltage stage stores every column vector whole.
+  std::size_t padded_cols() const { return cols_pad_; }
   /// The row list of every row, 0 to rows - 1, for the row-list stages.
   std::span<const std::uint32_t> all_rows() const { return all_rows_; }
   const circuits::CircuitParams& params() const { return params_; }
@@ -86,17 +89,27 @@ class FastMvm {
   ///   sum_i(V_i G_ij) = V_cog,j * g_total_j / k_j.
   double k(std::size_t col) const { return k_[col]; }
 
-  /// Reads output spike times back as raw current-sums through that
-  /// trim: rec[c] += V_cog(t) * g_total / k for every data column c
-  /// with k > 0, where V_cog is the output ramp voltage at t and a
-  /// silent column (kNoSpike) books the slice boundary.  Column c reads
-  /// t_slots, g_total and k at slot slot_of_col[c] (identity when
-  /// empty), the physical column it was placed on.  `vector` selects
-  /// the vdouble instance over the vscalar reference.
-  void add_current_sums(std::span<const double> t_slots,
+  /// Reads a batch of output spike times back as raw current-sums
+  /// through that trim, in one call: for sample s < n and data column
+  /// c < cols with k > 0,
+  ///   rec[s * rec_stride + c] += V_cog(t) * g_total / k,
+  /// where t = t_out[s * padded_cols() + slot] is read at the physical
+  /// slot the column was placed on (slot_of_col[c], or c itself when
+  /// the map is empty), V_cog is the output ramp voltage at t and a
+  /// silent column (kNoSpike) books the slice boundary.  t_out is laid
+  /// out as mvm_voltages_batch writes it at out_stride = padded_cols();
+  /// each rec row owns simd::pad_to_lanes(cols) values (rec_stride at
+  /// least that).  An identity map runs whole vectors in place, its last
+  /// one included, so lanes [cols, pad_to_lanes(cols)) of a rec row
+  /// receive unspecified values; a remapped one gathers through
+  /// slot_of_col and writes exactly cols values per row.  Throws unless
+  /// cols <= cols(), the map is empty or holds cols slots < cols(), and
+  /// both spans hold the n rows.  Runs on the active kernel path; each
+  /// value gets the bits of a one-sample call.
+  void add_current_sums(std::span<const double> t_out, std::size_t n,
                         std::span<const std::size_t> slot_of_col,
-                        std::span<double> rec,
-                        bool vector = simd::enabled()) const;
+                        std::span<double> rec, std::size_t rec_stride,
+                        std::size_t cols) const;
 
   /// Installs per-column comparator input offsets (volts, one per
   /// column) — the COG cluster's device mismatch.  They add to the
@@ -138,15 +151,20 @@ class FastMvm {
   /// wordline voltages read at a row stride: sample s's voltage of row r
   /// is v_wl[s * stride + r], so a row window of a wider input is read
   /// in place.  Throws unless stride >= rows() and v_wl holds the
-  /// (n - 1) * stride + rows() values that reach; `t_out` is row-major
-  /// [n, cols].  When every unlisted row is at +-0 V in every sample,
-  /// the output is bit-identical to mvm_times_batch on the full input:
-  /// such a row would add a signed zero to each current sum.  An empty
-  /// list runs S2 alone, O(cols) per sample.
+  /// (n - 1) * stride + rows() values that reach.  Sample s's time of
+  /// column c goes to t_out[s * out_stride + c]; throws unless
+  /// out_stride >= cols() and t_out holds n * out_stride values.  At
+  /// out_stride >= padded_cols() every column vector stores whole, and
+  /// the padding lanes of a row receive the comparator delay of an
+  /// unprogrammed column.  When every unlisted row is at +-0 V in every
+  /// sample, the output is bit-identical to mvm_times_batch on the full
+  /// input: such a row would add a signed zero to each current sum.  An
+  /// empty list runs S2 alone, O(cols) per sample.
   void mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
                           std::size_t stride,
                           std::span<const std::uint32_t> rows,
-                          std::span<double> t_out) const;
+                          std::span<double> t_out,
+                          std::size_t out_stride) const;
 
   /// The row list of mvm_voltages_batch over the same voltages: `rows`
   /// receives, ascending, the rows whose voltage is nonzero in some of
@@ -173,19 +191,20 @@ class FastMvm {
                       std::size_t stride) const;
 
   /// Current sums over the listed rows, then S2: n samples from `v_wl`
-  /// at row stride `stride` into `t_out` row-major [n, cols].  Books
+  /// at row stride `stride` into `t_out` rows of `out_stride`.  Books
   /// the silent outputs; the caller books the MACs.
   template <class V>
   void voltage_stage(const double* v_wl, std::size_t n, std::size_t stride,
-                     std::span<const std::uint32_t> rows,
-                     double* t_out) const;
+                     std::span<const std::uint32_t> rows, double* t_out,
+                     std::size_t out_stride) const;
 
   /// One register block of the voltage stage: kS samples from s0 by kC
   /// column vectors from c0.
   template <class V, std::size_t kS, std::size_t kC>
   void column_block(const double* v_wl, std::size_t stride, std::size_t s0,
                     std::size_t c0, std::span<const std::uint32_t> rows,
-                    double* t_out, std::size_t* silent) const;
+                    double* t_out, std::size_t out_stride,
+                    std::size_t* silent) const;
 
   /// S2 for the column vector at c: current sums -> threshold ->
   /// crossing -> spike times (kNoSpike past the slice, the comparator

@@ -195,9 +195,12 @@ class ProgrammedMatrix {
   /// Hoist one per worker (e.g. thread_local) so steady-state batched
   /// inference never allocates.
   struct BatchWorkspace {
-    std::vector<double> v_in;       // [n, in] wordline voltages
-    std::vector<double> t_out;      // [n, block.slots] block spike times
-    std::vector<double> recovered;  // [n, physical cols] current-sums
+    std::vector<double> v_in;  // [n, in] wordline voltages
+    // [n, padded slots] one block's spike times
+    FastMvm::aligned_vector t_out;
+    // [n, padded physical cols] current-sums, one padded segment per
+    // column block
+    FastMvm::aligned_vector recovered;
     std::vector<std::uint32_t> rows;  // events: the row window's row list
   };
 
@@ -263,6 +266,7 @@ class ProgrammedMatrix {
     std::size_t row0 = 0;
     std::size_t rows = 0;
     std::size_t col0 = 0;  // physical column offset
+    std::size_t rec0 = 0;  // offset of its segment in a recovered row
     std::size_t cols = 0;  // data columns in this block
     std::size_t slots = 0; // physical columns incl. spares (== cols
                            // when reliability is off)
@@ -278,19 +282,22 @@ class ProgrammedMatrix {
   /// The one forward core from wordline voltages: run every block once
   /// over the whole batch, reading its row window in place, over the
   /// window's row list (every row, or with config_.events on the rows
-  /// driven in some sample), recover, decode.  `probe`, when set, also
-  /// counts column outcomes.  Never writes ws.v_in, so `v` may be it.
+  /// driven in some sample), read each block's output times back into
+  /// its recovered segment in one FastMvm::add_current_sums call, then
+  /// decode the batch once.  `probe`, when set, also counts column
+  /// outcomes.  Never writes ws.v_in, so `v` may be it.
   void run_voltages(std::span<const double> v, std::size_t n,
                     std::span<double> y, BatchWorkspace& ws,
                     ProbeStats* probe) const;
-  /// Adds one block's recovered current-sums
-  /// (sum_i V_i G_ij = V_cog * g_total / k) into rec[0, block.cols),
-  /// reading each data column's spike time from its physical slot in
-  /// t_slots (FastMvm::add_current_sums on the kernel path `vector`).
-  void recover(const Block& block, const double* t_slots, double* rec,
-               ProbeStats* probe, bool vector) const;
-  /// Converts accumulated recovered sums + bias into outputs.
-  void decode(std::span<const double> recovered, std::span<double> y) const;
+  /// Counts one block's column outcomes into `probe`: n samples of
+  /// output times at the block's padded stride, each data column read
+  /// from its physical slot.
+  void probe_outputs(const Block& block, std::span<const double> t_out,
+                     std::size_t n, ProbeStats& probe) const;
+  /// Converts n rows of accumulated recovered sums (rec_stride_ apart)
+  /// + bias into outputs, y row-major [n, out].
+  void decode(std::span<const double> recovered, std::size_t n,
+              std::span<double> y) const;
 
   /// The one block builder of both programming paths: walks the tile
   /// grid, programs every cell (through the bounded write-verify loop
@@ -315,6 +322,10 @@ class ProgrammedMatrix {
   std::size_t row_blocks_ = 0;
   crossbar::MappedWeights mapping_;
   std::vector<Block> blocks_;
+  std::size_t rec_stride_ = 0;  // padded width of a recovered row
+  // Each output's plus and minus column as an index into a recovered row.
+  std::vector<std::size_t> plus_at_;
+  std::vector<std::size_t> minus_at_;
   std::vector<double> bias_;
   double input_scale_ = 1.0;
   double alpha_ = 1.0;
@@ -338,7 +349,10 @@ std::vector<double> conv_weight_matrix(const nn::Conv2d& conv);
 /// Callback receiving every lowered-step boundary during
 /// ResipeNetwork::forward_observed.  `matrix` is null for functional
 /// steps (pooling / activation / flatten); `layer` is always the
-/// software layer the step was lowered from.
+/// software layer the step was lowered from.  `input` and `output` are
+/// valid only during the callback: the forward reuses their storage for
+/// later steps and later calls, so an observer that keeps one copies it.
+/// A callback may forward a network itself, this one included.
 class LayerObserver {
  public:
   virtual ~LayerObserver() = default;
@@ -409,10 +423,15 @@ class ResipeNetwork {
   /// The one walker over steps_ behind forward, forward_observed and
   /// forward_hybrid: reports each step to `obs` when set, and runs a
   /// matrix step through its software layer when `digital` flags it.
+  /// Runs through nn::walk_steps, so the steps write into two
+  /// activation buffers the calling thread keeps across forwards (and
+  /// shares with eval-mode Sequential::forward): a steady-state forward
+  /// allocates only the logits it returns.
   nn::Tensor walk(const nn::Tensor& batch, LayerObserver* obs,
                   const std::vector<bool>& digital) const;
-  nn::Tensor run_dense(const Step& step, const nn::Tensor& x) const;
-  nn::Tensor run_conv(const Step& step, const nn::Tensor& x) const;
+  /// A matrix step's forward into `y`, written whole.
+  void run_dense(const Step& step, const nn::Tensor& x, nn::Tensor& y) const;
+  void run_conv(const Step& step, const nn::Tensor& x, nn::Tensor& y) const;
 
   nn::Sequential& model_;
   EngineConfig config_;

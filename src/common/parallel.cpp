@@ -21,7 +21,7 @@ thread_local bool t_in_region = false;
 // One in-flight region, claimed chunk-by-chunk through an atomic
 // cursor so slow arms load-balance across workers.
 struct Job {
-  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+  const FunctionRef<void(std::size_t, std::size_t)>* body = nullptr;
   std::size_t n = 0;
   std::size_t grain = 1;
   std::size_t worker_cap = 0;  // pool workers allowed to join (excl. caller)
@@ -163,10 +163,9 @@ void set_parallel_hooks(const ParallelHooks& hooks) {
   g_hook_join.store(hooks.join, std::memory_order_release);
 }
 
-void parallel_for_chunked(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t threads) {
+void parallel_for_chunked(std::size_t n, std::size_t grain,
+                          FunctionRef<void(std::size_t, std::size_t)> body,
+                          std::size_t threads) {
   if (n == 0) return;
   std::size_t want = threads > 0 ? threads : default_threads();
   if (grain == 0) grain = std::max<std::size_t>(1, n / (4 * want));
@@ -189,8 +188,7 @@ void parallel_for_chunked(
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t)>& body,
+void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body,
                   std::size_t threads) {
   parallel_for_chunked(
       n, 1,

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <sstream>
+
 #include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
@@ -7,8 +9,19 @@ namespace resipe::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
-  if (x.size() == 0) return x;
-  Tensor y(x.shape());
+  Tensor y;
+  run(x, y, train);
+  return y;
+}
+
+void ReLU::forward_into(const Tensor& x, Tensor& y) { run(x, y, false); }
+
+void ReLU::run(const Tensor& x, Tensor& y, bool train) {
+  if (x.size() == 0) {  // empty, or rank 0: passes through
+    y = x;
+    return;
+  }
+  y.resize_for_overwrite(x.shape());
   const std::size_t per_image = x.size() / x.dim(0);
   const double* xd = x.data().data();
   double* yd = y.data().data();
@@ -23,7 +36,6 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
   } else {
     detail::for_image_chunks(x.dim(0), per_image, clamp);
   }
-  return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -85,8 +97,17 @@ Tensor Flatten::forward(const Tensor& x, bool train) {
   // consumer): eval-mode forwards run concurrently on a shared model
   // and must not write layer state.
   if (train) in_shape_ = x.shape();
+  Tensor y;
+  run(x, y);
+  return y;
+}
+
+void Flatten::forward_into(const Tensor& x, Tensor& y) { run(x, y); }
+
+void Flatten::run(const Tensor& x, Tensor& y) {
   const std::size_t n = x.dim(0);
-  return x.reshaped({n, x.size() / n});
+  y.resize_for_overwrite({n, x.size() / n});
+  std::copy(x.data().begin(), x.data().end(), y.data().begin());
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

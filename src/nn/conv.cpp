@@ -35,15 +35,23 @@ std::size_t Conv2d::out_size(std::size_t in) const {
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
+  Tensor y;
+  run(x, y, train);
+  if (train) cached_x_ = x;
+  return y;
+}
+
+void Conv2d::forward_into(const Tensor& x, Tensor& y) { run(x, y, false); }
+
+void Conv2d::run(const Tensor& x, Tensor& y, bool train) const {
   RESIPE_REQUIRE(x.rank() == 4 && x.dim(1) == cin_,
                  "conv input shape " << x.shape_str());
-  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
   const std::size_t h = x.dim(2);
   const std::size_t w = x.dim(3);
   const std::size_t oh = out_size(h);
   const std::size_t ow = out_size(w);
-  Tensor y({n, cout_, oh, ow});
+  y.resize_for_overwrite({n, cout_, oh, ow});
   // Output columns [lo, hi) read input column c * stride + kc - pad
   // inside the image; the rest read padding.
   std::vector<std::size_t> lo(k_), hi(k_);
@@ -95,7 +103,6 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   } else {
     detail::for_image_chunks(n, cout_ * oh * ow * cin_ * k_ * k_, convolve);
   }
-  return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {

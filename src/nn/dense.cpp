@@ -21,12 +21,20 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
 }
 
 Tensor Dense::forward(const Tensor& x, bool train) {
+  Tensor y;
+  run(x, y, train);
+  if (train) cached_x_ = x;
+  return y;
+}
+
+void Dense::forward_into(const Tensor& x, Tensor& y) { run(x, y, false); }
+
+void Dense::run(const Tensor& x, Tensor& y, bool train) const {
   RESIPE_REQUIRE(x.rank() == 2 && x.dim(1) == in_,
                  "dense input shape " << x.shape_str() << ", expected [N, "
                                       << in_ << "]");
-  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
-  Tensor y({n, out_});
+  y.resize_for_overwrite({n, out_});
   const double* xd = x.data().data();
   const double* wd = w_.data().data();
   const double* bd = b_.data().data();
@@ -51,7 +59,6 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   } else {
     detail::for_image_chunks(n, in_ * out_, affine);
   }
-  return y;
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {

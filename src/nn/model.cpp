@@ -13,7 +13,18 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
+detail::ActivationStack& detail::activation_stack() {
+  thread_local ActivationStack stack;
+  return stack;
+}
+
 Tensor Sequential::forward(const Tensor& x, bool train) {
+  if (!train) {
+    return walk_steps(x, layers_.size(),
+                      [&](std::size_t i, const Tensor& in, Tensor& out) {
+                        layers_[i]->forward_into(in, out);
+                      });
+  }
   Tensor h = x;
   for (auto& layer : layers_) h = layer->forward(h, train);
   return h;

@@ -12,6 +12,14 @@ MaxPool2d::MaxPool2d(std::size_t k) : k_(k) {
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
+  Tensor y;
+  run(x, y, train);
+  return y;
+}
+
+void MaxPool2d::forward_into(const Tensor& x, Tensor& y) { run(x, y, false); }
+
+void MaxPool2d::run(const Tensor& x, Tensor& y, bool train) {
   RESIPE_REQUIRE(x.rank() == 4, "pool input must be rank 4");
   const std::size_t n = x.dim(0);
   const std::size_t ch = x.dim(1);
@@ -21,7 +29,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
                  "pool window " << k_ << " must divide " << h << "x" << w);
   const std::size_t oh = h / k_;
   const std::size_t ow = w / k_;
-  Tensor y({n, ch, oh, ow});
+  y.resize_for_overwrite({n, ch, oh, ow});
   if (train) {
     cached_x_ = x;
     argmax_.assign(y.size(), 0);
@@ -61,7 +69,6 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   } else {
     detail::for_image_chunks(n, ch * h * w, pool);
   }
-  return y;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {

@@ -23,7 +23,7 @@ Tensor::Tensor(std::vector<std::size_t> shape)
 }
 
 Tensor::Tensor(std::vector<std::size_t> shape, std::vector<double> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+    : shape_(std::move(shape)), data_(data.begin(), data.end()) {
   RESIPE_REQUIRE(!shape_.empty(), "tensor rank must be >= 1");
   RESIPE_REQUIRE(data_.size() == shape_product(shape_),
                  "data size " << data_.size() << " != shape product "
@@ -62,7 +62,16 @@ double Tensor::at(std::size_t n, std::size_t c, std::size_t h,
 Tensor Tensor::reshaped(std::vector<std::size_t> shape) const {
   RESIPE_REQUIRE(shape_product(shape) == size(),
                  "reshape size mismatch: " << shape_str());
-  return Tensor(std::move(shape), data_);
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_ = data_;
+  return t;
+}
+
+void Tensor::resize_for_overwrite(std::span<const std::size_t> shape) {
+  RESIPE_REQUIRE(!shape.empty(), "tensor rank must be >= 1");
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(shape_product(shape_));
 }
 
 void Tensor::fill(double v) { std::fill(data_.begin(), data_.end(), v); }

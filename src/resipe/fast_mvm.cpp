@@ -202,7 +202,8 @@ template <class V, std::size_t kS, std::size_t kC>
 void FastMvm::column_block(const double* v_wl, std::size_t stride,
                            std::size_t s0, std::size_t c0,
                            std::span<const std::uint32_t> rows,
-                           double* t_out, std::size_t* silent) const {
+                           double* t_out, std::size_t out_stride,
+                           std::size_t* silent) const {
   constexpr std::size_t W = simd::lanes<V>;
   V acc[kS][kC];
   for (auto& sample : acc) {
@@ -218,14 +219,15 @@ void FastMvm::column_block(const double* v_wl, std::size_t stride,
       for (std::size_t j = 0; j < kC; ++j) acc[s][j] = acc[s][j] + v_r * g[j];
     }
   }
-  // Whole vectors store in place, a last partial one through lanes.
+  // A vector that fits the output row stores in place, a last partial
+  // one of a narrower row through lanes.
   alignas(simd::kAlignment) double lane[W];
   for (std::size_t s = 0; s < kS; ++s) {
     for (std::size_t j = 0; j < kC; ++j) {
       const std::size_t c = c0 + j * W;
-      double* out = t_out + (s0 + s) * cols_ + c;
+      double* out = t_out + (s0 + s) * out_stride + c;
       const V t = recover(acc[s][j], c, silent);
-      if (c + W <= cols_) {
+      if (c + W <= out_stride) {
         t.storeu(out);
         continue;
       }
@@ -239,7 +241,7 @@ template <class V>
 void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
                             std::size_t stride,
                             std::span<const std::uint32_t> rows,
-                            double* t_out) const {
+                            double* t_out, std::size_t out_stride) const {
   constexpr std::size_t W = simd::lanes<V>;
   std::size_t silent = 0;
   // Column windows outermost: a window's conductances stay in cache
@@ -252,7 +254,7 @@ void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
       with_count<kBlockSamples>(ns, [&](auto kS) {
         with_count<kBlockVectors>(nc, [&](auto kC) {
           column_block<V, decltype(kS)::value, decltype(kC)::value>(
-              v_wl, stride, s0, c0, rows, t_out, &silent);
+              v_wl, stride, s0, c0, rows, t_out, out_stride, &silent);
         });
       });
     }
@@ -279,7 +281,7 @@ void FastMvm::mvm_times(std::span<const double> t_in,
   simd::at_width(simd::enabled(), [&](auto v) {
     using V = decltype(v);
     wordline_stage<V>(params_, t_in, {v_wl.data(), rows_});
-    voltage_stage<V>(v_wl.data(), 1, rows_, all_rows_, t_out.data());
+    voltage_stage<V>(v_wl.data(), 1, rows_, all_rows_, t_out.data(), cols_);
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
 }
@@ -296,7 +298,8 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
   simd::at_width(simd::enabled(), [&](auto v) {
     using V = decltype(v);
     wordline_stage<V>(params_, t_in, scratch.v_wl);
-    voltage_stage<V>(scratch.v_wl.data(), n, rows_, all_rows_, t_out.data());
+    voltage_stage<V>(scratch.v_wl.data(), n, rows_, all_rows_, t_out.data(),
+                     cols_);
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows_ * cols_);
 }
@@ -314,17 +317,21 @@ void FastMvm::wordline(const circuits::CircuitParams& params,
 void FastMvm::mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
                                  std::size_t stride,
                                  std::span<const std::uint32_t> rows,
-                                 std::span<double> t_out) const {
+                                 std::span<double> t_out,
+                                 std::size_t out_stride) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_voltages_batch",
                      perf::fast_mvm_voltages_cost(rows.size(), cols_, n));
   check_voltages(v_wl, n, stride);
-  RESIPE_REQUIRE(t_out.size() == n * cols_,
+  RESIPE_REQUIRE(out_stride >= cols_ && t_out.size() == n * out_stride,
                  "FastMvm voltage batch: " << t_out.size() << " outputs for "
-                                           << n << " samples");
+                                           << n << " samples of " << cols_
+                                           << " columns at stride "
+                                           << out_stride);
   check_rows(rows);
   if (n == 0) return;
   simd::at_width(simd::enabled(), [&](auto v) {
-    voltage_stage<decltype(v)>(v_wl.data(), n, stride, rows, t_out.data());
+    voltage_stage<decltype(v)>(v_wl.data(), n, stride, rows, t_out.data(),
+                               out_stride);
   });
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", n * rows.size() * cols_);
 }
@@ -350,15 +357,28 @@ void FastMvm::driven_rows(std::span<const double> v_wl, std::size_t n,
   rows.resize(listed);
 }
 
-void FastMvm::add_current_sums(std::span<const double> t_slots,
+void FastMvm::add_current_sums(std::span<const double> t_out, std::size_t n,
                                std::span<const std::size_t> slot_of_col,
-                               std::span<double> rec, bool vector) const {
-  RESIPE_REQUIRE(t_slots.size() == cols_ && rec.size() <= cols_ &&
-                     (slot_of_col.empty() || slot_of_col.size() == rec.size()),
-                 "FastMvm current-sum size mismatch");
-  const bool remapped = !slot_of_col.empty();
+                               std::span<double> rec, std::size_t rec_stride,
+                               std::size_t cols) const {
+  const std::size_t t_stride = cols_pad_;
+  const std::size_t width = simd::pad_to_lanes(cols);
+  const auto holds = [n](std::size_t size, std::size_t stride,
+                         std::size_t row) {
+    return n == 0 || size >= (n - 1) * stride + row;
+  };
+  bool slots_ok = slot_of_col.empty() || slot_of_col.size() == cols;
+  for (const std::size_t slot : slot_of_col) slots_ok &= slot < cols_;
+  RESIPE_REQUIRE(cols <= cols_ && slots_ok && rec_stride >= width &&
+                     holds(t_out.size(), t_stride, t_stride) &&
+                     holds(rec.size(), rec_stride, width),
+                 "FastMvm current sums: "
+                     << n << " samples of " << cols << " columns ("
+                     << slot_of_col.size() << " mapped, " << cols_
+                     << " slots) from " << t_out.size() << " times into "
+                     << rec.size() << " sums at stride " << rec_stride);
   const bool linear = params_.model == circuits::TransferModel::kLinear;
-  simd::at_width(vector, [&](auto vec) {
+  simd::at_width(simd::enabled(), [&](auto vec) {
     using V = decltype(vec);
     constexpr std::size_t W = simd::lanes<V>;
     const V zero(0.0);
@@ -376,31 +396,44 @@ void FastMvm::add_current_sums(std::span<const double> t_slots,
       v = simd::min(simd::max(v, zero), v_s);
       return simd::select(k > zero, r + v * g_tot / k, r);
     };
-    std::size_t c = 0;
-    if (!remapped) {
-      for (; c + W <= rec.size(); c += W) {
-        add(V::loadu(t_slots.data() + c), V::load(g_total_.data() + c),
-            V::load(k_.data() + c), V::loadu(rec.data() + c))
-            .storeu(rec.data() + c);
+    // Column vectors outermost, so each one's trim loads once per batch.
+    if (slot_of_col.empty()) {
+      // Whole vectors in place, the last one too: its lanes past `cols`
+      // read padded slots or spares and land in the row's own padding.
+      for (std::size_t c = 0; c < cols; c += W) {
+        const V g_tot = V::load(g_total_.data() + c);
+        const V k = V::load(k_.data() + c);
+        for (std::size_t s = 0; s < n; ++s) {
+          double* r = rec.data() + s * rec_stride + c;
+          add(V::loadu(t_out.data() + s * t_stride + c), g_tot, k,
+              V::loadu(r))
+              .storeu(r);
+        }
       }
+      return;
     }
-    // Remapped chunks gather t, g_total and k through slot_of_col, and
-    // the tail is staged; padding lanes have k = 0 and are not copied
+    // A remapped block gathers t, g_total and k through slot_of_col and
+    // stages every vector; padding lanes have k = 0 and are not copied
     // back.
-    for (; c < rec.size(); c += W) {
-      const std::size_t m = std::min(W, rec.size() - c);
+    for (std::size_t c = 0; c < cols; c += W) {
+      const std::size_t m = std::min(W, cols - c);
       alignas(simd::kAlignment) double lane[4][W] = {};
       for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t s = remapped ? slot_of_col[c + j] : c + j;
-        lane[0][j] = t_slots[s];
-        lane[1][j] = g_total_[s];
-        lane[2][j] = k_[s];
-        lane[3][j] = rec[c + j];
+        lane[1][j] = g_total_[slot_of_col[c + j]];
+        lane[2][j] = k_[slot_of_col[c + j]];
       }
-      add(V::load(lane[0]), V::load(lane[1]), V::load(lane[2]),
-          V::load(lane[3]))
-          .store(lane[3]);
-      std::copy(lane[3], lane[3] + m, rec.begin() + c);
+      const V g_tot = V::load(lane[1]);
+      const V k = V::load(lane[2]);
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* t = t_out.data() + s * t_stride;
+        double* r = rec.data() + s * rec_stride + c;
+        for (std::size_t j = 0; j < m; ++j) {
+          lane[0][j] = t[slot_of_col[c + j]];
+          lane[3][j] = r[j];
+        }
+        add(V::load(lane[0]), g_tot, k, V::load(lane[3])).store(lane[3]);
+        std::copy(lane[3], lane[3] + m, r);
+      }
     }
   });
 }

@@ -77,6 +77,15 @@ double effective_conductance(const EngineConfig& config,
   return g;
 }
 
+/// The first n values of `buf`, which only ever grows: a workspace
+/// shared by steps of different shapes never re-zeroes storage that its
+/// caller overwrites.
+template <class Vec>
+std::span<typename Vec::value_type> grow(Vec& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return {buf.data(), n};
+}
+
 }  // namespace
 
 ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
@@ -121,6 +130,22 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
 
   const std::size_t col_blocks =
       (mapping_.cols + config_.tile_cols - 1) / config_.tile_cols;
+  // A recovered row gives each column block a segment padded to the
+  // vector width, so a block's read-back stores whole vectors; decode
+  // reads each output's two columns at indices resolved here.
+  const std::size_t segment = simd::pad_to_lanes(config_.tile_cols);
+  rec_stride_ = (col_blocks - 1) * segment +
+                simd::pad_to_lanes(mapping_.cols -
+                                   (col_blocks - 1) * config_.tile_cols);
+  const auto rec_index = [&](std::size_t col) {
+    return col / config_.tile_cols * segment + col % config_.tile_cols;
+  };
+  plus_at_.resize(out_);
+  minus_at_.resize(out_);
+  for (std::size_t j = 0; j < out_; ++j) {
+    plus_at_[j] = rec_index(mapping_.plus_col(j));
+    minus_at_[j] = rec_index(mapping_.minus_col(j));
+  }
   for (std::size_t rb = 0; rb < row_blocks_; ++rb) {
     const std::size_t row0 = rb * config_.tile_rows;
     const std::size_t rows = std::min(config_.tile_rows, in_ - row0);
@@ -129,6 +154,7 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
       block.row0 = row0;
       block.rows = rows;
       block.col0 = cb * config_.tile_cols;
+      block.rec0 = cb * segment;
       block.cols = std::min(config_.tile_cols, mapping_.cols - block.col0);
       block.slots = block.cols + spare;
       const std::size_t slots = block.slots;
@@ -336,43 +362,41 @@ void ProgrammedMatrix::set_time_scale(double alpha) {
   alpha_ = alpha;
 }
 
-void ProgrammedMatrix::recover(const Block& block, const double* t_slots,
-                               double* rec, ProbeStats* probe,
-                               bool vector) const {
+void ProgrammedMatrix::probe_outputs(const Block& block,
+                                     std::span<const double> t_out,
+                                     std::size_t n, ProbeStats& probe) const {
   const auto& params = config_.circuit;
   // Fault-aware placement may have moved a data column onto a spare
   // slot; read the bitline it actually lives on.
   const bool remapped = !block.slot_of_col.empty();
-  if (probe != nullptr) {
-    // Saturation taxonomy: a silent column (kNoSpike) means the
-    // current-sum never pulled the COG across the ramp — the readout
-    // books the slice boundary and the true value is censored from
-    // above; a spike inside the first clock period means the column is
-    // pinned at the slice start (at/over full scale, censored from
-    // below); a spike in the last clock period is one LSB away from
-    // falling silent.
-    const std::size_t bins = probe->spike_time_hist.size();
+  // Saturation taxonomy: a silent column (kNoSpike) means the
+  // current-sum never pulled the COG across the ramp — the readout
+  // books the slice boundary and the true value is censored from
+  // above; a spike inside the first clock period means the column is
+  // pinned at the slice start (at/over full scale, censored from
+  // below); a spike in the last clock period is one LSB away from
+  // falling silent.
+  const std::size_t bins = probe.spike_time_hist.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* t_slots = t_out.data() + s * block.mvm->padded_cols();
     for (std::size_t c = 0; c < block.cols; ++c) {
       const double t = t_slots[remapped ? block.slot_of_col[c] : c];
       if (t == FastMvm::kNoSpike) {
-        ++probe->no_spike;
+        ++probe.no_spike;
         continue;
       }
-      ++probe->spikes;
-      if (t <= params.clock_period) ++probe->pinned_start;
+      ++probe.spikes;
+      if (t <= params.clock_period) ++probe.pinned_start;
       if (t >= params.slice_length - params.clock_period) {
-        ++probe->pinned_end;
+        ++probe.pinned_end;
       }
       const double norm = t / params.slice_length;
       const auto bin = std::min(
           bins - 1, static_cast<std::size_t>(std::max(
                         0.0, norm * static_cast<double>(bins))));
-      ++probe->spike_time_hist[bin];
+      ++probe.spike_time_hist[bin];
     }
   }
-  block.mvm->add_current_sums(std::span<const double>(t_slots, block.slots),
-                              block.slot_of_col,
-                              std::span<double>(rec, block.cols), vector);
 }
 
 void ProgrammedMatrix::encode(std::span<const double> x,
@@ -398,9 +422,9 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
       if (ratio < 0.0 || ratio > 1.0) ++probe->inputs_clamped;
     }
   }
-  ws.v_in.resize(n * in_);
-  encode(x, ws.v_in);
-  run_voltages(ws.v_in, n, y, ws, probe);
+  const std::span<double> v = grow(ws.v_in, n * in_);
+  encode(x, v);
+  run_voltages(v, n, y, ws, probe);
 }
 
 void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
@@ -410,7 +434,6 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
                  "forward size mismatch");
   if (n == 0) return;
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
-  const std::size_t cols = mapping_.cols;
   // With events on, each row window visits only the rows driven in some
   // sample.  Any other row is at +-0 V in every sample, so leaving it
   // out changes no current sum (see the note above FastMvm's voltage
@@ -420,14 +443,13 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
 
   // Every block accumulates in the same order, so each sample's column
   // sums do not depend on the row lists.
-  ws.recovered.assign(n * cols, 0.0);
+  ws.recovered.assign(n * rec_stride_, 0.0);
   std::uint64_t listed = 0, woken = 0, skipped = 0, delivered = 0,
                 rows_skipped = 0;
   // Row window whose row list `rows` holds; blocks are stored window by
   // window, so each window's list is built once per batch.
   std::size_t window = in_;
   std::span<const std::uint32_t> rows;
-  const bool vector = simd::enabled();
   for (const Block& block : blocks_) {
     // Sample s's voltage of the block's row r is v[s * in_ + row0 + r].
     const std::span<const double> v_block = v.subspan(block.row0);
@@ -440,8 +462,11 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
         listed += rows.size();
       }
     }
-    ws.t_out.resize(n * block.slots);
-    block.mvm->mvm_voltages_batch(v_block, n, in_, rows, ws.t_out);
+    // Output times at the padded stride, so every column vector stores
+    // and reads back whole.
+    const std::size_t t_stride = block.mvm->padded_cols();
+    const std::span<double> t_out = grow(ws.t_out, n * t_stride);
+    block.mvm->mvm_voltages_batch(v_block, n, in_, rows, t_out, t_stride);
     if (rows.empty()) {
       ++skipped;
     } else {
@@ -449,10 +474,11 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
     }
     delivered += rows.size();
     rows_skipped += block.rows - rows.size();
-    for (std::size_t s = 0; s < n; ++s) {
-      recover(block, ws.t_out.data() + s * block.slots,
-              ws.recovered.data() + s * cols + block.col0, probe, vector);
-    }
+    if (probe != nullptr) probe_outputs(block, t_out, n, *probe);
+    block.mvm->add_current_sums(
+        t_out, n, block.slot_of_col,
+        std::span<double>(ws.recovered).subspan(block.rec0), rec_stride_,
+        block.cols);
   }
   if (events) {
     RESIPE_TELEM_COUNT("resipe_core.events.queued", listed);
@@ -462,24 +488,23 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
     RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped", rows_skipped);
   }
 
-  for (std::size_t s = 0; s < n; ++s) {
-    decode(std::span<const double>(ws.recovered.data() + s * cols, cols),
-           y.subspan(s * out_, out_));
-  }
+  decode(ws.recovered, n, y);
   if (probe != nullptr) probe->vectors += n;
 }
 
 void ProgrammedMatrix::decode(std::span<const double> recovered,
-                              std::span<double> y) const {
+                              std::size_t n, std::span<double> y) const {
   // recovered[j] = sum_i V_i G_ij with V_i = alpha * x_hat_i * v_full;
   // the pair/offset difference removes the conductance baseline and
   // weight_per_siemens converts siemens back into weight units.
   const double scale = mapping_.weight_per_siemens * input_scale_ /
                        (alpha_ * codec_.v_full());
-  for (std::size_t j = 0; j < out_; ++j) {
-    const double diff = recovered[mapping_.plus_col(j)] -
-                        recovered[mapping_.minus_col(j)];
-    y[j] = diff * scale + bias_[j];
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* rec = recovered.data() + s * rec_stride_;
+    double* y_s = y.data() + s * out_;
+    for (std::size_t j = 0; j < out_; ++j) {
+      y_s[j] = (rec[plus_at_[j]] - rec[minus_at_[j]]) * scale + bias_[j];
+    }
   }
 }
 
@@ -539,7 +564,7 @@ double ProgrammedMatrix::forward_analytic(std::span<const double> x,
     const double xn = std::clamp(x[i] / input_scale_, 0.0, 1.0);
     v_in[i] = alpha_ * xn * codec_.v_full();
   }
-  recovered.assign(mapping_.cols, 0.0);
+  recovered.assign(rec_stride_, 0.0);
   thread_local std::vector<double> sums;
   double v_max = 0.0;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -567,10 +592,10 @@ double ProgrammedMatrix::forward_analytic(std::span<const double> x,
       const double sum = sums[block.col0 + c];
       const double k = block.mvm->k(s);
       v_max = std::max(v_max, k * sum / g_total);
-      recovered[block.col0 + c] += sum;
+      recovered[block.rec0 + c] += sum;
     }
   }
-  decode(recovered, y);
+  decode(recovered, 1, y);
   return v_max;
 }
 
@@ -689,7 +714,6 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
                      << at << " (image "
                      << at / (cd.size() / calibration.dim(0)) << ")");
   Rng rng(config_.program_seed);
-  nn::Tensor h = calibration;
   constexpr std::size_t kMaxCalibVectors = 512;
 
   // Each layer gets its own defect realization: hash the fault seed
@@ -705,7 +729,10 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
     return layer_cfg;
   };
 
-  for (std::size_t li = 0; li < model_.layer_count(); ++li) {
+  // One eval walk over the calibration batch: each matrix layer is
+  // lowered and calibrated on its input activations `h`.
+  const auto lower = [&](std::size_t li, const nn::Tensor& h,
+                         nn::Tensor& out) {
     nn::Layer& layer = model_.layer(li);
     Step step;
     // Matrix steps keep their software layer too: walk() dispatches on
@@ -765,18 +792,19 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
       matrices_.push_back(std::move(pm));
     }
     steps_.push_back(step);
-    h = layer.forward(h, /*train=*/false);
-  }
+    layer.forward_into(h, out);
+  };
+  nn::walk_steps(calibration, model_.layer_count(), lower);
 }
 
-nn::Tensor ResipeNetwork::run_dense(const Step& step,
-                                    const nn::Tensor& x) const {
+void ResipeNetwork::run_dense(const Step& step, const nn::Tensor& x,
+                              nn::Tensor& y) const {
   RESIPE_REQUIRE(x.rank() == 2, "dense step expects rank-2 input");
   const std::size_t n = x.dim(0);
   const std::size_t in = step.matrix->in_features();
   const std::size_t out = step.matrix->out_features();
   RESIPE_REQUIRE(x.dim(1) == in, "dense step input width mismatch");
-  nn::Tensor y({n, out});
+  y.resize_for_overwrite({n, out});
   const double* x_data = x.data().data();
   double* y_data = y.data().data();
   // One contiguous chunk per thread, so each matrix runs batched.
@@ -789,11 +817,10 @@ nn::Tensor ResipeNetwork::run_dense(const Step& step,
         std::span<const double>(x_data + b * in, (e - b) * in), e - b,
         std::span<double>(y_data + b * out, (e - b) * out), ws);
   });
-  return y;
 }
 
-nn::Tensor ResipeNetwork::run_conv(const Step& step,
-                                   const nn::Tensor& x) const {
+void ResipeNetwork::run_conv(const Step& step, const nn::Tensor& x,
+                             nn::Tensor& y) const {
   RESIPE_REQUIRE(x.rank() == 4 && x.dim(1) == step.cin,
                  "conv step input shape mismatch");
   const std::size_t n = x.dim(0);
@@ -801,7 +828,7 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   const std::size_t w = x.dim(3);
   const std::size_t oh = (h + 2 * step.pad - step.k) / step.stride + 1;
   const std::size_t ow = (w + 2 * step.pad - step.k) / step.stride + 1;
-  nn::Tensor y({n, step.cout, oh, ow});
+  y.resize_for_overwrite({n, step.cout, oh, ow});
   const std::size_t in = step.matrix->in_features();
   const std::size_t plane = step.cin * h * w;
   const double* x_data = x.data().data();
@@ -815,12 +842,12 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   // batched MVM.  Images write disjoint y slices.
   parallel_for(n, [&](std::size_t img) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
-    thread_local std::vector<double> v_img;
-    thread_local std::vector<double> patches;
-    thread_local std::vector<double> out_row;
-    v_img.resize(plane);
-    patches.resize(ow * in);
-    out_row.resize(ow * step.cout);
+    thread_local std::vector<double> v_img_buf;
+    thread_local std::vector<double> patches_buf;
+    thread_local std::vector<double> out_row_buf;
+    const std::span<double> v_img = grow(v_img_buf, plane);
+    const std::span<double> patches = grow(patches_buf, ow * in);
+    const std::span<double> out_row = grow(out_row_buf, ow * step.cout);
     step.matrix->encode(
         std::span<const double>(x_data + img * plane, plane), v_img);
     double* y_img = y_data + img * step.cout * oh * ow;
@@ -838,25 +865,27 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
       }
     }
   });
-  return y;
 }
 
 nn::Tensor ResipeNetwork::walk(const nn::Tensor& batch, LayerObserver* obs,
                                const std::vector<bool>& digital) const {
-  nn::Tensor h = batch;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const Step& step = steps_[i];
-    const bool analog =
-        step.matrix != nullptr && !(i < digital.size() && digital[i]);
-    nn::Tensor out =
-        analog ? (step.is_conv ? run_conv(step, h) : run_dense(step, h))
-               : step.layer->forward(h, /*train=*/false);
-    if (obs != nullptr) {
-      obs->on_step(i, *step.layer, step.matrix, step.is_conv, h, out);
-    }
-    h = std::move(out);
-  }
-  return h;
+  return nn::walk_steps(
+      batch, steps_.size(),
+      [&](std::size_t i, const nn::Tensor& in, nn::Tensor& out) {
+        const Step& step = steps_[i];
+        const bool analog =
+            step.matrix != nullptr && !(i < digital.size() && digital[i]);
+        if (!analog) {
+          step.layer->forward_into(in, out);
+        } else if (step.is_conv) {
+          run_conv(step, in, out);
+        } else {
+          run_dense(step, in, out);
+        }
+        if (obs != nullptr) {
+          obs->on_step(i, *step.layer, step.matrix, step.is_conv, in, out);
+        }
+      });
 }
 
 nn::Tensor ResipeNetwork::forward(const nn::Tensor& batch) const {

@@ -355,7 +355,7 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
     FastMvm::wordline(spec.config.circuit, samples, v_wl);
     fast.driven_rows(v_wl, m, rows, driven);
     out.assign(m * cols, 0.0);
-    fast.mvm_voltages_batch(v_wl, m, rows, driven, out);
+    fast.mvm_voltages_batch(v_wl, m, rows, driven, out, cols);
   };
 
   // Per sample: single, and the row list of its driven rows (empty

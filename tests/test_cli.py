@@ -148,6 +148,9 @@ def check_other_binaries(bins, check):
         (bins.fuzz, ("--cases", "3x"), "--cases", "3x"),
         (bins.fuzz, ("--cases", "-1"), "--cases", "-1"),
         (bins.fuzz, ("--budget-s", "nan"), "--budget-s", "nan"),
+        (bins.fuzz, ("--budget-s", "inf"), "--budget-s", "inf"),
+        (bins.fuzz, ("--cases", "0"), "--cases", "0"),
+        (bins.fuzz, ("--budget-s", "-1"), "--budget-s", "-1"),
         (bins.fuzz, ("--cases", "1", "--cases", "3"), "--cases", "3"),
         (bins.serve, ("--chips", "2x"), "--chips", "2x"),
         (bins.serve, ("--seed", "abc"), "--seed", "abc"),
@@ -159,6 +162,12 @@ def check_other_binaries(bins, check):
         (bins.bench_fig5, ("out.csv",), "out.csv", "out.csv"),
         (bins.cli, ("mvm", "--rows", "8", "--rows", "4", "--cols", "2"),
          "--rows", "4"),
+        # --net names come from one table; each command takes the subset
+        # its usage line lists.
+        (bins.cli, ("chip", "--net", "vgg"), "--net", "vgg"),
+        (bins.cli, ("reliability", "--net", "cnn5"), "--net", "cnn5"),
+        (bins.cli, ("inspect", "--net", "cnn3"), "--net", "cnn3"),
+        (bins.cli, ("profile", "--net", "cnn2"), "--net", "cnn2"),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         for binary, args, flag, token in negatives:
@@ -181,6 +190,12 @@ def check_other_binaries(bins, check):
             r = run(bins.fuzz, "--cases", "2", cwd=tmp)
             check("resipe_fuzz --cases 2 exits 0",
                   r.returncode == 0 and "BENCH_JSON" in r.stdout)
+            r = run(bins.fuzz, "--cases", "2", "--budget-s", "0", cwd=tmp)
+            check("resipe_fuzz --budget-s 0 (off) exits 0",
+                  r.returncode == 0 and "BENCH_JSON" in r.stdout)
+        r = run(bins.cli, "chip", "--net", "cnn3", cwd=tmp)
+        check("resipe_cli chip --net cnn3 exits 0",
+              r.returncode == 0 and "CNN-3" in r.stdout)
         if bins.serve:
             # The default SLO latency target is deadline / 2 as a double,
             # so a sub-microsecond deadline keeps a positive target.

@@ -204,7 +204,7 @@ class SparseKernels : public ::testing::Test {
                         std::span<double>(v).subspan(s * stride, kRows));
     }
     std::vector<double> out(n * kCols);
-    mvm.mvm_voltages_batch(v, n, stride, rows, out);
+    mvm.mvm_voltages_batch(v, n, stride, rows, out, kCols);
     return out;
   }
 
@@ -284,18 +284,25 @@ TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
          {std::vector<std::uint32_t>{kRows},  // out of range
           std::vector<std::uint32_t>{1, 3, 3, 5},  // duplicate
           std::vector<std::uint32_t>{1, 9, 2}}) {  // unsorted
-      EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, bad, out), Error);
+      EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, bad, out, kCols),
+                   Error);
     }
   }
   // Two samples at stride kRows + 1 read exactly the 2 * kRows + 1
   // voltages; a wider stride reads past them, a narrower one than the
   // row count would overlap the samples, and the output must hold n
-  // rows of columns.
+  // rows at an output stride no narrower than the columns.
   std::vector<double> out2(2 * kCols);
-  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 1, {}, out2));
-  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 2, {}, out2), Error);
-  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows - 1, {}, out2), Error);
-  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows, {}, out), Error);
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 1, {}, out2, kCols));
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 2, {}, out2, kCols),
+               Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows - 1, {}, out2, kCols),
+               Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows, {}, out, kCols), Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, {}, out, kCols - 1),
+               Error);
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, {}, out2, kCols + 1),
+               Error);
   std::vector<double> one(1);
   EXPECT_THROW(FastMvm::wordline(p, v, one), Error);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "resipe/common/error.hpp"
@@ -45,6 +48,54 @@ TEST(FastMvm, MatchesHandComputedSingleColumn) {
   RESIPE_EXPECT_REL(t_out[0], expect, 1e-12);
 }
 
+// Output times as mvm_voltages_batch leaves them: n rows at the padded
+// stride, drawn over the slice, with `silent` slots at kNoSpike in every
+// sample and the padding lanes holding a time too.
+std::vector<double> spike_rows(const FastMvm& mvm, std::size_t n,
+                               std::span<const std::size_t> silent,
+                               Rng& rng) {
+  const double slice = mvm.params().slice_length;
+  std::vector<double> t(n * mvm.padded_cols());
+  for (double& v : t) v = rng.uniform(0.0, slice);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (const std::size_t slot : silent) {
+      t[s * mvm.padded_cols() + slot] = FastMvm::kNoSpike;
+    }
+  }
+  return t;
+}
+
+// The read-back of n samples in one call against n one-sample calls,
+// bit for bit over the data columns, every sum of sample s starting from
+// 1e-6 * (s + 1); returns the batched sums.
+std::vector<double> batch_against_single(const FastMvm& mvm,
+                                         std::span<const double> t,
+                                         std::size_t n,
+                                         std::span<const std::size_t> map,
+                                         std::size_t cols) {
+  const std::size_t rec_stride = simd::pad_to_lanes(cols) + 3;
+  std::vector<double> batch(n * rec_stride);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = 1e-6 * static_cast<double>(i / rec_stride + 1);
+  }
+  const std::vector<double> start = batch;
+  mvm.add_current_sums(t, n, map, batch, rec_stride, cols);
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<double> single(start.begin() + s * rec_stride,
+                               start.begin() + (s + 1) * rec_stride);
+    mvm.add_current_sums(t.subspan(s * mvm.padded_cols(), mvm.padded_cols()),
+                         1, map, single, rec_stride, cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(std::memcmp(&batch[s * rec_stride + c], &single[c],
+                            sizeof(double)),
+                0)
+          << "n " << n << ", sample " << s << ", col " << c << " of "
+          << cols;
+    }
+  }
+  return batch;
+}
+
 TEST(FastMvm, AddCurrentSumsReadsTheTrimThroughTheSlotMap) {
   // 11 slots, the last one unprogrammed (k = 0).  Nine data columns
   // placed out of order, one on a silent slot and one on the
@@ -61,48 +112,117 @@ TEST(FastMvm, AddCurrentSumsReadsTheTrimThroughTheSlotMap) {
   }
   const FastMvm mvm(p, rows, slots, g);
   ASSERT_EQ(mvm.k(slots - 1), 0.0);
-  std::vector<double> t(slots);
-  for (double& v : t) v = rng.uniform(0.0, p.slice_length);
-  t[2] = FastMvm::kNoSpike;
+  const std::vector<std::size_t> silent{2};
   const std::vector<std::size_t> slot_of_col{10, 3, 7, 2, 4, 8, 1, 5, 0};
   const std::size_t cols = slot_of_col.size();
-
-  // The scalar path is the reference expression, bit for bit, and adds
-  // to what rec already holds.
-  std::vector<double> scalar(cols, 1e-6);
-  mvm.add_current_sums(t, slot_of_col, scalar, false);
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t s = slot_of_col[c];
-    const double ts = t[s] == FastMvm::kNoSpike ? p.slice_length : t[s];
-    const double expect =
-        mvm.k(s) > 0.0 ? 1e-6 + p.ramp_voltage(ts) * mvm.g_total(s) / mvm.k(s)
-                       : 1e-6;
-    RESIPE_EXPECT_ULP(scalar[c], expect, 0) << "col " << c;
-  }
-
-  // The vector path gathers through the map: each data column equals
-  // its slot's lane of an identity-mapped pass, bit for bit, and stays
-  // within the polynomial exp's error of the scalar reference.
-  std::vector<double> vec(cols, 1e-6);
-  std::vector<double> identity(slots, 1e-6);
-  mvm.add_current_sums(t, slot_of_col, vec, true);
-  mvm.add_current_sums(t, {}, identity, true);
+  const std::size_t stride = mvm.padded_cols();
   const double eps = std::numeric_limits<double>::epsilon();
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t s = slot_of_col[c];
-    RESIPE_EXPECT_ULP(vec[c], identity[s], 0) << "col " << c;
-    const double scale =
-        mvm.k(s) > 0.0 ? p.v_s * mvm.g_total(s) / mvm.k(s) : 0.0;
-    EXPECT_NEAR(vec[c], scalar[c],
-                2.0 * simd::kTranscendentalUlp * eps * scale)
-        << "col " << c;
+
+  for (const std::size_t n : {1, 3, 4, 5, 9}) {
+    const std::vector<double> t = spike_rows(mvm, n, silent, rng);
+    // The scalar path is the reference expression, bit for bit, and
+    // adds to what rec already holds.
+    std::vector<double> scalar;
+    {
+      const simd::ForceScalarGuard guard;
+      scalar = batch_against_single(mvm, t, n, slot_of_col, cols);
+    }
+    const std::size_t rec_stride = scalar.size() / n;
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t slot = slot_of_col[c];
+        const double t_s = t[s * stride + slot];
+        const double ts = t_s == FastMvm::kNoSpike ? p.slice_length : t_s;
+        const double before = 1e-6 * static_cast<double>(s + 1);
+        const double expect =
+            mvm.k(slot) > 0.0
+                ? before + p.ramp_voltage(ts) * mvm.g_total(slot) / mvm.k(slot)
+                : before;
+        RESIPE_EXPECT_ULP(scalar[s * rec_stride + c], expect, 0)
+            << "n " << n << ", sample " << s << ", col " << c;
+      }
+    }
+
+    // The native path gathers through the map: each data column equals
+    // its slot's lane of an identity-mapped pass over every slot, bit
+    // for bit, and stays within the polynomial exp's error of the scalar
+    // reference.
+    const std::vector<double> vec =
+        batch_against_single(mvm, t, n, slot_of_col, cols);
+    const std::vector<double> identity =
+        batch_against_single(mvm, t, n, {}, slots);
+    const std::size_t id_stride = identity.size() / n;
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t slot = slot_of_col[c];
+        RESIPE_EXPECT_ULP(vec[s * rec_stride + c],
+                          identity[s * id_stride + slot], 0)
+            << "n " << n << ", sample " << s << ", col " << c;
+        const double scale =
+            mvm.k(slot) > 0.0 ? p.v_s * mvm.g_total(slot) / mvm.k(slot) : 0.0;
+        EXPECT_NEAR(vec[s * rec_stride + c], scalar[s * rec_stride + c],
+                    2.0 * simd::kTranscendentalUlp * eps * scale)
+            << "n " << n << ", sample " << s << ", col " << c;
+      }
+    }
   }
 
-  EXPECT_THROW(mvm.add_current_sums(std::span<const double>(t).first(10),
-                                    {}, identity),
+  // Identity-mapped blocks of every width up to two vectors and one
+  // column, plus LeNet's 12 and 13, with a programmed spare and an
+  // unprogrammed slot past the data columns and a silent and an
+  // unprogrammed data column: whole vectors in place, tail included,
+  // match one-sample calls natively and on the scalar path.
+  std::vector<std::size_t> widths;
+  for (std::size_t c = 1; c <= 2 * simd::native_lanes + 1; ++c) {
+    widths.push_back(c);
+  }
+  widths.insert(widths.end(), {12, 13});
+  for (const std::size_t width : widths) {
+    const std::size_t block_slots = width + 2;
+    std::vector<double> gb(rows * block_slots, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c + 1 < block_slots; ++c) {
+        if (width > 2 && c == width / 2) continue;  // unprogrammed
+        gb[r * block_slots + c] = rng.uniform(1e-6, 50e-6);
+      }
+    }
+    const FastMvm block(p, rows, block_slots, gb);
+    const std::vector<std::size_t> quiet{0};
+    for (const bool force_scalar : {false, true}) {
+      std::optional<simd::ForceScalarGuard> guard;
+      if (force_scalar) guard.emplace();
+      for (const std::size_t n : {1, 3, 4, 5, 9}) {
+        const std::vector<double> t = spike_rows(block, n, quiet, rng);
+        batch_against_single(block, t, n, {}, width);
+      }
+    }
+  }
+
+  // Spans and strides that do not hold the rows throw.
+  const std::vector<double> t = spike_rows(mvm, 2, silent, rng);
+  const std::size_t rec_stride = simd::pad_to_lanes(cols);
+  std::vector<double> rec(2 * rec_stride);
+  EXPECT_NO_THROW(
+      mvm.add_current_sums(t, 2, slot_of_col, rec, rec_stride, cols));
+  const std::span<const double> t_short(t.data(), t.size() - 1);
+  const std::span<double> rec_short(rec.data(), rec.size() - 1);
+  EXPECT_THROW(
+      mvm.add_current_sums(t_short, 2, slot_of_col, rec, rec_stride, cols),
+      Error);
+  EXPECT_THROW(
+      mvm.add_current_sums(t, 2, slot_of_col, rec_short, rec_stride, cols),
+      Error);
+  EXPECT_THROW(
+      mvm.add_current_sums(t, 1, slot_of_col, rec, rec_stride - 1, cols),
+      Error);
+  EXPECT_THROW(
+      mvm.add_current_sums(t, 1, slot_of_col, rec, rec_stride, cols - 1),
+      Error);
+  const std::vector<std::size_t> off_the_end{0, 1, slots};
+  EXPECT_THROW(mvm.add_current_sums(t, 1, off_the_end, rec, rec_stride, 3),
                Error);
-  EXPECT_THROW(mvm.add_current_sums(t, slot_of_col,
-                                    std::span<double>(vec).first(8)),
+  EXPECT_THROW(mvm.add_current_sums(t, 1, {}, rec,
+                                    simd::pad_to_lanes(slots + 1), slots + 1),
                Error);
 }
 

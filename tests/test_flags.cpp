@@ -76,6 +76,11 @@ TEST(Flags, ReadsDeclaredValuesSwitchesAndFallbacks) {
   EXPECT_FALSE(parse({"--out", "--quick"}).has("--quick"));
   EXPECT_EQ(parse({"--out", ""}).text("--out", "x"), "");
   EXPECT_FALSE(parse({}).has("--rows"));
+
+  // The declared value names, given or not; a switch has none.
+  EXPECT_EQ(flags.value_name("--out"), "FILE");
+  EXPECT_EQ(flags.value_name("--sigma"), "S");
+  EXPECT_EQ(flags.value_name("--quick"), "");
 }
 
 TEST(Flags, TypedReadsParseTheWholeToken) {
@@ -140,6 +145,7 @@ TEST(Flags, ReadingAnUndeclaredFlagIsALogicError) {
   EXPECT_THROW((void)flags.has("--slow"), std::logic_error);
   EXPECT_THROW((void)flags.text("--slow"), std::logic_error);
   EXPECT_THROW((void)flags.number("--slow", 1), std::logic_error);
+  EXPECT_THROW((void)flags.value_name("--slow"), std::logic_error);
 }
 
 TEST(Flags, SynopsisListsEveryFlag) {

@@ -2,22 +2,126 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
+#include <numeric>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/eval/fidelity.hpp"
+#include "resipe/nn/data.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
+// This binary's global allocation functions count the blocks and bytes
+// every thread allocates while a test has switched counting on.
+namespace {
+
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_blocks{0};
+std::atomic<std::size_t> g_bytes{0};
+
+void* allocate(std::size_t n, std::size_t align) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_blocks.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
+  }
+  void* p = nullptr;
+  const std::size_t a = std::max(align, sizeof(void*));
+  if (posix_memalign(&p, a, n == 0 ? 1 : n) != 0) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  return allocate(n, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t n) {
+  return allocate(n, alignof(std::max_align_t));
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return allocate(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return allocate(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace resipe::resipe_core {
 namespace {
+
+// Blocks and bytes `f` allocates on any thread.
+struct Allocations {
+  std::size_t blocks = 0;
+  std::size_t bytes = 0;
+};
+
+template <class F>
+Allocations allocations_of(F&& f) {
+  g_blocks = 0;
+  g_bytes = 0;
+  g_count_allocations = true;
+  f();
+  g_count_allocations = false;
+  return {g_blocks.load(), g_bytes.load()};
+}
+
+bool bit_equal(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// A zoo network lowered on synthetic digits: `batch` images to forward
+// (pixels below 0.25 silenced, as in the event-engine workloads) and a
+// separate calibration batch.
+struct DigitNet {
+  DigitNet(nn::BenchmarkNet net, std::size_t n, bool events)
+      : model([&] {
+          Rng rng(0xC0FFEEull);
+          return nn::build_benchmark(net, rng);
+        }()) {
+    Rng data_rng(3);
+    nn::Dataset data = nn::synthetic_digits(n + 16, data_rng);
+    for (double& v : data.images.data()) {
+      if (v < 0.25) v = 0.0;
+    }
+    std::vector<std::size_t> first(n), rest(16);
+    std::iota(first.begin(), first.end(), std::size_t{0});
+    std::iota(rest.begin(), rest.end(), n);
+    batch = data.gather(first).first;
+    EngineConfig cfg;
+    cfg.events.enabled = events;
+    hw = std::make_unique<ResipeNetwork>(model, cfg, data.gather(rest).first);
+  }
+
+  nn::Sequential model;
+  nn::Tensor batch;
+  std::unique_ptr<ResipeNetwork> hw;
+};
 
 // Calls and booked flops of every span named `name` in a call tree.
 struct SpanTotals {
@@ -415,6 +519,93 @@ TEST(ResipeNetworkConv, CodecEncodesEachConvActivationOncePerImage) {
   telemetry::MetricRegistry::instance().reset_values();
   telemetry::CallProfile::this_thread().reset();
 #endif
+}
+
+TEST(ResipeNetworkBuffers, SteadyStateForwardAllocatesOnlyTheLogits) {
+  // After a warm-up, the walk reads the batch in place and its steps
+  // write into the thread's activation buffers, so a forward allocates
+  // exactly what constructing its logits tensor allocates.
+  struct RestoreThreads {
+    ~RestoreThreads() { set_default_threads(0); }
+  } restore;
+  set_default_threads(1);
+  const struct {
+    nn::BenchmarkNet net;
+    std::size_t n;
+    bool events;
+  } cases[] = {{nn::BenchmarkNet::kCnn1, 64, true},
+               {nn::BenchmarkNet::kMlp2, 8, false}};
+  for (const auto& c : cases) {
+    const DigitNet d(c.net, c.n, c.events);
+    const nn::Tensor first = d.hw->forward(d.batch);
+    d.hw->forward(d.batch);
+    const Allocations logits =
+        allocations_of([&] { nn::Tensor y({c.n, std::size_t{10}}); });
+    nn::Tensor again;
+    const Allocations forward =
+        allocations_of([&] { again = d.hw->forward(d.batch); });
+    EXPECT_EQ(forward.blocks, logits.blocks) << nn::benchmark_name(c.net);
+    EXPECT_EQ(forward.bytes, logits.bytes) << nn::benchmark_name(c.net);
+    EXPECT_TRUE(bit_equal(again, first)) << nn::benchmark_name(c.net);
+  }
+}
+
+TEST(ResipeNetworkBuffers, AnObserverMayForwardNetworksOnItsThread) {
+  // Every on_step forwards a second network and the observed one itself
+  // from inside the walk; the nested walks take buffers of their own, so
+  // every logit keeps its bits.
+  const DigitNet outer(nn::BenchmarkNet::kCnn1, 6, true);
+  const DigitNet inner(nn::BenchmarkNet::kMlp2, 5, false);
+  const nn::Tensor outer_ref = outer.hw->forward(outer.batch);
+  const nn::Tensor inner_ref = inner.hw->forward(inner.batch);
+
+  struct Nesting : LayerObserver {
+    const DigitNet* outer = nullptr;
+    const DigitNet* inner = nullptr;
+    std::vector<nn::Tensor> inner_logits, outer_logits;
+    std::size_t steps = 0;
+    void on_step(std::size_t, nn::Layer&, const ProgrammedMatrix*, bool,
+                 const nn::Tensor& input, const nn::Tensor& output) override {
+      const nn::Tensor in_copy = input;
+      const nn::Tensor out_copy = output;
+      inner_logits.push_back(inner->hw->forward(inner->batch));
+      if (steps++ % 4 == 0) {
+        outer_logits.push_back(outer->hw->forward(outer->batch));
+      }
+      // The step's tensors are untouched by the nested walks.
+      EXPECT_TRUE(bit_equal(input, in_copy));
+      EXPECT_TRUE(bit_equal(output, out_copy));
+    }
+  } obs;
+  obs.outer = &outer;
+  obs.inner = &inner;
+  const nn::Tensor observed = outer.hw->forward_observed(outer.batch, obs);
+  EXPECT_TRUE(bit_equal(observed, outer_ref));
+  EXPECT_EQ(obs.steps, outer.hw->step_count());
+  for (const nn::Tensor& y : obs.inner_logits) {
+    EXPECT_TRUE(bit_equal(y, inner_ref));
+  }
+  ASSERT_FALSE(obs.outer_logits.empty());
+  for (const nn::Tensor& y : obs.outer_logits) {
+    EXPECT_TRUE(bit_equal(y, outer_ref));
+  }
+  EXPECT_TRUE(bit_equal(outer.hw->forward(outer.batch), outer_ref));
+}
+
+TEST(ResipeNetworkBuffers, OneNetworkForwardsFromTwoThreadsAtOnce) {
+  // Each calling thread walks through buffers of its own.
+  const DigitNet d(nn::BenchmarkNet::kCnn1, 8, true);
+  const nn::Tensor ref = d.hw->forward(d.batch);
+  std::atomic<int> mismatches{0};
+  const auto run = [&] {
+    for (int i = 0; i < 4; ++i) {
+      if (!bit_equal(d.hw->forward(d.batch), ref)) ++mismatches;
+    }
+  };
+  std::thread a(run), b(run);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -122,8 +122,8 @@ TEST(WorkModel, SparseAndIdleBookingsHandCount) {
   resipe_core::FastMvm::wordline(mvm.params(), t_in, v_wl);
   std::vector<std::uint32_t> driven;
   mvm.driven_rows(v_wl, 1, 3, driven);
-  mvm.mvm_voltages_batch(v_wl, 1, 3, active, t_out);
-  mvm.mvm_voltages_batch(v_wl, 1, 3, {}, t_out);
+  mvm.mvm_voltages_batch(v_wl, 1, 3, active, t_out, 2);
+  mvm.mvm_voltages_batch(v_wl, 1, 3, {}, t_out, 2);
 
   // S1 over 3 times: 4*3 = 12 flops; bytes 8 * 2*3 = 48.
   const telemetry::ProfileNode* s1 = top_node("resipe_core.fast_mvm.wordline");
