@@ -152,10 +152,11 @@ class BenchReport {
     const std::string json = os.str();
     std::printf("BENCH_JSON %s\n", json.c_str());
     if (!json_path_.empty()) {
+      // close() flushes, so a write that only fails there still counts.
       std::ofstream file(json_path_);
-      if (file.good()) {
-        file << json << "\n";
-      } else {
+      file << json << "\n";
+      file.close();
+      if (!file) {
         std::fprintf(stderr, "bench_report: cannot write %s\n",
                      json_path_.c_str());
         return 1;

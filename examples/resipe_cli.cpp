@@ -238,7 +238,7 @@ int cmd_reliability(const Flags& flags) {
 }
 
 // Trains a benchmark network on synthetic data, lowers it onto the
-// engine with every probe enabled, and prints / writes the per-layer
+// engine, runs every probe over it, and prints / writes the per-layer
 // inspection report (spike health, fidelity-drift attribution, energy
 // ledger, provenance).
 int cmd_inspect(const Flags& flags) {
@@ -273,7 +273,6 @@ int cmd_inspect(const Flags& flags) {
   resipe_core::EngineConfig ec;
   ec.program_seed = seed;
   ec.device.variation_sigma = sigma;
-  ec.introspect.enabled = true;
   std::vector<std::size_t> calib_idx;
   for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
     calib_idx.push_back(i);

@@ -100,6 +100,11 @@ int emit_corpus(const std::string& dir,
                       ("case_seed" + std::to_string(seed) + ".json");
     std::ofstream out(path);
     out << resipe::verify::repro_to_json(record);
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return 2;
+    }
     std::printf("%s  %s\n", path.c_str(), record.spec.summary().c_str());
   }
   return 0;

@@ -253,6 +253,11 @@ int main(int argc, char** argv) {
          << "  \"slo_latency_burn_max\": "
          << slo_report.total.latency_burn_max << "\n"
          << "}\n";
+      os.close();
+      if (!os) {
+        std::fprintf(stderr, "failed writing %s\n", out.c_str());
+        return 1;
+      }
       std::printf("wrote %s\n", out.c_str());
     }
   } catch (const FlagError& e) {

@@ -22,10 +22,9 @@
 //   * a provenance manifest (config hash, seeds, thread count, build
 //     flags) so any two reports can be compared apples-to-apples.
 //
-// The probes live entirely outside the inference hot path: a network
-// with `EngineConfig::introspect.enabled == false` (the default) takes
-// the exact legacy forward path and its outputs are bit-identical to a
-// build without this subsystem.
+// The probes live entirely outside the inference hot path: calling
+// inspect() is the only switch, and a network's own forward paths
+// never run them.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "resipe/introspect/options.hpp"
 #include "resipe/resipe/network.hpp"
 
 namespace resipe::introspect {
@@ -104,7 +102,7 @@ struct LayerReport {
   ErrorAttribution error;
   LayerEnergy energy;
   /// Whole-network accuracy when this layer alone runs digitally;
-  /// negative when labels were not supplied or attribution is off.
+  /// negative when labels were not supplied.
   double accuracy_if_digital = -1.0;
 };
 
@@ -128,11 +126,10 @@ struct InspectionReport {
   std::string render_ascii() const;
 };
 
-/// Runs `batch` through `net` with probes driven by
-/// net.config().introspect.  With introspection disabled the report
-/// only carries provenance and the layer skeleton (names, tile
-/// counts) — nothing is executed.  `labels` enables the accuracy
-/// numbers and per-layer accuracy attribution.
+/// Runs `batch` through `net` with every probe.  The per-layer sample
+/// sizes, the histogram bins and the activity threshold are constants
+/// of inspect.cpp (listed in docs/observability.md).  `labels` enables
+/// the accuracy numbers and per-layer accuracy attribution.
 InspectionReport inspect(const resipe_core::ResipeNetwork& net,
                          const nn::Tensor& batch,
                          std::span<const int> labels = {});

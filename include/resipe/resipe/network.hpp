@@ -37,13 +37,11 @@
 #include "resipe/crossbar/ir_drop.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/device/reram.hpp"
-#include "resipe/introspect/options.hpp"
 #include "resipe/nn/model.hpp"
 #include "resipe/reliability/config.hpp"
 #include "resipe/resipe/events/config.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
-#include "resipe/serve/config.hpp"
 
 namespace resipe::reliability {
 class FaultMap;
@@ -90,29 +88,14 @@ struct EngineConfig {
   /// programming path and outputs are bit-identical to before.
   reliability::ReliabilityConfig reliability;
 
-  /// Inference-introspection knobs (see introspect/inspect.hpp).  The
-  /// regular forward paths never read these: with introspection off —
-  /// the default — inference is bit-identical to a build without the
-  /// subsystem, and the probes only run through the dedicated
-  /// forward_probed / forward_observed entry points.
-  introspect::InspectOptions introspect;
-
-  /// Serving-layer knobs (scheduler / admission / retry / health — see
-  /// serve/config.hpp).  The engine's own forward paths never read
-  /// these: they cannot affect logits, only how a chip pool schedules
-  /// and sheds load, which is why they are excluded from
-  /// engine_config_hash.  Living here keeps one config object the unit
-  /// of generation and validation for the verify fuzzer.
-  serve::ServeConfig serve;
-
   /// Event-driven execution (see resipe/events/ and DESIGN.md §15):
   /// selects the row list of ProgrammedMatrix's one forward loop.
   /// Disabled by default: every block visits every row.  Enabled, each
   /// row window visits only the rows whose wordline voltage is nonzero
   /// in some sample of the batch — with logits bit-identical to
   /// the dense run at any thread count (pinned by the
-  /// sparse_dense_identity contract and tests/test_events.cpp).  Like
-  /// `serve`, the flag cannot affect logits, so it is excluded from
+  /// sparse_dense_identity contract and tests/test_events.cpp).  The
+  /// flag cannot affect logits, so it is excluded from
   /// engine_config_hash.
   events::EventConfig events;
 
@@ -186,8 +169,8 @@ class ProgrammedMatrix {
 
   /// forward() plus probes: y is bit-identical to forward(x, y) — the
   /// same core runs it — and `stats` accumulates across calls.  Not
-  /// part of the hot path: the regular forward entry points never
-  /// consult the introspection options.
+  /// part of the hot path: the regular forward entry points never call
+  /// it.
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 

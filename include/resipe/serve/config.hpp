@@ -1,13 +1,11 @@
 // Serving-layer configuration: admission control, batching, deadlines,
 // retry/backoff and chip-pool health checking.
 //
-// Header-only on purpose: `EngineConfig` embeds a ServeConfig (so the
-// verify fuzzer generates and validates serving knobs exactly like
-// every other engine knob) while the serving *runtime* lives in the
-// resipe_serve library, which depends on resipe_core — the dependency
-// must not run the other way.  None of these knobs is read by the
-// inference engine itself: a ServeConfig cannot change logits, only how
-// requests are queued, batched, retried and routed above the engine.
+// Header-only, so the verify fuzzer's CaseSpec can carry one without
+// linking the serving runtime (the resipe_serve library).  ChipPool and
+// Scheduler each take a ServeConfig; the inference engine never reads
+// one: a ServeConfig cannot change logits, only how requests are
+// queued, batched, retried and routed above the engine.
 //
 // Every duration is in *virtual* seconds — the scheduler runs on a
 // deterministic virtual clock (see scheduler.hpp), so a serving trace

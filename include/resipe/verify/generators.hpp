@@ -8,10 +8,10 @@
 // keep reproducing under the old meaning via the committed corpus while
 // fresh fuzz runs explore the new space.
 //
-// EngineConfig::validate() defines the valid domain — the generator
-// only emits configs that pass it (asserted at generation time), so a
-// contract failure is always an engine bug, never an out-of-contract
-// input.
+// EngineConfig::validate() and ServeConfig::validate() define the
+// valid domain — the generator only emits configs that pass them
+// (asserted at generation time), so a contract failure is always an
+// engine bug, never an out-of-contract input.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "resipe/resipe/network.hpp"
+#include "resipe/serve/config.hpp"
 
 namespace resipe::verify {
 
@@ -36,13 +37,18 @@ struct CaseDescriptor {
   std::uint64_t seed = 0;
 };
 
-/// One concrete verification case: an engine configuration plus the
-/// geometry / network shape the contracts exercise it with.
+/// One concrete verification case: an engine configuration, the
+/// serving configuration a chip pool of it runs under, and the
+/// geometry / network shape the contracts exercise them with.
 struct CaseSpec {
   CaseDescriptor descriptor;
 
   /// Engine configuration under test (always passes validate()).
   resipe_core::EngineConfig config;
+
+  /// Serving configuration the serving contracts run the pool and
+  /// scheduler under (always passes validate()).
+  serve::ServeConfig serve;
 
   /// Raw crossbar geometry for tile-level contracts.
   std::size_t rows = 4;

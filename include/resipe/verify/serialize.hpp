@@ -34,7 +34,9 @@ std::string repro_to_json(const ReproRecord& record);
 /// not whole or does not fit its field's type (a negative count, say),
 /// an unknown mapping or transfer-model name, and bytes after the
 /// closing brace.  Missing keys keep the field's default, so records
-/// that predate a key (schema v1 has 72 of today's 89) still load.
+/// that predate a key (schema v1 has 64 of today's 81) still load.  The
+/// eight `insp_*` keys of the retired introspection knobs are read
+/// with their old types and dropped, so older records still load.
 ReproRecord repro_from_json(const std::string& json);
 
 /// A paste-ready C++ snippet reconstructing the case and running the

@@ -6,8 +6,9 @@
 // catalogue of simplifying moves (shrink geometry, drop layers, disable
 // subsystems, zero non-idealities) and keeps any move after which the
 // *same* contract still fails — classic delta debugging, greedy
-// restart-on-success.  Moves preserve EngineConfig::validate()
-// validity by construction, so a shrunk case is always replayable.
+// restart-on-success.  Moves preserve EngineConfig::validate() and
+// ServeConfig::validate() validity by construction, so a shrunk case
+// is always replayable.
 #pragma once
 
 #include <cstddef>

@@ -18,6 +18,18 @@ using resipe_core::EngineConfig;
 using resipe_core::ProgrammedMatrix;
 using resipe_core::ResipeNetwork;
 
+/// Per matrix layer, the input vectors (dense rows / conv im2col
+/// patches) the probed re-run covers.
+constexpr std::size_t kMaxProbeVectors = 512;
+/// Per matrix layer, the vectors the fidelity-attribution arms run.
+/// The arms reprogram the layer twice, so they are the expensive part.
+constexpr std::size_t kMaxAttributionVectors = 128;
+/// Bins of the normalized (t / slice) output spike-time histograms.
+constexpr std::size_t kSpikeTimeBins = 20;
+/// An output neuron is dead when its activation never exceeds this,
+/// and always firing when it exceeds it on every vector.
+constexpr double kActivityThreshold = 0.0;
+
 /// One lowered-step boundary captured during forward_observed.
 struct Capture {
   std::size_t step = 0;
@@ -40,10 +52,10 @@ class CaptureObserver : public resipe_core::LayerObserver {
   std::vector<Capture> captures;
 };
 
-/// Stride-samples up to `cap` of `total` positions (cap == 0 -> all).
+/// Stride-samples up to `cap` of `total` positions.
 std::vector<std::size_t> sample_positions(std::size_t total,
                                           std::size_t cap) {
-  const std::size_t take = cap == 0 ? total : std::min(total, cap);
+  const std::size_t take = std::min(total, cap);
   std::vector<std::size_t> idx;
   if (take == 0) return idx;
   const std::size_t stride = std::max<std::size_t>(1, total / take);
@@ -269,7 +281,6 @@ InspectionReport inspect(const ResipeNetwork& net, const nn::Tensor& batch,
                          std::span<const int> labels) {
   RESIPE_TELEM_SCOPE("introspect.inspect");
   const EngineConfig& cfg = net.config();
-  const InspectOptions& opt = cfg.introspect;
 
   InspectionReport rep;
   rep.provenance = collect_provenance(cfg);
@@ -284,7 +295,6 @@ InspectionReport inspect(const ResipeNetwork& net, const nn::Tensor& batch,
     lr.is_matrix = net.model().layer(i).is_matrix_layer();
     rep.layers.push_back(std::move(lr));
   }
-  if (!opt.enabled) return rep;
 
   // One observed pass: the logits are bit-identical to net.forward(),
   // and every step boundary is captured for the probes below.
@@ -297,12 +307,9 @@ InspectionReport inspect(const ResipeNetwork& net, const nn::Tensor& batch,
     rep.digital_accuracy = nn::accuracy(digital_logits, labels);
   }
 
-  double energy_per_tile_mvm = 0.0;
-  if (opt.energy_ledger) {
-    const resipe_core::ResipeDesign design(cfg.circuit, cfg.device,
-                                           cfg.tile_rows, cfg.tile_cols);
-    energy_per_tile_mvm = design.mvm_report().total_energy();
-  }
+  const resipe_core::ResipeDesign design(cfg.circuit, cfg.device,
+                                         cfg.tile_rows, cfg.tile_cols);
+  const double energy_per_tile_mvm = design.mvm_report().total_energy();
 
   std::size_t matrix_index = 0;
   for (const Capture& cap : obs.captures) {
@@ -312,9 +319,9 @@ InspectionReport inspect(const ResipeNetwork& net, const nn::Tensor& batch,
     lr.tiles = cap.matrix->tile_count();
 
     // Spike-time / saturation / clamp probes over a sampled re-run.
-    lr.probe = ProgrammedMatrix::ProbeStats(opt.spike_time_bins);
+    lr.probe = ProgrammedMatrix::ProbeStats(kSpikeTimeBins);
     {
-      const VectorSet vs = gather_vectors(cap, opt.max_probe_vectors);
+      const VectorSet vs = gather_vectors(cap, kMaxProbeVectors);
       std::vector<double> y(vs.out, 0.0);
       for (std::size_t v = 0; v < vs.count; ++v) {
         cap.matrix->forward_probed(
@@ -324,30 +331,27 @@ InspectionReport inspect(const ResipeNetwork& net, const nn::Tensor& batch,
       lr.probed = true;
     }
 
-    lr.activity = measure_activity(cap, opt.activity_threshold);
+    lr.activity = measure_activity(cap, kActivityThreshold);
 
-    if (opt.attribute_error) {
+    {
       std::vector<double> bias;
       const std::vector<double> wm = weight_matrix_of(*cap.layer, bias);
-      const VectorSet vs =
-          gather_vectors(cap, opt.max_attribution_vectors);
+      const VectorSet vs = gather_vectors(cap, kMaxAttributionVectors);
       lr.error = attribute_error(cfg, cap, matrix_index, vs, wm, bias);
     }
 
-    if (opt.energy_ledger) {
-      const double vectors =
-          cap.is_conv ? static_cast<double>(cap.output.dim(0) *
-                                            cap.output.dim(2) *
-                                            cap.output.dim(3))
-                      : static_cast<double>(cap.output.dim(0));
-      lr.energy.per_tile_mvm = energy_per_tile_mvm;
-      lr.energy.tile_mvms =
-          vectors * static_cast<double>(cap.matrix->tile_count());
-      lr.energy.total = lr.energy.per_tile_mvm * lr.energy.tile_mvms;
-      rep.total_energy += lr.energy.total;
-    }
+    const double vectors =
+        cap.is_conv ? static_cast<double>(cap.output.dim(0) *
+                                          cap.output.dim(2) *
+                                          cap.output.dim(3))
+                    : static_cast<double>(cap.output.dim(0));
+    lr.energy.per_tile_mvm = energy_per_tile_mvm;
+    lr.energy.tile_mvms =
+        vectors * static_cast<double>(cap.matrix->tile_count());
+    lr.energy.total = lr.energy.per_tile_mvm * lr.energy.tile_mvms;
+    rep.total_energy += lr.energy.total;
 
-    if (opt.accuracy_attribution && !labels.empty()) {
+    if (!labels.empty()) {
       std::vector<bool> mask(net.step_count(), false);
       mask[cap.step] = true;
       lr.accuracy_if_digital =

@@ -29,7 +29,6 @@ void EngineConfig::validate() const {
   circuit.validate();
   device.validate();
   reliability.validate();
-  serve.validate();
   RESIPE_REQUIRE(tile_rows > 0 && tile_cols > 0,
                  "tile dimensions must be positive, got "
                      << tile_rows << "x" << tile_cols);
@@ -46,10 +45,6 @@ void EngineConfig::validate() const {
   RESIPE_REQUIRE(std::isfinite(retention_time) && retention_time >= 0.0,
                  "retention time must be non-negative and finite, got "
                      << retention_time);
-  RESIPE_REQUIRE(introspect.spike_time_bins > 0,
-                 "introspection needs at least one spike-time bin");
-  RESIPE_REQUIRE(introspect.activity_threshold >= 0.0,
-                 "negative introspection activity threshold");
 }
 
 namespace {

@@ -168,6 +168,7 @@ bool bit_identical(std::span<const double> a, std::span<const double> b) {
 ContractResult check_config_valid(const CaseSpec& spec) {
   try {
     spec.config.validate();
+    spec.serve.validate();
   } catch (const std::exception& e) {
     return ContractResult::fail(std::string("generated config rejected: ") +
                                 e.what());
@@ -623,18 +624,16 @@ ContractResult check_off_flags_identical(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamOffFlags));
   NetworkFixture fx = build_network_inputs(spec, rng);
 
-  // A: the generated config with both master switches forced off but
+  // A: the generated config with the reliability switch forced off but
   // every sub-knob left as drawn.  B: the same config with the whole
-  // sub-structs reset to defaults.  The documented claim is that a
+  // sub-struct reset to defaults.  The documented claim is that a
   // disabled subsystem leaves the engine on the exact legacy path, so
   // its other knobs must be unreachable.
   EngineConfig cfg_a = spec.config;
   cfg_a.reliability.enabled = false;
-  cfg_a.introspect.enabled = false;
   EngineConfig cfg_b = cfg_a;
   cfg_b.reliability = reliability::ReliabilityConfig{};
   cfg_b.reliability.enabled = false;
-  cfg_b.introspect = introspect::InspectOptions{};
 
   const ResipeNetwork net_a(*fx.model, cfg_a, fx.calibration);
   const ResipeNetwork net_b(*fx.model, cfg_b, fx.calibration);
@@ -642,7 +641,7 @@ ContractResult check_off_flags_identical(const CaseSpec& spec) {
   const nn::Tensor yb = net_b.forward(fx.batch);
   if (!bit_identical(ya.data(), yb.data())) {
     return ContractResult::fail(
-        "disabled reliability/introspection knobs leaked into the logits");
+        "disabled reliability knobs leaked into the logits");
   }
   return ContractResult::ok();
 }
@@ -682,11 +681,11 @@ ContractResult check_serving_identity(const CaseSpec& spec) {
   // health limits); batching/backoff/probe cadence stay as drawn.
   EngineConfig cfg = spec.config;
   cfg.reliability.enabled = false;
-  cfg.serve.queue_capacity = 64;
-  cfg.serve.default_deadline = 1.0e3;
-  cfg.serve.health.max_canary_mismatch = 1.0;
-  cfg.serve.health.logit_rmse_limit = 1.0e30;
-  const serve::ServeConfig& scfg = cfg.serve;
+  serve::ServeConfig scfg = spec.serve;
+  scfg.queue_capacity = 64;
+  scfg.default_deadline = 1.0e3;
+  scfg.health.max_canary_mismatch = 1.0;
+  scfg.health.logit_rmse_limit = 1.0e30;
 
   serve::ChipPool pool(*fx.model, fx.calibration, {cfg, cfg}, scfg);
   const ResipeNetwork direct(*fx.model, cfg, fx.calibration);
@@ -768,8 +767,8 @@ ContractResult check_serving_trace_identity(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamServingTrace));
   NetworkFixture fx = build_network_inputs(spec, rng);
 
-  EngineConfig cfg = spec.config;
-  const serve::ServeConfig& scfg = cfg.serve;
+  const EngineConfig& cfg = spec.config;
+  const serve::ServeConfig& scfg = spec.serve;
 
   constexpr std::size_t kRequests = 8;
   constexpr std::uint64_t kTenants = 3;
@@ -1333,7 +1332,8 @@ InjectedBug injected_bug() { return g_injected_bug; }
 const std::vector<Contract>& contract_registry() {
   static const std::vector<Contract> registry = {
       {"config_valid",
-       "generated configurations pass EngineConfig::validate()",
+       "generated configurations pass EngineConfig::validate() and "
+       "ServeConfig::validate()",
        check_config_valid},
       {"codec_roundtrip",
        "spike codec round-trips values within one clock slot, "
@@ -1373,8 +1373,8 @@ const std::vector<Contract>& contract_registry() {
        "network logits are bit-identical at 1, 2 and 8 threads",
        check_threads_identical},
       {"off_flags_identical",
-       "disabled reliability/introspection sub-knobs cannot affect "
-       "logits", check_off_flags_identical},
+       "disabled reliability sub-knobs cannot affect logits",
+       check_off_flags_identical},
       {"perf_accounting_identity",
        "telemetry (spans and kernel work) on vs off leaves logits "
        "bit-identical",

@@ -26,8 +26,9 @@ std::string write_repro(const std::string& dir, const FuzzFailure& failure) {
                        std::to_string(failure.original.descriptor.seed) +
                        ".json");
   std::ofstream out(path);
-  RESIPE_REQUIRE(out.good(), "cannot write repro record " << path.string());
   out << repro_to_json(record);
+  out.close();
+  RESIPE_REQUIRE(out, "cannot write repro record " << path.string());
   return path.string();
 }
 

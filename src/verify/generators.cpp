@@ -25,10 +25,9 @@ std::string CaseSpec::summary() const {
      << " levels=" << config.device.levels
      << " sigma=" << config.device.variation_sigma
      << " rel=" << (config.reliability.enabled ? 1 : 0)
-     << " insp=" << (config.introspect.enabled ? 1 : 0)
      << " evt=" << (config.events.enabled ? 1 : 0)
-     << " srv=[q" << config.serve.queue_capacity << " b"
-     << config.serve.batch_max << " r" << config.serve.retry_max << "]"
+     << " srv=[q" << serve.queue_capacity << " b" << serve.batch_max
+     << " r" << serve.retry_max << "]"
      << " net=["
      << inputs;
   for (const std::size_t w : layers) os << "->" << w;
@@ -117,10 +116,9 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
   cfg.input_scale_margin = rng.uniform(1.0, 1.5);
   cfg.program_seed = rng.next_u64();
 
-  // --- reliability / introspection flag cross-product.  Both arms draw
-  // their sub-parameters unconditionally so the *flags* (not the draw
-  // count) decide behavior — a shrinker flip of `enabled` never shifts
-  // the downstream stream.
+  // --- reliability.  The sub-parameters are drawn unconditionally so
+  // the *flag* (not the draw count) decides behavior — a shrinker flip
+  // of `enabled` never shifts the downstream stream.
   const bool reliability_on = rng.bernoulli(0.3);
   cfg.reliability.enabled = reliability_on;
   cfg.reliability.faults.stuck_lrs_rate = rng.uniform(0.0, 0.02);
@@ -133,12 +131,12 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
       spare_choices[rng.uniform_int(0, 2)];
   cfg.reliability.fault_seed = rng.next_u64();
 
-  const bool introspect_on = rng.bernoulli(0.3);
-  cfg.introspect.enabled = introspect_on;
-  cfg.introspect.spike_time_bins =
-      static_cast<std::size_t>(rng.uniform_int(1, 24));
-  cfg.introspect.max_probe_vectors =
-      static_cast<std::size_t>(rng.uniform_int(0, 8));
+  // Three draws of the retired introspection knobs, discarded: they
+  // keep every later draw, and so every (schema 3, seed) case, as the
+  // committed corpus records it.
+  (void)rng.bernoulli(0.3);
+  (void)rng.uniform_int(1, 24);
+  (void)rng.uniform_int(0, 8);
 
   if (rng.bernoulli(0.1)) {
     cfg.retention_time = rng.log_uniform(10.0, 1.0e7);
@@ -158,7 +156,7 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
   // --- serving layer (schema v2).  Appended after every v1 draw so the
   // earlier stream is bit-identical across versions.  Ranges mirror
   // ServeConfig::validate()'s accepted domain exactly.
-  serve::ServeConfig& srv = cfg.serve;
+  serve::ServeConfig& srv = spec.serve;
   srv.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 64));
   srv.batch_max = static_cast<std::size_t>(rng.uniform_int(1, 8));
   srv.batch_window = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.0e-3);
@@ -185,6 +183,7 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
 
   // The generator's output contract: everything it emits is valid.
   cfg.validate();
+  srv.validate();
   return spec;
 }
 

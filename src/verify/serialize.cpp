@@ -38,8 +38,7 @@ void each_field(Record& record, F&& f) {
   auto& circuit = cfg.circuit;
   auto& device = cfg.device;
   auto& rel = cfg.reliability;
-  auto& insp = cfg.introspect;
-  auto& serve = cfg.serve;
+  auto& serve = s.serve;
   f("schema_version", s.descriptor.schema_version);
   f("seed", Seed{s.descriptor.seed});
   f("contract", record.contract);
@@ -104,14 +103,22 @@ void each_field(Record& record, F&& f) {
   f("rel_mit_write_verify_retries", rel.mitigation.write_verify_retries);
   f("rel_mit_degrade_threshold", rel.mitigation.degrade_threshold);
   f("rel_fault_seed", Seed{rel.fault_seed});
-  f("insp_enabled", insp.enabled);
-  f("insp_max_probe_vectors", insp.max_probe_vectors);
-  f("insp_max_attribution_vectors", insp.max_attribution_vectors);
-  f("insp_attribute_error", insp.attribute_error);
-  f("insp_accuracy_attribution", insp.accuracy_attribution);
-  f("insp_energy_ledger", insp.energy_ledger);
-  f("insp_spike_time_bins", insp.spike_time_bins);
-  f("insp_activity_threshold", insp.activity_threshold);
+  // The retired introspection knobs, which every committed record
+  // carries: the reader checks each value's type and drops it, and the
+  // writer leaves them out.
+  if constexpr (!std::is_const_v<Record>) {
+    bool flag = false;
+    std::size_t count = 0;
+    double threshold = 0.0;
+    f("insp_enabled", flag);
+    f("insp_max_probe_vectors", count);
+    f("insp_max_attribution_vectors", count);
+    f("insp_attribute_error", flag);
+    f("insp_accuracy_attribution", flag);
+    f("insp_energy_ledger", flag);
+    f("insp_spike_time_bins", count);
+    f("insp_activity_threshold", threshold);
+  }
   f("serve_queue_capacity", serve.queue_capacity);
   f("serve_batch_max", serve.batch_max);
   f("serve_batch_window", serve.batch_window);

@@ -107,11 +107,6 @@ std::vector<Move> move_catalogue() {
                      s.config.reliability.mitigation.enabled = false;
                      return true;
                    }});
-  moves.push_back({"introspect-off", [](CaseSpec& s) {
-                     if (!s.config.introspect.enabled) return false;
-                     s.config.introspect.enabled = false;
-                     return true;
-                   }});
   moves.push_back({"events-off", [](CaseSpec& s) {
                      if (!s.config.events.enabled) return false;
                      s.config.events.enabled = false;
@@ -161,17 +156,15 @@ std::vector<Move> move_catalogue() {
                      const serve::ServeConfig defaults;
                      // Field-wise compare: ServeConfig is aggregate-only.
                      const bool already =
-                         s.config.serve.queue_capacity ==
-                             defaults.queue_capacity &&
-                         s.config.serve.batch_max == defaults.batch_max &&
-                         s.config.serve.batch_window ==
-                             defaults.batch_window &&
-                         s.config.serve.default_deadline ==
+                         s.serve.queue_capacity == defaults.queue_capacity &&
+                         s.serve.batch_max == defaults.batch_max &&
+                         s.serve.batch_window == defaults.batch_window &&
+                         s.serve.default_deadline ==
                              defaults.default_deadline &&
-                         s.config.serve.retry_max == defaults.retry_max &&
-                         s.config.serve.seed == defaults.seed;
+                         s.serve.retry_max == defaults.retry_max &&
+                         s.serve.seed == defaults.seed;
                      if (already) return false;
-                     s.config.serve = defaults;
+                     s.serve = defaults;
                      return true;
                    }});
   moves.push_back({"fault-rates->0", [zero](CaseSpec& s) {
@@ -189,6 +182,7 @@ std::vector<Move> move_catalogue() {
 bool still_fails(const Contract& contract, const CaseSpec& spec) {
   try {
     spec.config.validate();
+    spec.serve.validate();
   } catch (const std::exception&) {
     return false;  // a move produced an invalid spec: reject it
   }

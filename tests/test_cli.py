@@ -6,7 +6,8 @@ Every binary reads argv through one strict reader
 repeated flags, flags missing their value and numeric flags whose whole
 value does not parse as the flag's type must all fail fast with a usage
 message and exit code 2 — never fall through to a default or coerced
-run.  Run as:
+run — and an output file that cannot be written must fail the run,
+naming the path.  Run as:
 
     test_cli.py /path/to/resipe_cli [--fuzz BIN] [--serve BIN]
         [--bench-serving BIN] [--bench-table1 BIN] [--bench-fig5 BIN]
@@ -208,6 +209,7 @@ def check_other_binaries(bins, check):
             r = run(bins.bench_table1, "--json", out, cwd=tmp)
             check("bench_table1_taxonomy --json FILE writes FILE",
                   r.returncode == 0 and os.path.isfile(out))
+        check_failed_writes(bins, check, tmp)
         if bins.bench_fig5:
             out = os.path.join(tmp, "fig5.csv")
             r = run(bins.bench_fig5, "--csv", out, cwd=tmp)
@@ -219,6 +221,32 @@ def check_other_binaries(bins, check):
                                   "t_out_linear_s"
                       and len(lines) == 101)
             check("bench_fig5_characterization --csv FILE writes the CSV", ok)
+
+
+def check_failed_writes(bins, check, tmp):
+    """A write that fails exits non-zero, naming the path."""
+    if not os.path.exists("/dev/full"):
+        print("SKIP  failed-write checks (no /dev/full)")
+    else:
+        if bins.bench_table1:
+            r = run(bins.bench_table1, "--json", "/dev/full", cwd=tmp)
+            check("bench_table1_taxonomy --json /dev/full exits 1",
+                  r.returncode == 1 and "/dev/full" in r.stderr)
+        if bins.serve:
+            r = run(bins.serve, "--duration", "0.005", "--train", "64",
+                    "--images", "16", "--epochs", "1", "--out", "/dev/full",
+                    cwd=tmp)
+            check("resipe_serve --out /dev/full exits 1",
+                  r.returncode == 1 and "/dev/full" in r.stderr
+                  and "wrote /dev/full" not in r.stdout)
+    if bins.fuzz:
+        # The record's path is taken by a directory.
+        corpus = os.path.join(tmp, "corpus")
+        os.makedirs(os.path.join(corpus, "case_seed1.json"))
+        r = run(bins.fuzz, "--emit-corpus", corpus, "--cases", "1", cwd=tmp)
+        check("resipe_fuzz --emit-corpus into an occupied path exits 2",
+              r.returncode == 2 and "case_seed1.json" in r.stderr
+              and r.stdout == "")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "resipe/common/parallel.hpp"
 #include "resipe/common/rng.hpp"
 #include "resipe/nn/data.hpp"
 #include "resipe/nn/zoo.hpp"
@@ -24,15 +23,12 @@ struct Lowered {
   nn::Dataset batch;
   resipe_core::EngineConfig config;
 
-  explicit Lowered(bool enable_introspect) {
+  Lowered() {
     Rng model_rng(0xC0FFEEull);
     model = nn::build_benchmark(nn::BenchmarkNet::kMlp1, model_rng);
     Rng data_rng(7);
     batch = nn::synthetic_digits(16, data_rng);
     config.device.variation_sigma = 0.1;
-    config.introspect.enabled = enable_introspect;
-    config.introspect.max_probe_vectors = 16;
-    config.introspect.max_attribution_vectors = 16;
   }
 
   resipe_core::ResipeNetwork lower() {
@@ -40,42 +36,10 @@ struct Lowered {
   }
 };
 
-std::vector<double> logits_of(const resipe_core::ResipeNetwork& net,
-                              const nn::Tensor& x) {
-  const nn::Tensor y = net.forward(x);
-  return std::vector<double>(y.data().begin(), y.data().end());
-}
-
-// The introspect flag must not perturb the forward path: logits with
-// the flag on are bit-identical to the flag-off logits, at any worker
-// count.
-TEST(Introspect, DisabledPathBitIdenticalAcrossThreads) {
-  Lowered off(false);
-  Lowered on(true);
-  const auto net_off = off.lower();
-  const auto net_on = on.lower();
-
-  set_default_threads(1);
-  const std::vector<double> reference = logits_of(net_off, off.batch.images);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    set_default_threads(threads);
-    const std::vector<double> got_off = logits_of(net_off, off.batch.images);
-    const std::vector<double> got_on = logits_of(net_on, off.batch.images);
-    ASSERT_EQ(got_off.size(), reference.size());
-    ASSERT_EQ(got_on.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(got_off[i], reference[i]) << "threads=" << threads;
-      EXPECT_EQ(got_on[i], reference[i]) << "threads=" << threads;
-    }
-  }
-  set_default_threads(1);
-}
-
 // The three attribution components are differences of adjacent
 // effect-toggled arms, so they must reassemble the measured total.
 TEST(Introspect, AttributionComponentsSumToTotal) {
-  Lowered lo(true);
+  Lowered lo;
   const auto net = lo.lower();
   const InspectionReport report =
       inspect(net, lo.batch.images, lo.batch.labels);
@@ -96,7 +60,7 @@ TEST(Introspect, AttributionComponentsSumToTotal) {
 }
 
 TEST(Introspect, EnabledReportCarriesProbesEnergyAndAccuracy) {
-  Lowered lo(true);
+  Lowered lo;
   const auto net = lo.lower();
   const InspectionReport report =
       inspect(net, lo.batch.images, lo.batch.labels);
@@ -123,24 +87,6 @@ TEST(Introspect, EnabledReportCarriesProbesEnergyAndAccuracy) {
   EXPECT_NE(report.render_ascii().find("provenance"), std::string::npos);
 }
 
-// With introspection off, inspect() runs nothing and returns only the
-// provenance manifest plus the layer skeleton.
-TEST(Introspect, DisabledInspectReturnsSkeletonOnly) {
-  Lowered lo(false);
-  const auto net = lo.lower();
-  const InspectionReport report =
-      inspect(net, lo.batch.images, lo.batch.labels);
-
-  EXPECT_FALSE(report.provenance.engine_config_hash.empty());
-  EXPECT_FALSE(report.layers.empty());
-  for (const LayerReport& lr : report.layers) {
-    EXPECT_FALSE(lr.name.empty());
-    EXPECT_FALSE(lr.probed);
-    EXPECT_FALSE(lr.error.computed);
-  }
-  EXPECT_LT(report.analog_accuracy, 0.0);
-}
-
 // Saturation taxonomy on hand-built inputs against a tiny matrix.
 // With healthy comparators every column fires inside the slice (the
 // codec reserves comp_stage of headroom), so silence is provoked the
@@ -154,8 +100,7 @@ TEST(ProbeStats, OffsetBeyondRampReachCountsColumnsAsSilent) {
   const std::vector<double> b(2, 0.0);
   const resipe_core::ProgrammedMatrix pm(cfg, w, b, 2, 2, rng);
 
-  resipe_core::ProgrammedMatrix::ProbeStats stats(
-      cfg.introspect.spike_time_bins);
+  resipe_core::ProgrammedMatrix::ProbeStats stats;
   std::vector<double> y(2, 0.0);
   pm.forward_probed(std::vector<double>{1.0, 0.5}, y, stats);
 
@@ -174,8 +119,7 @@ TEST(ProbeStats, EarlyFiringColumnsCountAsPinnedAtStart) {
   const std::vector<double> b(2, 0.0);
   const resipe_core::ProgrammedMatrix pm(cfg, w, b, 2, 2, rng);
 
-  resipe_core::ProgrammedMatrix::ProbeStats stats(
-      cfg.introspect.spike_time_bins);
+  resipe_core::ProgrammedMatrix::ProbeStats stats;
   std::vector<double> y(2, 0.0);
   pm.forward_probed(std::vector<double>{0.02, 0.01}, y, stats);
 
@@ -191,8 +135,7 @@ TEST(ProbeStats, StrongInputFiresEveryColumnAndFillsTheHistogram) {
   const std::vector<double> b(2, 0.0);
   const resipe_core::ProgrammedMatrix pm(cfg, w, b, 2, 2, rng);
 
-  resipe_core::ProgrammedMatrix::ProbeStats stats(
-      cfg.introspect.spike_time_bins);
+  resipe_core::ProgrammedMatrix::ProbeStats stats;
   std::vector<double> y(2, 0.0);
   pm.forward_probed(std::vector<double>{1.0, 1.0}, y, stats);
 
@@ -214,8 +157,7 @@ TEST(ProbeStats, OverRangeInputCountsClampsAndMatchesForwardExactly) {
   const std::vector<double> x{1.7, -0.4};  // both outside [0, 1]
   std::vector<double> y_plain(2, 0.0), y_probed(2, 0.0);
   pm.forward(x, y_plain);
-  resipe_core::ProgrammedMatrix::ProbeStats stats(
-      cfg.introspect.spike_time_bins);
+  resipe_core::ProgrammedMatrix::ProbeStats stats;
   pm.forward_probed(x, y_probed, stats);
 
   EXPECT_EQ(stats.inputs_clamped, 2u);

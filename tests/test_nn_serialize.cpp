@@ -12,6 +12,8 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/nn/layers.hpp"
+#include "resipe/nn/zoo.hpp"
+#include "testing/mutate.hpp"
 
 namespace resipe::nn {
 namespace {
@@ -209,6 +211,54 @@ TEST(Serialize, NonFiniteValuesRejectedByIndex) {
   write_file(f.path, contents);
   load_weights(b, f.path);
   expect_unchanged(b, snapshot(a));
+}
+
+// Fixed-seed byte flips, deletions, insertions and truncations of files
+// save_weights wrote: each load either throws resipe::Error, leaving
+// every parameter bit-unchanged, or loads values that a re-save writes
+// back as the mutated bytes.  weights_compatible agrees with the
+// outcome, and any other exception type fails the test.  The tiny
+// two-Dense model keeps the header a large share of the bytes.
+TEST(Serialize, MutatedWeightFilesAreRejectedOrLoad) {
+  constexpr int kMutationsPerModel = 300;
+  Rng build_rng(5);
+  Sequential tiny("tiny");
+  tiny.emplace<Dense>(3, 2, build_rng);
+  tiny.emplace<Dense>(2, 2, build_rng);
+  Sequential mlp1 = build_benchmark(BenchmarkNet::kMlp1, build_rng);
+
+  TempFile f("test_weights_mutated.bin");
+  TempFile resaved("test_weights_resaved.bin");
+  const std::string inserts = {'\0', '\x01', '\x7f', '\x80', '\xff'};
+  Rng rng(0x3E16A7);
+  std::size_t accepted = 0, rejected = 0;
+  for (Sequential* model : {&tiny, &mlp1}) {
+    save_weights(*model, f.path);
+    const std::string original = read_file(f.path);
+    for (int m = 0; m < kMutationsPerModel; ++m) {
+      const std::string bytes = testing::mutate_bytes(original, rng, inserts);
+      write_file(f.path, bytes);
+      const auto before = snapshot(*model);
+      const bool compatible = weights_compatible(*model, f.path);
+      try {
+        load_weights(*model, f.path);
+        EXPECT_TRUE(compatible) << model->name() << " mutation " << m;
+        save_weights(*model, resaved.path);
+        EXPECT_TRUE(read_file(resaved.path) == bytes)
+            << model->name() << " mutation " << m << " re-saves differently";
+        ++accepted;
+      } catch (const Error&) {
+        EXPECT_FALSE(compatible) << model->name() << " mutation " << m;
+        expect_unchanged(*model, before);
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << model->name() << " mutation " << m
+                      << " threw a non-resipe exception: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

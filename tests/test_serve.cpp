@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
@@ -95,69 +96,39 @@ bool responses_identical(const std::vector<Response>& a,
   return true;
 }
 
-// --- ServeConfig validation (via EngineConfig::validate, matching the
-// fuzzer's generator-range == validate-domain invariant) --------------
+// --- ServeConfig validation (the domain the fuzzer's generator draws
+// serving configs from) ------------------------------------------------
 
-TEST(ServeConfig, ValidatesThroughEngineConfig) {
-  EngineConfig cfg;
-  EXPECT_NO_THROW(cfg.validate());
+TEST(ServeConfig, ValidateRejectsEachBadKnob) {
+  EXPECT_NO_THROW(ServeConfig{}.validate());
+  ServeConfig ceiling;
+  ceiling.retry_max = ServeConfig::kRetryCeiling;
+  EXPECT_NO_THROW(ceiling.validate());
 
-  cfg.serve.queue_capacity = 0;  // a zero-capacity queue cannot serve
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.batch_max = 0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.default_deadline = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.default_deadline = -1.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.retry_max = -1;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.retry_max = ServeConfig::kRetryCeiling + 1;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.retry_max = ServeConfig::kRetryCeiling;
-  EXPECT_NO_THROW(cfg.validate());
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.backoff_base = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.backoff_multiplier = 0.5;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.backoff_max = cfg.serve.backoff_base / 2.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.backoff_jitter = 1.5;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.health.canary_period = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.health.canary_images = 0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.health.max_canary_mismatch = 1.5;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.health.quarantine_after = 0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
-
-  cfg.serve.health.readmit_after = 0;
-  EXPECT_THROW(cfg.validate(), Error);
+  using Break = void (*)(ServeConfig&);
+  const Break breaks[] = {
+      // A zero-capacity queue cannot serve.
+      [](ServeConfig& c) { c.queue_capacity = 0; },
+      [](ServeConfig& c) { c.batch_max = 0; },
+      [](ServeConfig& c) { c.default_deadline = 0.0; },
+      [](ServeConfig& c) { c.default_deadline = -1.0; },
+      [](ServeConfig& c) { c.retry_max = -1; },
+      [](ServeConfig& c) { c.retry_max = ServeConfig::kRetryCeiling + 1; },
+      [](ServeConfig& c) { c.backoff_base = 0.0; },
+      [](ServeConfig& c) { c.backoff_multiplier = 0.5; },
+      [](ServeConfig& c) { c.backoff_max = c.backoff_base / 2.0; },
+      [](ServeConfig& c) { c.backoff_jitter = 1.5; },
+      [](ServeConfig& c) { c.health.canary_period = 0.0; },
+      [](ServeConfig& c) { c.health.canary_images = 0; },
+      [](ServeConfig& c) { c.health.max_canary_mismatch = 1.5; },
+      [](ServeConfig& c) { c.health.quarantine_after = 0; },
+      [](ServeConfig& c) { c.health.readmit_after = 0; },
+  };
+  for (std::size_t i = 0; i < std::size(breaks); ++i) {
+    ServeConfig cfg;
+    breaks[i](cfg);
+    EXPECT_THROW(cfg.validate(), Error) << "break " << i;
+  }
 }
 
 TEST(ServeConfig, ZeroCapacityQueueRejectedAtPoolConstruction) {

@@ -24,6 +24,7 @@
 #include "resipe/verify/serialize.hpp"
 #include "resipe/verify/shrink.hpp"
 #include "testing/approx.hpp"
+#include "testing/mutate.hpp"
 
 #ifndef RESIPE_CORPUS_DIR
 #error "RESIPE_CORPUS_DIR must point at the committed corpus"
@@ -54,6 +55,7 @@ TEST(Generators, EveryCaseSatisfiesValidate) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const CaseSpec spec = case_for_seed(seed);
     EXPECT_NO_THROW(spec.config.validate()) << spec.summary();
+    EXPECT_NO_THROW(spec.serve.validate()) << spec.summary();
   }
 }
 
@@ -269,27 +271,7 @@ TEST(Serialize, MutatedCorpusIsRejectedOrRoundTrips) {
   for (const auto& path : corpus_files()) {
     const std::string original = read_file(path);
     for (int m = 0; m < kMutationsPerFile; ++m) {
-      std::string text = original;
-      const auto edits = rng.uniform_int(1, 3);
-      for (std::int64_t e = 0; e < edits && !text.empty(); ++e) {
-        const auto at = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
-        const char byte = inserts[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(inserts.size()) - 1))];
-        switch (rng.uniform_int(0, 3)) {
-          case 0:
-            text[at] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
-            break;
-          case 1:
-            text.erase(at, 1);
-            break;
-          case 2:
-            text.insert(at, 1, byte);
-            break;
-          default:
-            text.resize(at);
-        }
-      }
+      const std::string text = testing::mutate_bytes(original, rng, inserts);
       try {
         const std::string json = repro_to_json(repro_from_json(text));
         EXPECT_EQ(repro_to_json(repro_from_json(json)), json)
@@ -305,6 +287,29 @@ TEST(Serialize, MutatedCorpusIsRejectedOrRoundTrips) {
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, accepted);
+}
+
+// A corpus record of the current schema that `resipe_fuzz
+// --emit-corpus` wrote (contract "all", empty detail) is a generated
+// case, so regenerating it from its descriptor must write the committed
+// record back: a generator change that shifts the (schema, seed) stream
+// fails here.  A shrunk reproducer keeps its failure detail and is not
+// a generated case.
+TEST(Generators, V3StreamMatchesCommittedCorpus) {
+  std::size_t checked = 0;
+  for (const auto& path : corpus_files()) {
+    const ReproRecord record = repro_from_json(read_file(path));
+    if (record.spec.descriptor.schema_version != kSchemaVersion ||
+        !record.detail.empty()) {
+      continue;
+    }
+    const ReproRecord regenerated{generate_case(record.spec.descriptor),
+                                  "all", ""};
+    EXPECT_EQ(repro_to_json(regenerated), repro_to_json(record))
+        << path.filename();
+    ++checked;
+  }
+  EXPECT_GE(checked, 3u) << "schema-v3 corpus records went missing";
 }
 
 TEST(Corpus, EveryCommittedCaseReplaysClean) {
@@ -379,10 +384,6 @@ TEST(EngineConfigValidate, RejectsBadEngineKnobs) {
   cfg = EngineConfig{};
   cfg.retention_time = -1.0;
   EXPECT_THROW(cfg.validate(), Error);
-
-  cfg = EngineConfig{};
-  cfg.introspect.spike_time_bins = 0;
-  EXPECT_THROW(cfg.validate(), Error);
 }
 
 TEST(EngineConfigValidate, SubConfigViolationsPropagate) {
@@ -404,13 +405,13 @@ TEST(EngineConfigValidate, GuardsProgrammedMatrixConstruction) {
   EXPECT_THROW(ProgrammedMatrix(cfg, w, b, 2, 2, rng), Error);
 }
 
-// --- satellite 3: reliability x introspect x ir-drop, both thread counts
+// --- satellite 3: reliability x ir-drop, both thread counts
 
 class FlagCrossProduct
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(FlagCrossProduct, LogitsBitIdenticalAcrossThreadCounts) {
-  const auto [reliability, introspect, ir_drop] = GetParam();
+  const auto [reliability, ir_drop] = GetParam();
   Rng rng(404);
   nn::Sequential model("flags_mlp");
   model.emplace<nn::Dense>(6, 10, rng);
@@ -422,7 +423,6 @@ TEST_P(FlagCrossProduct, LogitsBitIdenticalAcrossThreadCounts) {
   cfg.tile_cols = 8;
   cfg.reliability.enabled = reliability;
   cfg.reliability.faults.stuck_lrs_rate = reliability ? 0.01 : 0.0;
-  cfg.introspect.enabled = introspect;
   cfg.model_wire_ir_drop = ir_drop;
 
   nn::Tensor calibration({8, 6});
@@ -442,13 +442,11 @@ TEST_P(FlagCrossProduct, LogitsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(logits[0].data().data(), logits[1].data().data(),
                         logits[0].data().size() * sizeof(double)),
             0)
-      << "rel=" << reliability << " insp=" << introspect
-      << " ir=" << ir_drop;
+      << "rel=" << reliability << " ir=" << ir_drop;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, FlagCrossProduct,
                          ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool(),
                                             ::testing::Bool()));
 
 }  // namespace
