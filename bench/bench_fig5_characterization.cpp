@@ -11,6 +11,7 @@
 //
 // `--csv FILE` also writes every sample point as CSV.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "bench_report.hpp"
@@ -90,7 +91,12 @@ int main(int argc, char** argv) {
     csv.add_column("strength_sS", x);
     csv.add_column("t_out_s", y);
     csv.add_column("t_out_linear_s", y_lin);
-    csv.write_file(csv_path);
+    try {
+      csv.write_file(csv_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("\nwrote %s\n", csv_path.c_str());
   }
 

@@ -6,13 +6,9 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <vector>
 
 #include "bench_report.hpp"
-#include "resipe/common/rng.hpp"
 #include "resipe/introspect/inspect.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
 
@@ -34,28 +30,11 @@ int main(int argc, char** argv) {
 
   std::puts("=== Introspection: probe cost and report figures ===\n");
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(512, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(96, test_rng);
-
-  Rng model_rng(0xC0FFEEull +
-                static_cast<std::uint64_t>(nn::BenchmarkNet::kMlp1));
-  nn::Sequential model = nn::build_benchmark(nn::BenchmarkNet::kMlp1,
-                                             model_rng);
-  nn::TrainConfig tc;
-  tc.epochs = 2;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  const auto tr = nn::fit(model, train, test, tc);
+  auto [model, test, calib, fit] = nn::train_benchmark(
+      nn::BenchmarkNet::kMlp1,
+      {.train_samples = 512, .test_samples = 96, .epochs = 2});
   std::printf("trained %s: test acc %.3f\n\n", model.name().c_str(),
-              tr.test_accuracy);
-
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < 48; ++i) calib_idx.push_back(i);
-  const auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
+              fit->test_accuracy);
 
   resipe_core::EngineConfig cfg;
   cfg.device.variation_sigma = 0.1;

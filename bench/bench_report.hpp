@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -43,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "resipe/common/file.hpp"
 #include "resipe/common/flags.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/simd.hpp"
@@ -152,13 +152,11 @@ class BenchReport {
     const std::string json = os.str();
     std::printf("BENCH_JSON %s\n", json.c_str());
     if (!json_path_.empty()) {
-      // close() flushes, so a write that only fails there still counts.
-      std::ofstream file(json_path_);
-      file << json << "\n";
-      file.close();
-      if (!file) {
-        std::fprintf(stderr, "bench_report: cannot write %s\n",
-                     json_path_.c_str());
+      try {
+        write_file(json_path_,
+                   [&json](std::ostream& file) { file << json << "\n"; });
+      } catch (const Error& e) {
+        std::fprintf(stderr, "bench_report: %s\n", e.what());
         return 1;
       }
     }

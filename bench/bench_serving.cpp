@@ -29,7 +29,6 @@
 
 #include "bench_report.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
@@ -108,27 +107,11 @@ int main(int argc, char** argv) {
 
   try {
     // --- one trained model shared by every experiment.
-    Rng data_rng(7);
-    Rng train_rng = data_rng.split();
-    Rng test_rng = data_rng.split();
-    const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-    const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-    Rng model_rng(0xC0FFEEull);
-    nn::Sequential model =
-        nn::build_benchmark(nn::BenchmarkNet::kMlp1, model_rng);
-    nn::TrainConfig tc;
-    tc.epochs = epochs;
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    const auto tr = nn::fit(model, train, test, tc);
+    auto [model, test, calib, fit] = nn::train_benchmark(
+        nn::BenchmarkNet::kMlp1,
+        {.train_samples = train_n, .test_samples = test_n, .epochs = epochs});
     std::printf("model %s: test acc %.3f\n", model.name().c_str(),
-                tr.test_accuracy);
-
-    std::vector<std::size_t> calib_idx;
-    for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-      calib_idx.push_back(i);
-    auto [calib, calib_labels] = train.gather(calib_idx);
-    (void)calib_labels;
+                fit->test_accuracy);
 
     const auto clean_config = [&](std::size_t c) {
       resipe_core::EngineConfig ec;

@@ -18,9 +18,10 @@
 //       pipeline OFF vs ON on identical fault realizations.
 //   inspect [--net mlp1|mlp2|cnn1] [--images N] [--train N]
 //           [--epochs N] [--sigma S] [--seed K] [--out FILE]
-//       Trains a small benchmark on synthetic digits, lowers it with
-//       introspection enabled and prints the per-layer numerical-health
-//       dashboard; --out writes the machine-readable JSON report.
+//       Trains a small benchmark on synthetic digits, lowers it, runs
+//       every introspection probe over the test batch and prints the
+//       per-layer numerical-health dashboard; --out writes the
+//       machine-readable JSON report.
 //   profile [--net mlp1|mlp2|cnn1] [--images N] [--train N] [--epochs N]
 //           [--reps N] [--seed K] [--calib-ms MS] [--out FILE]
 //           [--folded FILE]
@@ -62,8 +63,6 @@
 #include "resipe/eval/fault_tolerance.hpp"
 #include "resipe/eval/yield.hpp"
 #include "resipe/introspect/inspect.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/perf/perf_counters.hpp"
 #include "resipe/perf/roofline.hpp"
@@ -254,30 +253,15 @@ int cmd_inspect(const Flags& flags) {
     return 2;
   }
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-  nn::TrainConfig tc;
-  tc.epochs = epochs;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  const auto tr = nn::fit(model, train, test, tc);
+  auto [model, test, calib, fit] = nn::train_benchmark(
+      net,
+      {.train_samples = train_n, .test_samples = test_n, .epochs = epochs});
   std::printf("trained %s: train acc %.3f, test acc %.3f\n",
-              model.name().c_str(), tr.train_accuracy, tr.test_accuracy);
+              model.name().c_str(), fit->train_accuracy, fit->test_accuracy);
 
   resipe_core::EngineConfig ec;
   ec.program_seed = seed;
   ec.device.variation_sigma = sigma;
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
   const resipe_core::ResipeNetwork hw(model, ec, calib);
 
   const introspect::InspectionReport report =
@@ -318,27 +302,11 @@ int cmd_profile(const Flags& flags) {
   telemetry::set_enabled(true);
   telemetry::CallProfile& profile = telemetry::CallProfile::this_thread();
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-  nn::TrainConfig tc;
-  tc.epochs = epochs;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  (void)nn::fit(model, train, test, tc);
-
+  auto [model, test, calib, fit] = nn::train_benchmark(
+      net,
+      {.train_samples = train_n, .test_samples = test_n, .epochs = epochs});
   resipe_core::EngineConfig ec;
   ec.program_seed = seed;
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
   const resipe_core::ResipeNetwork hw(model, ec, calib);
 
   // Bit-identity sanity: telemetry on must not perturb the logits.

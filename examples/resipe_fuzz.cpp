@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "resipe/common/file.hpp"
 #include "resipe/common/flags.hpp"
 #include "resipe/verify/contracts.hpp"
 #include "resipe/verify/fuzzer.hpp"
@@ -98,13 +99,9 @@ int emit_corpus(const std::string& dir,
     record.contract = "all";
     const auto path = std::filesystem::path(dir) /
                       ("case_seed" + std::to_string(seed) + ".json");
-    std::ofstream out(path);
-    out << resipe::verify::repro_to_json(record);
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
+    resipe::write_file(path.string(), [&record](std::ostream& os) {
+      os << resipe::verify::repro_to_json(record);
+    });
     std::printf("%s  %s\n", path.c_str(), record.spec.summary().c_str());
   }
   return 0;

@@ -26,14 +26,12 @@
 // Everything runs on the virtual clock, so the whole trace is
 // deterministic and bit-identical at any thread count.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "resipe/common/file.hpp"
 #include "resipe/common/flags.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
 #include "resipe/serve/pool.hpp"
@@ -89,29 +87,13 @@ int main(int argc, char** argv) {
     }
 
     // --- train a small model on synthetic digits.
-    Rng data_rng(7);
-    Rng train_rng = data_rng.split();
-    Rng test_rng = data_rng.split();
-    const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-    const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-    Rng model_rng(0xC0FFEEull);
-    nn::Sequential model =
-        nn::build_benchmark(nn::BenchmarkNet::kMlp1, model_rng);
-    nn::TrainConfig tc;
-    tc.epochs = epochs;
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    const auto tr = nn::fit(model, train, test, tc);
+    auto [model, test, calib, fit] = nn::train_benchmark(
+        nn::BenchmarkNet::kMlp1,
+        {.train_samples = train_n, .test_samples = test_n, .epochs = epochs});
     std::printf("trained %s: test acc %.3f\n", model.name().c_str(),
-                tr.test_accuracy);
+                fit->test_accuracy);
 
     // --- lower one replica per chip; chip 0 optionally defective.
-    std::vector<std::size_t> calib_idx;
-    for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-      calib_idx.push_back(i);
-    auto [calib, calib_labels] = train.gather(calib_idx);
-    (void)calib_labels;
-
     std::vector<resipe_core::EngineConfig> replica_configs;
     for (std::size_t c = 0; c < chips; ++c) {
       resipe_core::EngineConfig ec;
@@ -216,48 +198,40 @@ int main(int argc, char** argv) {
     }
 
     if (!out.empty()) {
-      std::ofstream os(out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", out.c_str());
-        return 1;
-      }
-      os << "{\n"
-         << "  \"offered\": " << stats.submitted << ",\n"
-         << "  \"served_ok\": " << stats.served_ok << ",\n"
-         << "  \"served_degraded\": " << stats.served_degraded << ",\n"
-         << "  \"shed_queue_full\": " << stats.shed_queue_full << ",\n"
-         << "  \"shed_deadline\": " << stats.shed_deadline << ",\n"
-         << "  \"shed_quarantine\": " << stats.shed_quarantine << ",\n"
-         << "  \"late_completions\": " << stats.late_completions << ",\n"
-         << "  \"retries\": " << stats.retries << ",\n"
-         << "  \"batches\": " << stats.batches << ",\n"
-         << "  \"mean_batch\": " << stats.mean_batch << ",\n"
-         << "  \"shed_rate\": " << stats.shed_rate() << ",\n"
-         << "  \"throughput_rps\": " << stats.throughput << ",\n"
-         << "  \"latency_p50_s\": " << stats.p50 << ",\n"
-         << "  \"latency_p95_s\": " << stats.p95 << ",\n"
-         << "  \"latency_p99_s\": " << stats.p99 << ",\n"
-         << "  \"served_accuracy\": " << acc << ",\n"
-         << "  \"healthy_chips\": " << pool.healthy_count() << ",\n"
-         << "  \"pool_size\": " << pool.size() << ",\n"
-         << "  \"trace_events\": " << journal.size() << ",\n"
-         << "  \"trace_dropped\": " << journal.dropped() << ",\n"
-         << "  \"audit_ok\": " << (audit.ok() ? "true" : "false") << ",\n"
-         << "  \"tenants\": " << tenants << ",\n"
-         << "  \"slo_availability_budget_used\": "
-         << slo_report.total.availability_budget_used << ",\n"
-         << "  \"slo_latency_budget_used\": "
-         << slo_report.total.latency_budget_used << ",\n"
-         << "  \"slo_availability_burn_max\": "
-         << slo_report.total.availability_burn_max << ",\n"
-         << "  \"slo_latency_burn_max\": "
-         << slo_report.total.latency_burn_max << "\n"
-         << "}\n";
-      os.close();
-      if (!os) {
-        std::fprintf(stderr, "failed writing %s\n", out.c_str());
-        return 1;
-      }
+      write_file(out, [&](std::ostream& os) {
+        os << "{\n"
+           << "  \"offered\": " << stats.submitted << ",\n"
+           << "  \"served_ok\": " << stats.served_ok << ",\n"
+           << "  \"served_degraded\": " << stats.served_degraded << ",\n"
+           << "  \"shed_queue_full\": " << stats.shed_queue_full << ",\n"
+           << "  \"shed_deadline\": " << stats.shed_deadline << ",\n"
+           << "  \"shed_quarantine\": " << stats.shed_quarantine << ",\n"
+           << "  \"late_completions\": " << stats.late_completions << ",\n"
+           << "  \"retries\": " << stats.retries << ",\n"
+           << "  \"batches\": " << stats.batches << ",\n"
+           << "  \"mean_batch\": " << stats.mean_batch << ",\n"
+           << "  \"shed_rate\": " << stats.shed_rate() << ",\n"
+           << "  \"throughput_rps\": " << stats.throughput << ",\n"
+           << "  \"latency_p50_s\": " << stats.p50 << ",\n"
+           << "  \"latency_p95_s\": " << stats.p95 << ",\n"
+           << "  \"latency_p99_s\": " << stats.p99 << ",\n"
+           << "  \"served_accuracy\": " << acc << ",\n"
+           << "  \"healthy_chips\": " << pool.healthy_count() << ",\n"
+           << "  \"pool_size\": " << pool.size() << ",\n"
+           << "  \"trace_events\": " << journal.size() << ",\n"
+           << "  \"trace_dropped\": " << journal.dropped() << ",\n"
+           << "  \"audit_ok\": " << (audit.ok() ? "true" : "false") << ",\n"
+           << "  \"tenants\": " << tenants << ",\n"
+           << "  \"slo_availability_budget_used\": "
+           << slo_report.total.availability_budget_used << ",\n"
+           << "  \"slo_latency_budget_used\": "
+           << slo_report.total.latency_budget_used << ",\n"
+           << "  \"slo_availability_burn_max\": "
+           << slo_report.total.availability_burn_max << ",\n"
+           << "  \"slo_latency_burn_max\": "
+           << slo_report.total.latency_burn_max << "\n"
+           << "}\n";
+      });
       std::printf("wrote %s\n", out.c_str());
     }
   } catch (const FlagError& e) {

@@ -51,10 +51,6 @@ struct NetworkAccuracy {
 NetworkAccuracy evaluate_network_accuracy(nn::BenchmarkNet net,
                                           const AccuracyConfig& config);
 
-/// Runs all six benchmarks (paper order).
-std::vector<NetworkAccuracy> evaluate_all_networks(
-    const AccuracyConfig& config);
-
 /// Renders the Fig. 7 table.
 std::string render_accuracy(const std::vector<NetworkAccuracy>& rows);
 

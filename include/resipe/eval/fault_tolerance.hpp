@@ -32,7 +32,6 @@ struct FaultToleranceConfig {
   std::size_t test_samples = 200;
   std::size_t epochs = 4;
   std::size_t mc_seeds = 2;          ///< fault/device realizations per rate
-  std::string weight_cache_dir;      ///< empty = no caching
   bool verbose = false;
   std::uint64_t data_seed = 11;
   std::uint64_t fault_seed = 0xFA117u;
@@ -63,8 +62,8 @@ struct FaultToleranceResult {
   std::vector<FaultTolerancePoint> points;
 };
 
-/// Runs the sweep (trains or loads the network, then evaluates every
-/// defect rate with mitigation OFF and ON on shared fault maps).
+/// Runs the sweep (trains the network, then evaluates every defect rate
+/// with mitigation OFF and ON on shared fault maps).
 FaultToleranceResult evaluate_fault_tolerance(
     const FaultToleranceConfig& config);
 

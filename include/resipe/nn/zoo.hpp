@@ -9,11 +9,14 @@
 // tractable.  See DESIGN.md "Substitutions".
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "resipe/common/rng.hpp"
 #include "resipe/nn/model.hpp"
+#include "resipe/nn/train.hpp"
 
 namespace resipe::nn {
 
@@ -37,5 +40,37 @@ Sequential build_benchmark(BenchmarkNet net, Rng& rng);
 
 /// All six benchmarks in paper order.
 std::vector<BenchmarkNet> all_benchmarks();
+
+/// What an experiment chooses of the one recipe that trains a
+/// benchmark.  The rest is fixed: the data stream Rng(data_seed) split
+/// once for the train set and once for the test set, the dataset the
+/// net takes (uses_object_dataset), the model seed 0xC0FFEE + net, Adam
+/// at batch 32 and lr 1e-3, and a calibration batch of the first
+/// min(48, train_samples) training images.
+struct TrainRecipe {
+  std::size_t train_samples = 0;
+  std::size_t test_samples = 0;
+  std::size_t epochs = 0;
+  std::uint64_t data_seed = 7;
+  /// Weight file: loaded instead of training when it fits the model,
+  /// else written after training.  Empty = always train, write nothing.
+  /// (The braces let a designated initializer omit it without a
+  /// -Wmissing-field-initializers warning.)
+  std::string weight_cache{};
+  bool verbose = false;  ///< TrainConfig::verbose (per-epoch loss lines)
+};
+
+/// A benchmark trained (or loaded) by train_benchmark.
+struct TrainedBenchmark {
+  Sequential model;
+  Dataset test;
+  Tensor calibration;  ///< the batch the lowering calibrates on
+  /// fit()'s result; empty when the weights came from the cache.
+  std::optional<TrainResult> fit;
+};
+
+/// Builds `net` and trains it by `recipe`, or loads its weights from
+/// `recipe.weight_cache`.
+TrainedBenchmark train_benchmark(BenchmarkNet net, const TrainRecipe& recipe);
 
 }  // namespace resipe::nn

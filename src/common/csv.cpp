@@ -1,9 +1,9 @@
 #include "resipe/common/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 
 namespace resipe {
 
@@ -47,10 +47,7 @@ void CsvWriter::write(std::ostream& os) const {
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  RESIPE_REQUIRE(out.good(), "cannot open '" << path << "' for writing");
-  write(out);
-  RESIPE_REQUIRE(out.good(), "write to '" << path << "' failed");
+  resipe::write_file(path, [this](std::ostream& os) { write(os); });
 }
 
 std::string csv_escape(const std::string& field) {

@@ -7,8 +7,6 @@
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/serialize.hpp"
 #include "resipe/nn/train.hpp"
 
 namespace resipe::eval {
@@ -60,54 +58,27 @@ NetworkAccuracy evaluate_network_accuracy(nn::BenchmarkNet net,
                                           const AccuracyConfig& cfg) {
   RESIPE_REQUIRE(!cfg.sigmas.empty() && cfg.mc_seeds >= 1,
                  "empty accuracy sweep");
-  Rng data_rng(cfg.data_seed);
   const std::size_t n_train = std::max<std::size_t>(
       64, static_cast<std::size_t>(static_cast<double>(cfg.train_samples) *
                                    train_budget_factor(net)));
-  const bool objects = nn::uses_object_dataset(net);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = objects
-                                ? nn::synthetic_objects(n_train, train_rng)
-                                : nn::synthetic_digits(n_train, train_rng);
-  const nn::Dataset test =
-      objects ? nn::synthetic_objects(cfg.test_samples, test_rng)
-              : nn::synthetic_digits(cfg.test_samples, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-
-  const std::string cache = cache_path(cfg, net);
-  if (!cache.empty() && nn::weights_compatible(model, cache)) {
-    nn::load_weights(model, cache);
-    if (cfg.verbose) std::printf("  [%s] loaded cached weights\n",
-                                 model.name().c_str());
-  } else {
-    nn::TrainConfig tc;
-    tc.epochs = epochs_for(net, cfg.epochs);
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    tc.verbose = cfg.verbose;
-    const auto tr = nn::fit(model, train, test, tc);
-    if (cfg.verbose) {
-      std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
-                  model.name().c_str(), tr.train_accuracy,
-                  tr.test_accuracy);
-    }
-    if (!cache.empty()) nn::save_weights(model, cache);
+  auto [model, test, calib, fit] = nn::train_benchmark(
+      net, {.train_samples = n_train,
+            .test_samples = cfg.test_samples,
+            .epochs = epochs_for(net, cfg.epochs),
+            .data_seed = cfg.data_seed,
+            .weight_cache = cache_path(cfg, net),
+            .verbose = cfg.verbose});
+  if (cfg.verbose && fit) {
+    std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
+                model.name().c_str(), fit->train_accuracy, fit->test_accuracy);
+  } else if (cfg.verbose) {
+    std::printf("  [%s] loaded cached weights\n", model.name().c_str());
   }
 
   NetworkAccuracy row;
   row.name = nn::benchmark_name(net);
   row.software_accuracy = nn::evaluate(model, test);
   row.sigmas = cfg.sigmas;
-
-  // Calibration batch: a slice of the training set.
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
 
   // Each (sigma, seed) arm is an independent Monte-Carlo chip: it
   // derives all randomness from its own program seed and only reads
@@ -147,15 +118,6 @@ NetworkAccuracy evaluate_network_accuracy(nn::BenchmarkNet net,
     }
   }
   return row;
-}
-
-std::vector<NetworkAccuracy> evaluate_all_networks(
-    const AccuracyConfig& cfg) {
-  std::vector<NetworkAccuracy> rows;
-  for (nn::BenchmarkNet net : nn::all_benchmarks()) {
-    rows.push_back(evaluate_network_accuracy(net, cfg));
-  }
-  return rows;
 }
 
 std::string render_accuracy(const std::vector<NetworkAccuracy>& rows) {

@@ -1,6 +1,5 @@
 #include "resipe/eval/fault_tolerance.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -8,21 +7,10 @@
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/serialize.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::eval {
-namespace {
-
-std::string cache_path(const FaultToleranceConfig& cfg) {
-  if (cfg.weight_cache_dir.empty()) return {};
-  return cfg.weight_cache_dir + "/resipe_weights_ft_" +
-         std::string(nn::benchmark_name(cfg.net)) + ".bin";
-}
-
-}  // namespace
 
 FaultToleranceResult evaluate_fault_tolerance(
     const FaultToleranceConfig& cfg) {
@@ -30,50 +18,20 @@ FaultToleranceResult evaluate_fault_tolerance(
   RESIPE_REQUIRE(!cfg.defect_rates.empty() && cfg.mc_seeds >= 1,
                  "empty fault-tolerance sweep");
 
-  Rng data_rng(cfg.data_seed);
-  const bool objects = nn::uses_object_dataset(cfg.net);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train =
-      objects ? nn::synthetic_objects(cfg.train_samples, train_rng)
-              : nn::synthetic_digits(cfg.train_samples, train_rng);
-  const nn::Dataset test =
-      objects ? nn::synthetic_objects(cfg.test_samples, test_rng)
-              : nn::synthetic_digits(cfg.test_samples, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(cfg.net));
-  nn::Sequential model = nn::build_benchmark(cfg.net, model_rng);
-
-  const std::string cache = cache_path(cfg);
-  if (!cache.empty() && nn::weights_compatible(model, cache)) {
-    nn::load_weights(model, cache);
-    if (cfg.verbose) {
-      std::printf("  [%s] loaded cached weights\n", model.name().c_str());
-    }
-  } else {
-    nn::TrainConfig tc;
-    tc.epochs = cfg.epochs;
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    tc.verbose = cfg.verbose;
-    const auto tr = nn::fit(model, train, test, tc);
-    if (cfg.verbose) {
-      std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
-                  model.name().c_str(), tr.train_accuracy,
-                  tr.test_accuracy);
-    }
-    if (!cache.empty()) nn::save_weights(model, cache);
+  auto [model, test, calib, fit] = nn::train_benchmark(
+      cfg.net, {.train_samples = cfg.train_samples,
+                .test_samples = cfg.test_samples,
+                .epochs = cfg.epochs,
+                .data_seed = cfg.data_seed,
+                .verbose = cfg.verbose});
+  if (cfg.verbose) {
+    std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
+                model.name().c_str(), fit->train_accuracy, fit->test_accuracy);
   }
 
   FaultToleranceResult result;
   result.network = nn::benchmark_name(cfg.net);
   result.software_accuracy = nn::evaluate(model, test);
-
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
 
   const auto run_arm = [&](double rate, std::size_t seed, bool mitigate,
                            std::unique_ptr<resipe_core::ResipeNetwork>&

@@ -2,10 +2,9 @@
 // and the ASCII dashboard.
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/introspect/inspect.hpp"
@@ -188,10 +187,7 @@ std::string InspectionReport::to_json() const {
 }
 
 void InspectionReport::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open inspection report " << path);
-  os << to_json() << "\n";
-  RESIPE_REQUIRE(os.good(), "failed writing inspection report " << path);
+  write_file(path, [this](std::ostream& os) { os << to_json() << "\n"; });
 }
 
 std::string InspectionReport::render_ascii() const {

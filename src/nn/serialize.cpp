@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 
 namespace resipe::nn {
 namespace {
@@ -22,20 +23,19 @@ std::vector<std::uint64_t> layout(Sequential& model) {
 }  // namespace
 
 void save_weights(Sequential& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  RESIPE_REQUIRE(out.good(), "cannot open '" << path << "' for writing");
-  const auto sizes = layout(model);
-  const std::uint64_t count = sizes.size();
-  out.write(reinterpret_cast<const char*>(&kMagic), sizeof kMagic);
-  out.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (std::uint64_t s : sizes)
-    out.write(reinterpret_cast<const char*>(&s), sizeof s);
-  for (const Param& p : model.params()) {
-    const auto data = p.value->data();
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size() * sizeof(double)));
-  }
-  RESIPE_REQUIRE(out.good(), "write to '" << path << "' failed");
+  write_file(path, [&model](std::ostream& out) {
+    const auto sizes = layout(model);
+    const std::uint64_t count = sizes.size();
+    out.write(reinterpret_cast<const char*>(&kMagic), sizeof kMagic);
+    out.write(reinterpret_cast<const char*>(&count), sizeof count);
+    for (std::uint64_t s : sizes)
+      out.write(reinterpret_cast<const char*>(&s), sizeof s);
+    for (const Param& p : model.params()) {
+      const auto data = p.value->data();
+      out.write(reinterpret_cast<const char*>(data.data()),
+                static_cast<std::streamsize>(data.size() * sizeof(double)));
+    }
+  });
 }
 
 namespace {

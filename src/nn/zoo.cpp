@@ -1,6 +1,11 @@
 #include "resipe/nn/zoo.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "resipe/common/error.hpp"
+#include "resipe/nn/data.hpp"
+#include "resipe/nn/serialize.hpp"
 
 namespace resipe::nn {
 
@@ -129,6 +134,38 @@ Sequential build_benchmark(BenchmarkNet net, Rng& rng) {
 std::vector<BenchmarkNet> all_benchmarks() {
   return {BenchmarkNet::kMlp1, BenchmarkNet::kMlp2, BenchmarkNet::kCnn1,
           BenchmarkNet::kCnn2, BenchmarkNet::kCnn3, BenchmarkNet::kCnn4};
+}
+
+TrainedBenchmark train_benchmark(BenchmarkNet net, const TrainRecipe& recipe) {
+  constexpr std::uint64_t kModelSeed = 0xC0FFEE;
+  constexpr std::size_t kCalibrationImages = 48;
+  Rng data_rng(recipe.data_seed);
+  Rng train_rng = data_rng.split();
+  Rng test_rng = data_rng.split();
+  const auto synthesize =
+      uses_object_dataset(net) ? synthetic_objects : synthetic_digits;
+  const Dataset train = synthesize(recipe.train_samples, train_rng);
+  TrainedBenchmark out;
+  out.test = synthesize(recipe.test_samples, test_rng);
+  Rng model_rng(kModelSeed + static_cast<std::uint64_t>(net));
+  out.model = build_benchmark(net, model_rng);
+
+  const std::string& cache = recipe.weight_cache;
+  if (!cache.empty() && weights_compatible(out.model, cache)) {
+    load_weights(out.model, cache);
+  } else {
+    TrainConfig tc;
+    tc.epochs = recipe.epochs;
+    tc.batch_size = 32;
+    tc.lr = 1e-3;
+    tc.verbose = recipe.verbose;
+    out.fit = fit(out.model, train, out.test, tc);
+    if (!cache.empty()) save_weights(out.model, cache);
+  }
+  std::vector<std::size_t> first(std::min(kCalibrationImages, train.size()));
+  std::iota(first.begin(), first.end(), std::size_t{0});
+  out.calibration = train.gather(first).first;
+  return out;
 }
 
 }  // namespace resipe::nn

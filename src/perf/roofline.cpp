@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/telemetry/trace.hpp"
 
@@ -216,10 +215,7 @@ void RooflineReport::write_json(std::ostream& os) const {
 }
 
 void RooflineReport::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open roofline file " << path);
-  write_json(os);
-  RESIPE_REQUIRE(os.good(), "failed writing roofline file " << path);
+  write_file(path, [this](std::ostream& os) { write_json(os); });
 }
 
 // --- folded stacks -----------------------------------------------------
@@ -253,10 +249,8 @@ std::string folded_stacks(const telemetry::CallProfile& profile) {
 
 void write_folded_stacks_file(const std::string& path,
                               const telemetry::CallProfile& profile) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open folded-stack file " << path);
-  os << folded_stacks(profile);
-  RESIPE_REQUIRE(os.good(), "failed writing folded-stack file " << path);
+  write_file(path,
+             [&profile](std::ostream& os) { os << folded_stacks(profile); });
 }
 
 }  // namespace resipe::perf

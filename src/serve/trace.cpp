@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/telemetry/trace.hpp"
 
 namespace resipe::serve {
@@ -359,10 +359,9 @@ void write_events_ndjson(const EventJournal& journal,
 void write_events_ndjson_file(const EventJournal& journal,
                               const ServingStats& stats,
                               const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open events file " << path);
-  write_events_ndjson(journal, stats, os);
-  RESIPE_REQUIRE(os.good(), "failed writing events file " << path);
+  write_file(path, [&](std::ostream& os) {
+    write_events_ndjson(journal, stats, os);
+  });
 }
 
 void export_chrome_trace(const EventJournal& journal,

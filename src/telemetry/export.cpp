@@ -1,12 +1,11 @@
 // Flat metric dumps: JSON for machines, CSV (via common::CsvWriter) for
 // spreadsheets and the repo's re-plot scripts.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 
 #include "resipe/common/csv.hpp"
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/telemetry/metrics.hpp"
 #include "resipe/telemetry/trace.hpp"
@@ -67,10 +66,7 @@ void write_metrics_json(std::ostream& os) {
 }
 
 void write_metrics_json_file(const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open metrics file " << path);
-  write_metrics_json(os);
-  RESIPE_REQUIRE(os.good(), "failed writing metrics file " << path);
+  write_file(path, [](std::ostream& os) { write_metrics_json(os); });
 }
 
 void write_metrics_csv(std::ostream& os) {
@@ -120,10 +116,7 @@ void write_metrics_csv(std::ostream& os) {
 }
 
 void write_metrics_csv_file(const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open metrics file " << path);
-  write_metrics_csv(os);
-  RESIPE_REQUIRE(os.good(), "failed writing metrics file " << path);
+  write_file(path, [](std::ostream& os) { write_metrics_csv(os); });
 }
 
 std::string render_metrics_ascii() {

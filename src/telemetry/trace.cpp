@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/telemetry/metrics.hpp"
 #include "resipe/telemetry/timer.hpp"
 
@@ -207,10 +206,7 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
 }
 
 void TraceSession::write_chrome_trace_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open trace file " << path);
-  write_chrome_trace(os);
-  RESIPE_REQUIRE(os.good(), "failed writing trace file " << path);
+  write_file(path, [this](std::ostream& os) { write_chrome_trace(os); });
 }
 
 }  // namespace resipe::telemetry

@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/verify/serialize.hpp"
 #include "resipe/verify/shrink.hpp"
 
@@ -25,10 +25,8 @@ std::string write_repro(const std::string& dir, const FuzzFailure& failure) {
       fs::path(dir) / ("repro_" + failure.contract + "_seed" +
                        std::to_string(failure.original.descriptor.seed) +
                        ".json");
-  std::ofstream out(path);
-  out << repro_to_json(record);
-  out.close();
-  RESIPE_REQUIRE(out, "cannot write repro record " << path.string());
+  write_file(path.string(),
+             [&record](std::ostream& os) { os << repro_to_json(record); });
   return path.string();
 }
 

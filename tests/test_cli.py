@@ -232,11 +232,29 @@ def check_failed_writes(bins, check, tmp):
             r = run(bins.bench_table1, "--json", "/dev/full", cwd=tmp)
             check("bench_table1_taxonomy --json /dev/full exits 1",
                   r.returncode == 1 and "/dev/full" in r.stderr)
-        if bins.serve:
-            r = run(bins.serve, "--duration", "0.005", "--train", "64",
-                    "--images", "16", "--epochs", "1", "--out", "/dev/full",
-                    cwd=tmp)
-            check("resipe_serve --out /dev/full exits 1",
+        # /dev/full takes each write into the stream buffer and fails the
+        # flush at close, so these short outputs fail only there.
+        serve_run = ("--duration", "0.005", "--train", "64", "--images",
+                     "16", "--epochs", "1")
+        profile_run = ("profile", "--net", "mlp1", "--train", "64",
+                       "--images", "16", "--epochs", "1", "--reps", "1",
+                       "--calib-ms", "5")
+        writers = [
+            (bins.serve, (*serve_run, "--out", "/dev/full")),
+            (bins.serve, (*serve_run, "--events", "/dev/full")),
+            (bins.serve, (*serve_run, "--trace", "/dev/full")),
+            (bins.cli, ("--metrics", "/dev/full", "quickstart")),
+            (bins.cli, (*profile_run, "--out", "/dev/full")),
+            (bins.cli, (*profile_run, "--folded", "/dev/full")),
+            (bins.cli, ("characterize", "--samples", "5", "--csv",
+                        "/dev/full")),
+            (bins.bench_fig5, ("--csv", "/dev/full")),
+        ]
+        for binary, args in writers:
+            if binary is None:
+                continue
+            r = run(binary, *args, cwd=tmp)
+            check(f"{os.path.basename(binary)} {' '.join(args)} exits 1",
                   r.returncode == 1 and "/dev/full" in r.stderr
                   and "wrote /dev/full" not in r.stdout)
     if bins.fuzz:

@@ -6,6 +6,7 @@
 
 #include "resipe/common/csv.hpp"
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
 #include "resipe/common/table.hpp"
 
 namespace resipe {
@@ -93,6 +94,20 @@ TEST(CsvWriter, WriteFileRoundTrip) {
   EXPECT_EQ(header, "v");
   EXPECT_EQ(row, "42");
   std::remove(path.c_str());
+}
+
+TEST(WriteFile, AFailedOpenOrCloseNamesThePath) {
+  // /dev/full takes the open and the buffered write; it fails the flush
+  // at close, which is where a short file's only write happens.
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  for (const std::string path : {"no_such_dir/out.txt", "/dev/full"}) {
+    try {
+      write_file(path, [](std::ostream& os) { os << "x"; });
+      ADD_FAILURE() << "wrote " << path;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    }
+  }
 }
 
 }  // namespace
