@@ -8,13 +8,29 @@
 // retention drift, and (c) wire IR-drop — each isolated, plus a
 // combined worst case.
 #include <cstdio>
+#include <utility>
 
 #include "bench_report.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/eval/fidelity.hpp"
 
+using namespace resipe;
+
+namespace {
+
+/// Stuck-at cells at `rate` in total, half at each rail, through the
+/// engine's one fault path with mitigation off: no detection or repair,
+/// so the MVM sees every defect.
+void stuck_at_faults(resipe_core::EngineConfig& cfg, double rate) {
+  cfg.reliability.enabled = true;
+  cfg.reliability.mitigation.enabled = false;
+  cfg.reliability.faults.stuck_lrs_rate = rate / 2.0;
+  cfg.reliability.faults.stuck_hrs_rate = rate / 2.0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace resipe;
   bench::BenchReport report("ablation_reliability", argc, argv);
 
   std::puts("=== Ablation: reliability mechanisms at the MVM level "
@@ -27,13 +43,15 @@ int main(int argc, char** argv) {
                format_percent(s.worst)});
     report.add("baseline_rmse", s.rmse);
   }
-  for (double rate : {0.001, 0.01, 0.05}) {
+  for (const auto& [rate, figure] :
+       {std::pair{0.001, "saf_rmse_0p1pct"}, {0.01, "saf_rmse_1pct"},
+        {0.05, "saf_rmse_5pct"}}) {
     resipe_core::EngineConfig cfg;
-    cfg.device.stuck_lrs_rate = rate / 2.0;
-    cfg.device.stuck_hrs_rate = rate / 2.0;
+    stuck_at_faults(cfg, rate);
     const auto s = eval::mvm_fidelity(cfg);
     t.add_row({"stuck-at faults", format_percent(rate) + " total",
                format_percent(s.rmse), format_percent(s.worst)});
+    report.add(figure, s.rmse);
   }
   for (double years : {0.1, 1.0, 5.0}) {
     resipe_core::EngineConfig cfg;
@@ -64,8 +82,7 @@ int main(int argc, char** argv) {
   {
     resipe_core::EngineConfig cfg;
     cfg.device.variation_sigma = 0.10;
-    cfg.device.stuck_lrs_rate = 0.005;
-    cfg.device.stuck_hrs_rate = 0.005;
+    stuck_at_faults(cfg, 0.01);
     cfg.device.drift_nu = 0.02;
     cfg.retention_time = 365.0 * 24.0 * 3600.0;
     cfg.model_wire_ir_drop = true;

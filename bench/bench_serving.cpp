@@ -72,19 +72,7 @@ RunResult run_trace(serve::ChipPool& pool, const serve::ServeConfig& scfg,
   RunResult out;
   out.run_ns = telemetry::now_ns() - t0;
   out.stats = scheduler.stats();
-  std::size_t correct = 0, served = 0;
-  for (const serve::Response& r : responses) {
-    if (!r.served()) continue;
-    ++served;
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < r.logits.size(); ++j) {
-      if (r.logits[j] > r.logits[best]) best = j;
-    }
-    if (static_cast<int>(best) == data.labels[r.tag]) ++correct;
-  }
-  out.accuracy = served > 0 ? static_cast<double>(correct) /
-                                  static_cast<double>(served)
-                            : 0.0;
+  out.accuracy = serve::served_accuracy(responses, data.labels);
   out.responses = std::move(responses);
   return out;
 }

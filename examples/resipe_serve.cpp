@@ -135,19 +135,10 @@ int main(int argc, char** argv) {
     std::fputs(stats.render().c_str(), stdout);
 
     // --- served accuracy: join responses back to dataset labels.
-    std::size_t correct = 0, served = 0;
-    for (const serve::Response& r : responses) {
-      if (!r.served()) continue;
-      ++served;
-      std::size_t best = 0;
-      for (std::size_t j = 1; j < r.logits.size(); ++j) {
-        if (r.logits[j] > r.logits[best]) best = j;
-      }
-      if (static_cast<int>(best) == test.labels[r.tag]) ++correct;
-    }
-    const double acc =
-        served > 0 ? static_cast<double>(correct) / served : 0.0;
-    std::printf("served accuracy: %.3f (%zu/%zu)\n", acc, correct, served);
+    const double acc = serve::served_accuracy(responses, test.labels);
+    const std::size_t served = stats.served_ok + stats.served_degraded;
+    std::printf("served accuracy: %.3f (%.0f/%zu)\n", acc,
+                acc * static_cast<double>(served), served);
 
     TextTable chip_table({"chip", "state", "probes", "quar", "readmit",
                           "batches", "requests", "canary miss",

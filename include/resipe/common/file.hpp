@@ -11,16 +11,18 @@
 namespace resipe {
 
 /// Opens `path` for writing (truncating it), runs `body` on the stream,
-/// closes it and checks it.  Throws resipe::Error naming `path` when the
-/// file cannot be opened or any write, the flush at close included,
-/// fails.  Bytes are written as given (binary mode).
+/// closes it and checks it.  Throws resipe::Error reading `cannot open
+/// '<path>' for writing` or `write to '<path>' failed` when the file
+/// cannot be opened or any write, the flush at close included, fails:
+/// the message reaches users as is, so it holds no source location.
+/// Bytes are written as given (binary mode).
 template <class Body>
 void write_file(const std::string& path, Body&& body) {
   std::ofstream os(path, std::ios::binary);
-  RESIPE_REQUIRE(os.good(), "cannot open '" << path << "' for writing");
+  if (!os.good()) throw Error("cannot open '" + path + "' for writing");
   body(static_cast<std::ostream&>(os));
   os.close();
-  RESIPE_REQUIRE(os.good(), "write to '" << path << "' failed");
+  if (!os.good()) throw Error("write to '" + path + "' failed");
 }
 
 }  // namespace resipe

@@ -20,8 +20,6 @@
 #include "resipe/circuits/column_output_generator.hpp"
 #include "resipe/common/rng.hpp"
 #include "resipe/device/reram.hpp"
-#include "resipe/reliability/fault_mapper.hpp"
-#include "resipe/reliability/fault_model.hpp"
 
 namespace resipe::crossbar {
 
@@ -43,19 +41,6 @@ class Crossbar {
   /// Programs a single cell.
   void program_cell(std::size_t row, std::size_t col, double g_target,
                     Rng& rng);
-
-  /// Injects permanent stuck-at hard faults: marked cells are pinned at
-  /// their rail and later programming cannot move them.
-  void inject_faults(const reliability::FaultMap& map);
-
-  /// Cells carrying an injected/worn-out permanent fault.
-  std::size_t hard_fault_count() const;
-  bool cell_hard_faulted(std::size_t row, std::size_t col) const;
-
-  /// Per-column health: true when the column has no hard-faulted cell
-  /// — the graceful-degradation flag consumers check before trusting a
-  /// column's MVM result.
-  std::vector<bool> healthy_columns() const;
 
   /// Programmed (static) conductance of a cell.
   double g(std::size_t row, std::size_t col) const;
@@ -118,13 +103,5 @@ class Crossbar {
 Crossbar make_representative(std::size_t rows, std::size_t cols,
                              const device::ReramSpec& spec,
                              std::uint64_t seed);
-
-/// Runs a march test over `xbar` (reliability::FaultMapper): writes the
-/// low then high background pattern through the real device model and
-/// classifies each cell from noisy readbacks.  Destructive — run it
-/// before weights are programmed.
-reliability::FaultMap march_fault_map(
-    Crossbar& xbar, Rng& rng,
-    const reliability::FaultMapperConfig& config = {});
 
 }  // namespace resipe::crossbar

@@ -49,12 +49,6 @@ struct ReramSpec {
   /// Relative sigma of cycle-to-cycle read noise applied per MVM.
   double read_noise_sigma = 0.0;
 
-  /// Stuck-at-fault rates ([21, 22]-style reliability modelling): the
-  /// probability that a cell is stuck at LRS (G_max) or HRS (G_min)
-  /// regardless of the programmed target.
-  double stuck_lrs_rate = 0.0;
-  double stuck_hrs_rate = 0.0;
-
   /// Conductance retention drift: G(t) = G0 * (t / t0)^(-drift_nu)
   /// for t > t0 (power-law drift typical of metal-oxide ReRAM).
   /// drift_nu = 0 disables drift.
@@ -159,8 +153,7 @@ class ReramCell {
   void force_stuck_lrs(const ReramSpec& spec);
   void force_stuck_hrs(const ReramSpec& spec);
 
-  /// True when the cell carries an injected/worn-out permanent fault
-  /// (as opposed to a per-programming stochastic stuck draw).
+  /// True when the cell carries an injected/worn-out permanent fault.
   bool hard_faulted() const { return hard_fault_; }
 
   /// The conductance requested (post-clamp, pre-quantization).
@@ -175,11 +168,8 @@ class ReramCell {
 
   /// Conductance after `elapsed` seconds of retention (power-law
   /// drift; identity when the spec disables drift or the cell is
-  /// stuck).
+  /// hard-faulted).
   double drifted_g(const ReramSpec& spec, double elapsed) const;
-
-  /// True when the programming draw left this cell stuck at a rail.
-  bool is_stuck() const { return stuck_; }
 
   /// Effective conductance seen from the bitline through the 1T1R
   /// access transistor: series combination 1/(R_cell + R_on).
@@ -188,7 +178,6 @@ class ReramCell {
  private:
   double target_g_ = 0.0;
   double programmed_g_ = 0.0;
-  bool stuck_ = false;
   bool hard_fault_ = false;
 };
 

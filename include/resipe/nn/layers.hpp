@@ -1,7 +1,7 @@
 // Neural-network layers with forward and backward passes.
 //
 // The layer set is exactly what the paper's six benchmark networks need
-// (Sec. IV-C): dense (perceptron) layers, 2-D convolutions, max/avg
+// (Sec. IV-C): dense (perceptron) layers, 2-D convolutions, max
 // pooling, ReLU, and flatten.  Each layer caches its forward input so
 // backward() can compute gradients; parameters and their gradient
 // buffers are exposed through params() for the optimizer.
@@ -27,8 +27,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass.  `train` enables training-only behaviour (currently
-  /// just gradient caching; kept for future dropout-style layers).
+  /// Forward pass.  `train` enables training-only behaviour: caching
+  /// what backward() needs.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   /// Eval-mode forward into `y`, which must not alias `x`: y ends up
@@ -150,63 +150,6 @@ class MaxPool2d : public Layer {
   std::vector<std::size_t> argmax_;  // flat input index per output elem
 };
 
-/// Average pooling with square window `k` and stride `k`.
-class AvgPool2d : public Layer {
- public:
-  explicit AvgPool2d(std::size_t k);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string describe() const override;
-  std::size_t window() const { return k_; }
-
- private:
-  std::size_t k_;
-  std::vector<std::size_t> in_shape_;
-};
-
-/// Per-channel batch normalization over [N, C, H, W] inputs.
-/// Training uses batch statistics and maintains running estimates;
-/// evaluation uses the running estimates.  For crossbar mapping the
-/// affine transform folds into the preceding conv/dense weights
-/// (see fold_batchnorm in model.hpp).
-class BatchNorm2d : public Layer {
- public:
-  explicit BatchNorm2d(std::size_t channels, double momentum = 0.1,
-                       double eps = 1e-5);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::vector<Param> params() override;
-  std::string describe() const override;
-
-  std::size_t channels() const { return channels_; }
-  Tensor& gamma() { return gamma_; }
-  Tensor& beta() { return beta_; }
-  const Tensor& running_mean() const { return running_mean_; }
-  const Tensor& running_var() const { return running_var_; }
-  double eps() const { return eps_; }
-
-  /// Effective per-channel scale/shift at inference:
-  /// y = scale * x + shift.
-  double effective_scale(std::size_t c) const;
-  double effective_shift(std::size_t c) const;
-
- private:
-  std::size_t channels_;
-  double momentum_;
-  double eps_;
-  Tensor gamma_;   // [1, C]
-  Tensor beta_;    // [1, C]
-  Tensor g_gamma_;
-  Tensor g_beta_;
-  Tensor running_mean_;  // [1, C]
-  Tensor running_var_;   // [1, C]
-  // Cached forward state for backward.
-  Tensor cached_xhat_;
-  std::vector<double> batch_mean_;
-  std::vector<double> batch_var_;
-};
-
 /// Rectified linear unit.  In the ReSiPE mapping ReLU is free: a
 /// negative differential MAC simply produces no spike.
 class ReLU : public Layer {
@@ -221,20 +164,6 @@ class ReLU : public Layer {
   static void run(const Tensor& x, Tensor& y, bool train);
 
   Tensor cached_x_;
-};
-
-/// Inverted dropout: active only in training; evaluation is identity.
-class Dropout : public Layer {
- public:
-  explicit Dropout(double rate, std::uint64_t seed = 99);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string describe() const override;
-
- private:
-  double rate_;
-  Rng rng_;
-  std::vector<double> mask_;
 };
 
 /// Collapses [N, C, H, W] -> [N, C*H*W].

@@ -103,12 +103,4 @@ class Sequential {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// Folds every Conv2d -> BatchNorm2d pair for inference: the BN's
-/// effective per-channel scale/shift is absorbed into the conv's
-/// weights and bias, and the BN layer is reset to an exact identity.
-/// Standard PIM mapping step — a folded network needs no BN circuitry.
-/// Returns the number of pairs folded.  Call only on a trained model
-/// (uses the BN running statistics).
-std::size_t fold_batchnorm(Sequential& model);
-
 }  // namespace resipe::nn

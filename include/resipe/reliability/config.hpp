@@ -60,7 +60,7 @@ struct ReliabilityConfig {
   double endurance_cycles = 0.0;
   double wear_cycles = 0.0;
 
-  /// Detection model (march thresholds / statistical imperfection).
+  /// Detection model (statistical miss / false-alarm rates).
   FaultMapperConfig mapper;
 
   /// Mitigation policy.

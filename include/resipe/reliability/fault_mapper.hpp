@@ -1,35 +1,18 @@
-// March-test style fault detection.
+// Statistical fault detection.
 //
-// A memory march test writes a background pattern, reads it back, then
-// writes and reads the inverse pattern; a cell that reads near the
-// G_max rail after a low write is stuck-at-LRS, a cell that reads near
-// the G_min rail after a high write is stuck-at-HRS.  The mapper works
-// through read/write functors so it can drive a behavioral Crossbar
-// (crossbar::march_fault_map), hardware, or a simulated readback.
-//
-// The virtual-tile engine (ProgrammedMatrix) already knows the injected
-// ground truth; re-running a full march per tile would double the
-// programming cost for no information, so `from_truth` derives the
-// *detected* map statistically with configurable miss / false-alarm
-// rates instead.
+// The virtual-tile engine (ProgrammedMatrix) knows the injected ground
+// truth, so `from_truth` derives the *detected* map from it with
+// configurable miss / false-alarm rates: the imperfection of a real
+// detector, without simulating its test pattern cell by cell.
 #pragma once
-
-#include <cstddef>
-#include <functional>
 
 #include "resipe/reliability/fault_model.hpp"
 
 namespace resipe::reliability {
 
-/// Detection thresholds and imperfection model.
+/// Detection imperfection model.
 struct FaultMapperConfig {
-  /// A readback within this fraction of the conductance window of a
-  /// rail classifies the cell as stuck at that rail.
-  double rail_tolerance = 0.25;
-  /// Reads averaged per cell and pattern (suppresses read noise).
-  std::size_t reads_per_cell = 3;
-  /// Statistical detection imperfection used by `from_truth`: a real
-  /// fault is missed with `miss_rate`; a healthy cell is flagged
+  /// A real fault is missed with `miss_rate`; a healthy cell is flagged
   /// (stuck-at-HRS, the conservative guess) with `false_alarm_rate`.
   double miss_rate = 0.0;
   double false_alarm_rate = 0.0;
@@ -37,32 +20,15 @@ struct FaultMapperConfig {
   void validate() const;
 };
 
-/// March-test fault detector.
+/// Statistical fault detector.
 class FaultMapper {
  public:
-  using WriteCell =
-      std::function<void(std::size_t row, std::size_t col, double target_g)>;
-  using ReadCell = std::function<double(std::size_t row, std::size_t col)>;
-
   explicit FaultMapper(FaultMapperConfig config = {});
 
   const FaultMapperConfig& config() const { return config_; }
 
-  /// Runs the march over a rows x cols array: writes all cells low,
-  /// reads back (averaged), writes all cells high, reads back, then
-  /// classifies.  Destructive — the array ends holding the high
-  /// pattern, so run it before weights are programmed.
-  FaultMap march(std::size_t rows, std::size_t cols,
-                 const device::ReramSpec& spec, const WriteCell& write_cell,
-                 const ReadCell& read_cell) const;
-
-  /// Classifies one cell from its averaged low-pattern and
-  /// high-pattern readbacks.
-  FaultType classify(const device::ReramSpec& spec, double g_low_read,
-                     double g_high_read) const;
-
-  /// Statistical detection: the detected map equals `truth` except for
-  /// missed faults / false alarms drawn from `rng` per the config.
+  /// The detected map equals `truth` except for missed faults / false
+  /// alarms drawn from `rng` per the config.
   FaultMap from_truth(const FaultMap& truth, Rng& rng) const;
 
  private:

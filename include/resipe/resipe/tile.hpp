@@ -31,16 +31,6 @@ class ResipeTile {
   /// Programs the crossbar from row-major conductance targets.
   void program(std::span<const double> g_targets, Rng& rng);
 
-  /// Injects permanent stuck-at faults into the crossbar (see
-  /// reliability::generate_fault_map); survives reprogramming.
-  void inject_faults(const reliability::FaultMap& map);
-
-  /// Per-bitline health flags: false where a hard-faulted cell feeds
-  /// the column, i.e. the output spike is computed over a defect.
-  std::vector<bool> healthy_columns() const {
-    return xbar_.healthy_columns();
-  }
-
   std::size_t rows() const { return xbar_.rows(); }
   std::size_t cols() const { return xbar_.cols(); }
   const crossbar::Crossbar& crossbar() const { return xbar_; }
@@ -54,21 +44,6 @@ class ResipeTile {
   std::vector<circuits::Spike> execute(
       const std::vector<circuits::Spike>& inputs,
       Rng* read_noise = nullptr) const;
-
-  /// MVM result with per-column trust flags (graceful degradation).
-  struct FlaggedResult {
-    std::vector<circuits::Spike> spikes;
-    /// column_ok[j] == false: spikes[j] was computed over at least one
-    /// hard-faulted cell and should not be trusted blindly.
-    std::vector<bool> column_ok;
-    std::size_t degraded_columns = 0;
-  };
-
-  /// `execute()` plus the health flags: faulty columns still produce a
-  /// best-effort spike (the engine degrades, it does not halt), but the
-  /// caller is told which outputs crossed a defect.
-  FlaggedResult execute_flagged(const std::vector<circuits::Spike>& inputs,
-                                Rng* read_noise = nullptr) const;
 
   /// The sampled COG voltages (end of the computation stage) for the
   /// given inputs — the intermediate quantity of Eq. (3).

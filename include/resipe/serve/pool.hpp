@@ -73,10 +73,6 @@ class ChipPool {
   /// Shape of one sample (calibration shape without the batch axis).
   const std::vector<std::size_t>& input_shape() const { return input_shape_; }
 
-  /// Lowest-index healthy chip, skipping `exclude` when another healthy
-  /// chip exists; returns size() when every chip is quarantined.
-  std::size_t pick_healthy(std::size_t exclude) const;
-
   /// Runs `batch` ([n, input_size] row-major) through the replica and
   /// returns its logits.  Deterministic and bit-identical at any thread
   /// count (the engine's batched forward path).
@@ -99,11 +95,6 @@ class ChipPool {
   /// Operator override: immediately quarantines a chip (manual drain).
   /// Recovery still requires `readmit_after` clean probe rounds.
   void force_quarantine(std::size_t chip);
-
-  /// The canary batch and golden logits the probes compare against
-  /// (exposed for tests and the serving report).
-  const nn::Tensor& canaries() const { return canaries_; }
-  const nn::Tensor& golden_logits() const { return golden_logits_; }
 
   /// Direct access to a replica's network (tests, accuracy studies).
   const resipe_core::ResipeNetwork& network(std::size_t chip) const;

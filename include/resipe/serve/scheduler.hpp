@@ -145,7 +145,8 @@ class Scheduler {
   Scheduler(ChipPool& pool, const ServeConfig& config);
 
   /// Buffers one request (any order; run() sorts by arrival).  Input
-  /// length must match the pool; ids must be unique.
+  /// length must match the pool and every input value be finite; ids
+  /// must be unique.  Throws resipe::Error naming the request id.
   void submit(Request request);
 
   /// Attaches a lifecycle-event journal (serve/trace.hpp); every

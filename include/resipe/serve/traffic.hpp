@@ -40,4 +40,12 @@ struct TrafficConfig {
 std::vector<Request> poisson_traffic(const nn::Tensor& samples,
                                      const TrafficConfig& config);
 
+/// Accuracy of the served answers of a trace: the fraction of served
+/// responses whose logits' argmax equals labels[tag] (tag is the row
+/// poisson_traffic sampled); 0 when nothing was served.  Throws
+/// resipe::Error naming the response id when a tag is not a row of
+/// `labels`.
+double served_accuracy(const std::vector<Response>& responses,
+                       const std::vector<int>& labels);
+
 }  // namespace resipe::serve

@@ -1,6 +1,5 @@
 #include "resipe/crossbar/crossbar.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "resipe/common/error.hpp"
@@ -52,53 +51,6 @@ void Crossbar::program(std::span<const double> g_targets, Rng& rng) {
 void Crossbar::program_cell(std::size_t row, std::size_t col,
                             double g_target, Rng& rng) {
   cell(row, col).program(spec_, g_target, rng);
-}
-
-void Crossbar::inject_faults(const reliability::FaultMap& map) {
-  RESIPE_REQUIRE(map.rows() == rows_ && map.cols() == cols_,
-                 "fault map shape " << map.rows() << "x" << map.cols()
-                                    << " != crossbar " << rows_ << "x"
-                                    << cols_);
-  std::size_t injected = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      switch (map.at(r, c)) {
-        case reliability::FaultType::kStuckLrs:
-          cell(r, c).force_stuck_lrs(spec_);
-          ++injected;
-          break;
-        case reliability::FaultType::kStuckHrs:
-          cell(r, c).force_stuck_hrs(spec_);
-          ++injected;
-          break;
-        case reliability::FaultType::kNone:
-          break;
-      }
-    }
-  }
-  RESIPE_TELEM_COUNT("reliability.cells_faulty", injected);
-}
-
-std::size_t Crossbar::hard_fault_count() const {
-  std::size_t n = 0;
-  for (const auto& c : cells_) {
-    if (c.hard_faulted()) ++n;
-  }
-  return n;
-}
-
-bool Crossbar::cell_hard_faulted(std::size_t row, std::size_t col) const {
-  return cell(row, col).hard_faulted();
-}
-
-std::vector<bool> Crossbar::healthy_columns() const {
-  std::vector<bool> ok(cols_, true);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (cells_[r * cols_ + c].hard_faulted()) ok[c] = false;
-    }
-  }
-  return ok;
 }
 
 double Crossbar::g(std::size_t row, std::size_t col) const {
@@ -201,26 +153,6 @@ double Crossbar::static_read_energy(std::span<const double> v_wl,
     for (std::size_t c = 0; c < cols_; ++c) power += effective_g(r, c) * v2;
   }
   return power * duration;
-}
-
-reliability::FaultMap march_fault_map(
-    Crossbar& xbar, Rng& rng,
-    const reliability::FaultMapperConfig& config) {
-  const reliability::FaultMapper mapper(config);
-  return mapper.march(
-      xbar.rows(), xbar.cols(), xbar.spec(),
-      [&](std::size_t r, std::size_t c, double target) {
-        xbar.program_cell(r, c, target, rng);
-      },
-      [&](std::size_t r, std::size_t c) {
-        // Raw cell readback (no 1T1R series drop) with fresh read noise
-        // — the test circuit senses the cell directly.
-        double g = xbar.g(r, c);
-        if (xbar.spec().read_noise_sigma > 0.0) {
-          g *= 1.0 + rng.normal(0.0, xbar.spec().read_noise_sigma);
-        }
-        return std::max(g, 0.0);
-      });
 }
 
 Crossbar make_representative(std::size_t rows, std::size_t cols,

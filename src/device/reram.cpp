@@ -24,9 +24,6 @@ void ReramSpec::validate() const {
   RESIPE_REQUIRE(read_noise_sigma >= 0.0, "negative read noise sigma");
   RESIPE_REQUIRE(transistor_r_on >= 0.0, "negative transistor resistance");
   RESIPE_REQUIRE(cell_area > 0.0, "non-positive cell area");
-  RESIPE_REQUIRE(stuck_lrs_rate >= 0.0 && stuck_hrs_rate >= 0.0 &&
-                     stuck_lrs_rate + stuck_hrs_rate <= 1.0,
-                 "stuck-at-fault rates must be probabilities");
   RESIPE_REQUIRE(drift_nu >= 0.0, "negative drift exponent");
   RESIPE_REQUIRE(drift_t0 > 0.0, "drift reference time must be positive");
 }
@@ -77,25 +74,6 @@ void ReramCell::program_impl(const ReramSpec& spec, double target_g,
   if constexpr (kInstrumented) {
     RESIPE_TELEM_COUNT("device.reram.program_ops", 1);
   }
-  // Stuck-at faults win over everything: the write-verify loop cannot
-  // move a stuck cell.
-  stuck_ = false;
-  if (spec.stuck_lrs_rate > 0.0 && rng.bernoulli(spec.stuck_lrs_rate)) {
-    programmed_g_ = spec.g_max();
-    stuck_ = true;
-    if constexpr (kInstrumented) {
-      RESIPE_TELEM_COUNT("device.reram.stuck_lrs_faults", 1);
-    }
-    return;
-  }
-  if (spec.stuck_hrs_rate > 0.0 && rng.bernoulli(spec.stuck_hrs_rate)) {
-    programmed_g_ = spec.g_min();
-    stuck_ = true;
-    if constexpr (kInstrumented) {
-      RESIPE_TELEM_COUNT("device.reram.stuck_hrs_faults", 1);
-    }
-    return;
-  }
   // Snap to the nearest programmable level.
   const double w = quant.g_to_weight(target_g_);
   double g = quant.weight_to_g_quantized(w);
@@ -143,7 +121,6 @@ ProgramResult ReramCell::program_verified(const ReramSpec& spec,
     result.status = ProgramStatus::kHardFault;
     return result;
   }
-  stuck_ = false;
   // The verify loop chases the nearest programmable level.
   const double goal = quant.weight_to_g_quantized(quant.g_to_weight(target_g_));
   const double tol = spec.write_verify_tolerance;
@@ -202,13 +179,11 @@ ProgramResult ReramCell::program_verified(const ReramSpec& spec,
 
 void ReramCell::force_stuck_lrs(const ReramSpec& spec) {
   programmed_g_ = spec.g_max();
-  stuck_ = true;
   hard_fault_ = true;
 }
 
 void ReramCell::force_stuck_hrs(const ReramSpec& spec) {
   programmed_g_ = spec.g_min();
-  stuck_ = true;
   hard_fault_ = true;
 }
 
@@ -222,7 +197,7 @@ double ReramCell::read_g(const ReramSpec& spec, Rng& rng) const {
 
 double ReramCell::drifted_g(const ReramSpec& spec, double elapsed) const {
   RESIPE_REQUIRE(elapsed >= 0.0, "negative retention time");
-  if (stuck_) return programmed_g_;  // a pinned filament does not relax
+  if (hard_fault_) return programmed_g_;  // a pinned filament does not relax
   return drift_conductance(programmed_g_, elapsed, spec.drift_t0,
                            spec.drift_nu);
 }

@@ -47,8 +47,7 @@ std::string engine_config_hash(const resipe_core::EngineConfig& cfg) {
   const auto& d = cfg.device;
   os << ";lrs=" << d.r_lrs << ";hrs=" << d.r_hrs << ";lvl=" << d.levels
      << ";wvt=" << d.write_verify_tolerance << ";var=" << d.variation_sigma
-     << ";rns=" << d.read_noise_sigma << ";slr=" << d.stuck_lrs_rate
-     << ";shr=" << d.stuck_hrs_rate << ";dnu=" << d.drift_nu
+     << ";rns=" << d.read_noise_sigma << ";dnu=" << d.drift_nu
      << ";dt0=" << d.drift_t0 << ";ron=" << d.transistor_r_on;
   os << ";rows=" << cfg.tile_rows << ";cols=" << cfg.tile_cols
      << ";map=" << static_cast<int>(cfg.mapping)
@@ -65,7 +64,9 @@ std::string engine_config_hash(const resipe_core::EngineConfig& cfg) {
      << ";fcl=" << r.faults.cluster_fraction
      << ";fcs=" << r.faults.cluster_size << ";rdr=" << r.read_disturb_rate
      << ";emv=" << r.expected_mvms << ";end=" << r.endurance_cycles
-     << ";wear=" << r.wear_cycles << ";mit=" << r.mitigation.enabled
+     << ";wear=" << r.wear_cycles << ";miss=" << r.mapper.miss_rate
+     << ";fa=" << r.mapper.false_alarm_rate
+     << ";mit=" << r.mitigation.enabled
      << ";sp=" << r.mitigation.spare_cols
      << ";rm=" << r.mitigation.remap_columns
      << ";cp=" << r.mitigation.compensate_pairs

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <sstream>
 
 #include "image_chunks.hpp"
 #include "resipe/common/error.hpp"
@@ -51,46 +50,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 }
 
 std::string ReLU::describe() const { return "ReLU"; }
-
-Dropout::Dropout(double rate, std::uint64_t seed)
-    : rate_(rate), rng_(seed) {
-  RESIPE_REQUIRE(rate >= 0.0 && rate < 1.0, "dropout rate out of [0, 1)");
-}
-
-Tensor Dropout::forward(const Tensor& x, bool train) {
-  if (!train || rate_ == 0.0) {
-    // Eval-mode forwards run concurrently on a shared model; only a
-    // training pass (always single-threaded) may touch layer state.
-    if (train) mask_.clear();
-    return x;
-  }
-  Tensor y = x;
-  mask_.assign(x.size(), 0.0);
-  const double keep = 1.0 - rate_;
-  auto yd = y.data();
-  for (std::size_t i = 0; i < yd.size(); ++i) {
-    // Inverted dropout keeps the expected activation unchanged.
-    mask_[i] = rng_.bernoulli(keep) ? 1.0 / keep : 0.0;
-    yd[i] *= mask_[i];
-  }
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_out) {
-  RESIPE_REQUIRE(!mask_.empty(), "backward before forward(train)");
-  RESIPE_REQUIRE(grad_out.size() == mask_.size(),
-                 "dropout grad size mismatch");
-  Tensor gx = grad_out;
-  auto gd = gx.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) gd[i] *= mask_[i];
-  return gx;
-}
-
-std::string Dropout::describe() const {
-  std::ostringstream os;
-  os << "Dropout(" << rate_ << ")";
-  return os.str();
-}
 
 Tensor Flatten::forward(const Tensor& x, bool train) {
   // Only the training pass records the input shape (backward's only

@@ -1,5 +1,4 @@
 #include "resipe/nn/model.hpp"
-#include <cmath>
 
 #include <sstream>
 
@@ -64,38 +63,6 @@ std::string Sequential::summary() {
   for (std::size_t i = 0; i < layers_.size(); ++i)
     os << "  [" << i << "] " << layers_[i]->describe() << "\n";
   return os.str();
-}
-
-std::size_t fold_batchnorm(Sequential& model) {
-  std::size_t folded = 0;
-  for (std::size_t i = 0; i + 1 < model.layer_count(); ++i) {
-    auto* conv = dynamic_cast<Conv2d*>(&model.layer(i));
-    auto* bn = dynamic_cast<BatchNorm2d*>(&model.layer(i + 1));
-    if (conv == nullptr || bn == nullptr) continue;
-    RESIPE_REQUIRE(bn->channels() == conv->out_channels(),
-                   "batchnorm channel count does not match the conv");
-    Tensor& w = conv->weights();
-    Tensor& b = conv->bias();
-    const std::size_t cin = conv->in_channels();
-    const std::size_t k = conv->kernel();
-    for (std::size_t oc = 0; oc < conv->out_channels(); ++oc) {
-      const double scale = bn->effective_scale(oc);
-      const double shift = bn->effective_shift(oc);
-      for (std::size_t ic = 0; ic < cin; ++ic)
-        for (std::size_t kr = 0; kr < k; ++kr)
-          for (std::size_t kc = 0; kc < k; ++kc)
-            w.at(oc, ic, kr, kc) *= scale;
-      b.at(0, oc) = scale * b.at(0, oc) + shift;
-      // Reset the BN to an exact identity at inference: with
-      // gamma = sqrt(var + eps) and beta = mean, (x - mean)/std * gamma
-      // + beta == x.
-      bn->gamma().at(0, oc) =
-          std::sqrt(bn->running_var().at(0, oc) + bn->eps());
-      bn->beta().at(0, oc) = bn->running_mean().at(0, oc);
-    }
-    ++folded;
-  }
-  return folded;
 }
 
 std::size_t Sequential::matrix_layer_count() const {

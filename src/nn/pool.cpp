@@ -87,66 +87,4 @@ std::string MaxPool2d::describe() const {
   return os.str();
 }
 
-AvgPool2d::AvgPool2d(std::size_t k) : k_(k) {
-  RESIPE_REQUIRE(k >= 1, "pool window must be >= 1");
-}
-
-Tensor AvgPool2d::forward(const Tensor& x, bool train) {
-  RESIPE_REQUIRE(x.rank() == 4, "pool input must be rank 4");
-  const std::size_t n = x.dim(0);
-  const std::size_t ch = x.dim(1);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
-  RESIPE_REQUIRE(h % k_ == 0 && w % k_ == 0,
-                 "pool window " << k_ << " must divide " << h << "x" << w);
-  if (train) in_shape_ = x.shape();
-  const std::size_t oh = h / k_;
-  const std::size_t ow = w / k_;
-  const double inv = 1.0 / static_cast<double>(k_ * k_);
-  Tensor y({n, ch, oh, ow});
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      for (std::size_t r = 0; r < oh; ++r) {
-        for (std::size_t col = 0; col < ow; ++col) {
-          double acc = 0.0;
-          for (std::size_t kr = 0; kr < k_; ++kr)
-            for (std::size_t kc = 0; kc < k_; ++kc)
-              acc += x.at(img, c, r * k_ + kr, col * k_ + kc);
-          y.at(img, c, r, col) = acc * inv;
-        }
-      }
-    }
-  }
-  return y;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  RESIPE_REQUIRE(!in_shape_.empty(), "backward before forward(train)");
-  Tensor gx(in_shape_);
-  const std::size_t n = in_shape_[0];
-  const std::size_t ch = in_shape_[1];
-  const double inv = 1.0 / static_cast<double>(k_ * k_);
-  const std::size_t oh = grad_out.dim(2);
-  const std::size_t ow = grad_out.dim(3);
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      for (std::size_t r = 0; r < oh; ++r) {
-        for (std::size_t col = 0; col < ow; ++col) {
-          const double g = grad_out.at(img, c, r, col) * inv;
-          for (std::size_t kr = 0; kr < k_; ++kr)
-            for (std::size_t kc = 0; kc < k_; ++kc)
-              gx.at(img, c, r * k_ + kr, col * k_ + kc) += g;
-        }
-      }
-    }
-  }
-  return gx;
-}
-
-std::string AvgPool2d::describe() const {
-  std::ostringstream os;
-  os << "AvgPool2d(" << k_ << ")";
-  return os.str();
-}
-
 }  // namespace resipe::nn

@@ -1,16 +1,11 @@
 #include "resipe/reliability/fault_mapper.hpp"
 
-#include <vector>
-
 #include "resipe/common/error.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::reliability {
 
 void FaultMapperConfig::validate() const {
-  RESIPE_REQUIRE(rail_tolerance > 0.0 && rail_tolerance < 0.5,
-                 "rail tolerance must be in (0, 0.5)");
-  RESIPE_REQUIRE(reads_per_cell >= 1, "need at least one read per cell");
   RESIPE_REQUIRE(miss_rate >= 0.0 && miss_rate <= 1.0 &&
                      false_alarm_rate >= 0.0 && false_alarm_rate <= 1.0,
                  "detection error rates must be probabilities");
@@ -18,69 +13,6 @@ void FaultMapperConfig::validate() const {
 
 FaultMapper::FaultMapper(FaultMapperConfig config) : config_(config) {
   config_.validate();
-}
-
-FaultType FaultMapper::classify(const device::ReramSpec& spec,
-                                double g_low_read,
-                                double g_high_read) const {
-  const double window = spec.g_max() - spec.g_min();
-  const double band = config_.rail_tolerance * window;
-  // Stuck-at-LRS: the cell reads near G_max even after a low write.
-  if (g_low_read >= spec.g_max() - band) return FaultType::kStuckLrs;
-  // Stuck-at-HRS: the cell reads near G_min even after a high write.
-  if (g_high_read <= spec.g_min() + band) return FaultType::kStuckHrs;
-  return FaultType::kNone;
-}
-
-FaultMap FaultMapper::march(std::size_t rows, std::size_t cols,
-                            const device::ReramSpec& spec,
-                            const WriteCell& write_cell,
-                            const ReadCell& read_cell) const {
-  RESIPE_TELEM_SCOPE("reliability.fault_mapper.march");
-  RESIPE_REQUIRE(write_cell && read_cell, "march needs write/read functors");
-  spec.validate();
-
-  const auto averaged_read = [&](std::size_t r, std::size_t c) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < config_.reads_per_cell; ++i) {
-      sum += read_cell(r, c);
-    }
-    return sum / static_cast<double>(config_.reads_per_cell);
-  };
-
-  // Pass 1: background low, read back.
-  std::vector<double> low_reads(rows * cols, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      write_cell(r, c, spec.g_min());
-    }
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      low_reads[r * cols + c] = averaged_read(r, c);
-    }
-  }
-  // Pass 2: inverse pattern, read back and classify.
-  FaultMap map(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      write_cell(r, c, spec.g_max());
-    }
-  }
-  std::size_t faulty = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const FaultType f =
-          classify(spec, low_reads[r * cols + c], averaged_read(r, c));
-      if (f != FaultType::kNone) {
-        map.set(r, c, f);
-        ++faulty;
-      }
-    }
-  }
-  RESIPE_TELEM_COUNT("reliability.cells_tested", rows * cols);
-  RESIPE_TELEM_COUNT("reliability.cells_detected", faulty);
-  return map;
 }
 
 FaultMap FaultMapper::from_truth(const FaultMap& truth, Rng& rng) const {

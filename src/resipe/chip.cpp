@@ -102,10 +102,6 @@ ChipReport map_network(nn::Sequential& model,
       h /= mp->window();
       w /= mp->window();
       flat = c * h * w;
-    } else if (auto* ap = dynamic_cast<nn::AvgPool2d*>(&layer)) {
-      h /= ap->window();
-      w /= ap->window();
-      flat = c * h * w;
     } else if (dynamic_cast<nn::Flatten*>(&layer) != nullptr) {
       flattened = true;
       flat = c * h * w;

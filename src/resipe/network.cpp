@@ -247,12 +247,12 @@ reliability::FaultMap ProgrammedMatrix::place_block(
                               (block.col0 + c)];
   };
 
-  // --- Defect realization and (imperfect) march-test detection.
+  // --- Defect realization and (imperfect) statistical detection.
   reliability::FaultMap truth =
       reliability::generate_fault_map(rows, slots, rel.faults, fault_rng);
-  // The march test always burns its rng draws so the defect stream
-  // stays aligned across arms, but a blind (mitigation-off) chip never
-  // looks at the result.
+  // Detection always burns its rng draws so the defect stream stays
+  // aligned across arms, but a blind (mitigation-off) chip never looks
+  // at the result.
   const reliability::FaultMap detected = mapper.from_truth(truth, fault_rng);
   rstats_.cells_faulty += truth.fault_count();
   if (mit.enabled) rstats_.cells_detected += detected.fault_count();

@@ -22,23 +22,6 @@ void ResipeTile::program(std::span<const double> g_targets, Rng& rng) {
   xbar_.program(g_targets, rng);
 }
 
-void ResipeTile::inject_faults(const reliability::FaultMap& map) {
-  xbar_.inject_faults(map);
-}
-
-ResipeTile::FlaggedResult ResipeTile::execute_flagged(
-    const std::vector<circuits::Spike>& inputs, Rng* read_noise) const {
-  FlaggedResult result;
-  result.spikes = execute(inputs, read_noise);
-  result.column_ok = xbar_.healthy_columns();
-  for (bool ok : result.column_ok) {
-    if (!ok) ++result.degraded_columns;
-  }
-  RESIPE_TELEM_COUNT("reliability.degraded_column_results",
-                     result.degraded_columns);
-  return result;
-}
-
 std::vector<circuits::Spike> ResipeTile::execute(
     const std::vector<circuits::Spike>& inputs, Rng* read_noise) const {
   RESIPE_TELEM_SCOPE("resipe_core.tile.execute",

@@ -116,19 +116,6 @@ const ChipStatus& ChipPool::status(std::size_t chip) const {
   return chips_[chip].status;
 }
 
-std::size_t ChipPool::pick_healthy(std::size_t exclude) const {
-  std::size_t fallback = chips_.size();
-  for (std::size_t i = 0; i < chips_.size(); ++i) {
-    if (chips_[i].status.state != ChipState::kHealthy) continue;
-    if (i == exclude) {
-      fallback = i;
-      continue;
-    }
-    return i;
-  }
-  return fallback;  // the excluded chip, or size() when none healthy
-}
-
 nn::Tensor ChipPool::infer(std::size_t chip, const nn::Tensor& batch) {
   RESIPE_REQUIRE(chip < chips_.size(), "chip index " << chip
                      << " out of range (pool of " << chips_.size() << ")");

@@ -180,6 +180,15 @@ void Scheduler::submit(Request request) {
   RESIPE_REQUIRE(std::isfinite(request.arrival) && request.arrival >= 0.0,
                  "request " << request.id << " has a bad arrival time "
                             << request.arrival);
+  // The engine would serve NaN as a silent input and +Inf as full
+  // scale, so a non-finite pixel is refused like a wrong size.
+  const auto bad =
+      std::find_if_not(request.input.begin(), request.input.end(),
+                       [](double v) { return std::isfinite(v); });
+  RESIPE_REQUIRE(bad == request.input.end(),
+                 "request " << request.id << " input["
+                            << bad - request.input.begin()
+                            << "] is not finite: " << *bad);
   pending_.push_back(std::move(request));
 }
 

@@ -52,4 +52,25 @@ std::vector<Request> poisson_traffic(const nn::Tensor& samples,
   return trace;
 }
 
+double served_accuracy(const std::vector<Response>& responses,
+                       const std::vector<int>& labels) {
+  std::size_t correct = 0, served = 0;
+  for (const Response& r : responses) {
+    if (!r.served()) continue;
+    RESIPE_REQUIRE(r.tag < labels.size(),
+                   "response " << r.id << " has tag " << r.tag
+                               << ", past the " << labels.size()
+                               << " labels");
+    ++served;
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < r.logits.size(); ++j) {
+      if (r.logits[j] > r.logits[best]) best = j;
+    }
+    if (static_cast<int>(best) == labels[r.tag]) ++correct;
+  }
+  return served > 0 ? static_cast<double>(correct) /
+                          static_cast<double>(served)
+                    : 0.0;
+}
+
 }  // namespace resipe::serve

@@ -28,6 +28,9 @@ struct Seed {
   T& value;
 };
 
+/// A retired key whose value only replays when it is 0.
+struct ZeroOnly {};
+
 // The record format, listed once: calls f(key, member) for every key in
 // file order.  The writer instantiates it on a const record, the reader
 // on a mutable one.
@@ -78,8 +81,6 @@ void each_field(Record& record, F&& f) {
   f("device_write_verify_tolerance", device.write_verify_tolerance);
   f("device_variation_sigma", device.variation_sigma);
   f("device_read_noise_sigma", device.read_noise_sigma);
-  f("device_stuck_lrs_rate", device.stuck_lrs_rate);
-  f("device_stuck_hrs_rate", device.stuck_hrs_rate);
   f("device_drift_nu", device.drift_nu);
   f("device_drift_t0", device.drift_t0);
   f("device_transistor_r_on", device.transistor_r_on);
@@ -92,8 +93,6 @@ void each_field(Record& record, F&& f) {
   f("rel_expected_mvms", rel.expected_mvms);
   f("rel_endurance_cycles", rel.endurance_cycles);
   f("rel_wear_cycles", rel.wear_cycles);
-  f("rel_mapper_rail_tolerance", rel.mapper.rail_tolerance);
-  f("rel_mapper_reads_per_cell", rel.mapper.reads_per_cell);
   f("rel_mapper_miss_rate", rel.mapper.miss_rate);
   f("rel_mapper_false_alarm_rate", rel.mapper.false_alarm_rate);
   f("rel_mit_enabled", rel.mitigation.enabled);
@@ -103,13 +102,19 @@ void each_field(Record& record, F&& f) {
   f("rel_mit_write_verify_retries", rel.mitigation.write_verify_retries);
   f("rel_mit_degrade_threshold", rel.mitigation.degrade_threshold);
   f("rel_fault_seed", Seed{rel.fault_seed});
-  // The retired introspection knobs, which every committed record
-  // carries: the reader checks each value's type and drops it, and the
-  // writer leaves them out.
+  // Retired knobs, which every committed record carries: the reader
+  // checks each value and drops it, and the writer leaves them out.
+  // The introspection knobs and the two march-test mapper knobs never
+  // reached a logit, so only their type is checked; the device's
+  // stuck-at rates did, so only 0 still replays.
   if constexpr (!std::is_const_v<Record>) {
     bool flag = false;
     std::size_t count = 0;
     double threshold = 0.0;
+    f("device_stuck_lrs_rate", ZeroOnly{});
+    f("device_stuck_hrs_rate", ZeroOnly{});
+    f("rel_mapper_rail_tolerance", threshold);
+    f("rel_mapper_reads_per_cell", count);
     f("insp_enabled", flag);
     f("insp_max_probe_vectors", count);
     f("insp_max_attribution_vectors", count);
@@ -329,6 +334,12 @@ void read(Scanner& sc, std::vector<std::size_t>& v) {
 
 void read(Scanner& sc, Seed<std::uint64_t> seed) {
   seed.value = sc.parse<std::uint64_t>(sc.string_value(), "bad seed");
+}
+
+void read(Scanner& sc, ZeroOnly) {
+  const std::string_view t = sc.token();
+  sc.require(sc.parse<double>(t, "bad number") == 0.0,
+             "retired key, only 0 replays, got", t);
 }
 
 template <typename E>

@@ -7,7 +7,6 @@
 #include "resipe/baselines/level_based.hpp"
 #include "resipe/baselines/pwm_based.hpp"
 #include "resipe/baselines/rate_coding.hpp"
-#include "resipe/baselines/temporal_coding.hpp"
 #include "resipe/resipe/design.hpp"
 
 namespace resipe {
@@ -86,16 +85,14 @@ TEST(PwmBased, EnergyGrowsWithDuty) {
 }
 
 TEST(TableII, LatencyOrderingMatchesTableI) {
-  // Fast: level.  Medium: ReSiPE, rate, PWM.  Slow: temporal.
+  // Fast: level.  Medium: ReSiPE, rate, PWM.
   const resipe_core::ResipeDesign resipe;
   const baselines::LevelBasedDesign level;
   const baselines::RateCodingDesign rate;
   const baselines::PwmDesign pwm;
-  const baselines::TemporalCodingDesign temporal;
   EXPECT_LT(level.mvm_latency(), resipe.mvm_latency());
   EXPECT_LT(resipe.mvm_latency(), rate.mvm_latency());
   EXPECT_LT(rate.mvm_latency(), pwm.mvm_latency());
-  EXPECT_LT(pwm.mvm_latency(), temporal.mvm_latency());
 }
 
 TEST(TableII, ResipeHasTheSmallestEngine) {

@@ -201,33 +201,19 @@ TEST(ReramCell, UnprogrammedCellHasZeroEffectiveG) {
 }
 
 TEST(ReramCell, StuckAtFaultsPinTheRails) {
-  ReramSpec spec = ReramSpec::characterization();
-  spec.stuck_lrs_rate = 1.0;  // every cell stuck at LRS
+  const ReramSpec spec = ReramSpec::characterization();
   Rng rng(9);
-  ReramCell cell;
-  cell.program(spec, spec.g_min(), rng);
-  EXPECT_TRUE(cell.is_stuck());
-  EXPECT_DOUBLE_EQ(cell.programmed_g(), spec.g_max());
+  ReramCell lrs;
+  lrs.force_stuck_lrs(spec);
+  lrs.program(spec, spec.g_min(), rng);  // a write cannot move it
+  EXPECT_TRUE(lrs.hard_faulted());
+  EXPECT_DOUBLE_EQ(lrs.programmed_g(), spec.g_max());
 
-  spec.stuck_lrs_rate = 0.0;
-  spec.stuck_hrs_rate = 1.0;
-  cell.program(spec, spec.g_max(), rng);
-  EXPECT_TRUE(cell.is_stuck());
-  EXPECT_DOUBLE_EQ(cell.programmed_g(), spec.g_min());
-}
-
-TEST(ReramCell, StuckAtRateIsRespectedStatistically) {
-  ReramSpec spec = ReramSpec::characterization();
-  spec.stuck_lrs_rate = 0.1;
-  Rng rng(11);
-  ReramCell cell;
-  int stuck = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    cell.program(spec, 5e-5, rng);
-    if (cell.is_stuck()) ++stuck;
-  }
-  EXPECT_NEAR(static_cast<double>(stuck) / n, 0.1, 0.01);
+  ReramCell hrs;
+  hrs.force_stuck_hrs(spec);
+  hrs.program(spec, spec.g_max(), rng);
+  EXPECT_TRUE(hrs.hard_faulted());
+  EXPECT_DOUBLE_EQ(hrs.programmed_g(), spec.g_min());
 }
 
 TEST(ReramCell, RetentionDriftFollowsPowerLaw) {
@@ -251,19 +237,13 @@ TEST(ReramCell, RetentionDriftFollowsPowerLaw) {
 TEST(ReramCell, StuckCellsDoNotDrift) {
   ReramSpec spec = ReramSpec::characterization();
   spec.drift_nu = 0.1;
-  spec.stuck_lrs_rate = 1.0;
-  Rng rng(15);
   ReramCell cell;
-  cell.program(spec, spec.g_min(), rng);
+  cell.force_stuck_lrs(spec);
   EXPECT_DOUBLE_EQ(cell.drifted_g(spec, 1e6), spec.g_max());
 }
 
 TEST(ReramSpec, ValidateRejectsBadReliabilityNumbers) {
   ReramSpec spec;
-  spec.stuck_lrs_rate = 0.7;
-  spec.stuck_hrs_rate = 0.7;  // sums beyond 1
-  EXPECT_THROW(spec.validate(), Error);
-  spec = ReramSpec{};
   spec.drift_nu = -0.1;
   EXPECT_THROW(spec.validate(), Error);
   spec = ReramSpec{};

@@ -5,12 +5,17 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "resipe/common/rng.hpp"
 #include "resipe/nn/data.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
+#include "resipe/verify/generators.hpp"
+#include "resipe/verify/serialize.hpp"
 
 namespace resipe::introspect {
 namespace {
@@ -198,6 +203,81 @@ TEST(Provenance, ConfigHashIsStableAndKnobSensitive) {
   resipe_core::EngineConfig reseeded = base;
   reseeded.program_seed += 1;
   EXPECT_NE(engine_config_hash(base), engine_config_hash(reseeded));
+}
+
+// `value` (one repro-record value as written) changed to another value
+// of its type, or empty when the test leaves that key alone.
+std::string changed_value(const std::string& value) {
+  if (value == "true") return "false";
+  if (value == "false") return "true";
+  for (const auto& [from, to] :
+       {std::pair{"\"differential_pair\"", "\"offset_column\""},
+        {"\"complementary_pair\"", "\"differential_pair\""},
+        {"\"offset_column\"", "\"differential_pair\""},
+        {"\"exact\"", "\"linear\""},
+        {"\"linear\"", "\"exact\""}}) {
+    if (value == from) return to;
+  }
+  const bool quoted = value.size() >= 2 && value.front() == '"';
+  const std::string bare = quoted ? value.substr(1, value.size() - 2) : value;
+  if (bare.empty() || bare.find_first_not_of("-0123456789.e+") !=
+                          std::string::npos) {
+    return {};  // a name, the detail or an array: not an engine knob
+  }
+  if (bare.find_first_of(".e") == std::string::npos) {
+    // Quoted integers are the 64-bit seeds.
+    const std::string bumped = quoted ? std::to_string(std::stoull(bare) + 1)
+                                      : std::to_string(std::stoll(bare) + 1);
+    return quoted ? '"' + bumped + '"' : bumped;
+  }
+  std::ostringstream os;
+  os.precision(17);
+  os << std::stod(bare) * 1.5;
+  return os.str();
+}
+
+// Every EngineConfig knob the repro record writes changes the hash when
+// it alone changes.  events_enabled is the one exception: the event
+// engine is bit-identical to the dense one, so it must not churn the
+// hash keying committed bench baselines.  A key counts as an engine knob
+// when changing it changes the record's EngineConfig.
+TEST(Provenance, EveryEngineKnobChangesTheHash) {
+  const verify::ReproRecord base{
+      verify::generate_case({verify::kSchemaVersion, 1}), "all", ""};
+  const std::string json = verify::repro_to_json(base);
+  const std::string base_hash = engine_config_hash(base.spec.config);
+  std::vector<std::string> lines;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::size_t knobs = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    const std::size_t colon = line.find("\": ");
+    if (colon == std::string::npos) continue;
+    const std::string key = line.substr(3, colon - 3);
+    const bool comma = line.back() == ',';
+    const std::string value =
+        line.substr(colon + 3, line.size() - colon - 3 - (comma ? 1 : 0));
+    const std::string changed = changed_value(value);
+    if (changed.empty()) continue;
+    std::string text;
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      text += j == i ? line.substr(0, colon + 3) + changed + (comma ? "," : "")
+                     : lines[j];
+      text += '\n';
+    }
+    verify::ReproRecord config_only = base;
+    config_only.spec.config = verify::repro_from_json(text).spec.config;
+    if (verify::repro_to_json(config_only) == json) continue;
+    ++knobs;
+    const std::string hash = engine_config_hash(config_only.spec.config);
+    if (key == "events_enabled") {
+      EXPECT_EQ(hash, base_hash) << key;
+    } else {
+      EXPECT_NE(hash, base_hash) << key << ": " << value << " -> " << changed;
+    }
+  }
+  EXPECT_GE(knobs, 51u);  // the EngineConfig keys a record writes today
 }
 
 TEST(Provenance, ManifestIsPopulatedRegardlessOfTelemetryBuild) {

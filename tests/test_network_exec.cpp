@@ -277,8 +277,10 @@ TEST(ProgrammedMatrix, ComparatorMismatchDegradesFidelity) {
 TEST(ProgrammedMatrix, StuckAtFaultsDegradeFidelity) {
   EngineConfig clean;
   EngineConfig faulty;
-  faulty.device.stuck_lrs_rate = 0.02;
-  faulty.device.stuck_hrs_rate = 0.02;
+  faulty.reliability.enabled = true;
+  faulty.reliability.mitigation.enabled = false;  // blind: no repair
+  faulty.reliability.faults.stuck_lrs_rate = 0.02;
+  faulty.reliability.faults.stuck_hrs_rate = 0.02;
   const auto s_clean = eval::mvm_fidelity(clean);
   const auto s_faulty = eval::mvm_fidelity(faulty);
   EXPECT_GT(s_faulty.rmse, s_clean.rmse);

@@ -95,14 +95,6 @@ TEST(GradCheck, Conv2dWithPaddingAndStride) {
   check_layer_gradients(layer, x);
 }
 
-TEST(GradCheck, AvgPool) {
-  Rng rng(5);
-  AvgPool2d layer(2);
-  Tensor x({2, 2, 4, 4});
-  x.fill_normal(rng, 1.0);
-  check_layer_gradients(layer, x);
-}
-
 TEST(GradCheck, MaxPoolAwayFromTies) {
   Rng rng(6);
   MaxPool2d layer(2);

@@ -320,21 +320,6 @@ TEST(MaxPool2d, RejectsNonDivisibleWindows) {
   EXPECT_THROW(pool.forward(Tensor({1, 1, 3, 4}), false), Error);
 }
 
-TEST(AvgPool2d, AveragesWindows) {
-  AvgPool2d pool(2);
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 6});
-  const Tensor y = pool.forward(x, false);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-}
-
-TEST(AvgPool2d, BackwardSpreadsUniformly) {
-  AvgPool2d pool(2);
-  Tensor x({1, 1, 2, 2});
-  pool.forward(x, true);
-  const Tensor gx = pool.backward(Tensor({1, 1, 1, 1}, {4.0}));
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(gx[i], 1.0);
-}
-
 TEST(ReLU, ClampsNegatives) {
   ReLU relu;
   Tensor x({1, 4}, {-1.0, 0.0, 2.0, -3.0});

@@ -140,40 +140,6 @@ TEST(Fit, RejectsNegativeWeightNoise) {
   EXPECT_THROW(fit(model, train, train, cfg), Error);
 }
 
-TEST(Dropout, TrainMasksEvalPassesThrough) {
-  Dropout drop(0.5, 7);
-  Tensor x({1, 100});
-  x.fill(1.0);
-  const Tensor eval_y = drop.forward(x, false);
-  for (double v : eval_y.data()) EXPECT_DOUBLE_EQ(v, 1.0);
-  const Tensor train_y = drop.forward(x, true);
-  std::size_t zeros = 0;
-  for (double v : train_y.data()) {
-    if (v == 0.0) ++zeros;
-    else EXPECT_NEAR(v, 2.0, 1e-12);  // inverted scaling 1/keep
-  }
-  EXPECT_GT(zeros, 20u);
-  EXPECT_LT(zeros, 80u);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout drop(0.5, 8);
-  Tensor x({1, 50});
-  x.fill(1.0);
-  const Tensor y = drop.forward(x, true);
-  Tensor g({1, 50});
-  g.fill(1.0);
-  const Tensor gx = drop.backward(g);
-  for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(gx[i], y[i]);  // same mask, same scaling
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(1.0), Error);
-  EXPECT_THROW(Dropout(-0.1), Error);
-}
-
 TEST(EvaluateWith, UsesCustomForward) {
   Rng rng(10);
   Dataset data = synthetic_digits(32, rng);

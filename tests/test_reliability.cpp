@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "resipe/common/error.hpp"
-#include "resipe/crossbar/crossbar.hpp"
 #include "resipe/crossbar/mapping.hpp"
 #include "resipe/device/reram.hpp"
 #include "resipe/eval/fidelity.hpp"
@@ -127,20 +126,6 @@ TEST(FaultModel, ReadDisturbDecaysToFloor) {
 
 // --------------------------------------------------------- fault mapper
 
-TEST(FaultMapper, ClassifiesRailReadbacks) {
-  const ReramSpec spec = ReramSpec::nn_mapping();
-  const reliability::FaultMapper mapper;
-  // Reads back at G_max after writing the low pattern: stuck-at-LRS.
-  EXPECT_EQ(mapper.classify(spec, spec.g_max(), spec.g_max()),
-            FaultType::kStuckLrs);
-  // Reads back at G_min after writing the high pattern: stuck-at-HRS.
-  EXPECT_EQ(mapper.classify(spec, spec.g_min(), spec.g_min()),
-            FaultType::kStuckHrs);
-  // Healthy: tracks both patterns.
-  EXPECT_EQ(mapper.classify(spec, spec.g_min(), spec.g_max()),
-            FaultType::kNone);
-}
-
 TEST(FaultMapper, PerfectFromTruthEqualsTruth) {
   FaultMap truth(8, 8);
   truth.set(1, 2, FaultType::kStuckLrs);
@@ -163,22 +148,6 @@ TEST(FaultMapper, MissRateHidesFaults) {
   Rng rng(3);
   const reliability::FaultMapper mapper(cfg);
   EXPECT_EQ(mapper.from_truth(truth, rng).fault_count(), 0u);
-}
-
-TEST(FaultMapper, MarchDetectsInjectedFaultsOnCrossbar) {
-  ReramSpec spec = ReramSpec::nn_mapping();
-  spec.variation_sigma = 0.0;
-  spec.read_noise_sigma = 0.01;
-  crossbar::Crossbar xbar(8, 8, spec);
-  FaultMap injected(8, 8);
-  injected.set(2, 3, FaultType::kStuckLrs);
-  injected.set(6, 1, FaultType::kStuckHrs);
-  xbar.inject_faults(injected);
-  Rng rng(11);
-  const FaultMap detected = crossbar::march_fault_map(xbar, rng);
-  EXPECT_EQ(detected.at(2, 3), FaultType::kStuckLrs);
-  EXPECT_EQ(detected.at(6, 1), FaultType::kStuckHrs);
-  EXPECT_EQ(detected.fault_count(), 2u);
 }
 
 // -------------------------------------------------------- remap planner

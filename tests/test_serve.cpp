@@ -5,6 +5,8 @@
 
 #include <cstring>
 #include <iterator>
+#include <limits>
+#include <string>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
@@ -227,6 +229,41 @@ TEST(Traffic, PoissonTraceIsDeterministicAndInRange) {
   }
 }
 
+TEST(Traffic, ServedAccuracyJoinsResponsesToLabels) {
+  const std::vector<int> labels = {2, 0, 1};
+  const auto response = [](std::uint64_t id, std::uint64_t tag,
+                           Response::Status status,
+                           std::vector<double> logits) {
+    Response r;
+    r.id = id;
+    r.tag = tag;
+    r.status = status;
+    r.logits = std::move(logits);
+    return r;
+  };
+  std::vector<Response> responses = {
+      response(0, 0, Response::Status::kOk, {0.1, 0.2, 0.9}),        // hit
+      response(1, 1, Response::Status::kOk, {0.1, 0.8, 0.3}),        // miss
+      response(2, 2, Response::Status::kDegraded, {0.0, 0.5, 0.4}),  // hit
+      response(3, 1, Response::Status::kRejected, {}),  // does not count
+  };
+  EXPECT_DOUBLE_EQ(serve::served_accuracy(responses, labels), 2.0 / 3.0);
+  EXPECT_EQ(serve::served_accuracy({responses[3]}, labels), 0.0);
+  EXPECT_EQ(serve::served_accuracy({}, labels), 0.0);
+  // A rejected response's tag is never read; a served one's must be a
+  // row of the labels.
+  responses[3].tag = 99;
+  EXPECT_DOUBLE_EQ(serve::served_accuracy(responses, labels), 2.0 / 3.0);
+  responses[1].tag = 3;
+  try {
+    serve::served_accuracy(responses, labels);
+    ADD_FAILURE() << "accepted tag 3 of 3 labels";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("response 1 "), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- admission-control edge cases ------------------------------------
 
 TEST(Scheduler, DeadlineExpiredAtAdmissionIsShed) {
@@ -244,6 +281,30 @@ TEST(Scheduler, DeadlineExpiredAtAdmissionIsShed) {
   EXPECT_EQ(responses[0].reason, RejectReason::kDeadlineExpired);
   EXPECT_EQ(responses[0].attempts, 0u);
   EXPECT_TRUE(responses[0].logits.empty());
+}
+
+// A NaN pixel would be served as a silent input and +Inf as full
+// scale: both are refused at submit, like a wrong input size.
+TEST(Scheduler, NonFinitePayloadIsRefusedAtSubmit) {
+  Fixture fx;
+  ServeConfig scfg;
+  const std::vector<EngineConfig> replicas = {Fixture::clean_config(1)};
+  ChipPool pool(fx.model, fx.calibration, replicas, scfg);
+  Scheduler scheduler(pool, scfg);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Request req = fx.request(7, 1.0e-3);
+    req.input[4] = bad;
+    try {
+      scheduler.submit(req);
+      ADD_FAILURE() << "accepted input " << bad;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("request 7 "), std::string::npos) << what;
+      EXPECT_NE(what.find("input[4]"), std::string::npos) << what;
+    }
+  }
+  EXPECT_TRUE(scheduler.run().empty());  // nothing was buffered
 }
 
 TEST(Scheduler, BurstOverCapacityShedsQueueFull) {

@@ -242,6 +242,17 @@ TEST(Serialize, RejectsMalformedRecords) {
        "'classes'"},
       {replaced(base, "\"seed\": \"40\",", "\"seed\": \"-1\","), "'seed'"},
       {replaced(base, "\"batch\": 4,", "\"batch\": \"4\","), "'batch'"},
+      // A retired key keeps its type; a non-zero device stuck-at rate
+      // changed logits through a fault path that is gone.
+      {replaced(base, "\"rel_mapper_reads_per_cell\": 3,",
+                "\"rel_mapper_reads_per_cell\": 2.5,"),
+       "'rel_mapper_reads_per_cell'"},
+      {replaced(base, "\"device_stuck_lrs_rate\": 0,",
+                "\"device_stuck_lrs_rate\": 0.01,"),
+       "'device_stuck_lrs_rate'"},
+      {replaced(base, "\"device_stuck_hrs_rate\": 0,",
+                "\"device_stuck_hrs_rate\": -1e-9,"),
+       "'device_stuck_hrs_rate'"},
       {base + "{}", "trailing bytes"},
   };
   for (const auto& c : cases) {
@@ -258,6 +269,27 @@ TEST(Serialize, RejectsMalformedRecords) {
                                      "\"device_levels\": -8,"))
                 .spec.config.device.levels,
             -8);
+}
+
+// The four keys retired with the device's own stuck-at draw and the
+// march-test detector load from the records that carry them (a
+// non-zero device stuck-at rate is refused by RejectsMalformedRecords)
+// and are never written.
+TEST(Serialize, RetiredFaultKeysLoadButAreNotWritten) {
+  const std::string base =
+      read_file(std::filesystem::path(RESIPE_CORPUS_DIR) / "case_seed40.json");
+  const std::string written = repro_to_json(repro_from_json(base));
+  for (const std::string key :
+       {"device_stuck_lrs_rate", "device_stuck_hrs_rate",
+        "rel_mapper_rail_tolerance", "rel_mapper_reads_per_cell"}) {
+    EXPECT_NE(base.find('"' + key + '"'), std::string::npos) << key;
+    EXPECT_EQ(written.find('"' + key + '"'), std::string::npos) << key;
+  }
+  // The mapper keys never reached a logit: any value of their type loads.
+  EXPECT_EQ(repro_to_json(repro_from_json(
+                replaced(base, "\"rel_mapper_reads_per_cell\": 3,",
+                         "\"rel_mapper_reads_per_cell\": 7,"))),
+            written);
 }
 
 // Byte mutations of every corpus record: each one is rejected with
