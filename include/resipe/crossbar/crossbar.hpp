@@ -38,10 +38,6 @@ class Crossbar {
   /// static process variation per the spec.
   void program(std::span<const double> g_targets, Rng& rng);
 
-  /// Programs a single cell.
-  void program_cell(std::size_t row, std::size_t col, double g_target,
-                    Rng& rng);
-
   /// Programmed (static) conductance of a cell.
   double g(std::size_t row, std::size_t col) const;
 

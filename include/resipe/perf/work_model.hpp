@@ -71,9 +71,10 @@ WorkCost fast_mvm_wordline_cost(std::size_t rows, std::size_t n);
 WorkCost fast_mvm_voltages_cost(std::size_t rows, std::size_t cols,
                                 std::size_t n);
 
-/// FastMvm::driven_rows over `rows` rows and n samples: the nonzero
-/// test, 1 flop per voltage; bytes read every voltage and write one row
-/// index per row (at double width, conservatively): 8 * (n*rows + rows).
+/// FastMvm::driven_rows over `rows` listed rows and n samples: the
+/// nonzero test, 1 flop per voltage; bytes read every voltage and write
+/// one row-list entry per row (at double width): 8 * (n*rows + rows).
+/// An upper bound: a row's scan stops at its first nonzero voltage.
 WorkCost fast_mvm_driven_rows_cost(std::size_t rows, std::size_t n);
 
 /// ResipeTile::execute (faithful per-cell model), one MVM:

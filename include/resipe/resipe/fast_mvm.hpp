@@ -17,11 +17,15 @@
 // current sums, then the S2 inversion to output spike times).  S1 is
 // pointwise and depends only on the circuit parameters, so `wordline`
 // runs it once over a layer's inputs for every tile that shares them.
-// The voltage stage takes n samples, read at a row stride, and the
-// ascending list of rows to visit: mvm_times and mvm_times_batch visit
-// every row, mvm_voltages_batch the rows its caller lists, which may be
-// none.  A row left out must be at +-0 V in every sample, so it would
-// add a signed zero to every sum; driven_rows lists the other rows.
+// The voltage stage takes n samples and the ascending list of rows to
+// visit, each row with the offset of its voltage in a sample: sample s
+// reads row r at v[s * stride + offset_r].  mvm_times and
+// mvm_times_batch visit every row at its own index, mvm_voltages_batch
+// the rows its caller lists, which may be none.  The offsets are the
+// caller's layout: a dense layer's input row, or an im2col patch read in
+// place from a padded image plane, its samples `stride` apart.  A row
+// left out must be at +-0 V in every sample, so it would add a signed
+// zero to every sum; driven_rows lists the other rows.
 //
 // Each stage is one body, templated on the vector type and instantiated
 // at simd::vdouble and at simd::vscalar (width 1).  Columns sit in the
@@ -77,8 +81,17 @@ class FastMvm {
   /// cols() rounded up to the native vector width: the output row
   /// stride at which the voltage stage stores every column vector whole.
   std::size_t padded_cols() const { return cols_pad_; }
-  /// The row list of every row, 0 to rows - 1, for the row-list stages.
-  std::span<const std::uint32_t> all_rows() const { return all_rows_; }
+
+  /// One entry of a row list: a tile row and the offset of its wordline
+  /// voltage within a sample's stretch of the voltage buffer.
+  struct Wordline {
+    std::uint32_t row = 0;
+    std::uint32_t offset = 0;
+    bool operator==(const Wordline&) const = default;
+  };
+  /// The row list of every row, 0 to rows - 1, each at its own index as
+  /// offset (a [n, rows] buffer read at stride rows() or wider).
+  std::span<const Wordline> all_rows() const { return all_rows_; }
   const circuits::CircuitParams& params() const { return params_; }
   double g_total(std::size_t col) const { return g_total_[col]; }
 
@@ -147,33 +160,37 @@ class FastMvm {
                        std::span<const double> t, std::span<double> v);
 
   /// The current-sum + S2 stage of mvm_times_batch over the listed rows
-  /// (strictly ascending and in range, else throws), for n samples of
-  /// wordline voltages read at a row stride: sample s's voltage of row r
-  /// is v_wl[s * stride + r], so a row window of a wider input is read
-  /// in place.  Throws unless stride >= rows() and v_wl holds the
-  /// (n - 1) * stride + rows() values that reach.  Sample s's time of
-  /// column c goes to t_out[s * out_stride + c]; throws unless
-  /// out_stride >= cols() and t_out holds n * out_stride values.  At
-  /// out_stride >= padded_cols() every column vector stores whole, and
-  /// the padding lanes of a row receive the comparator delay of an
-  /// unprogrammed column.  When every unlisted row is at +-0 V in every
-  /// sample, the output is bit-identical to mvm_times_batch on the full
-  /// input: such a row would add a signed zero to each current sum.  An
-  /// empty list runs S2 alone, O(cols) per sample.
+  /// (strictly ascending by row and in range, else throws), for n
+  /// samples of wordline voltages: sample s's voltage of a listed row is
+  /// v_wl[s * stride + offset], the offset the list gives it.  So a row
+  /// window of a wider input, or an im2col patch inside an image plane,
+  /// is read in place, and samples may overlap (any stride, 0 too).
+  /// Throws unless v_wl reaches (n - 1) * stride + the largest listed
+  /// offset (nothing is read, so nothing is required, when n or the list
+  /// is empty).  Sample s's time of column c goes to
+  /// t_out[s * out_stride + c]; throws unless out_stride >= cols() and
+  /// t_out holds n * out_stride values.  At out_stride >= padded_cols()
+  /// every column vector stores whole, and the padding lanes of a row
+  /// receive the comparator delay of an unprogrammed column.  When every
+  /// unlisted row is at +-0 V in every sample, the output is
+  /// bit-identical to mvm_times_batch on the full input: such a row would
+  /// add a signed zero to each current sum.  An empty list runs S2 alone,
+  /// O(cols) per sample.
   void mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
-                          std::size_t stride,
-                          std::span<const std::uint32_t> rows,
+                          std::size_t stride, std::span<const Wordline> rows,
                           std::span<double> t_out,
                           std::size_t out_stride) const;
 
   /// The row list of mvm_voltages_batch over the same voltages: `rows`
-  /// receives, ascending, the rows whose voltage is nonzero in some of
-  /// the n samples.  Every other row is at +-0 V in every sample, so the
-  /// call over this list gives the full call's bits.  One pass over the
-  /// [n, rows] block; throws as mvm_voltages_batch does on the layout.
+  /// receives, in order, the entries of `from` (a row list in the same
+  /// layout, typically a row window's whole list) whose voltage is
+  /// nonzero in some of the n samples.  Every other row is at +-0 V in
+  /// every sample, so the call over this list gives the call over `from`
+  /// bit for bit.  `rows` must not be the storage `from` views.  Throws
+  /// as mvm_voltages_batch does on `from` and the layout.
   void driven_rows(std::span<const double> v_wl, std::size_t n,
-                   std::size_t stride,
-                   std::vector<std::uint32_t>& rows) const;
+                   std::size_t stride, std::span<const Wordline> from,
+                   std::vector<Wordline>& rows) const;
 
   /// The ideal Eq.(6) linear-model times for the same inputs.
   void ideal_times(std::span<const double> t_in,
@@ -184,25 +201,24 @@ class FastMvm {
 
  private:
   void precompute();
-  /// Throws unless `rows` is strictly ascending and in range.
-  void check_rows(std::span<const std::uint32_t> rows) const;
-  /// Throws unless stride >= rows() and v_wl holds n samples at it.
-  void check_voltages(std::span<const double> v_wl, std::size_t n,
-                      std::size_t stride) const;
+  /// Throws unless `rows` is strictly ascending by row and in range, and
+  /// v_wl reaches every listed offset of the n samples `stride` apart.
+  void check_rows(std::span<const double> v_wl, std::size_t n,
+                  std::size_t stride, std::span<const Wordline> rows) const;
 
-  /// Current sums over the listed rows, then S2: n samples from `v_wl`
-  /// at row stride `stride` into `t_out` rows of `out_stride`.  Books
-  /// the silent outputs; the caller books the MACs.
+  /// Current sums over the listed rows, then S2: n samples from `v_wl`,
+  /// `stride` apart, into `t_out` rows of `out_stride`.  Books the silent
+  /// outputs; the caller books the MACs.
   template <class V>
   void voltage_stage(const double* v_wl, std::size_t n, std::size_t stride,
-                     std::span<const std::uint32_t> rows, double* t_out,
+                     std::span<const Wordline> rows, double* t_out,
                      std::size_t out_stride) const;
 
   /// One register block of the voltage stage: kS samples from s0 by kC
   /// column vectors from c0.
   template <class V, std::size_t kS, std::size_t kC>
   void column_block(const double* v_wl, std::size_t stride, std::size_t s0,
-                    std::size_t c0, std::span<const std::uint32_t> rows,
+                    std::size_t c0, std::span<const Wordline> rows,
                     double* t_out, std::size_t out_stride,
                     std::size_t* silent) const;
 
@@ -217,7 +233,7 @@ class FastMvm {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t cols_pad_ = 0;  // cols rounded up to the vector width
-  std::vector<std::uint32_t> all_rows_;  // 0, 1, ..., rows - 1
+  std::vector<Wordline> all_rows_;  // {r, r} for r = 0, 1, ..., rows - 1
   aligned_vector g_;        // row-major effective conductances:
                             // g_[r * cols_pad_ + c], zero padding
                             // columns, so each row's column vectors

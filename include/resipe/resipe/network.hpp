@@ -184,7 +184,8 @@ class ProgrammedMatrix {
     // [n, padded physical cols] current-sums, one padded segment per
     // column block
     FastMvm::aligned_vector recovered;
-    std::vector<std::uint32_t> rows;  // events: the row window's row list
+    // events: the row window's row list
+    std::vector<FastMvm::Wordline> rows;
   };
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
@@ -192,7 +193,7 @@ class ProgrammedMatrix {
   /// bit-identical per sample.  The batch is encoded to wordline
   /// voltages once; every block then runs once over the whole batch,
   /// reading its row window's voltages in place
-  /// (FastMvm::mvm_voltages_batch at the input's row stride) over the
+  /// (FastMvm::mvm_voltages_batch over the identity table) over the
   /// window's row list; all scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
@@ -203,8 +204,17 @@ class ProgrammedMatrix {
   /// then through S1 (FastMvm::wordline).  The spans may have any
   /// (equal) length.  Encoding is pointwise, so a value encodes to the
   /// same voltage in any span, which lets a conv step encode each
-  /// activation once and gather voltages.
+  /// activation once and read every patch's voltages in place.
   void encode(std::span<const double> x, std::span<double> v) const;
+
+  /// The wordline table of an input layout: entry i holds input i's
+  /// tile row within its row window and offsets[i], where sample s's
+  /// voltage of input i sits at s * stride + offsets[i] of a voltage
+  /// buffer.  A forward hands each block its window's slice of the table
+  /// as the FastMvm row list, so build a table once per layout.  Throws
+  /// unless offsets holds in_features() values below 2^32.
+  std::vector<FastMvm::Wordline> wordline_table(
+      std::span<const std::size_t> offsets) const;
 
   /// forward_batch from wordline voltages: v is row-major [n, in] as
   /// encode() writes it, y row-major [n, out].  forward_batch(x) is
@@ -212,6 +222,22 @@ class ProgrammedMatrix {
   /// resipe_core.matrix.forward_batch span.
   void forward_voltages_batch(std::span<const double> v, std::size_t n,
                               std::span<double> y, BatchWorkspace& ws) const;
+
+  /// The same forward in any layout: sample s's voltage of input i is
+  /// v[s * v_stride + table[i].offset], with `table` a wordline_table,
+  /// and its output j goes to y[s * y_stride + j * out_stride].  Samples
+  /// may overlap (v_stride below in_features()), so a conv step runs an
+  /// output row of im2col patches in place in its padded image plane and
+  /// decodes straight into its output planes.  Each output gets the bits
+  /// the [n, in] call gives the same voltages.  Throws unless the table
+  /// holds in_features() entries, v reaches every listed voltage and y
+  /// every output.
+  void forward_voltages_batch(std::span<const double> v, std::size_t n,
+                              std::size_t v_stride,
+                              std::span<const FastMvm::Wordline> table,
+                              std::span<double> y, std::size_t y_stride,
+                              std::size_t out_stride,
+                              BatchWorkspace& ws) const;
 
   /// Analytic voltage-domain forward (no time quantization, no slice
   /// clamping) — the noise-free reference used by calibration; also
@@ -259,18 +285,23 @@ class ProgrammedMatrix {
   };
 
   /// forward, forward_probed and forward_batch: encode() into ws.v_in,
-  /// then run_voltages.  `probe`, when set, also counts encode clamps.
+  /// then run_voltages over the identity table.  `probe`, when set, also
+  /// counts encode clamps.
   void run(std::span<const double> x, std::size_t n, std::span<double> y,
            BatchWorkspace& ws, ProbeStats* probe) const;
-  /// The one forward core from wordline voltages: run every block once
-  /// over the whole batch, reading its row window in place, over the
-  /// window's row list (every row, or with config_.events on the rows
-  /// driven in some sample), read each block's output times back into
-  /// its recovered segment in one FastMvm::add_current_sums call, then
-  /// decode the batch once.  `probe`, when set, also counts column
-  /// outcomes.  Never writes ws.v_in, so `v` may be it.
+  /// The one forward core from wordline voltages, in the layout of
+  /// forward_voltages_batch: run every block once over the whole batch
+  /// over its window's row list (the window's slice of `table`, or with
+  /// config_.events on its rows driven in some sample), reading each
+  /// voltage in place, read each block's output times back into its
+  /// recovered segment in one FastMvm::add_current_sums call, then
+  /// decode the batch once into y.  `probe`, when set, also counts
+  /// column outcomes.  Never writes ws.v_in, so `v` may be it.
   void run_voltages(std::span<const double> v, std::size_t n,
-                    std::span<double> y, BatchWorkspace& ws,
+                    std::size_t v_stride,
+                    std::span<const FastMvm::Wordline> table,
+                    std::span<double> y, std::size_t y_stride,
+                    std::size_t out_stride, BatchWorkspace& ws,
                     ProbeStats* probe) const;
   /// Counts one block's column outcomes into `probe`: n samples of
   /// output times at the block's padded stride, each data column read
@@ -278,9 +309,11 @@ class ProgrammedMatrix {
   void probe_outputs(const Block& block, std::span<const double> t_out,
                      std::size_t n, ProbeStats& probe) const;
   /// Converts n rows of accumulated recovered sums (rec_stride_ apart)
-  /// + bias into outputs, y row-major [n, out].
+  /// + bias into outputs: output j of sample s goes to
+  /// y[s * y_stride + j * out_stride].
   void decode(std::span<const double> recovered, std::size_t n,
-              std::span<double> y) const;
+              std::span<double> y, std::size_t y_stride,
+              std::size_t out_stride) const;
 
   /// The one block builder of both programming paths: walks the tile
   /// grid, programs every cell (through the bounded write-verify loop
@@ -305,6 +338,8 @@ class ProgrammedMatrix {
   std::size_t row_blocks_ = 0;
   crossbar::MappedWeights mapping_;
   std::vector<Block> blocks_;
+  // The [n, in] layout's wordline table: input i at offset i.
+  std::vector<FastMvm::Wordline> identity_;
   std::size_t rec_stride_ = 0;  // padded width of a recovered row
   // Each output's plus and minus column as an index into a recovered row.
   std::vector<std::size_t> plus_at_;
@@ -318,8 +353,8 @@ class ProgrammedMatrix {
 
 /// Extracts one im2col patch (layout matching conv_weight_matrix) for
 /// conv lowering, with 0 at padding positions.  Calibration, the eval
-/// diagnostics and replays of a conv step use it; the forward gathers
-/// the same layout from encoded wordline voltages.
+/// diagnostics and replays of a conv step use it; the forward reads the
+/// same layout in place from its padded plane of wordline voltages.
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,
@@ -398,9 +433,14 @@ class ResipeNetwork {
   struct Step {
     nn::Layer* layer = nullptr;            // functional layers
     ProgrammedMatrix* matrix = nullptr;    // circuit layers
-    // Conv geometry when the matrix implements a Conv2d.
+    // Conv geometry when the matrix implements a Conv2d: its lowered
+    // input plane [cin, h, w] and the wordline table of its padded
+    // voltage plane [cin, h + 2 pad, w + 2 pad], where patch element
+    // (ic, kr, kc) of the patch at the plane's origin sits at
+    // (ic * (h + 2 pad) + kr) * (w + 2 pad) + kc.
     bool is_conv = false;
-    std::size_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0;
+    std::size_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0, h = 0, w = 0;
+    std::vector<FastMvm::Wordline> plane_table;
   };
 
   /// The one walker over steps_ behind forward, forward_observed and
@@ -414,6 +454,11 @@ class ResipeNetwork {
                   const std::vector<bool>& digital) const;
   /// A matrix step's forward into `y`, written whole.
   void run_dense(const Step& step, const nn::Tensor& x, nn::Tensor& y) const;
+  /// Implicit im2col, one image per work item: encode the image's
+  /// cin * h * w activations once, place the voltages inside the zero
+  /// border of the thread's padded plane, then run each output row as
+  /// one forward_voltages_batch call whose ow patches sit `stride` apart
+  /// in the plane, decoding straight into y's [cout, oh, ow] planes.
   void run_conv(const Step& step, const nn::Tensor& x, nn::Tensor& y) const;
 
   nn::Sequential& model_;

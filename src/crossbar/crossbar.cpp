@@ -48,11 +48,6 @@ void Crossbar::program(std::span<const double> g_targets, Rng& rng) {
   }
 }
 
-void Crossbar::program_cell(std::size_t row, std::size_t col,
-                            double g_target, Rng& rng) {
-  cell(row, col).program(spec_, g_target, rng);
-}
-
 double Crossbar::g(std::size_t row, std::size_t col) const {
   return cell(row, col).programmed_g();
 }

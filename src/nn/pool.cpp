@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -36,11 +37,12 @@ void MaxPool2d::run(const Tensor& x, Tensor& y, bool train) {
   }
   const double* xd = x.data().data();
   double* yd = y.data().data();
-  std::size_t* argmax = train ? argmax_.data() : nullptr;
-  // Row-major window scan with a strict >: the first maximum wins, and
-  // a window of NaN or -inf keeps -inf and flat index 0.
-  const auto pool = [&](std::size_t b, std::size_t e) {
-    for (std::size_t p = b * ch; p < e * ch; ++p) {
+  // A training pass records argmax_ in a row-major window scan with a
+  // strict >: the first maximum wins, and a window of NaN or -inf keeps
+  // -inf and flat index 0.  It stays on the caller, like the rest of
+  // training.
+  if (train) {
+    for (std::size_t p = 0; p < n * ch; ++p) {
       const std::size_t in0 = p * h * w;
       const std::size_t out0 = p * oh * ow;
       for (std::size_t r = 0; r < oh; ++r) {
@@ -57,18 +59,35 @@ void MaxPool2d::run(const Tensor& x, Tensor& y, bool train) {
             }
           }
           yd[out0 + r * ow + col] = best;
-          if (argmax != nullptr) argmax[out0 + r * ow + col] = best_idx;
+          argmax_[out0 + r * ow + col] = best_idx;
         }
       }
     }
-  };
-  // A training pass writes argmax_ and stays on the caller, like the
-  // rest of training.
-  if (train) {
-    pool(0, n);
-  } else {
-    detail::for_image_chunks(n, ch * h * w, pool);
+    return;
   }
+  // Eval: the same fold without the index, a row of maxima at a time so
+  // it vectorizes across output columns.  Each window position, in the
+  // same row-major order, replaces a maximum only when strictly greater,
+  // so every value keeps the training pass's bits: the first maximum
+  // wins, NaN never wins, and a window of NaN or -inf gives -inf.
+  detail::for_image_chunks(n, ch * h * w, [&](std::size_t b, std::size_t e) {
+    for (std::size_t p = b * ch; p < e * ch; ++p) {
+      const double* in = xd + p * h * w;
+      double* out = yd + p * oh * ow;
+      for (std::size_t r = 0; r < oh; ++r, out += ow) {
+        std::fill_n(out, ow, -std::numeric_limits<double>::infinity());
+        for (std::size_t kr = 0; kr < k_; ++kr) {
+          const double* row = in + (r * k_ + kr) * w;
+          for (std::size_t kc = 0; kc < k_; ++kc) {
+            for (std::size_t col = 0; col < ow; ++col) {
+              const double v = row[col * k_ + kc];
+              out[col] = v > out[col] ? v : out[col];
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <type_traits>
 #include <utility>
 
@@ -94,7 +93,10 @@ FastMvm::FastMvm(const circuits::CircuitParams& params, std::size_t rows,
 
 void FastMvm::precompute() {
   all_rows_.resize(rows_);
-  std::iota(all_rows_.begin(), all_rows_.end(), std::uint32_t{0});
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const auto row = static_cast<std::uint32_t>(r);
+    all_rows_[r] = {row, row};
+  }
   g_total_.assign(cols_pad_, 0.0);
   // Row-ascending sums, matching ResipeTile's accumulation order.
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -120,34 +122,40 @@ void FastMvm::set_column_offsets(std::vector<double> offsets) {
   std::copy(offsets.begin(), offsets.end(), offsets_.begin());
 }
 
-void FastMvm::check_rows(std::span<const std::uint32_t> rows) const {
+void FastMvm::check_rows(std::span<const double> v_wl, std::size_t n,
+                         std::size_t stride,
+                         std::span<const Wordline> rows) const {
   // One pass without early exit, so it vectorizes; a failure rescans to
   // name the first bad entry.  Strictly ascending with the last row in
   // range puts every row in range.
-  bool ok = rows.empty() || rows.back() < rows_;
-  for (std::size_t i = 1; i < rows.size(); ++i) ok &= rows[i - 1] < rows[i];
+  bool ok = rows.empty() || rows.back().row < rows_;
+  std::size_t reach = rows.empty() ? 0 : rows[0].offset;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ok &= rows[i - 1].row < rows[i].row;
+    reach = std::max<std::size_t>(reach, rows[i].offset);
+  }
+  // The last sample's largest offset, without overflow: nothing is read
+  // when there are no samples or no rows.
+  const bool fits =
+      n == 0 || rows.empty() ||
+      (reach < v_wl.size() &&
+       (stride == 0 || n - 1 <= (v_wl.size() - 1 - reach) / stride));
+  RESIPE_REQUIRE(fits, "FastMvm voltages: "
+                           << n << " samples " << stride
+                           << " apart, read up to offset " << reach
+                           << ", from " << v_wl.size() << " voltages");
   if (ok) return;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::uint32_t r = rows[i];
+    const std::uint32_t r = rows[i].row;
     RESIPE_REQUIRE(r < rows_, "FastMvm row list: row "
                                   << r << " at index " << i
                                   << " is out of range for " << rows_
                                   << " rows");
-    RESIPE_REQUIRE(i == 0 || rows[i - 1] < r,
+    RESIPE_REQUIRE(i == 0 || rows[i - 1].row < r,
                    "FastMvm row list must be strictly ascending: row "
                        << r << " at index " << i << " follows row "
-                       << rows[i - 1]);
+                       << rows[i - 1].row);
   }
-}
-
-void FastMvm::check_voltages(std::span<const double> v_wl, std::size_t n,
-                             std::size_t stride) const {
-  RESIPE_REQUIRE(stride >= rows_ &&
-                     (n == 0 || v_wl.size() >= (n - 1) * stride + rows_),
-                 "FastMvm voltages: " << n << " samples of " << rows_
-                                      << " rows at stride " << stride
-                                      << " from " << v_wl.size()
-                                      << " voltages");
 }
 
 // --- the voltage stage ---------------------------------------------------
@@ -201,8 +209,8 @@ V FastMvm::recover(V weighted, std::size_t c, std::size_t* silent) const {
 template <class V, std::size_t kS, std::size_t kC>
 void FastMvm::column_block(const double* v_wl, std::size_t stride,
                            std::size_t s0, std::size_t c0,
-                           std::span<const std::uint32_t> rows,
-                           double* t_out, std::size_t out_stride,
+                           std::span<const Wordline> rows, double* t_out,
+                           std::size_t out_stride,
                            std::size_t* silent) const {
   constexpr std::size_t W = simd::lanes<V>;
   V acc[kS][kC];
@@ -210,12 +218,13 @@ void FastMvm::column_block(const double* v_wl, std::size_t stride,
     for (V& a : sample) a = V(0.0);
   }
   const double* v = v_wl + s0 * stride;
-  for (const std::uint32_t r : rows) {
-    const double* g_r = g_.data() + r * cols_pad_ + c0;
+  for (const Wordline& wl : rows) {
+    const double* g_r = g_.data() + std::size_t{wl.row} * cols_pad_ + c0;
+    const double* v_row = v + wl.offset;
     V g[kC];
     for (std::size_t j = 0; j < kC; ++j) g[j] = V::load(g_r + j * W);
     for (std::size_t s = 0; s < kS; ++s) {
-      const V v_r(v[s * stride + r]);
+      const V v_r(v_row[s * stride]);
       for (std::size_t j = 0; j < kC; ++j) acc[s][j] = acc[s][j] + v_r * g[j];
     }
   }
@@ -240,8 +249,8 @@ void FastMvm::column_block(const double* v_wl, std::size_t stride,
 template <class V>
 void FastMvm::voltage_stage(const double* v_wl, std::size_t n,
                             std::size_t stride,
-                            std::span<const std::uint32_t> rows,
-                            double* t_out, std::size_t out_stride) const {
+                            std::span<const Wordline> rows, double* t_out,
+                            std::size_t out_stride) const {
   constexpr std::size_t W = simd::lanes<V>;
   std::size_t silent = 0;
   // Column windows outermost: a window's conductances stay in cache
@@ -316,18 +325,17 @@ void FastMvm::wordline(const circuits::CircuitParams& params,
 
 void FastMvm::mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
                                  std::size_t stride,
-                                 std::span<const std::uint32_t> rows,
+                                 std::span<const Wordline> rows,
                                  std::span<double> t_out,
                                  std::size_t out_stride) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_voltages_batch",
                      perf::fast_mvm_voltages_cost(rows.size(), cols_, n));
-  check_voltages(v_wl, n, stride);
   RESIPE_REQUIRE(out_stride >= cols_ && t_out.size() == n * out_stride,
                  "FastMvm voltage batch: " << t_out.size() << " outputs for "
                                            << n << " samples of " << cols_
                                            << " columns at stride "
                                            << out_stride);
-  check_rows(rows);
+  check_rows(v_wl, n, stride, rows);
   if (n == 0) return;
   simd::at_width(simd::enabled(), [&](auto v) {
     voltage_stage<decltype(v)>(v_wl.data(), n, stride, rows, t_out.data(),
@@ -337,24 +345,23 @@ void FastMvm::mvm_voltages_batch(std::span<const double> v_wl, std::size_t n,
 }
 
 void FastMvm::driven_rows(std::span<const double> v_wl, std::size_t n,
-                          std::size_t stride,
-                          std::vector<std::uint32_t>& rows) const {
+                          std::size_t stride, std::span<const Wordline> from,
+                          std::vector<Wordline>& rows) const {
   RESIPE_TELEM_WORK("resipe_core.fast_mvm.driven_rows",
-                    perf::fast_mvm_driven_rows_cost(rows_, n));
-  check_voltages(v_wl, n, stride);
-  // Flag the rows driven in some sample, sample by sample so the inner
-  // loop runs along contiguous voltages, then compact the flags into
-  // row indices in place (an index never passes the flag it reads).
-  rows.assign(rows_, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* v = v_wl.data() + s * stride;
-    for (std::size_t r = 0; r < rows_; ++r) rows[r] |= v[r] != 0.0;
+                    perf::fast_mvm_driven_rows_cost(from.size(), n));
+  check_rows(v_wl, n, stride, from);
+  // Each listed row's voltages across the samples, up to the first
+  // nonzero one: a driven row is usually found within a sample or two.
+  rows.clear();
+  for (const Wordline& wl : from) {
+    const double* v = v_wl.data() + wl.offset;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (v[s * stride] != 0.0) {
+        rows.push_back(wl);
+        break;
+      }
+    }
   }
-  std::size_t listed = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (rows[r] != 0) rows[listed++] = static_cast<std::uint32_t>(r);
-  }
-  rows.resize(listed);
 }
 
 void FastMvm::add_current_sums(std::span<const double> t_out, std::size_t n,

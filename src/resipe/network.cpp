@@ -1,7 +1,10 @@
 #include "resipe/resipe/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "resipe/common/error.hpp"
@@ -103,6 +106,27 @@ ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
   row_blocks_ = (in + config_.tile_rows - 1) / config_.tile_rows;
   output_ok_.assign(out_, true);
   program_blocks(rng);
+  std::vector<std::size_t> identity(in_);
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  identity_ = wordline_table(identity);
+}
+
+std::vector<FastMvm::Wordline> ProgrammedMatrix::wordline_table(
+    std::span<const std::size_t> offsets) const {
+  RESIPE_REQUIRE(offsets.size() == in_,
+                 "wordline table: " << offsets.size() << " offsets for "
+                                    << in_ << " inputs");
+  std::vector<FastMvm::Wordline> table(in_);
+  for (std::size_t i = 0; i < in_; ++i) {
+    RESIPE_REQUIRE(offsets[i] <= std::numeric_limits<std::uint32_t>::max(),
+                   "wordline table: offset " << offsets[i] << " of input "
+                                             << i << " exceeds 2^32 - 1");
+    // Row windows are tile_rows high from input 0, as program_blocks
+    // cuts them.
+    table[i] = {static_cast<std::uint32_t>(i % config_.tile_rows),
+                static_cast<std::uint32_t>(offsets[i])};
+  }
+  return table;
 }
 
 void ProgrammedMatrix::program_blocks(Rng& rng) {
@@ -419,14 +443,30 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
   }
   const std::span<double> v = grow(ws.v_in, n * in_);
   encode(x, v);
-  run_voltages(v, n, y, ws, probe);
+  run_voltages(v, n, in_, identity_, y, out_, 1, ws, probe);
 }
 
 void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
-                                    std::span<double> y, BatchWorkspace& ws,
+                                    std::size_t v_stride,
+                                    std::span<const FastMvm::Wordline> table,
+                                    std::span<double> y, std::size_t y_stride,
+                                    std::size_t out_stride,
+                                    BatchWorkspace& ws,
                                     ProbeStats* probe) const {
-  RESIPE_REQUIRE(v.size() == n * in_ && y.size() == n * out_,
-                 "forward size mismatch");
+  // The last output written is sample n - 1's output out - 1; its index
+  // is computed without wrapping.
+  std::size_t last_sample = 0, last_output = 0, last = 0;
+  const bool y_fits =
+      n == 0 ||
+      (!__builtin_mul_overflow(n - 1, y_stride, &last_sample) &&
+       !__builtin_mul_overflow(out_ - 1, out_stride, &last_output) &&
+       !__builtin_add_overflow(last_sample, last_output, &last) &&
+       last < y.size());
+  RESIPE_REQUIRE(table.size() == in_ && y_fits,
+                 "forward layout: a table of " << table.size() << " for "
+                     << in_ << " inputs, " << n << " samples of " << out_
+                     << " outputs " << y_stride << " apart at stride "
+                     << out_stride << " into " << y.size() << " values");
   if (n == 0) return;
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
   // With events on, each row window visits only the rows driven in some
@@ -444,15 +484,15 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
   // Row window whose row list `rows` holds; blocks are stored window by
   // window, so each window's list is built once per batch.
   std::size_t window = in_;
-  std::span<const std::uint32_t> rows;
+  std::span<const FastMvm::Wordline> rows;
   for (const Block& block : blocks_) {
-    // Sample s's voltage of the block's row r is v[s * in_ + row0 + r].
-    const std::span<const double> v_block = v.subspan(block.row0);
     if (block.row0 != window) {
       window = block.row0;
-      rows = block.mvm->all_rows();
+      // The window's slice of the table: sample s's voltage of the
+      // block's row r is v[s * v_stride + table[row0 + r].offset].
+      rows = table.subspan(block.row0, block.rows);
       if (events) {
-        block.mvm->driven_rows(v_block, n, in_, ws.rows);
+        block.mvm->driven_rows(v, n, v_stride, rows, ws.rows);
         rows = ws.rows;
         listed += rows.size();
       }
@@ -461,7 +501,7 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
     // and reads back whole.
     const std::size_t t_stride = block.mvm->padded_cols();
     const std::span<double> t_out = grow(ws.t_out, n * t_stride);
-    block.mvm->mvm_voltages_batch(v_block, n, in_, rows, t_out, t_stride);
+    block.mvm->mvm_voltages_batch(v, n, v_stride, rows, t_out, t_stride);
     if (rows.empty()) {
       ++skipped;
     } else {
@@ -483,12 +523,14 @@ void ProgrammedMatrix::run_voltages(std::span<const double> v, std::size_t n,
     RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped", rows_skipped);
   }
 
-  decode(ws.recovered, n, y);
+  decode(ws.recovered, n, y, y_stride, out_stride);
   if (probe != nullptr) probe->vectors += n;
 }
 
 void ProgrammedMatrix::decode(std::span<const double> recovered,
-                              std::size_t n, std::span<double> y) const {
+                              std::size_t n, std::span<double> y,
+                              std::size_t y_stride,
+                              std::size_t out_stride) const {
   // recovered[j] = sum_i V_i G_ij with V_i = alpha * x_hat_i * v_full;
   // the pair/offset difference removes the conductance baseline and
   // weight_per_siemens converts siemens back into weight units.
@@ -496,9 +538,10 @@ void ProgrammedMatrix::decode(std::span<const double> recovered,
                        (alpha_ * codec_.v_full());
   for (std::size_t s = 0; s < n; ++s) {
     const double* rec = recovered.data() + s * rec_stride_;
-    double* y_s = y.data() + s * out_;
+    double* y_s = y.data() + s * y_stride;
     for (std::size_t j = 0; j < out_; ++j) {
-      y_s[j] = (rec[plus_at_[j]] - rec[minus_at_[j]]) * scale + bias_[j];
+      y_s[j * out_stride] =
+          (rec[plus_at_[j]] - rec[minus_at_[j]]) * scale + bias_[j];
     }
   }
 }
@@ -542,8 +585,17 @@ void ProgrammedMatrix::forward_voltages_batch(std::span<const double> v,
                                               std::size_t n,
                                               std::span<double> y,
                                               BatchWorkspace& ws) const {
+  RESIPE_REQUIRE(v.size() == n * in_ && y.size() == n * out_,
+                 "forward size mismatch");
+  forward_voltages_batch(v, n, in_, identity_, y, out_, 1, ws);
+}
+
+void ProgrammedMatrix::forward_voltages_batch(
+    std::span<const double> v, std::size_t n, std::size_t v_stride,
+    std::span<const FastMvm::Wordline> table, std::span<double> y,
+    std::size_t y_stride, std::size_t out_stride, BatchWorkspace& ws) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
-  run_voltages(v, n, y, ws, nullptr);
+  run_voltages(v, n, v_stride, table, y, y_stride, out_stride, ws, nullptr);
 }
 
 double ProgrammedMatrix::forward_analytic(std::span<const double> x,
@@ -590,7 +642,7 @@ double ProgrammedMatrix::forward_analytic(std::span<const double> x,
       recovered[block.rec0 + c] += sum;
     }
   }
-  decode(recovered, 1, y);
+  decode(recovered, 1, y, out_, 1);
   return v_max;
 }
 
@@ -615,38 +667,6 @@ void ProgrammedMatrix::calibrate_alpha(std::span<const double> x_batch,
   }
 }
 
-namespace {
-
-/// The im2col patch at output (r, c) of one [cin, h, w] plane, in
-/// conv_weight_matrix's (ic, kr, kc) layout; positions in the padding
-/// read 0.
-void gather_patch(const double* plane, std::size_t cin, std::size_t h,
-                  std::size_t w, std::size_t k, std::size_t stride,
-                  std::size_t pad, std::size_t r, std::size_t c, double* out) {
-  const auto sh = static_cast<std::ptrdiff_t>(h);
-  const auto sw = static_cast<std::ptrdiff_t>(w);
-  const std::ptrdiff_t top = static_cast<std::ptrdiff_t>(r * stride) -
-                             static_cast<std::ptrdiff_t>(pad);
-  const std::ptrdiff_t left = static_cast<std::ptrdiff_t>(c * stride) -
-                              static_cast<std::ptrdiff_t>(pad);
-  for (std::size_t ic = 0; ic < cin; ++ic, plane += h * w) {
-    for (std::size_t kr = 0; kr < k; ++kr) {
-      const std::ptrdiff_t ir = top + static_cast<std::ptrdiff_t>(kr);
-      if (ir < 0 || ir >= sh) {
-        out = std::fill_n(out, k, 0.0);
-        continue;
-      }
-      const double* row = plane + ir * sw;
-      for (std::size_t kc = 0; kc < k; ++kc) {
-        const std::ptrdiff_t icol = left + static_cast<std::ptrdiff_t>(kc);
-        *out++ = (icol < 0 || icol >= sw) ? 0.0 : row[icol];
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,
@@ -658,9 +678,30 @@ void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                  "and a patch of cin*k*k values; got rank "
                      << shape.size() << ", img " << img << ", cin " << cin
                      << ", k " << k << ", patch " << patch.size());
-  const std::size_t plane = shape[1] * shape[2] * shape[3];
-  gather_patch(x.data().data() + img * plane, cin, shape[2], shape[3], k,
-               stride, pad, r, c, patch.data());
+  const auto h = static_cast<std::ptrdiff_t>(shape[2]);
+  const auto w = static_cast<std::ptrdiff_t>(shape[3]);
+  const double* plane = x.data().data() + img * shape[1] * shape[2] * shape[3];
+  const std::ptrdiff_t top = static_cast<std::ptrdiff_t>(r * stride) -
+                             static_cast<std::ptrdiff_t>(pad);
+  const std::ptrdiff_t left = static_cast<std::ptrdiff_t>(c * stride) -
+                              static_cast<std::ptrdiff_t>(pad);
+  // conv_weight_matrix's (ic, kr, kc) order; positions in the padding
+  // read 0.
+  double* out = patch.data();
+  for (std::size_t ic = 0; ic < cin; ++ic, plane += h * w) {
+    for (std::size_t kr = 0; kr < k; ++kr) {
+      const std::ptrdiff_t ir = top + static_cast<std::ptrdiff_t>(kr);
+      if (ir < 0 || ir >= h) {
+        out = std::fill_n(out, k, 0.0);
+        continue;
+      }
+      const double* row = plane + ir * w;
+      for (std::size_t kc = 0; kc < k; ++kc) {
+        const std::ptrdiff_t icol = left + static_cast<std::ptrdiff_t>(kc);
+        *out++ = (icol < 0 || icol >= w) ? 0.0 : row[icol];
+      }
+    }
+  }
 }
 
 std::vector<double> conv_weight_matrix(const nn::Conv2d& conv) {
@@ -784,9 +825,25 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
       step.k = conv->kernel();
       step.stride = conv->stride();
       step.pad = conv->pad();
+      step.h = h.dim(2);
+      step.w = h.dim(3);
+      // Patch element (ic, kr, kc) in conv_weight_matrix's order, read
+      // in place in the padded voltage plane.
+      const std::size_t hp = step.h + 2 * step.pad;
+      const std::size_t wp = step.w + 2 * step.pad;
+      std::vector<std::size_t> offsets;
+      offsets.reserve(in);
+      for (std::size_t ic = 0; ic < step.cin; ++ic) {
+        for (std::size_t kr = 0; kr < step.k; ++kr) {
+          for (std::size_t kc = 0; kc < step.k; ++kc) {
+            offsets.push_back((ic * hp + kr) * wp + kc);
+          }
+        }
+      }
+      step.plane_table = pm->wordline_table(offsets);
       matrices_.push_back(std::move(pm));
     }
-    steps_.push_back(step);
+    steps_.push_back(std::move(step));
     layer.forward_into(h, out);
   };
   nn::walk_steps(calibration, model_.layer_count(), lower);
@@ -814,50 +871,82 @@ void ResipeNetwork::run_dense(const Step& step, const nn::Tensor& x,
   });
 }
 
+namespace {
+
+/// A thread's padded voltage plane for conv steps: an image's
+/// [cin, h, w] wordline voltages inside a zero border of `pad`, laid out
+/// [cin, h + 2 pad, w + 2 pad], so every im2col patch, its padding
+/// included, reads in place.  Each image writes only the interior; the
+/// border is zeroed when the plane takes a new geometry and stays zero
+/// across the images of that geometry.  Storage only grows.
+class VoltagePlane {
+ public:
+  std::span<const double> place(std::span<const double> image,
+                                std::size_t cin, std::size_t h,
+                                std::size_t w, std::size_t pad) {
+    const std::size_t hp = h + 2 * pad;
+    const std::size_t wp = w + 2 * pad;
+    const std::array<std::size_t, 4> geometry = {cin, h, w, pad};
+    if (geometry != geometry_) {
+      v_.assign(cin * hp * wp, 0.0);
+      geometry_ = geometry;
+    }
+    for (std::size_t ic = 0; ic < cin; ++ic) {
+      for (std::size_t r = 0; r < h; ++r) {
+        std::copy_n(image.data() + (ic * h + r) * w, w,
+                    v_.data() + (ic * hp + r + pad) * wp + pad);
+      }
+    }
+    return v_;
+  }
+
+ private:
+  std::vector<double> v_;
+  std::array<std::size_t, 4> geometry_{};
+};
+
+}  // namespace
+
 void ResipeNetwork::run_conv(const Step& step, const nn::Tensor& x,
                              nn::Tensor& y) const {
-  RESIPE_REQUIRE(x.rank() == 4 && x.dim(1) == step.cin,
-                 "conv step input shape mismatch");
+  RESIPE_REQUIRE(x.rank() == 4, "conv step expects rank-4 input");
+  RESIPE_REQUIRE(x.dim(1) == step.cin && x.dim(2) == step.h &&
+                     x.dim(3) == step.w,
+                 "conv step lowered for [" << step.cin << ", " << step.h
+                     << ", " << step.w << "] images, got [" << x.dim(1)
+                     << ", " << x.dim(2) << ", " << x.dim(3) << "]");
   const std::size_t n = x.dim(0);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
-  const std::size_t oh = (h + 2 * step.pad - step.k) / step.stride + 1;
-  const std::size_t ow = (w + 2 * step.pad - step.k) / step.stride + 1;
+  const std::size_t wp = step.w + 2 * step.pad;
+  const std::size_t oh = (step.h + 2 * step.pad - step.k) / step.stride + 1;
+  const std::size_t ow = (wp - step.k) / step.stride + 1;
   y.resize_for_overwrite({n, step.cout, oh, ow});
-  const std::size_t in = step.matrix->in_features();
-  const std::size_t plane = step.cin * h * w;
+  const std::size_t image = step.cin * step.h * step.w;
+  const std::size_t out_plane = oh * ow;
   const double* x_data = x.data().data();
   double* y_data = y.data().data();
-  // Encoding is pointwise, so encoding each activation once and then
-  // gathering its voltage into every patch that holds it gives the bits
-  // of encoding every gathered patch element.  Padding holds the value
-  // 0, which the codec encodes to t = +0.0 and S1 to +0.0 V, the 0 the
-  // gather fills in.
-  // One image per work item; each output row of ow patches runs as one
-  // batched MVM.  Images write disjoint y slices.
+  // Encoding is pointwise, so encoding each activation once and reading
+  // its voltage in every patch that holds it gives the bits of encoding
+  // every patch element.  Padding holds the value 0, which the codec
+  // encodes to t = +0.0 and S1 to +0.0 V, the plane's border.
+  // One image per work item; each output row of ow patches, `stride`
+  // apart in the plane, runs as one batched MVM whose outputs land in
+  // place: sample c's output oc at y_img[(oc * oh + r) * ow + c].
+  // Images write disjoint y slices.
   parallel_for(n, [&](std::size_t img) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
     thread_local std::vector<double> v_img_buf;
-    thread_local std::vector<double> patches_buf;
-    thread_local std::vector<double> out_row_buf;
-    const std::span<double> v_img = grow(v_img_buf, plane);
-    const std::span<double> patches = grow(patches_buf, ow * in);
-    const std::span<double> out_row = grow(out_row_buf, ow * step.cout);
-    step.matrix->encode(
-        std::span<const double>(x_data + img * plane, plane), v_img);
-    double* y_img = y_data + img * step.cout * oh * ow;
+    thread_local VoltagePlane plane_buf;
+    const std::span<double> v_img = grow(v_img_buf, image);
+    step.matrix->encode(std::span<const double>(x_data + img * image, image),
+                        v_img);
+    const std::span<const double> plane =
+        plane_buf.place(v_img, step.cin, step.h, step.w, step.pad);
+    const std::span<double> y_img(y_data + img * step.cout * out_plane,
+                                  step.cout * out_plane);
     for (std::size_t r = 0; r < oh; ++r) {
-      for (std::size_t c = 0; c < ow; ++c) {
-        gather_patch(v_img.data(), step.cin, h, w, step.k, step.stride,
-                     step.pad, r, c, patches.data() + c * in);
-      }
-      step.matrix->forward_voltages_batch(patches, ow, out_row, ws);
-      for (std::size_t oc = 0; oc < step.cout; ++oc) {
-        double* y_row = y_img + (oc * oh + r) * ow;
-        for (std::size_t c = 0; c < ow; ++c) {
-          y_row[c] = out_row[c * step.cout + oc];
-        }
-      }
+      step.matrix->forward_voltages_batch(
+          plane.subspan(r * step.stride * wp), ow, step.stride,
+          step.plane_table, y_img.subspan(r * ow), 1, out_plane, ws);
     }
   });
 }

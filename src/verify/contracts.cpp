@@ -346,17 +346,29 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
     return true;
   };
   // S1, then the voltage stage over the rows driven in any of the
-  // given samples, as the forward loop runs them.
-  std::vector<double> v_wl;
-  std::vector<std::uint32_t> driven;
-  std::vector<double> out;
+  // given samples, as the forward loop runs them.  The same voltages
+  // transposed to [rows, m] (samples 1 apart, row r at offset r * m, an
+  // overlapping layout) must list the same rows and give the same bits.
+  std::vector<double> v_wl, v_t;
+  std::vector<FastMvm::Wordline> driven, driven_t, table_t(rows);
+  std::vector<double> out, out_t;
   const auto run_listed = [&](std::span<const double> samples,
                               std::size_t m) {
     v_wl.resize(samples.size());
     FastMvm::wordline(spec.config.circuit, samples, v_wl);
-    fast.driven_rows(v_wl, m, rows, driven);
+    fast.driven_rows(v_wl, m, rows, fast.all_rows(), driven);
     out.assign(m * cols, 0.0);
     fast.mvm_voltages_batch(v_wl, m, rows, driven, out, cols);
+    v_t.resize(samples.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+      table_t[r] = {static_cast<std::uint32_t>(r),
+                    static_cast<std::uint32_t>(r * m)};
+      for (std::size_t s = 0; s < m; ++s) v_t[r * m + s] = v_wl[s * rows + r];
+    }
+    fast.driven_rows(v_t, m, 1, table_t, driven_t);
+    out_t.assign(m * cols, 0.0);
+    fast.mvm_voltages_batch(v_t, m, 1, driven_t, out_t, cols);
+    return driven_t.size() == driven.size() && bit_identical(out, out_t);
   };
 
   // Per sample: single, and the row list of its driven rows (empty
@@ -368,13 +380,19 @@ ContractResult check_fast_batch(const CaseSpec& spec) {
     if (!matches("single vs batched FastMvm", s, out)) {
       return ContractResult::fail(failure);
     }
-    run_listed(sample, 1);
+    if (!run_listed(sample, 1)) {
+      return ContractResult::fail("transposed row-list layout differs at "
+                                  "sample " + std::to_string(s));
+    }
     if (!matches("row-list vs batched FastMvm", s, out)) {
       return ContractResult::fail(failure);
     }
   }
   // The whole batch over the rows driven in any sample.
-  run_listed(t_in, n + 1);
+  if (!run_listed(t_in, n + 1)) {
+    return ContractResult::fail("transposed row-list layout differs on "
+                                "the batch");
+  }
   if (!matches("batch row-list vs batched FastMvm", 0, out)) {
     return ContractResult::fail(failure);
   }
@@ -574,6 +592,29 @@ ContractResult check_matrix_batch(const CaseSpec& spec) {
   if (!bit_identical(y_batch, y_volts)) {
     return ContractResult::fail(
         "encode + forward_voltages_batch differs from forward_batch");
+  }
+  // The same voltages transposed to [in, n], samples 1 apart, decoded
+  // into [out, n]: the layout changes no bit.
+  std::vector<double> v_t(v.size()), y_t(y_batch.size(), 0.0);
+  std::vector<std::size_t> offsets(spec.inputs);
+  for (std::size_t i = 0; i < spec.inputs; ++i) {
+    offsets[i] = i * n;
+    for (std::size_t s = 0; s < n; ++s) {
+      v_t[i * n + s] = v[s * spec.inputs + i];
+    }
+  }
+  fx.matrix->forward_voltages_batch(v_t, n, 1,
+                                    fx.matrix->wordline_table(offsets), y_t,
+                                    1, n, ws);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t j = 0; j < spec.classes; ++j) {
+      const double want = y_batch[s * spec.classes + j];
+      if (std::memcmp(&want, &y_t[j * n + s], sizeof(double)) != 0) {
+        return ContractResult::fail(fail_at("transposed-layout forward",
+                                            s * spec.classes + j,
+                                            y_t[j * n + s], want));
+      }
+    }
   }
 
   ProgrammedMatrix::ProbeStats stats;

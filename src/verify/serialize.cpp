@@ -211,13 +211,16 @@ class Scanner {
   explicit Scanner(const std::string& text) : s_(text) {}
 
   /// Throws resipe::Error naming the problem, the offending text, the
-  /// offset and the last key read.
+  /// offset and the last key read.  The message reaches users as is
+  /// (resipe_fuzz --replay), so it holds no source location.
   void require(bool ok, const char* what, std::string_view text = {}) const {
-    RESIPE_REQUIRE(ok, "repro JSON: " << what << (text.empty() ? "" : " '")
-                                      << text << (text.empty() ? "" : "'")
-                                      << " at offset " << i_
-                                      << (key_.empty() ? "" : " after key '")
-                                      << key_ << (key_.empty() ? "" : "'"));
+    if (ok) return;
+    std::ostringstream os;
+    os << "repro JSON: " << what;
+    if (!text.empty()) os << " '" << text << "'";
+    os << " at offset " << i_;
+    if (!key_.empty()) os << " after key '" << key_ << "'";
+    throw Error(os.str());
   }
 
   char peek() {
@@ -378,15 +381,16 @@ ReproRecord repro_from_json(const std::string& json) {
   while (sc.peek() != '}') {
     if (!seen.empty()) sc.expect(',');
     const std::string& key = sc.key();
-    RESIPE_REQUIRE(seen.insert(key).second,
-                   "duplicate key '" << key << "' in repro record");
+    if (!seen.insert(key).second) {
+      throw Error("duplicate key '" + key + "' in repro record");
+    }
     bool known = false;
     each_field(record, [&](std::string_view name, auto&& member) {
       if (known || name != key) return;
       known = true;
       read(sc, member);
     });
-    RESIPE_REQUIRE(known, "unknown key '" << key << "' in repro record");
+    if (!known) throw Error("unknown key '" + key + "' in repro record");
   }
   sc.expect('}');
   sc.expect_end();

@@ -210,6 +210,7 @@ def check_other_binaries(bins, check):
             check("bench_table1_taxonomy --json FILE writes FILE",
                   r.returncode == 0 and os.path.isfile(out))
         check_failed_writes(bins, check, tmp)
+        check_refused_records(bins, check, tmp)
         if bins.bench_fig5:
             out = os.path.join(tmp, "fig5.csv")
             r = run(bins.bench_fig5, "--csv", out, cwd=tmp)
@@ -226,7 +227,8 @@ def check_other_binaries(bins, check):
 def plain_error(stderr):
     """True when an error message carries no checked expression and no
     source location of the build."""
-    return "precondition failed" not in stderr and ".hpp:" not in stderr
+    return ("precondition failed" not in stderr and ".hpp:" not in stderr
+            and ".cpp:" not in stderr)
 
 
 def check_failed_writes(bins, check, tmp):
@@ -274,6 +276,28 @@ def check_failed_writes(bins, check, tmp):
         check("resipe_fuzz --emit-corpus into an occupied path exits 2",
               r.returncode == 2 and "case_seed1.json" in r.stderr
               and r.stdout == "" and plain_error(r.stderr))
+
+
+def check_refused_records(bins, check, tmp):
+    """A repro record the reader refuses exits 2, naming the key in a
+    plain message."""
+    if not bins.fuzz:
+        return
+    # A retired key replays only at 0.
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "corpus", "case_seed40.json")) as f:
+        record = f.read()
+    retired = '"device_stuck_lrs_rate": 0,'
+    path = os.path.join(tmp, "retired.json")
+    with open(path, "w") as f:
+        f.write(record.replace(retired, '"device_stuck_lrs_rate": 0.01,'))
+    r = run(bins.fuzz, "--replay", path, cwd=tmp)
+    check("resipe_fuzz --replay of a non-zero retired key exits 2 "
+          "with a plain message",
+          retired in record and r.returncode == 2
+          and "retired key" in r.stderr
+          and "'device_stuck_lrs_rate'" in r.stderr
+          and r.stdout == "" and plain_error(r.stderr))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "resipe/common/error.hpp"
 #include "resipe/crossbar/ir_drop.hpp"
@@ -40,8 +41,7 @@ TEST(Crossbar, ColumnDriveMatchesHandComputation) {
   Crossbar xbar(2, 1, noiseless_spec());
   Rng rng(1);
   // G1 = 20 uS (50 k), G2 = 5 uS (200 k).
-  xbar.program_cell(0, 0, 20e-6, rng);
-  xbar.program_cell(1, 0, 5e-6, rng);
+  xbar.program(std::vector<double>{20e-6, 5e-6}, rng);
   const std::vector<double> v{0.8, 0.2};
   const auto drive = xbar.column_drive(0, v);
   EXPECT_NEAR(drive.g_total, 25e-6, 2e-8);
@@ -52,8 +52,7 @@ TEST(Crossbar, ColumnDriveMatchesHandComputation) {
 TEST(Crossbar, GroundedRowStillLoadsTheColumn) {
   Crossbar xbar(2, 1, noiseless_spec());
   Rng rng(1);
-  xbar.program_cell(0, 0, 20e-6, rng);
-  xbar.program_cell(1, 0, 20e-6, rng);
+  xbar.program(std::vector<double>{20e-6, 20e-6}, rng);
   const std::vector<double> v{1.0, 0.0};
   const auto drive = xbar.column_drive(0, v);
   // The grounded row halves the equivalent voltage.
@@ -76,15 +75,14 @@ TEST(Crossbar, IdealMvmMatchesDotProduct) {
 TEST(Crossbar, ColumnTotalGSumsCells) {
   Crossbar xbar(3, 1, noiseless_spec());
   Rng rng(1);
-  for (std::size_t r = 0; r < 3; ++r) xbar.program_cell(r, 0, 1e-5, rng);
+  xbar.program(std::vector<double>(3, 1e-5), rng);
   EXPECT_NEAR(xbar.column_total_g(0), 3e-5, 2e-8);
 }
 
 TEST(Crossbar, ComputeEnergyZeroForUniformDrive) {
   Crossbar xbar(2, 1, noiseless_spec());
   Rng rng(1);
-  xbar.program_cell(0, 0, 1e-5, rng);
-  xbar.program_cell(1, 0, 1e-5, rng);
+  xbar.program(std::vector<double>(2, 1e-5), rng);
   const std::vector<double> v{0.5, 0.5};
   // Equal wordline voltages -> Veq equals them -> no static mismatch.
   EXPECT_NEAR(xbar.compute_energy(v, 1e-9), 0.0, 1e-24);
@@ -95,7 +93,7 @@ TEST(Crossbar, ComputeEnergyZeroForUniformDrive) {
 TEST(Crossbar, StaticReadEnergyMatchesGV2T) {
   Crossbar xbar(1, 1, noiseless_spec());
   Rng rng(1);
-  xbar.program_cell(0, 0, 1e-5, rng);
+  xbar.program(std::vector<double>{1e-5}, rng);
   const std::vector<double> v{0.5};
   // P = G V^2 = 1e-5 * 0.25 = 2.5e-6 W over 100 ns = 2.5e-13 J.
   EXPECT_NEAR(xbar.static_read_energy(v, 100e-9), 2.5e-13, 1e-16);

@@ -117,9 +117,10 @@ TEST(EventQueue, AllSilentAndEmptyInputs) {
 
 TEST(DrivenRows, ListsWindowRowsNonzeroInAnySample) {
   // Three samples of a 9-wide input, read as the row window [2, 7) at
-  // stride 9, with every input outside the window driven.  Window row 0
-  // is +0.0 or -0.0 in every sample and row 2 +0.0; row 1 is driven in
-  // the first sample, row 3 only in the last, row 4 in all three.
+  // stride 9 (window row r at offset 2 + r), with every input outside
+  // the window driven.  Window row 0 is +0.0 or -0.0 in every sample and
+  // row 2 +0.0; row 1 is driven in the first sample, row 3 only in the
+  // last, row 4 in all three.
   constexpr double kV = 0.25;
   // clang-format off
   const std::vector<double> v = {
@@ -127,26 +128,43 @@ TEST(DrivenRows, ListsWindowRowsNonzeroInAnySample) {
       kV, kV, -0.0, 0.0, 0.0, 0.0,  kV, kV, kV,
       kV, kV,  0.0, 0.0, 0.0, -kV, 1e-300, kV, kV};
   // clang-format on
+  using Rows = std::vector<FastMvm::Wordline>;
   const circuits::CircuitParams p;
   const FastMvm window(p, 5, 1, std::vector<double>(5, 1e-5));
-  const auto in_window = std::span<const double>(v).subspan(2);
-  std::vector<std::uint32_t> rows = {7, 7, 7};  // stale contents
-  window.driven_rows(in_window, 3, 9, rows);
-  EXPECT_EQ(rows, (std::vector<std::uint32_t>{1, 3, 4}));
-  // The first sample alone: its driven rows, window-relative.
-  window.driven_rows(in_window, 1, 9, rows);
-  EXPECT_EQ(rows, (std::vector<std::uint32_t>{1, 4}));
+  const Rows table = {{0, 2}, {1, 3}, {2, 4}, {3, 5}, {4, 6}};
+  Rows rows = {{7, 7}, {7, 7}, {7, 7}};  // stale contents
+  window.driven_rows(v, 3, 9, table, rows);
+  EXPECT_EQ(rows, (Rows{{1, 3}, {3, 5}, {4, 6}}));
+  // The first sample alone.
+  window.driven_rows(v, 1, 9, table, rows);
+  EXPECT_EQ(rows, (Rows{{1, 3}, {4, 6}}));
   // No samples, and a window silent in every sample, list nothing.
-  window.driven_rows(v, 0, 9, rows);
+  window.driven_rows(v, 0, 9, table, rows);
   EXPECT_TRUE(rows.empty());
   const FastMvm first_row(p, 1, 1, {1e-5});
-  first_row.driven_rows(in_window, 2, 9, rows);
+  first_row.driven_rows(v, 2, 9, Rows{{0, 2}}, rows);
   EXPECT_TRUE(rows.empty());
-  // A stride below the window, or a block past the voltages, throws.
-  EXPECT_THROW(window.driven_rows(v, 3, 4, rows), Error);
-  EXPECT_THROW(
-      window.driven_rows(std::span<const double>(v).subspan(5), 3, 9, rows),
-      Error);
+  // Overlapping samples one apart along the second input row: a two-row
+  // window at offsets 11 and 12 reads only the signed zeros at 11 to 14
+  // over three samples; a fourth sample reaches the kV at 15 through
+  // row 1 only, and a fifth drives both rows.
+  const FastMvm two(p, 2, 1, {1e-5, 1e-5});
+  const Rows pair = {{0, 11}, {1, 12}};
+  two.driven_rows(v, 3, 1, pair, rows);
+  EXPECT_TRUE(rows.empty());
+  two.driven_rows(v, 4, 1, pair, rows);
+  EXPECT_EQ(rows, (Rows{{1, 12}}));
+  two.driven_rows(v, 5, 1, pair, rows);
+  EXPECT_EQ(rows, pair);
+  // Fifteen samples one apart reach offset 26, the last voltage; a
+  // sixteenth, a wider stride or an offset past the voltages throws, as
+  // does a list that is not strictly ascending and in range.
+  EXPECT_NO_THROW(two.driven_rows(v, 15, 1, pair, rows));
+  EXPECT_THROW(two.driven_rows(v, 16, 1, pair, rows), Error);
+  EXPECT_THROW(window.driven_rows(v, 3, 11, table, rows), Error);
+  EXPECT_THROW(first_row.driven_rows(v, 1, 9, Rows{{0, 27}}, rows), Error);
+  EXPECT_THROW(two.driven_rows(v, 1, 9, Rows{{1, 3}, {0, 2}}, rows), Error);
+  EXPECT_THROW(two.driven_rows(v, 1, 9, Rows{{0, 2}, {2, 3}}, rows), Error);
 }
 
 // --- FastMvm row-list stages ------------------------------------------
@@ -181,12 +199,13 @@ class SparseKernels : public ::testing::Test {
     return v;
   }
 
+  using Rows = std::vector<FastMvm::Wordline>;
+
   // The rows of voltages `v` ([n, kRows]) driven in any sample.
-  static std::vector<std::uint32_t> wake_set(const FastMvm& mvm,
-                                             std::span<const double> v,
-                                             std::size_t n = 1) {
-    std::vector<std::uint32_t> rows;
-    mvm.driven_rows(v, n, kRows, rows);
+  static Rows wake_set(const FastMvm& mvm, std::span<const double> v,
+                       std::size_t n = 1) {
+    Rows rows;
+    mvm.driven_rows(v, n, kRows, mvm.all_rows(), rows);
     return rows;
   }
 
@@ -196,7 +215,7 @@ class SparseKernels : public ::testing::Test {
   static std::vector<double> run_listed(const FastMvm& mvm,
                                         std::span<const double> t,
                                         std::size_t n,
-                                        std::span<const std::uint32_t> rows,
+                                        std::span<const FastMvm::Wordline> rows,
                                         std::size_t stride = kRows) {
     std::vector<double> v(n * stride, kNaN);
     for (std::size_t s = 0; s < n; ++s) {
@@ -205,6 +224,28 @@ class SparseKernels : public ::testing::Test {
     }
     std::vector<double> out(n * kCols);
     mvm.mvm_voltages_batch(v, n, stride, rows, out, kCols);
+    return out;
+  }
+
+  // The same call from the voltages transposed to [kRows, n]: samples
+  // one apart, overlapping, row r at offset r * n.  Its row list is the
+  // driven rows of that layout.
+  static std::vector<double> run_transposed(const FastMvm& mvm,
+                                            std::span<const double> t,
+                                            std::size_t n) {
+    std::vector<double> v(t.size());
+    FastMvm::wordline(mvm.params(), t, v);
+    std::vector<double> v_t(t.size());
+    Rows table(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      table[r] = {static_cast<std::uint32_t>(r),
+                  static_cast<std::uint32_t>(r * n)};
+      for (std::size_t s = 0; s < n; ++s) v_t[r * n + s] = v[s * kRows + r];
+    }
+    Rows rows;
+    mvm.driven_rows(v_t, n, 1, table, rows);
+    std::vector<double> out(n * kCols);
+    mvm.mvm_voltages_batch(v_t, n, 1, rows, out, kCols);
     return out;
   }
 
@@ -232,6 +273,7 @@ class SparseKernels : public ::testing::Test {
       EXPECT_TRUE(bit_identical(dense, run_listed(mvm, batch, n, rows, stride)))
           << "stride " << stride;
     }
+    EXPECT_TRUE(bit_identical(dense, run_transposed(mvm, batch, n)));
   }
 
   static constexpr std::size_t kRows = 37;  // deliberately not lane-aligned
@@ -277,27 +319,39 @@ TEST_F(SparseKernels, SparseRejectsBadWakeSets) {
   std::vector<double> out(kCols);
   // Strictly ascending and in range, on either kernel path: a repeated
   // row would be summed twice.
+  const auto at_own_index = [](std::initializer_list<std::uint32_t> rows) {
+    Rows list;
+    for (const std::uint32_t r : rows) list.push_back({r, r});
+    return list;
+  };
   for (const bool scalar : {false, true}) {
     std::optional<simd::ForceScalarGuard> guard;
     if (scalar) guard.emplace();
-    for (const std::vector<std::uint32_t>& bad :
-         {std::vector<std::uint32_t>{kRows},  // out of range
-          std::vector<std::uint32_t>{1, 3, 3, 5},  // duplicate
-          std::vector<std::uint32_t>{1, 9, 2}}) {  // unsorted
+    for (const Rows& bad : {at_own_index({kRows}),          // out of range
+                            at_own_index({1, 3, 3, 5}),     // duplicate
+                            at_own_index({1, 9, 2})}) {     // unsorted
       EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, bad, out, kCols),
                    Error);
     }
   }
-  // Two samples at stride kRows + 1 read exactly the 2 * kRows + 1
-  // voltages; a wider stride reads past them, a narrower one than the
-  // row count would overlap the samples, and the output must hold n
-  // rows at an output stride no narrower than the columns.
+  // Every row at its own index: two samples at stride kRows + 1 reach
+  // offset 2 * kRows, the last voltage, and a wider stride reads past
+  // it.  Samples may overlap, down to stride 0.  A listed offset past
+  // the voltages throws even for one sample; with no rows or no samples
+  // nothing is read.  The output must hold n rows at an output stride no
+  // narrower than the columns.
   std::vector<double> out2(2 * kCols);
-  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 1, {}, out2, kCols));
-  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 2, {}, out2, kCols),
+  const auto all = mvm.all_rows();
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 1, all, out2, kCols));
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows + 2, all, out2, kCols),
                Error);
-  EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows - 1, {}, out2, kCols),
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, kRows - 1, all, out2, kCols));
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch(v, 2, 0, all, out2, kCols));
+  EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, 0, Rows{{0, 2 * kRows + 1}},
+                                      out, kCols),
                Error);
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch({}, 2, kRows, {}, out2, kCols));
+  EXPECT_NO_THROW(mvm.mvm_voltages_batch({}, 0, kRows, all, {}, kCols));
   EXPECT_THROW(mvm.mvm_voltages_batch(v, 2, kRows, {}, out, kCols), Error);
   EXPECT_THROW(mvm.mvm_voltages_batch(v, 1, kRows, {}, out, kCols - 1),
                Error);

@@ -95,17 +95,20 @@ bool bit_equal(const nn::Tensor& a, const nn::Tensor& b) {
                      a.size() * sizeof(double)) == 0;
 }
 
-// A zoo network lowered on synthetic digits: `batch` images to forward
-// (pixels below 0.25 silenced, as in the event-engine workloads) and a
-// separate calibration batch.
-struct DigitNet {
-  DigitNet(nn::BenchmarkNet net, std::size_t n, bool events)
+// A zoo network lowered on its synthetic dataset (digits, or objects
+// for the CIFAR-shaped nets): `batch` images to forward (pixels below
+// 0.25 silenced, as in the event-engine workloads) and a separate
+// calibration batch.
+struct ZooNet {
+  ZooNet(nn::BenchmarkNet net, std::size_t n, bool events)
       : model([&] {
           Rng rng(0xC0FFEEull);
           return nn::build_benchmark(net, rng);
         }()) {
     Rng data_rng(3);
-    nn::Dataset data = nn::synthetic_digits(n + 16, data_rng);
+    nn::Dataset data = nn::uses_object_dataset(net)
+                           ? nn::synthetic_objects(n + 16, data_rng)
+                           : nn::synthetic_digits(n + 16, data_rng);
     for (double& v : data.images.data()) {
       if (v < 0.25) v = 0.0;
     }
@@ -227,6 +230,63 @@ TEST(ProgrammedMatrix, RejectsBadShapes) {
   std::vector<double> y(2, 0.0);
   EXPECT_THROW(pm.forward(std::vector<double>{1.0, 2.0}, y), Error);
   EXPECT_THROW(ProgrammedMatrix(cfg, w, b, 2, 2, rng), Error);
+}
+
+TEST(ProgrammedMatrix, LayoutForwardChecksItsTableAndBuffers) {
+  // 40 inputs (two row windows) and 3 outputs; three samples whose
+  // voltages sit one apart ([in, n] layout) and whose outputs are
+  // written one apart ([out, n]).
+  EngineConfig cfg;
+  Rng rng(4);
+  std::vector<double> w(40 * 3);
+  for (double& v : w) v = rng.uniform(-0.5, 0.5);
+  const ProgrammedMatrix pm(cfg, w, std::vector<double>(3, 0.1), 40, 3, rng);
+  constexpr std::size_t n = 3;
+  std::vector<double> x(n * 40), v(n * 40), v_t(n * 40);
+  for (double& xi : x) xi = rng.uniform(0.0, 1.0);
+  pm.encode(x, v);
+  std::vector<std::size_t> offsets(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    offsets[i] = i * n;
+    for (std::size_t s = 0; s < n; ++s) v_t[i * n + s] = v[s * 40 + i];
+  }
+  const auto table = pm.wordline_table(offsets);
+  ASSERT_EQ(table.size(), 40u);
+  EXPECT_EQ(table[33], (FastMvm::Wordline{1, 99}));  // second window, row 1
+  ProgrammedMatrix::BatchWorkspace ws;
+  std::vector<double> y(n * 3), y_t(n * 3);
+  pm.forward_voltages_batch(v, n, y, ws);
+  pm.forward_voltages_batch(v_t, n, 1, table, y_t, 1, n, ws);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(std::memcmp(&y[s * 3 + j], &y_t[j * n + s], sizeof(double)),
+                0);
+    }
+  }
+  // A table of the wrong length, an offset past 2^32 - 1, voltages or
+  // outputs one short, an output stride whose last index wraps and a
+  // table entry out of its window all throw.
+  EXPECT_THROW(pm.wordline_table(std::span(offsets).first(39)), Error);
+  offsets[5] = std::size_t{1} << 32;
+  EXPECT_THROW(pm.wordline_table(offsets), Error);
+  EXPECT_THROW(pm.forward_voltages_batch(v_t, n, 1,
+                                         std::span(table).first(39), y_t, 1,
+                                         n, ws),
+               Error);
+  EXPECT_THROW(pm.forward_voltages_batch(std::span(v_t).first(n * 40 - 1), n,
+                                         1, table, y_t, 1, n, ws),
+               Error);
+  EXPECT_THROW(pm.forward_voltages_batch(v_t, n, 1, table,
+                                         std::span(y_t).first(n * 3 - 1), 1,
+                                         n, ws),
+               Error);
+  EXPECT_THROW(pm.forward_voltages_batch(v_t, n, 1, table, y_t, 1,
+                                         std::size_t{1} << 63, ws),
+               Error);
+  auto bad = table;
+  bad[7].row = 32;
+  EXPECT_THROW(pm.forward_voltages_batch(v_t, n, 1, bad, y_t, 1, n, ws),
+               Error);
 }
 
 TEST(ProgrammedMatrix, AlphaSetterValidates) {
@@ -459,6 +519,145 @@ TEST(ConvLowering, GatherValidatesArgumentsOnce) {
   EXPECT_NO_THROW(gather_conv_patch(x, 0, 2, 3, 1, 1, 0, 0, patch));
 }
 
+// Copies the input and output of every conv step.
+struct ConvSteps : LayerObserver {
+  struct Step {
+    const ProgrammedMatrix* matrix = nullptr;
+    const nn::Conv2d* conv = nullptr;
+    nn::Tensor input, output;
+  };
+  std::vector<Step> steps;
+  void on_step(std::size_t, nn::Layer& layer, const ProgrammedMatrix* matrix,
+               bool is_conv, const nn::Tensor& input,
+               const nn::Tensor& output) override {
+    if (matrix == nullptr || !is_conv) return;
+    steps.push_back(
+        {matrix, dynamic_cast<const nn::Conv2d*>(&layer), input, output});
+  }
+};
+
+// Forwards `batch` and checks every conv step against a replay through
+// the value-domain path: each output row's im2col patches gathered with
+// gather_conv_patch, then one forward_batch call.  The step reads its
+// patches in place from a padded voltage plane and decodes straight
+// into its output planes, so any addressing slip shows as a bit
+// mismatch.  Returns the number of conv steps checked.
+std::size_t expect_conv_steps_match_patch_replay(const ResipeNetwork& hw,
+                                                 const nn::Tensor& batch,
+                                                 const std::string& label) {
+  ConvSteps obs;
+  hw.forward_observed(batch, obs);
+  ProgrammedMatrix::BatchWorkspace ws;
+  for (std::size_t i = 0; i < obs.steps.size(); ++i) {
+    const ConvSteps::Step& step = obs.steps[i];
+    EXPECT_NE(step.conv, nullptr) << label;
+    if (step.conv == nullptr) continue;
+    const nn::Conv2d& conv = *step.conv;
+    const std::size_t cout = conv.out_channels();
+    const std::size_t in = conv.in_channels() * conv.kernel() * conv.kernel();
+    const std::size_t oh = step.output.dim(2);
+    const std::size_t ow = step.output.dim(3);
+    std::vector<double> patches(ow * in), row(ow * cout);
+    std::size_t mismatches = 0;
+    for (std::size_t img = 0; img < batch.dim(0); ++img) {
+      for (std::size_t r = 0; r < oh; ++r) {
+        for (std::size_t c = 0; c < ow; ++c) {
+          gather_conv_patch(step.input, img, conv.in_channels(),
+                            conv.kernel(), conv.stride(), conv.pad(), r, c,
+                            std::span<double>(patches).subspan(c * in, in));
+        }
+        step.matrix->forward_batch(patches, ow, row, ws);
+        for (std::size_t c = 0; c < ow; ++c) {
+          for (std::size_t oc = 0; oc < cout; ++oc) {
+            const double got = step.output.at(img, oc, r, c);
+            const double want = row[c * cout + oc];
+            mismatches += std::memcmp(&got, &want, sizeof(double)) != 0;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << label << ", conv step " << i << " (" << conv.describe() << ")";
+  }
+  return obs.steps.size();
+}
+
+TEST(ConvLowering, EveryZooConvStepEqualsItsPatchReplay) {
+  // The zoo's conv steps cover one and several row windows, one and two
+  // column blocks, pads 0, 1 and 2, 5x5 and 3x3 kernels and the 2x2
+  // images of CNN-3/4's last stages.
+  struct RestoreThreads {
+    ~RestoreThreads() { set_default_threads(0); }
+  } restore;
+  const struct {
+    nn::BenchmarkNet net;
+    std::size_t convs;
+  } nets[] = {{nn::BenchmarkNet::kCnn1, 2},
+              {nn::BenchmarkNet::kCnn2, 5},
+              {nn::BenchmarkNet::kCnn3, 13},
+              {nn::BenchmarkNet::kCnn4, 16}};
+  for (const auto& c : nets) {
+    for (const bool events : {false, true}) {
+      const ZooNet d(c.net, 2, events);
+      for (const std::size_t threads : {1, 4}) {
+        set_default_threads(threads);
+        const std::string label = nn::benchmark_name(c.net) +
+                                  (events ? ", events" : ", dense") + ", " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(expect_conv_steps_match_patch_replay(*d.hw, d.batch, label),
+                  c.convs)
+            << label;
+      }
+    }
+  }
+}
+
+TEST(ConvLowering, StrideTwoUnpaddedConvEqualsItsPatchReplay) {
+  // Patches two apart in a plane with no border: neighbouring patches
+  // of an output row share a column, and the plane's last column is
+  // read by no patch.
+  struct RestoreThreads {
+    ~RestoreThreads() { set_default_threads(0); }
+  } restore;
+  Rng rng(21);
+  nn::Sequential model("stride-2");
+  model.emplace<nn::Conv2d>(2, 5, 3, 2, 0, rng);  // [2, 9, 8] -> [5, 4, 3]
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Flatten>();
+  model.emplace<nn::Dense>(5 * 4 * 3, 3, rng);
+  nn::Tensor batch({3, 2, 9, 8});
+  for (double& v : batch.data()) {
+    v = rng.uniform(-0.2, 1.2);
+    if (rng.bernoulli(0.3)) v = 0.0;
+  }
+  for (const bool events : {false, true}) {
+    EngineConfig cfg;
+    cfg.events.enabled = events;
+    const ResipeNetwork hw(model, cfg, batch);
+    for (const std::size_t threads : {1, 4}) {
+      set_default_threads(threads);
+      EXPECT_EQ(expect_conv_steps_match_patch_replay(
+                    hw, batch, events ? "events" : "dense"),
+                1u);
+    }
+  }
+}
+
+TEST(ConvLowering, AConvStepRejectsAnImageSizeItWasNotLoweredFor) {
+  // Each conv step reads its patches through an offset table built at
+  // lowering for the calibration batch's image size.
+  Rng rng(22);
+  nn::Sequential model("conv-only");
+  model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, rng);
+  nn::Tensor calib({2, 1, 6, 6});
+  for (double& v : calib.data()) v = rng.uniform(0.0, 1.0);
+  const ResipeNetwork hw(model, EngineConfig{}, calib);
+  EXPECT_NO_THROW(hw.forward(calib));
+  nn::Tensor wider({2, 1, 6, 7});
+  wider.fill(0.5);
+  EXPECT_THROW(hw.forward(wider), Error);
+}
+
 TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {
   Rng rng(6);
   nn::Sequential model("tiny-cnn");
@@ -538,7 +737,7 @@ TEST(ResipeNetworkBuffers, SteadyStateForwardAllocatesOnlyTheLogits) {
   } cases[] = {{nn::BenchmarkNet::kCnn1, 64, true},
                {nn::BenchmarkNet::kMlp2, 8, false}};
   for (const auto& c : cases) {
-    const DigitNet d(c.net, c.n, c.events);
+    const ZooNet d(c.net, c.n, c.events);
     const nn::Tensor first = d.hw->forward(d.batch);
     d.hw->forward(d.batch);
     const Allocations logits =
@@ -556,14 +755,14 @@ TEST(ResipeNetworkBuffers, AnObserverMayForwardNetworksOnItsThread) {
   // Every on_step forwards a second network and the observed one itself
   // from inside the walk; the nested walks take buffers of their own, so
   // every logit keeps its bits.
-  const DigitNet outer(nn::BenchmarkNet::kCnn1, 6, true);
-  const DigitNet inner(nn::BenchmarkNet::kMlp2, 5, false);
+  const ZooNet outer(nn::BenchmarkNet::kCnn1, 6, true);
+  const ZooNet inner(nn::BenchmarkNet::kMlp2, 5, false);
   const nn::Tensor outer_ref = outer.hw->forward(outer.batch);
   const nn::Tensor inner_ref = inner.hw->forward(inner.batch);
 
   struct Nesting : LayerObserver {
-    const DigitNet* outer = nullptr;
-    const DigitNet* inner = nullptr;
+    const ZooNet* outer = nullptr;
+    const ZooNet* inner = nullptr;
     std::vector<nn::Tensor> inner_logits, outer_logits;
     std::size_t steps = 0;
     void on_step(std::size_t, nn::Layer&, const ProgrammedMatrix*, bool,
@@ -596,7 +795,7 @@ TEST(ResipeNetworkBuffers, AnObserverMayForwardNetworksOnItsThread) {
 
 TEST(ResipeNetworkBuffers, OneNetworkForwardsFromTwoThreadsAtOnce) {
   // Each calling thread walks through buffers of its own.
-  const DigitNet d(nn::BenchmarkNet::kCnn1, 8, true);
+  const ZooNet d(nn::BenchmarkNet::kCnn1, 8, true);
   const nn::Tensor ref = d.hw->forward(d.batch);
   std::atomic<int> mismatches{0};
   const auto run = [&] {

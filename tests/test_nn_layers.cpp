@@ -379,6 +379,40 @@ TEST(MaxPool2d, TiesKeepTheFirstMaximumInScanOrder) {
   EXPECT_EQ(y[1], -2.0);
 }
 
+TEST(MaxPool2d, EvalFoldKeepsTheScanBitsOnEveryWindowOfSpecials) {
+  // Every 2x2 window over {+0, -0, NaN, -inf, +inf, 0.5}, each its own
+  // output column: the eval fold equals the training scan bit for bit
+  // (the first of tied +-0 wins, NaN never wins, NaN and -inf alone give
+  // -inf).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double vals[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                         -kInf, kInf, 0.5};
+  constexpr std::size_t kVals = 6;
+  constexpr std::size_t kWindows = kVals * kVals * kVals * kVals;
+  Tensor x({1, 1, 2, 2 * kWindows});
+  for (std::size_t win = 0; win < kWindows; ++win) {
+    x.at(0, 0, 0, 2 * win) = vals[win % kVals];
+    x.at(0, 0, 0, 2 * win + 1) = vals[win / kVals % kVals];
+    x.at(0, 0, 1, 2 * win) = vals[win / (kVals * kVals) % kVals];
+    x.at(0, 0, 1, 2 * win + 1) = vals[win / (kVals * kVals * kVals)];
+  }
+  MaxPool2d eval_pool(2), train_pool(2);
+  const Tensor want = train_pool.forward(x, /*train=*/true);
+  const Tensor got = eval_pool.forward(x, /*train=*/false);
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::size_t win = 0; win < kWindows; ++win) {
+    const double g = got[win];
+    const double w = want[win];
+    EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+        << "window " << win << ": eval " << g << ", scan " << w;
+  }
+  // Spot checks of the scan rule itself.
+  EXPECT_TRUE(std::signbit(want[1 + kVals]));  // -0, -0, +0, +0: -0 first
+  EXPECT_EQ(want[2 + 2 * kVals + 3 * kVals * kVals + 3 * kVals * kVals *
+                                                          kVals],
+            -kInf);  // NaN, NaN, -inf, -inf
+}
+
 TEST(MaxPool2d, EvalForwardLeavesNoState) {
   MaxPool2d pool(2);
   const Tensor x = awkward_batch(5, 4);

@@ -113,15 +113,16 @@ TEST(WorkModel, SparseAndIdleBookingsHandCount) {
   const resipe_core::FastMvm mvm = random_mvm(3, 2, rng);
   PerfSwitchGuard guard;
   const std::vector<double> t_in(3, 1e-9);
-  const std::vector<std::uint32_t> active = {0, 2};
+  const std::vector<resipe_core::FastMvm::Wordline> active = {{0, 0},
+                                                              {2, 2}};
   std::vector<double> v_wl(3);
   std::vector<double> t_out(2);
   // S1 books every time it converts; the voltage stage books the work
   // model over the listed rows: two of three here, then none (S2 alone,
   // as for a window silent across the batch).
   resipe_core::FastMvm::wordline(mvm.params(), t_in, v_wl);
-  std::vector<std::uint32_t> driven;
-  mvm.driven_rows(v_wl, 1, 3, driven);
+  std::vector<resipe_core::FastMvm::Wordline> driven;
+  mvm.driven_rows(v_wl, 1, 3, mvm.all_rows(), driven);
   mvm.mvm_voltages_batch(v_wl, 1, 3, active, t_out, 2);
   mvm.mvm_voltages_batch(v_wl, 1, 3, {}, t_out, 2);
 
