@@ -4,7 +4,7 @@
 // much raw MVM fidelity each defect mechanism costs; this bench closes
 // the loop at the application level: classification accuracy of a
 // trained network under stuck-at cell defects, with the mitigation
-// pipeline (statistical detection, spare-column remapping, differential
+// pipeline (spare-column remapping, importance-aware swaps, differential
 // pair compensation) disabled and enabled on identical fault
 // realizations.  The headline figures: at a 1% cell defect rate the
 // mitigated engine must beat the blind engine and stay close to the

@@ -19,8 +19,9 @@ using namespace resipe;
 namespace {
 
 /// Stuck-at cells at `rate` in total, half at each rail, through the
-/// engine's one fault path with mitigation off: no detection or repair,
-/// so the MVM sees every defect.
+/// engine's one fault path with mitigation off: no repair, so the MVM
+/// sees every defect.  At rate 0 the row shows the fault path's own
+/// write model (the bounded write-verify loop) without stuck cells.
 void stuck_at_faults(resipe_core::EngineConfig& cfg, double rate) {
   cfg.reliability.enabled = true;
   cfg.reliability.mitigation.enabled = false;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
     report.add("baseline_rmse", s.rmse);
   }
   for (const auto& [rate, figure] :
-       {std::pair{0.001, "saf_rmse_0p1pct"}, {0.01, "saf_rmse_1pct"},
+       {std::pair{0.0, "saf_rmse_0pct"}, {0.01, "saf_rmse_1pct"},
         {0.05, "saf_rmse_5pct"}}) {
     resipe_core::EngineConfig cfg;
     stuck_at_faults(cfg, rate);

@@ -295,6 +295,15 @@ int cmd_profile(const Flags& flags) {
     std::fprintf(stderr, "--train/--images/--reps must be positive\n");
     return 2;
   }
+#if defined(RESIPE_TELEMETRY_DISABLED)
+  // The call tree, the roofline and the folded stacks are all built
+  // from spans this build compiled out: refuse instead of reporting an
+  // empty profile.
+  std::fprintf(stderr,
+               "error: profile needs telemetry spans, which this build "
+               "compiled out (configure with -DRESIPE_TELEMETRY=ON)\n");
+  return 2;
+#endif
 
   // Enable telemetry before the network is lowered: SpikeCodec caches
   // the telemetry flag at construction, and its codec work rides the

@@ -6,9 +6,13 @@
 //
 //   RESIPE_REQUIRE(cond, "message with " << streamable << " parts");
 //
-// for precondition checks on public API boundaries, and
-// RESIPE_ASSERT for internal invariants (also throws; never compiled out,
-// simulation correctness beats the nanoseconds saved).
+// for precondition checks on public API boundaries: the message alone
+// is thrown, because it reaches users as is (a CLI prints it after
+// "error: "), so it names the refused value itself.  RESIPE_ASSERT is
+// for internal invariants: its message also carries the checked
+// expression and the source location, since a failure is a bug of the
+// library.  Both throw and are never compiled out (simulation
+// correctness beats the nanoseconds saved).
 #pragma once
 
 #include <sstream>
@@ -24,14 +28,13 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_error(const char* kind, const char* expr,
-                                     const char* file, int line,
-                                     const std::string& msg) {
-  std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw Error(os.str());
-}
+// The failure paths of RESIPE_REQUIRE and RESIPE_ASSERT, defined out of
+// line in error.cpp: with a body the inliner can see, however small,
+// GCC inlines more around every check (at -O3 the object code of
+// src/serve/pool.cpp grew from 19 to 45 KB).
+[[noreturn]] void throw_precondition(const std::string& msg);
+[[noreturn]] void throw_invariant(const char* expr, const char* file,
+                                  int line, const std::string& msg);
 }  // namespace detail
 
 }  // namespace resipe
@@ -41,8 +44,7 @@ namespace detail {
     if (!(cond)) {                                                          \
       std::ostringstream resipe_require_os_;                                \
       resipe_require_os_ << msg; /* NOLINT */                               \
-      ::resipe::detail::throw_error("precondition", #cond, __FILE__,        \
-                                    __LINE__, resipe_require_os_.str());    \
+      ::resipe::detail::throw_precondition(resipe_require_os_.str());       \
     }                                                                       \
   } while (false)
 
@@ -51,7 +53,7 @@ namespace detail {
     if (!(cond)) {                                                          \
       std::ostringstream resipe_assert_os_;                                 \
       resipe_assert_os_ << msg; /* NOLINT */                                \
-      ::resipe::detail::throw_error("invariant", #cond, __FILE__, __LINE__, \
-                                    resipe_assert_os_.str());               \
+      ::resipe::detail::throw_invariant(#cond, __FILE__, __LINE__,          \
+                                        resipe_assert_os_.str());           \
     }                                                                       \
   } while (false)

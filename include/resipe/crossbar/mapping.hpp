@@ -115,10 +115,9 @@ struct ColumnRemapPlan {
 /// Plans the remap.  `col_importance` (size data_cols, optional) is the
 /// weight magnitude carried by each data column; when empty, columns
 /// are treated as equally important and only spare replacement (no
-/// swapping) happens.  `allow_swaps` disables step 2.
+/// swapping) happens.
 ColumnRemapPlan plan_column_remap(const reliability::FaultMap& detected,
                                   std::size_t data_cols, std::size_t group,
-                                  std::span<const double> col_importance = {},
-                                  bool allow_swaps = true);
+                                  std::span<const double> col_importance = {});
 
 }  // namespace resipe::crossbar

@@ -85,20 +85,15 @@ struct ReramSpec {
 enum class ProgramStatus : std::uint8_t {
   kOk = 0,        ///< landed within tolerance inside the budget
   kGaveUp,        ///< budget exhausted; best attempt kept (flagged, not silent)
-  kWriteFailed,   ///< endurance wear-out turned the write into a hard fault
   kHardFault,     ///< cell already carries an injected hard fault
 };
 
 /// Budget of the bounded write-verify loop (reliability path).  The
 /// legacy single-draw model in `program()` folds the whole loop into
 /// one residue draw; `program_verified()` models the attempts
-/// explicitly so give-ups and endurance wear are observable.
+/// explicitly so give-ups are observable.
 struct ProgramBudget {
-  int max_attempts = 5;            ///< verify iterations before giving up
-  double endurance_cycles = 0.0;   ///< device endurance (0 = not modelled)
-  double wear_cycles = 0.0;        ///< write cycles already consumed
-  /// Shape of the wear-out failure law: p_fail = (wear/endurance)^shape.
-  double failure_shape = 2.0;
+  int max_attempts = 5;  ///< verify iterations before giving up
 };
 
 /// Result of `program_verified()`.
@@ -139,11 +134,9 @@ class ReramCell {
   /// within the spec's verify tolerance of the (clamped, quantized)
   /// target.  When the budget runs out the *best* attempt is kept and
   /// the result says `kGaveUp` — an explicit status instead of the
-  /// silent best-effort of the folded model.  When
-  /// `budget.endurance_cycles` is set, every pulse can wear the cell
-  /// out into a permanent stuck-at-HRS hard fault (`kWriteFailed`).
-  /// Terminates for any finite `target_g` (the target is clamped to
-  /// the spec window first — see the out-of-range regression tests).
+  /// silent best-effort of the folded model.  Terminates for any finite
+  /// `target_g` (the target is clamped to the spec window first — see
+  /// the out-of-range regression tests).
   ProgramResult program_verified(const ReramSpec& spec, double target_g,
                                  Rng& rng, const ProgramBudget& budget);
 
@@ -153,7 +146,7 @@ class ReramCell {
   void force_stuck_lrs(const ReramSpec& spec);
   void force_stuck_hrs(const ReramSpec& spec);
 
-  /// True when the cell carries an injected/worn-out permanent fault.
+  /// True when the cell carries an injected permanent fault.
   bool hard_faulted() const { return hard_fault_; }
 
   /// The conductance requested (post-clamp, pre-quantization).

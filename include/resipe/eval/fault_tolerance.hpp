@@ -1,6 +1,6 @@
 // Fault-tolerance experiment: classification accuracy vs hard-defect
 // rate, with the mitigation pipeline OFF (inject faults, run blind)
-// and ON (statistical detection + spare-column remapping + differential
+// and ON (spare-column remapping + importance-aware swaps + differential
 // compensation).
 //
 // Both arms share the fault realization (ReliabilityConfig::fault_seed

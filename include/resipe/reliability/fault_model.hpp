@@ -2,21 +2,14 @@
 //
 // The paper evaluates accuracy only under Gaussian conductance
 // variation; fabricated arrays fail primarily through *hard* defects:
+// stuck-at-LRS / stuck-at-HRS cells — forming/endurance defects pin a
+// cell at a conductance rail regardless of what is programmed.  Defects
+// cluster spatially (line defects, forming hot spots), so the generator
+// supports a clustered fraction on top of the independent per-cell
+// rate.  (Retention drift is the device layer's power-law closed form,
+// device::drift_conductance.)
 //
-//  * stuck-at-LRS / stuck-at-HRS cells — forming/endurance defects pin
-//    a cell at a conductance rail regardless of what is programmed.
-//    Defects cluster spatially (line defects, forming hot spots), so
-//    the generator supports a clustered fraction on top of the
-//    independent per-cell rate.
-//  * conductance retention drift — the power-law closed form
-//    G(t) = G0 * (t/t0)^-nu shared with the device layer
-//    (device::drift_conductance).
-//  * read disturb — every MVM read stresses the cells; the accumulated
-//    effect over n reads is an exponential relaxation toward HRS.
-//  * endurance wear-out — write cycles consume the device; the
-//    write-verify loop models per-pulse failure (device::ProgramBudget).
-//
-// All generators draw from an explicit Rng so fault realizations are
+// The generator draws from an explicit Rng so fault realizations are
 // reproducible and independent of the programming noise stream.
 #pragma once
 
@@ -25,7 +18,6 @@
 #include <vector>
 
 #include "resipe/common/rng.hpp"
-#include "resipe/device/reram.hpp"
 
 namespace resipe::reliability {
 
@@ -66,11 +58,10 @@ class FaultMap {
 struct FaultModelConfig {
   double stuck_lrs_rate = 0.0;  ///< per-cell probability of stuck-at-LRS
   double stuck_hrs_rate = 0.0;  ///< per-cell probability of stuck-at-HRS
-  /// Fraction of the defect budget placed as spatial clusters instead
-  /// of independent cells (0 = fully independent).
+  /// Fraction of the defect budget placed as spatial clusters of
+  /// kClusterCells cells (a contiguous patch around a random center)
+  /// instead of independent cells (0 = fully independent).
   double cluster_fraction = 0.0;
-  /// Cells per cluster (a contiguous patch around a random center).
-  std::size_t cluster_size = 4;
 
   void validate() const;
 };
@@ -80,12 +71,5 @@ struct FaultModelConfig {
 /// defect budget.  Expected fault count ~= cells * (lrs + hrs rates).
 FaultMap generate_fault_map(std::size_t rows, std::size_t cols,
                             const FaultModelConfig& config, Rng& rng);
-
-/// Accumulated read-disturb after `reads` MVM read operations:
-/// exponential relaxation toward HRS, G(n) = G0 * exp(-rate * n),
-/// floored at `g_floor` (the HRS conductance).  rate is the relative
-/// conductance loss per read (typically 1e-9 .. 1e-6).
-double read_disturbed_conductance(double g0, double reads, double rate,
-                                  double g_floor);
 
 }  // namespace resipe::reliability

@@ -45,7 +45,6 @@
 
 namespace resipe::reliability {
 class FaultMap;
-class FaultMapper;
 }  // namespace resipe::reliability
 
 namespace resipe::resipe_core {
@@ -82,8 +81,8 @@ struct EngineConfig {
   /// (power-law drift per the device spec); 0 = fresh arrays.
   double retention_time = 0.0;
 
-  /// Hard-fault injection + mitigation (stuck-at cells, read disturb,
-  /// endurance, spare-column remapping, differential compensation).
+  /// Hard-fault injection + mitigation (stuck-at cells, bounded
+  /// write-verify, spare-column remapping, differential compensation).
   /// Disabled by default: the engine then takes the exact legacy
   /// programming path and outputs are bit-identical to before.
   reliability::ReliabilityConfig reliability;
@@ -254,13 +253,11 @@ class ProgrammedMatrix {
   /// reliability config is disabled).
   struct ReliabilityStats {
     std::size_t cells_faulty = 0;        ///< injected hard faults
-    std::size_t cells_detected = 0;      ///< faults the mapper flagged
     std::size_t columns_remapped = 0;    ///< physical columns moved
     std::size_t spares_used = 0;         ///< spare columns consumed
     std::size_t columns_unrepairable = 0;///< left computing over faults
     std::size_t cells_compensated = 0;   ///< pair-compensated stuck cells
     std::size_t write_giveups = 0;       ///< verify budget exhausted
-    std::size_t write_wearouts = 0;      ///< endurance-induced hard faults
   };
   const ReliabilityStats& reliability_stats() const { return rstats_; }
 
@@ -322,13 +319,12 @@ class ProgrammedMatrix {
   /// with its comparator offsets.
   void program_blocks(Rng& rng);
   /// The fault path's placement of one block: draws its defect map from
-  /// the dedicated fault stream, detects, remaps and compensates per
-  /// the mitigation policy, writes the per-slot targets and flags
-  /// degraded columns.  Returns the true defects to pin.
+  /// the dedicated fault stream, remaps and compensates per the
+  /// mitigation policy, writes the per-slot targets and flags degraded
+  /// columns.  Returns the defects to pin.
   reliability::FaultMap place_block(Block& block,
                                     std::vector<double>& targets,
                                     Rng& fault_rng,
-                                    const reliability::FaultMapper& mapper,
                                     std::vector<bool>& col_degraded);
 
   EngineConfig config_;

@@ -34,9 +34,10 @@ std::string repro_to_json(const ReproRecord& record);
 /// not whole or does not fit its field's type (a negative count, say),
 /// an unknown mapping or transfer-model name, and bytes after the
 /// closing brace.  Missing keys keep the field's default, so records
-/// that predate a key (schema v1 has 64 of today's 81) still load.  The
-/// eight `insp_*` keys of the retired introspection knobs are read
-/// with their old types and dropped, so older records still load.
+/// that predate a key (schema v1 has 49 of today's 66) still load.
+/// The 23 keys of retired knobs are read and dropped, so older records
+/// still load; a retired knob that reached a logit replays only at the
+/// value the engine now fixes and throws naming the key otherwise.
 ReproRecord repro_from_json(const std::string& json);
 
 /// A paste-ready C++ snippet reconstructing the case and running the

@@ -123,8 +123,7 @@ MappedWeights map_weights(std::span<const double> weights, std::size_t rows,
 
 ColumnRemapPlan plan_column_remap(const reliability::FaultMap& detected,
                                   std::size_t data_cols, std::size_t group,
-                                  std::span<const double> col_importance,
-                                  bool allow_swaps) {
+                                  std::span<const double> col_importance) {
   RESIPE_TELEM_SCOPE("crossbar.mapping.plan_column_remap");
   RESIPE_REQUIRE(group >= 1, "remap group must be >= 1");
   RESIPE_REQUIRE(data_cols >= 1 && data_cols % group == 0,
@@ -201,7 +200,7 @@ ColumnRemapPlan plan_column_remap(const reliability::FaultMap& detected,
   // Stage 2: weight-aware swaps.  Remaining faulty units trade places
   // with the least important clean data units, but only when that
   // strictly lowers the importance parked on the faulty slot.
-  if (allow_swaps && !col_importance.empty() && !unrepaired_units.empty()) {
+  if (!col_importance.empty() && !unrepaired_units.empty()) {
     std::vector<std::size_t> clean_data;
     for (std::size_t u = 0; u < data_units; ++u) {
       if (unit_faults(u) == 0) clean_data.push_back(u);

@@ -128,25 +128,6 @@ ProgramResult ReramCell::program_verified(const ReramSpec& spec,
   double best_err = std::numeric_limits<double>::infinity();
   for (int attempt = 1; attempt <= budget.max_attempts; ++attempt) {
     result.attempts = attempt;
-    // Endurance wear: every pulse consumes one cycle; the failure
-    // probability grows as (wear / endurance)^shape and a failed write
-    // leaves a permanently open (stuck-at-HRS) filament.
-    if (budget.endurance_cycles > 0.0) {
-      const double wear =
-          (budget.wear_cycles + static_cast<double>(attempt)) /
-          budget.endurance_cycles;
-      const double p_fail =
-          std::clamp(std::pow(std::max(wear, 0.0), budget.failure_shape),
-                     0.0, 1.0);
-      if (p_fail > 0.0 && rng.bernoulli(p_fail)) {
-        force_stuck_hrs(spec);
-        target_g_ = std::clamp(target_g, spec.g_min(), spec.g_max());
-        result.status = ProgramStatus::kWriteFailed;
-        result.relative_error = std::abs(programmed_g_ - goal) / goal;
-        RESIPE_TELEM_COUNT("reliability.write_wearout_faults", 1);
-        return result;
-      }
-    }
     // One write pulse: lands with a normal residue whose sigma is the
     // verify tolerance (the folded model's uniform window is the
     // accepted-sample distribution of this loop).

@@ -154,7 +154,7 @@ std::string render_fault_tolerance(const FaultToleranceResult& r) {
                std::to_string(p.degraded_outputs)});
   }
   os << t.str() << "\n";
-  os << "Mitigation = statistical detection + spare-column remapping +\n"
+  os << "Mitigation = spare-column remapping + importance-aware swaps +\n"
         "differential pair compensation; both arms share each fault\n"
         "realization, so 'Recovered' is a paired accuracy gain on\n"
         "identical defective silicon.\n";

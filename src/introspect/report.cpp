@@ -58,20 +58,19 @@ std::string engine_config_hash(const resipe_core::EngineConfig& cfg) {
      << ";rwl=" << cfg.wires.r_wordline_segment
      << ";rbl=" << cfg.wires.r_bitline_segment
      << ";ret=" << cfg.retention_time;
+  // The retired reliability knobs print as the values the engine now
+  // fixes, in their old places, so hashes keyed before their removal
+  // (bench/history) still match.
   const auto& r = cfg.reliability;
   os << ";rel=" << r.enabled << ";fslr=" << r.faults.stuck_lrs_rate
      << ";fshr=" << r.faults.stuck_hrs_rate
      << ";fcl=" << r.faults.cluster_fraction
-     << ";fcs=" << r.faults.cluster_size << ";rdr=" << r.read_disturb_rate
-     << ";emv=" << r.expected_mvms << ";end=" << r.endurance_cycles
-     << ";wear=" << r.wear_cycles << ";miss=" << r.mapper.miss_rate
-     << ";fa=" << r.mapper.false_alarm_rate
+     << ";fcs=" << reliability::kClusterCells
+     << ";rdr=0;emv=0;end=0;wear=0;miss=0;fa=0"
      << ";mit=" << r.mitigation.enabled
-     << ";sp=" << r.mitigation.spare_cols
-     << ";rm=" << r.mitigation.remap_columns
-     << ";cp=" << r.mitigation.compensate_pairs
-     << ";wvr=" << r.mitigation.write_verify_retries
-     << ";dg=" << r.mitigation.degrade_threshold
+     << ";sp=" << r.mitigation.spare_cols << ";rm=1;cp=1"
+     << ";wvr=" << reliability::kWriteVerifyAttempts
+     << ";dg=" << reliability::kDegradeWindow
      << ";fseed=" << r.fault_seed;
 
   // FNV-1a 64.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "resipe/common/error.hpp"
+#include "resipe/reliability/config.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::reliability {
@@ -56,10 +57,12 @@ std::size_t FaultMap::row_faults(std::size_t row) const {
 void FaultModelConfig::validate() const {
   RESIPE_REQUIRE(stuck_lrs_rate >= 0.0 && stuck_hrs_rate >= 0.0 &&
                      stuck_lrs_rate + stuck_hrs_rate <= 1.0,
-                 "stuck-at rates must be probabilities");
+                 "stuck-at rates must be non-negative and sum to at most 1, "
+                 "got LRS "
+                     << stuck_lrs_rate << " and HRS " << stuck_hrs_rate);
   RESIPE_REQUIRE(cluster_fraction >= 0.0 && cluster_fraction <= 1.0,
-                 "cluster fraction must be in [0, 1]");
-  RESIPE_REQUIRE(cluster_size >= 1, "clusters need at least one cell");
+                 "cluster fraction must be in [0, 1], got "
+                     << cluster_fraction);
 }
 
 namespace {
@@ -116,7 +119,7 @@ FaultMap generate_fault_map(std::size_t rows, std::size_t cols,
     }
   }
 
-  // Clustered portion: place round(budget / cluster_size) patches per
+  // Clustered portion: place round(budget / kClusterCells) patches per
   // fault type, probabilistically rounding the remainder so the
   // expected defect count matches the rate.
   if (config.cluster_fraction > 0.0) {
@@ -125,27 +128,18 @@ FaultMap generate_fault_map(std::size_t rows, std::size_t cols,
          {std::pair{FaultType::kStuckLrs, config.stuck_lrs_rate},
           std::pair{FaultType::kStuckHrs, config.stuck_hrs_rate}}) {
       const double budget = cells * rate * config.cluster_fraction;
-      const double n_exact =
-          budget / static_cast<double>(config.cluster_size);
+      const double n_exact = budget / static_cast<double>(kClusterCells);
       auto n_clusters = static_cast<std::size_t>(n_exact);
       if (rng.uniform() < n_exact - static_cast<double>(n_clusters)) {
         ++n_clusters;
       }
       for (std::size_t i = 0; i < n_clusters; ++i) {
-        mark_cluster(map, type, config.cluster_size, rng);
+        mark_cluster(map, type, kClusterCells, rng);
       }
     }
   }
   RESIPE_TELEM_COUNT("reliability.cells_faulty", map.fault_count());
   return map;
-}
-
-double read_disturbed_conductance(double g0, double reads, double rate,
-                                  double g_floor) {
-  RESIPE_REQUIRE(reads >= 0.0 && rate >= 0.0,
-                 "read-disturb parameters must be non-negative");
-  if (rate <= 0.0 || reads <= 0.0 || g0 <= g_floor) return g0;
-  return std::max(g0 * std::exp(-rate * reads), g_floor);
 }
 
 }  // namespace resipe::reliability

@@ -11,7 +11,6 @@
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/simd.hpp"
 #include "resipe/perf/work_model.hpp"
-#include "resipe/reliability/fault_mapper.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
 namespace resipe::resipe_core {
@@ -53,22 +52,15 @@ void EngineConfig::validate() const {
 namespace {
 
 /// The effective conductance of a programmed cell at tile position
-/// (r, c): retention drift and, on the fault path, accumulated read
-/// disturb act on the device filament, then the 1T1R series transistor,
-/// then position-dependent wire IR drop.
+/// (r, c): retention drift acts on the device filament, then the 1T1R
+/// series transistor, then position-dependent wire IR drop.
 double effective_conductance(const EngineConfig& config,
                              const device::ReramCell& cell, std::size_t r,
                              std::size_t c) {
   const device::ReramSpec& spec = config.device;
-  const auto& rel = config.reliability;
   double g_dev = cell.programmed_g();
   if (config.retention_time > 0.0) {
     g_dev = cell.drifted_g(spec, config.retention_time);
-  }
-  if (rel.enabled && rel.read_disturb_rate > 0.0 && rel.expected_mvms > 0.0 &&
-      !cell.hard_faulted()) {
-    g_dev = reliability::read_disturbed_conductance(
-        g_dev, rel.expected_mvms, rel.read_disturb_rate, spec.g_min());
   }
   double g = g_dev > 0.0 ? 1.0 / (1.0 / g_dev + spec.transistor_r_on) : 0.0;
   if (config.model_wire_ir_drop) g = config.wires.effective_g(g, r, c);
@@ -140,11 +132,7 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
   // Defects come from their own stream: toggling mitigation changes how
   // many *programming* draws happen, never which cells are broken.
   Rng fault_rng(rel.fault_seed);
-  const reliability::FaultMapper mapper(rel.mapper);
-  device::ProgramBudget budget;
-  budget.max_attempts = std::max(1, rel.mitigation.write_verify_retries);
-  budget.endurance_cycles = rel.endurance_cycles;
-  budget.wear_cycles = rel.wear_cycles;
+  const device::ProgramBudget budget{reliability::kWriteVerifyAttempts};
   std::vector<bool> col_degraded(mapping_.cols, false);
 
   const std::size_t col_blocks =
@@ -182,7 +170,7 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
       std::vector<double> targets(rows * slots, spec.g_min());
       reliability::FaultMap truth;
       if (rel.enabled) {
-        truth = place_block(block, targets, fault_rng, mapper, col_degraded);
+        truth = place_block(block, targets, fault_rng, col_degraded);
       } else {
         for (std::size_t r = 0; r < rows; ++r) {
           std::copy_n(mapping_.g_targets.data() +
@@ -192,9 +180,8 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
       }
 
       // Program every slot through the full device model.  On the fault
-      // path the true defects are pinned first and writes go through the
-      // bounded write-verify loop (endurance wear can add new hard
-      // faults mid-write; the explicit status makes that observable).
+      // path the defects are pinned first and writes go through the
+      // bounded write-verify loop, whose explicit status counts give-ups.
       std::vector<double> g_eff(rows * slots, 0.0);
       for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t s = 0; s < slots; ++s) {
@@ -217,8 +204,6 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
                 cell.program_verified(spec, target, rng, budget);
             if (res.status == device::ProgramStatus::kGaveUp) {
               ++rstats_.write_giveups;
-            } else if (res.status == device::ProgramStatus::kWriteFailed) {
-              ++rstats_.write_wearouts;
             }
           }
           g_eff[r * slots + s] = effective_conductance(config_, cell, r, s);
@@ -254,7 +239,6 @@ void ProgrammedMatrix::program_blocks(Rng& rng) {
 
 reliability::FaultMap ProgrammedMatrix::place_block(
     Block& block, std::vector<double>& targets, Rng& fault_rng,
-    const reliability::FaultMapper& mapper,
     std::vector<bool>& col_degraded) {
   const auto& rel = config_.reliability;
   const auto& mit = rel.mitigation;
@@ -271,15 +255,11 @@ reliability::FaultMap ProgrammedMatrix::place_block(
                               (block.col0 + c)];
   };
 
-  // --- Defect realization and (imperfect) statistical detection.
+  // --- Defect realization.  A mitigating chip knows its defect map; a
+  // blind (mitigation-off) chip never looks at it.
   reliability::FaultMap truth =
       reliability::generate_fault_map(rows, slots, rel.faults, fault_rng);
-  // Detection always burns its rng draws so the defect stream stays
-  // aligned across arms, but a blind (mitigation-off) chip never looks
-  // at the result.
-  const reliability::FaultMap detected = mapper.from_truth(truth, fault_rng);
   rstats_.cells_faulty += truth.fault_count();
-  if (mit.enabled) rstats_.cells_detected += detected.fault_count();
 
   // --- Column placement.  Importance = conductance mass above G_min,
   // i.e. the weight magnitude the column carries.
@@ -291,17 +271,13 @@ reliability::FaultMap ProgrammedMatrix::place_block(
   std::iota(plan.slot_of_col.begin(), plan.slot_of_col.end(),
             std::size_t{0});
   if (mit.enabled) {
-    std::vector<double> importance;
-    if (mit.remap_columns) {
-      importance.assign(cols, 0.0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          importance[c] += target_of(r, c) - g_min;
-        }
+    std::vector<double> importance(cols, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        importance[c] += target_of(r, c) - g_min;
       }
     }
-    plan = crossbar::plan_column_remap(detected, cols, plan.group,
-                                       importance, mit.remap_columns);
+    plan = crossbar::plan_column_remap(truth, cols, plan.group, importance);
     rstats_.columns_remapped += plan.remapped_cols;
     rstats_.spares_used += plan.spares_used;
     rstats_.columns_unrepairable += plan.unrepaired.size();
@@ -312,20 +288,20 @@ reliability::FaultMap ProgrammedMatrix::place_block(
     }
   }
 
-  // --- Differential compensation: a single detected-stuck cell of a
-  // (G+, G-) pair is cancelled by re-targeting its healthy partner to
-  // preserve the pair difference.  Residuals beyond the degrade
-  // threshold (and both-stuck rows) flag the pair.
+  // --- Differential compensation: a single stuck cell of a (G+, G-)
+  // pair is cancelled by re-targeting its healthy partner to preserve
+  // the pair difference.  Residuals beyond kDegradeWindow of the
+  // conductance window (and both-stuck rows) flag the pair.
   std::vector<bool> data_degraded(cols, false);
-  if (mit.enabled && mit.compensate_pairs && paired) {
+  if (mit.enabled && paired) {
     for (std::size_t c0 = 0; c0 + 1 < cols; c0 += 2) {
       const std::size_t c1 = c0 + 1;
       const std::size_t s0 = plan.slot_of_col[c0];
       const std::size_t s1 = plan.slot_of_col[c1];
       bool degraded = false;
       for (std::size_t r = 0; r < rows; ++r) {
-        const reliability::FaultType f0 = detected.at(r, s0);
-        const reliability::FaultType f1 = detected.at(r, s1);
+        const reliability::FaultType f0 = truth.at(r, s0);
+        const reliability::FaultType f1 = truth.at(r, s1);
         const bool b0 = f0 != reliability::FaultType::kNone;
         const bool b1 = f1 != reliability::FaultType::kNone;
         if (!b0 && !b1) continue;
@@ -343,7 +319,7 @@ reliability::FaultMap ProgrammedMatrix::place_block(
         const double retarget = std::clamp(want, g_min, g_max);
         targets[r * slots + healthy] = retarget;
         ++rstats_.cells_compensated;
-        if (std::abs(want - retarget) > mit.degrade_threshold * g_span) {
+        if (std::abs(want - retarget) > reliability::kDegradeWindow * g_span) {
           degraded = true;
         }
       }
@@ -991,13 +967,11 @@ ProgrammedMatrix::ReliabilityStats ResipeNetwork::reliability_stats() const {
   for (const auto& m : matrices_) {
     const auto& s = m->reliability_stats();
     total.cells_faulty += s.cells_faulty;
-    total.cells_detected += s.cells_detected;
     total.columns_remapped += s.columns_remapped;
     total.spares_used += s.spares_used;
     total.columns_unrepairable += s.columns_unrepairable;
     total.cells_compensated += s.cells_compensated;
     total.write_giveups += s.write_giveups;
-    total.write_wearouts += s.write_wearouts;
   }
   return total;
 }

@@ -28,8 +28,15 @@ struct Seed {
   T& value;
 };
 
-/// A retired key whose value only replays when it is 0.
-struct ZeroOnly {};
+/// A retired key whose value only replays when it equals the value the
+/// engine now fixes: a record holding anything else ran a path that is
+/// gone.
+template <typename T>
+struct Retired {
+  T value;
+};
+template <typename T>
+Retired(T) -> Retired<T>;
 
 // The record format, listed once: calls f(key, member) for every key in
 // file order.  The writer instantiates it on a const record, the reader
@@ -88,31 +95,34 @@ void each_field(Record& record, F&& f) {
   f("rel_stuck_lrs_rate", rel.faults.stuck_lrs_rate);
   f("rel_stuck_hrs_rate", rel.faults.stuck_hrs_rate);
   f("rel_cluster_fraction", rel.faults.cluster_fraction);
-  f("rel_cluster_size", rel.faults.cluster_size);
-  f("rel_read_disturb_rate", rel.read_disturb_rate);
-  f("rel_expected_mvms", rel.expected_mvms);
-  f("rel_endurance_cycles", rel.endurance_cycles);
-  f("rel_wear_cycles", rel.wear_cycles);
-  f("rel_mapper_miss_rate", rel.mapper.miss_rate);
-  f("rel_mapper_false_alarm_rate", rel.mapper.false_alarm_rate);
   f("rel_mit_enabled", rel.mitigation.enabled);
   f("rel_mit_spare_cols", rel.mitigation.spare_cols);
-  f("rel_mit_remap_columns", rel.mitigation.remap_columns);
-  f("rel_mit_compensate_pairs", rel.mitigation.compensate_pairs);
-  f("rel_mit_write_verify_retries", rel.mitigation.write_verify_retries);
-  f("rel_mit_degrade_threshold", rel.mitigation.degrade_threshold);
   f("rel_fault_seed", Seed{rel.fault_seed});
   // Retired knobs, which every committed record carries: the reader
   // checks each value and drops it, and the writer leaves them out.
   // The introspection knobs and the two march-test mapper knobs never
-  // reached a logit, so only their type is checked; the device's
-  // stuck-at rates did, so only 0 still replays.
+  // reached a logit, so only their type is checked; the others did, so
+  // only the value the engine now fixes still replays.
   if constexpr (!std::is_const_v<Record>) {
+    using reliability::kClusterCells;
+    using reliability::kDegradeWindow;
+    using reliability::kWriteVerifyAttempts;
     bool flag = false;
     std::size_t count = 0;
     double threshold = 0.0;
-    f("device_stuck_lrs_rate", ZeroOnly{});
-    f("device_stuck_hrs_rate", ZeroOnly{});
+    f("device_stuck_lrs_rate", Retired{0.0});
+    f("device_stuck_hrs_rate", Retired{0.0});
+    f("rel_cluster_size", Retired{kClusterCells});
+    f("rel_read_disturb_rate", Retired{0.0});
+    f("rel_expected_mvms", Retired{0.0});
+    f("rel_endurance_cycles", Retired{0.0});
+    f("rel_wear_cycles", Retired{0.0});
+    f("rel_mapper_miss_rate", Retired{0.0});
+    f("rel_mapper_false_alarm_rate", Retired{0.0});
+    f("rel_mit_remap_columns", Retired{true});
+    f("rel_mit_compensate_pairs", Retired{true});
+    f("rel_mit_write_verify_retries", Retired{kWriteVerifyAttempts});
+    f("rel_mit_degrade_threshold", Retired{kDegradeWindow});
     f("rel_mapper_rail_tolerance", threshold);
     f("rel_mapper_reads_per_cell", count);
     f("insp_enabled", flag);
@@ -308,19 +318,25 @@ class Scanner {
 
 // --- reading: one overload per field type --------------------------------
 
-void read(Scanner& sc, double& v) {
-  v = sc.parse<double>(sc.token(), "bad number");
+/// A bare token as the type of `like`.
+double bare(const Scanner& sc, std::string_view t, double /*like*/) {
+  return sc.parse<double>(t, "bad number");
 }
 
-void read(Scanner& sc, bool& v) {
-  const std::string_view t = sc.token();
+bool bare(const Scanner& sc, std::string_view t, bool /*like*/) {
   sc.require(t == "true" || t == "false", "bad boolean", t);
-  v = t == "true";
+  return t == "true";
 }
 
 template <Integer T>
+T bare(const Scanner& sc, std::string_view t, T /*like*/) {
+  return sc.parse<T>(t, "bad integer");
+}
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
 void read(Scanner& sc, T& v) {
-  v = sc.parse<T>(sc.token(), "bad integer");
+  v = bare(sc, sc.token(), v);
 }
 
 void read(Scanner& sc, std::string& v) { v = sc.string_value(); }
@@ -339,10 +355,15 @@ void read(Scanner& sc, Seed<std::uint64_t> seed) {
   seed.value = sc.parse<std::uint64_t>(sc.string_value(), "bad seed");
 }
 
-void read(Scanner& sc, ZeroOnly) {
+template <typename T>
+void read(Scanner& sc, Retired<T> retired) {
   const std::string_view t = sc.token();
-  sc.require(sc.parse<double>(t, "bad number") == 0.0,
-             "retired key, only 0 replays, got", t);
+  if (bare(sc, t, retired.value) == retired.value) return;
+  std::ostringstream what;
+  what << "retired key, only ";
+  write(what, retired.value);
+  what << " replays, got";
+  sc.require(false, what.str().c_str(), t);
 }
 
 template <typename E>

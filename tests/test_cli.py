@@ -9,11 +9,13 @@ message and exit code 2 — never fall through to a default or coerced
 run — and an output file that cannot be written must fail the run,
 naming the path.  Run as:
 
-    test_cli.py /path/to/resipe_cli [--fuzz BIN] [--serve BIN]
-        [--bench-serving BIN] [--bench-table1 BIN] [--bench-fig5 BIN]
-        [--bench-fig7 BIN]
+    test_cli.py /path/to/resipe_cli [--telemetry ON|OFF] [--fuzz BIN]
+        [--serve BIN] [--bench-serving BIN] [--bench-table1 BIN]
+        [--bench-fig5 BIN] [--bench-fig7 BIN]
 
-The checks of a binary whose path is not given are skipped.
+--telemetry names the build's RESIPE_TELEMETRY switch (default ON): in
+an OFF build `resipe_cli profile` must refuse to run.  The checks of a
+binary whose path is not given are skipped.
 """
 import argparse
 import os
@@ -36,10 +38,13 @@ def run(cli, *args, cwd=None, timeout=300):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("cli")
+    parser.add_argument("--telemetry", choices=("ON", "OFF"), default="ON")
     for name in ("fuzz", "serve", "bench-serving", "bench-table1",
                  "bench-fig5", "bench-fig7"):
         parser.add_argument("--" + name)
     bins = parser.parse_args()
+    telemetry = bins.telemetry == "ON"
+    del bins.telemetry
     # Absolute paths: the other binaries run inside a temporary directory.
     for name, path in vars(bins).items():
         if path is not None:
@@ -131,7 +136,7 @@ def main():
     r = run(cli, "--threads", "1", "yield", "--bound", "0.02")
     check("global flag before command exits 0", r.returncode == 0)
 
-    check_other_binaries(bins, check)
+    check_other_binaries(bins, check, telemetry)
 
     if failures:
         print(f"{len(failures)} failure(s): {failures}", file=sys.stderr)
@@ -140,7 +145,7 @@ def main():
     return 0
 
 
-def check_other_binaries(bins, check):
+def check_other_binaries(bins, check, telemetry):
     """resipe_fuzz, resipe_serve and the benches share resipe_cli's rules."""
     # Each malformed line must exit 2, naming the flag and the offending
     # token, before it does any work.
@@ -204,12 +209,20 @@ def check_other_binaries(bins, check):
                     "--train", "64", "--images", "16", "--epochs", "1",
                     cwd=tmp)
             check("resipe_serve --deadline 1e-7 exits 0", r.returncode == 0)
+            # A config value out of its domain is refused in a plain
+            # message that names it.
+            r = run(bins.serve, "--slo-latency-obj", "1.5", *SERVE_RUN,
+                    cwd=tmp)
+            check("resipe_serve --slo-latency-obj 1.5 exits 1 naming 1.5",
+                  r.returncode == 1 and "1.5" in r.stderr
+                  and plain_error(r.stderr))
         if bins.bench_table1:
             out = os.path.join(tmp, "table1.json")
             r = run(bins.bench_table1, "--json", out, cwd=tmp)
             check("bench_table1_taxonomy --json FILE writes FILE",
                   r.returncode == 0 and os.path.isfile(out))
-        check_failed_writes(bins, check, tmp)
+        check_failed_writes(bins, check, tmp, telemetry)
+        check_profile_refusal(bins, check, tmp, telemetry)
         check_refused_records(bins, check, tmp)
         if bins.bench_fig5:
             out = os.path.join(tmp, "fig5.csv")
@@ -224,6 +237,13 @@ def check_other_binaries(bins, check):
             check("bench_fig5_characterization --csv FILE writes the CSV", ok)
 
 
+# A short resipe_serve run, and a short resipe_cli profile run.
+SERVE_RUN = ("--duration", "0.005", "--train", "64", "--images", "16",
+             "--epochs", "1")
+PROFILE_RUN = ("profile", "--net", "mlp1", "--train", "64", "--images", "16",
+               "--epochs", "1", "--reps", "1", "--calib-ms", "5")
+
+
 def plain_error(stderr):
     """True when an error message carries no checked expression and no
     source location of the build."""
@@ -231,7 +251,7 @@ def plain_error(stderr):
             and ".cpp:" not in stderr)
 
 
-def check_failed_writes(bins, check, tmp):
+def check_failed_writes(bins, check, tmp, telemetry):
     """A write that fails exits non-zero, naming the path in a plain
     message."""
     if not os.path.exists("/dev/full"):
@@ -243,23 +263,22 @@ def check_failed_writes(bins, check, tmp):
                   r.returncode == 1 and "/dev/full" in r.stderr
                   and plain_error(r.stderr))
         # /dev/full takes each write into the stream buffer and fails the
-        # flush at close, so these short outputs fail only there.
-        serve_run = ("--duration", "0.005", "--train", "64", "--images",
-                     "16", "--epochs", "1")
-        profile_run = ("profile", "--net", "mlp1", "--train", "64",
-                       "--images", "16", "--epochs", "1", "--reps", "1",
-                       "--calib-ms", "5")
+        # flush at close, so these short outputs fail only there.  A
+        # telemetry-off build refuses to profile (check_profile_refusal).
         writers = [
-            (bins.serve, (*serve_run, "--out", "/dev/full")),
-            (bins.serve, (*serve_run, "--events", "/dev/full")),
-            (bins.serve, (*serve_run, "--trace", "/dev/full")),
+            (bins.serve, (*SERVE_RUN, "--out", "/dev/full")),
+            (bins.serve, (*SERVE_RUN, "--events", "/dev/full")),
+            (bins.serve, (*SERVE_RUN, "--trace", "/dev/full")),
             (bins.cli, ("--metrics", "/dev/full", "quickstart")),
-            (bins.cli, (*profile_run, "--out", "/dev/full")),
-            (bins.cli, (*profile_run, "--folded", "/dev/full")),
             (bins.cli, ("characterize", "--samples", "5", "--csv",
                         "/dev/full")),
             (bins.bench_fig5, ("--csv", "/dev/full")),
         ]
+        if telemetry:
+            writers += [
+                (bins.cli, (*PROFILE_RUN, "--out", "/dev/full")),
+                (bins.cli, (*PROFILE_RUN, "--folded", "/dev/full")),
+            ]
         for binary, args in writers:
             if binary is None:
                 continue
@@ -278,26 +297,44 @@ def check_failed_writes(bins, check, tmp):
               and r.stdout == "" and plain_error(r.stderr))
 
 
+def check_profile_refusal(bins, check, tmp, telemetry):
+    """A telemetry-off build has no spans to profile: `profile` exits 2
+    before any work, naming the switch, instead of writing an empty
+    profile."""
+    if telemetry:
+        return
+    r = run(bins.cli, *PROFILE_RUN, "--folded", "folded.txt", cwd=tmp,
+            timeout=30)
+    check("resipe_cli profile in a telemetry-off build exits 2 naming "
+          "RESIPE_TELEMETRY",
+          r.returncode == 2 and "RESIPE_TELEMETRY" in r.stderr
+          and r.stdout == "" and plain_error(r.stderr)
+          and not os.path.exists(os.path.join(tmp, "folded.txt")))
+
+
 def check_refused_records(bins, check, tmp):
     """A repro record the reader refuses exits 2, naming the key in a
     plain message."""
     if not bins.fuzz:
         return
-    # A retired key replays only at 0.
+    # A retired key replays only at the value the engine now fixes.
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "corpus", "case_seed40.json")) as f:
         record = f.read()
-    retired = '"device_stuck_lrs_rate": 0,'
-    path = os.path.join(tmp, "retired.json")
-    with open(path, "w") as f:
-        f.write(record.replace(retired, '"device_stuck_lrs_rate": 0.01,'))
-    r = run(bins.fuzz, "--replay", path, cwd=tmp)
-    check("resipe_fuzz --replay of a non-zero retired key exits 2 "
-          "with a plain message",
-          retired in record and r.returncode == 2
-          and "retired key" in r.stderr
-          and "'device_stuck_lrs_rate'" in r.stderr
-          and r.stdout == "" and plain_error(r.stderr))
+    for key, written, refused in [
+            ("device_stuck_lrs_rate", "0", "0.01"),
+            ("rel_mit_write_verify_retries", "5", "3")]:
+        retired = f'"{key}": {written},'
+        path = os.path.join(tmp, "retired.json")
+        with open(path, "w") as f:
+            f.write(record.replace(retired, f'"{key}": {refused},'))
+        r = run(bins.fuzz, "--replay", path, cwd=tmp)
+        check(f"resipe_fuzz --replay of {key} = {refused} exits 2 "
+              "with a plain message",
+              retired in record and r.returncode == 2
+              and f"retired key, only {written} replays" in r.stderr
+              and f"'{key}'" in r.stderr
+              and r.stdout == "" and plain_error(r.stderr))
 
 
 if __name__ == "__main__":

@@ -277,7 +277,14 @@ TEST(Provenance, EveryEngineKnobChangesTheHash) {
       EXPECT_NE(hash, base_hash) << key << ": " << value << " -> " << changed;
     }
   }
-  EXPECT_GE(knobs, 51u);  // the EngineConfig keys a record writes today
+  EXPECT_EQ(knobs, 40u);  // the EngineConfig keys a record writes
+}
+
+// The default config's hash keys the committed bench baselines
+// (bench/history), so retiring a knob must not move it.
+TEST(Provenance, DefaultConfigHashIsPinned) {
+  EXPECT_EQ(engine_config_hash(resipe_core::EngineConfig{}),
+            "8e70196155faf61a");
 }
 
 TEST(Provenance, ManifestIsPopulatedRegardlessOfTelemetryBuild) {

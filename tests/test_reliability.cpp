@@ -8,7 +8,6 @@
 #include "resipe/device/reram.hpp"
 #include "resipe/eval/fidelity.hpp"
 #include "resipe/reliability/config.hpp"
-#include "resipe/reliability/fault_mapper.hpp"
 #include "resipe/reliability/fault_model.hpp"
 
 namespace resipe {
@@ -95,7 +94,6 @@ TEST(FaultModel, ClusteringPreservesTotalBudget) {
   reliability::FaultModelConfig cfg;
   cfg.stuck_lrs_rate = 0.02;
   cfg.cluster_fraction = 0.5;
-  cfg.cluster_size = 4;
   Rng rng(7);
   const std::size_t n = 200;
   const FaultMap map = reliability::generate_fault_map(n, n, cfg, rng);
@@ -104,50 +102,6 @@ TEST(FaultModel, ClusteringPreservesTotalBudget) {
   // Clusters overlap occasionally; allow a generous +-30% band.
   EXPECT_GT(got, 0.7 * expected);
   EXPECT_LT(got, 1.3 * expected);
-}
-
-TEST(FaultModel, ReadDisturbDecaysToFloor) {
-  const double g0 = 1e-5;
-  const double floor = 1e-6;
-  double prev = g0;
-  for (double reads : {1e3, 1e5, 1e7, 1e9}) {
-    const double g =
-        reliability::read_disturbed_conductance(g0, reads, 1e-8, floor);
-    EXPECT_LE(g, prev);
-    EXPECT_GE(g, floor);
-    prev = g;
-  }
-  EXPECT_DOUBLE_EQ(
-      reliability::read_disturbed_conductance(g0, 1e12, 1e-8, floor),
-      floor);
-  EXPECT_DOUBLE_EQ(
-      reliability::read_disturbed_conductance(g0, 0.0, 1e-8, floor), g0);
-}
-
-// --------------------------------------------------------- fault mapper
-
-TEST(FaultMapper, PerfectFromTruthEqualsTruth) {
-  FaultMap truth(8, 8);
-  truth.set(1, 2, FaultType::kStuckLrs);
-  truth.set(5, 7, FaultType::kStuckHrs);
-  Rng rng(3);
-  const reliability::FaultMapper mapper;
-  const FaultMap detected = mapper.from_truth(truth, rng);
-  for (std::size_t r = 0; r < 8; ++r) {
-    for (std::size_t c = 0; c < 8; ++c) {
-      EXPECT_EQ(detected.at(r, c), truth.at(r, c));
-    }
-  }
-}
-
-TEST(FaultMapper, MissRateHidesFaults) {
-  FaultMap truth(40, 40);
-  for (std::size_t r = 0; r < 40; ++r) truth.set(r, 3, FaultType::kStuckLrs);
-  reliability::FaultMapperConfig cfg;
-  cfg.miss_rate = 1.0;
-  Rng rng(3);
-  const reliability::FaultMapper mapper(cfg);
-  EXPECT_EQ(mapper.from_truth(truth, rng).fault_count(), 0u);
 }
 
 // -------------------------------------------------------- remap planner
@@ -188,15 +142,15 @@ TEST(RemapPlanner, ReportsUnrepairableBeyondSpares) {
 
 TEST(RemapPlanner, ImportanceDirectsSparesToHeavyColumns) {
   // 4 data columns + 1 spare, faults on columns 0 and 2; column 2
-  // carries the big weights, so it gets the spare.
+  // carries the big weights, so it gets the spare.  Column 0 then
+  // swaps with the lightest clean column, 1, which is left on the
+  // faulty slot.
   const FaultMap detected = map_with_faulty_columns(4, 5, {0, 2});
   const std::vector<double> importance = {0.1, 0.0, 5.0, 0.0};
-  const auto plan =
-      crossbar::plan_column_remap(detected, 4, 1, importance,
-                                  /*allow_swaps=*/false);
-  EXPECT_TRUE(detected.column_clean(plan.slot_of_col[2]));
-  EXPECT_FALSE(detected.column_clean(plan.slot_of_col[0]));
-  EXPECT_EQ(plan.unrepaired, (std::vector<std::size_t>{0}));
+  const auto plan = crossbar::plan_column_remap(detected, 4, 1, importance);
+  EXPECT_EQ(plan.slot_of_col, (std::vector<std::size_t>{1, 0, 4, 3}));
+  EXPECT_EQ(plan.spares_used, 1u);
+  EXPECT_EQ(plan.unrepaired, (std::vector<std::size_t>{1}));
 }
 
 TEST(RemapPlanner, SwapsParkDamageOnLightColumns) {
@@ -204,8 +158,7 @@ TEST(RemapPlanner, SwapsParkDamageOnLightColumns) {
   // clean column.
   const FaultMap detected = map_with_faulty_columns(4, 4, {1});
   const std::vector<double> importance = {2.0, 9.0, 0.1, 3.0};
-  const auto plan = crossbar::plan_column_remap(detected, 4, 1, importance,
-                                                /*allow_swaps=*/true);
+  const auto plan = crossbar::plan_column_remap(detected, 4, 1, importance);
   EXPECT_TRUE(detected.column_clean(plan.slot_of_col[1]));
   EXPECT_EQ(plan.unrepaired, (std::vector<std::size_t>{2}));
 }
@@ -279,20 +232,6 @@ TEST(ProgramVerified, RetriesReduceGiveUps) {
   EXPECT_EQ(give_up_count(8), 0u);  // (0.32)^8 per cell: none expected
 }
 
-TEST(ProgramVerified, EnduranceExhaustionWearsCellOut) {
-  ReramSpec spec = ReramSpec::nn_mapping();
-  Rng rng(5);
-  device::ProgramBudget budget;
-  budget.endurance_cycles = 10.0;
-  budget.wear_cycles = 100.0;  // far past end of life: p_fail = 1
-  device::ReramCell cell;
-  const auto res =
-      cell.program_verified(spec, spec.g_max(), rng, budget);
-  EXPECT_EQ(res.status, device::ProgramStatus::kWriteFailed);
-  EXPECT_TRUE(cell.hard_faulted());
-  EXPECT_DOUBLE_EQ(cell.programmed_g(), spec.g_min());
-}
-
 TEST(ProgramVerified, HardFaultedCellReportsAndKeepsRail) {
   const ReramSpec spec = ReramSpec::nn_mapping();
   Rng rng(5);
@@ -327,9 +266,8 @@ TEST(ReliabilityEngine, DisabledConfigIsBitIdenticalToClean) {
   resipe_core::EngineConfig armed;
   armed.reliability.faults.stuck_lrs_rate = 0.05;
   armed.reliability.faults.stuck_hrs_rate = 0.05;
-  armed.reliability.read_disturb_rate = 1e-6;
-  armed.reliability.expected_mvms = 1e6;
-  armed.reliability.endurance_cycles = 100.0;
+  armed.reliability.faults.cluster_fraction = 0.5;
+  armed.reliability.mitigation.spare_cols = 8;
   ASSERT_FALSE(armed.reliability.enabled);
   const auto a = eval::mvm_fidelity(clean);
   const auto b = eval::mvm_fidelity(armed);
@@ -361,9 +299,12 @@ TEST(ReliabilityEngine, MitigationArmsShareFaultRealization) {
   EXPECT_GT(m_off.reliability_stats().cells_faulty, 0u);
   EXPECT_EQ(m_off.reliability_stats().cells_faulty,
             m_on.reliability_stats().cells_faulty);
-  // Blind arm never detects or repairs anything.
-  EXPECT_EQ(m_off.reliability_stats().cells_detected, 0u);
-  EXPECT_GT(m_on.reliability_stats().cells_detected, 0u);
+  // The blind arm repairs nothing; the mitigating arm remaps columns
+  // and compensates stuck cells of the same defects.
+  EXPECT_EQ(m_off.reliability_stats().columns_remapped, 0u);
+  EXPECT_EQ(m_off.reliability_stats().cells_compensated, 0u);
+  EXPECT_GT(m_on.reliability_stats().columns_remapped, 0u);
+  EXPECT_GT(m_on.reliability_stats().cells_compensated, 0u);
 }
 
 TEST(ReliabilityEngine, MitigationImprovesFidelityUnderDefects) {
@@ -398,7 +339,6 @@ TEST(ReliabilityEngine, SaturatedDefectsDegradeOutputsGracefully) {
   cfg.reliability.faults.stuck_lrs_rate = 0.25;
   cfg.reliability.faults.stuck_hrs_rate = 0.25;
   cfg.reliability.mitigation.spare_cols = 0;
-  cfg.reliability.mitigation.compensate_pairs = false;
   std::vector<double> w(32 * 8);
   Rng wrng(17);
   for (double& x : w) x = wrng.uniform(-1.0, 1.0);

@@ -49,17 +49,14 @@ struct Fixture {
     return cfg;
   }
 
-  /// A heavily defective replica: faults injected, mitigation crippled
-  /// and a hair-trigger degrade threshold so outputs get flagged.
+  /// A heavily defective replica: 30% + 30% stuck cells and no spare
+  /// columns, so every output gets flagged.
   static EngineConfig defective_config(std::uint64_t program_seed) {
     EngineConfig cfg = clean_config(program_seed);
     cfg.reliability.enabled = true;
     cfg.reliability.faults.stuck_lrs_rate = 0.3;
     cfg.reliability.faults.stuck_hrs_rate = 0.3;
     cfg.reliability.mitigation.spare_cols = 0;
-    cfg.reliability.mitigation.remap_columns = false;
-    cfg.reliability.mitigation.compensate_pairs = false;
-    cfg.reliability.mitigation.degrade_threshold = 0.01;
     cfg.reliability.fault_seed = 0xBADull + program_seed;
     return cfg;
   }

@@ -57,17 +57,15 @@ struct Fixture {
     return cfg;
   }
 
-  /// Heavily defective replica with a hair-trigger degrade threshold so
-  /// every attempt gets fault-flagged (drives the retry path).
+  /// Heavily defective replica: 30% + 30% stuck cells and no spare
+  /// columns, so every attempt gets fault-flagged (drives the retry
+  /// path).
   static EngineConfig defective_config(std::uint64_t program_seed) {
     EngineConfig cfg = clean_config(program_seed);
     cfg.reliability.enabled = true;
     cfg.reliability.faults.stuck_lrs_rate = 0.3;
     cfg.reliability.faults.stuck_hrs_rate = 0.3;
     cfg.reliability.mitigation.spare_cols = 0;
-    cfg.reliability.mitigation.remap_columns = false;
-    cfg.reliability.mitigation.compensate_pairs = false;
-    cfg.reliability.mitigation.degrade_threshold = 0.01;
     cfg.reliability.fault_seed = 0xBADull + program_seed;
     return cfg;
   }

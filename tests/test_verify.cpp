@@ -223,14 +223,36 @@ std::string replaced(std::string text, const std::string& from,
   return text.replace(at, from.size(), to);
 }
 
+// The reliability knobs retired when the engine fixed them: each key,
+// its value as every committed record writes it, and a value that ran
+// a path that is gone.
+constexpr struct {
+  const char* key;
+  const char* written;
+  const char* refused;
+} kRetiredReliabilityKeys[] = {
+    {"rel_cluster_size", "4", "2"},
+    {"rel_read_disturb_rate", "0", "1e-9"},
+    {"rel_expected_mvms", "0", "1000000"},
+    {"rel_endurance_cycles", "0", "100"},
+    {"rel_wear_cycles", "0", "1"},
+    {"rel_mapper_miss_rate", "0", "0.01"},
+    {"rel_mapper_false_alarm_rate", "0", "0.01"},
+    {"rel_mit_remap_columns", "true", "false"},
+    {"rel_mit_compensate_pairs", "true", "false"},
+    {"rel_mit_write_verify_retries", "5", "3"},
+    {"rel_mit_degrade_threshold", "0.10000000000000001", "0.01"},
+};
+
 TEST(Serialize, RejectsMalformedRecords) {
   const std::string base =
       read_file(std::filesystem::path(RESIPE_CORPUS_DIR) / "case_seed40.json");
   ASSERT_NO_THROW(repro_from_json(base));
-  const struct {
+  struct Case {
     std::string json;
     std::string named;  // must appear in the error message
-  } cases[] = {
+  };
+  std::vector<Case> cases = {
       {replaced(base, "\"batch\": 4,", "\"batch\": 4, \"batch\": 4,"),
        "duplicate key 'batch'"},
       {replaced(base, "\"batch\": 4,", "\"batch\": -1,"), "'batch'"},
@@ -255,6 +277,17 @@ TEST(Serialize, RejectsMalformedRecords) {
        "'device_stuck_hrs_rate'"},
       {base + "{}", "trailing bytes"},
   };
+  // So does a retired reliability knob at any value but the one the
+  // engine now fixes; the message names both values and the key.
+  for (const auto& k : kRetiredReliabilityKeys) {
+    const std::string key = k.key;
+    const std::string json =
+        replaced(base, '"' + key + "\": " + k.written + ',',
+                 '"' + key + "\": " + k.refused + ',');
+    cases.push_back({json, "retired key, only " + std::string(k.written) +
+                               " replays, got '" + k.refused + "'"});
+    cases.push_back({json, "after key '" + key + "'"});
+  }
   for (const auto& c : cases) {
     try {
       repro_from_json(c.json);
@@ -271,17 +304,24 @@ TEST(Serialize, RejectsMalformedRecords) {
             -8);
 }
 
-// The four keys retired with the device's own stuck-at draw and the
-// march-test detector load from the records that carry them (a
-// non-zero device stuck-at rate is refused by RejectsMalformedRecords)
-// and are never written.
+// The keys retired with the device's own stuck-at draw, the march-test
+// detector and the reliability knobs the engine now fixes load from the
+// records that carry them (a value that ran a removed path is refused
+// by RejectsMalformedRecords) and are never written.
 TEST(Serialize, RetiredFaultKeysLoadButAreNotWritten) {
   const std::string base =
       read_file(std::filesystem::path(RESIPE_CORPUS_DIR) / "case_seed40.json");
   const std::string written = repro_to_json(repro_from_json(base));
-  for (const std::string key :
-       {"device_stuck_lrs_rate", "device_stuck_hrs_rate",
-        "rel_mapper_rail_tolerance", "rel_mapper_reads_per_cell"}) {
+  std::vector<std::string> keys = {
+      "device_stuck_lrs_rate", "device_stuck_hrs_rate",
+      "rel_mapper_rail_tolerance", "rel_mapper_reads_per_cell"};
+  for (const auto& k : kRetiredReliabilityKeys) {
+    keys.emplace_back(k.key);
+    EXPECT_NE(base.find('"' + keys.back() + "\": " + k.written + ','),
+              std::string::npos)
+        << k.key;
+  }
+  for (const std::string& key : keys) {
     EXPECT_NE(base.find('"' + key + '"'), std::string::npos) << key;
     EXPECT_EQ(written.find('"' + key + '"'), std::string::npos) << key;
   }
@@ -289,6 +329,12 @@ TEST(Serialize, RetiredFaultKeysLoadButAreNotWritten) {
   EXPECT_EQ(repro_to_json(repro_from_json(
                 replaced(base, "\"rel_mapper_reads_per_cell\": 3,",
                          "\"rel_mapper_reads_per_cell\": 7,"))),
+            written);
+  // A fixed knob replays at its value however it is spelled.
+  EXPECT_EQ(repro_to_json(repro_from_json(
+                replaced(base, "\"rel_mit_degrade_threshold\": "
+                               "0.10000000000000001,",
+                         "\"rel_mit_degrade_threshold\": 0.1,"))),
             written);
 }
 
@@ -426,6 +472,25 @@ TEST(EngineConfigValidate, SubConfigViolationsPropagate) {
   cfg = EngineConfig{};
   cfg.device.levels = 0;
   EXPECT_THROW(cfg.validate(), Error);
+
+  // The reliability config's refusals name the refused values.
+  const auto refusal = [](const EngineConfig& c) -> std::string {
+    try {
+      c.validate();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  cfg = EngineConfig{};
+  cfg.reliability.faults.stuck_lrs_rate = 0.6;
+  cfg.reliability.faults.stuck_hrs_rate = 0.6;
+  EXPECT_EQ(refusal(cfg),
+            "stuck-at rates must be non-negative and sum to at most 1, got "
+            "LRS 0.6 and HRS 0.6");
+  cfg = EngineConfig{};
+  cfg.reliability.faults.cluster_fraction = 2.0;
+  EXPECT_EQ(refusal(cfg), "cluster fraction must be in [0, 1], got 2");
 }
 
 TEST(EngineConfigValidate, GuardsProgrammedMatrixConstruction) {
